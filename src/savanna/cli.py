@@ -19,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from . import corpus as corpus_mod
-from . import evalharness, instruct, leaderboard, preference_loss
+from . import evalharness, instruct, jsonio, leaderboard, preference_loss
 from .textnorm import clean_document, corpus_profile
 
 
@@ -73,8 +73,6 @@ def _make_client(endpoint_url: str, config: dict) -> evalharness.CompletionClien
         name=config.get("model_name", endpoint_url),
         base_url=endpoint_url,
         model=config.get("model", ""),
-        max_parallel=config.get("max_parallel", 1),
-        temperature=config.get("temperature", 0.0),
         timeout=config.get("timeout", 60.0),
         retries=config.get("retries", 2),
     )
@@ -117,7 +115,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         spec = corpus_mod.MixtureSpec(
             source_weights=config.get("source_weights", {}),
             lang_weights=config.get("lang_weights", {}),
-            include_instruction_replay=config.get("include_instruction_replay", False),
         )
         sampled, manifest = corpus_mod.assemble_pretraining(
             deduped, spec, config["seed"], sample_size=config.get("sample_size"))
@@ -128,8 +125,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         manifest["reduction_ratio"] = (manifest["chars_out"] / chars_in) if chars_in else 0.0
         manifest["cleaning"] = clean_stats
         manifest["backtranslation_errors"] = errors
-        with open(out / "manifest.json", "w", encoding="utf-8") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
+        jsonio.write_json(out / "manifest.json", manifest)
     return 0
 
 
@@ -167,14 +163,13 @@ def cmd_instruct(args: argparse.Namespace) -> int:
         packed = instruct.pack(streams, max_len=max_len)
         instruct.write_packed_jsonl(packed, out / "packed.jsonl", max_len=max_len)
 
-        with open(out / "manifest.json", "w", encoding="utf-8") as f:
-            json.dump({
-                "category_counts": counts,
-                "examples": len(examples),
-                "packed_sequences": len(packed),
-                "sequences_per_batch": instruct.batch_spec(
-                    config.get("tokens_per_batch", 32768), max_len),
-            }, f, indent=1, sort_keys=True)
+        jsonio.write_json(out / "manifest.json", {
+            "category_counts": counts,
+            "examples": len(examples),
+            "packed_sequences": len(packed),
+            "sequences_per_batch": instruct.batch_spec(
+                config.get("tokens_per_batch", 32768), max_len),
+        })
     return 0
 
 
@@ -202,8 +197,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 max_parallel=config.get("max_parallel", 1),
                 temperature=config.get("temperature", 0.0),
             )
-        with open(out / "report.json", "w", encoding="utf-8") as f:
-            f.write(report.to_json())
+        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         if report.invalid:
             raise CliError(f"run invalid: {report.total_failed}/{report.total_items} items failed")
     return 0
@@ -233,8 +227,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 (out / f"{key}.md").write_text(artifacts[key], encoding="utf-8")
         if "chart_csv" in artifacts:
             (out / "chart.csv").write_text(artifacts["chart_csv"], encoding="utf-8")
-        with open(out / "winner_counts.json", "w", encoding="utf-8") as f:
-            json.dump(artifacts["winner_counts"], f, indent=1, sort_keys=True)
+        jsonio.write_json(out / "winner_counts.json", artifacts["winner_counts"])
     return 0
 
 
@@ -249,8 +242,7 @@ def cmd_loss(args: argparse.Namespace) -> int:
             alpha_rpo=config.get("alpha_rpo", 1.0),
         )
         audit = preference_loss.audit_pairs(pairs, params)
-        with open(out / "loss_audit.json", "w", encoding="utf-8") as f:
-            json.dump(audit, f, indent=1, sort_keys=True)
+        jsonio.write_json(out / "loss_audit.json", audit)
         print(f"pairs: {len(audit['pairs'])}  "
               f"mean dpo: {audit['mean_dpo_loss']:.6f}  "
               f"mean irpo: {audit['mean_irpo_loss']:.6f}")

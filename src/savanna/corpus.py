@@ -13,13 +13,14 @@ import hashlib
 import json
 import random
 import re
-import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol
 
 import requests
+
+from . import jsonio
 
 Source = str
 _SOURCES = {
@@ -110,7 +111,6 @@ class MixtureSpec:
     source_weights: dict[str, float] = field(default_factory=dict)
     lang_weights: dict[str, float] = field(default_factory=dict)
     default_weight: float = 1.0
-    include_instruction_replay: bool = False
 
     def bucket_weight(self, source: str, lang: str) -> float:
         sw = self.source_weights.get(source, self.default_weight)
@@ -275,17 +275,12 @@ class HttpMtClient:
 
     def translate(self, text: str, source: str, target: str) -> str:
         payload = {"text": text, "source": source, "target": target}
-        last_error: Exception | None = None
-        for attempt in range(3):
-            try:
-                resp = self._session.post(self.base_url, json=payload, timeout=self.timeout)
-                resp.raise_for_status()
-                return resp.json()["translation"]
-            except Exception as exc:  # transport or schema failure
-                last_error = exc
-                if attempt < 2:
-                    time.sleep(self.backoff * (2 ** attempt))
-        raise MtClientError(f"translation failed after 3 attempts: {last_error}")
+        try:
+            return jsonio.post_json(self._session, self.base_url, payload, attempts=3,
+                                    backoff=self.backoff, timeout=self.timeout,
+                                    reply=lambda body: body["translation"])
+        except Exception as exc:  # transport or schema failure
+            raise MtClientError(f"translation failed after 3 attempts: {exc}") from exc
 
 
 class StubMtClient:
@@ -325,11 +320,7 @@ def backtranslate(english_docs: list[CorpusDocument], target: str,
                 text=translation,
                 source="synthetic_bt",
                 license_note=doc.license_note,
-                provenance={
-                    "source_doc_id": doc.id,
-                    "client": client.name,
-                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                },
+                provenance={"source_doc_id": doc.id, "client": client.name},
             )
         )
     return BackTranslationResult(documents=documents, errors=errors)
@@ -374,6 +365,8 @@ def assemble_pretraining(docs: Iterable[CorpusDocument], spec: MixtureSpec, seed
     Deterministic for a fixed seed.  Returns the sampled documents and a
     manifest of per-bucket document and character counts.  With
     ``sample_size=None`` the weights act as include/exclude filters.
+    ``instruction_docs``, when given, are appended whole as an
+    ``instruction_replay`` bucket.
     """
     buckets: dict[tuple[str, str], list[CorpusDocument]] = {}
     for doc in docs:
@@ -413,7 +406,7 @@ def assemble_pretraining(docs: Iterable[CorpusDocument], spec: MixtureSpec, seed
             "chars_out": sum(d.char_count for d in docs_out),
         }
 
-    if spec.include_instruction_replay and instruction_docs is not None:
+    if instruction_docs is not None:
         replay = list(instruction_docs)
         output.extend(replay)
         manifest["buckets"]["instruction_replay"] = {
@@ -432,36 +425,16 @@ def assemble_pretraining(docs: Iterable[CorpusDocument], spec: MixtureSpec, seed
 
 
 def write_documents_jsonl(docs: Iterable[CorpusDocument], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in docs:
-            f.write(json.dumps(doc.__dict__, ensure_ascii=False, sort_keys=True) + "\n")
-            n += 1
-    return n
+    return jsonio.write_jsonl(path, (doc.__dict__ for doc in docs), sort_keys=True)
 
 
 def read_documents_jsonl(path: str | Path) -> list[CorpusDocument]:
-    docs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                docs.append(CorpusDocument(**json.loads(line)))
-    return docs
+    return [CorpusDocument(**obj) for obj in jsonio.read_jsonl(path)]
 
 
 def write_pairs_jsonl(pairs: Iterable[ParallelPair], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for pair in pairs:
-            f.write(json.dumps(pair.__dict__, ensure_ascii=False, sort_keys=True) + "\n")
-            n += 1
-    return n
+    return jsonio.write_jsonl(path, (pair.__dict__ for pair in pairs), sort_keys=True)
 
 
 def read_pairs_jsonl(path: str | Path) -> list[ParallelPair]:
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                pairs.append(ParallelPair(**json.loads(line)))
-    return pairs
+    return [ParallelPair(**obj) for obj in jsonio.read_jsonl(path)]

@@ -23,17 +23,13 @@ from typing import Callable, Iterable, Protocol
 
 import requests
 
-from . import metrics
+from . import jsonio, metrics
+from .instruct import TRANSLATION_PROMPT as DEFAULT_PROMPT_TEMPLATE
 from .instruct import language_name
 from .textnorm import metric_profile, normalize
 
 N_CATEGORIES = 20
 SENTENCES_PER_CATEGORY = 5
-
-DEFAULT_PROMPT_TEMPLATE = (
-    "Translate the following text from {src} to {tgt}. "
-    "Reply with only the translation.\n\n{text}"
-)
 
 RUN_LOG_VERSION = 1
 MAX_FAILURE_RATE = 0.10
@@ -158,14 +154,10 @@ class ModelEndpoint:
     base_url: str
     model: str = ""
     auth_env: str = "SAVANNA_API_TOKEN"
-    max_parallel: int = 1
-    temperature: float = 0.0
     timeout: float = 60.0
     retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_parallel < 1:
-            raise ValueError("max_parallel must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if not self.model:
@@ -198,18 +190,14 @@ class HttpCompletionClient:
         token = os.environ.get(self.endpoint.auth_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        last_error: Exception | None = None
-        for attempt in range(self.endpoint.retries + 1):
-            try:
-                resp = self._session.post(self.endpoint.base_url, json=payload,
-                                          headers=headers, timeout=self.endpoint.timeout)
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except Exception as exc:
-                last_error = exc
-                if attempt < self.endpoint.retries:
-                    time.sleep(self.backoff * (2 ** attempt))
-        raise TransportError(f"request failed after {self.endpoint.retries + 1} attempts: {last_error}")
+        attempts = self.endpoint.retries + 1
+        try:
+            return jsonio.post_json(
+                self._session, self.endpoint.base_url, payload, attempts=attempts,
+                backoff=self.backoff, timeout=self.endpoint.timeout, headers=headers,
+                reply=lambda body: body["choices"][0]["message"]["content"])
+        except Exception as exc:
+            raise TransportError(f"request failed after {attempts} attempts: {exc}") from exc
 
 
 _PROMPT_TEXT_RE = re.compile(r"\n\n(.*)\Z", re.DOTALL)
@@ -230,11 +218,7 @@ class ReferenceEchoClient:
                 self._by_source[(item.english, language_name(lang))] = text
                 self._by_source[(text, language_name("eng"))] = item.english
         # document-granularity lookups: 5 sentences joined by single spaces
-        by_cat: dict[int, list[EvalItem]] = {}
-        for item in suite.items:
-            by_cat.setdefault(item.category_id, []).append(item)
-        for items in by_cat.values():
-            items.sort(key=lambda i: i.sent_index)
+        for _cat, items in _documents(suite):
             eng = " ".join(i.english for i in items)
             langs = set.intersection(*(set(i.translations) for i in items))
             for lang in langs:
@@ -289,6 +273,15 @@ def postprocess_hypothesis(raw: str) -> str:
     return text
 
 
+def _documents(suite: EvalSuite) -> list[tuple[int, list[EvalItem]]]:
+    """Suite items grouped into one document per category, in category
+    order, each document's items in sentence order."""
+    by_cat: dict[int, list[EvalItem]] = {}
+    for item in suite.items:
+        by_cat.setdefault(item.category_id, []).append(item)
+    return [(cat, sorted(by_cat[cat], key=lambda i: i.sent_index)) for cat in sorted(by_cat)]
+
+
 def _direction_units(suite: EvalSuite, direction: tuple[str, str],
                      granularity: str) -> list[dict]:
     src, tgt = direction
@@ -307,11 +300,7 @@ def _direction_units(suite: EvalSuite, direction: tuple[str, str],
                 "source": source, "reference": reference,
             })
     elif granularity == "document":
-        by_cat: dict[int, list[EvalItem]] = {}
-        for item in suite.items:
-            by_cat.setdefault(item.category_id, []).append(item)
-        for cat in sorted(by_cat):
-            items = sorted(by_cat[cat], key=lambda i: i.sent_index)
+        for cat, items in _documents(suite):
             eng = " ".join(i.english for i in items)
             loc = " ".join(i.translations[other] for i in items)
             units.append({
@@ -327,7 +316,7 @@ def _direction_units(suite: EvalSuite, direction: tuple[str, str],
 @dataclass
 class DirectionResult:
     direction: tuple[str, str]
-    report: metrics.MetricReport
+    report: metrics.MetricReport  # aggregates is None when no unit scored
     evaluated: int
     failed: int
 
@@ -358,13 +347,13 @@ class EvalRunReport:
                     "direction": list(d.direction),
                     "evaluated": d.evaluated,
                     "failed": d.failed,
-                    "aggregates": d.report.aggregates.__dict__,
+                    "aggregates": d.report.aggregates.__dict__ if d.report.aggregates else None,
                     "per_sentence": [s.__dict__ for s in d.report.per_sentence],
                 }
                 for d in self.directions
             ],
         }
-        return json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1)
+        return jsonio.dumps(payload)
 
 
 def _prompt_hash(template: str) -> str:
@@ -406,7 +395,7 @@ def _score_records(records: list[dict], suite: EvalSuite, directions: list[tuple
                 wer=metrics.aggregate([s.wer for s in per_sentence]),
             )
         else:
-            aggregates = metrics.SentenceScores(0.0, 0.0, float("inf"), float("inf"))
+            aggregates = None
         report = metrics.MetricReport(direction=direction, per_sentence=per_sentence,
                                       aggregates=aggregates)
         results.append(DirectionResult(direction=direction, report=report,
@@ -439,6 +428,8 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
     from scoring and counted, and a failure rate above 10% marks the run
     invalid.
     """
+    if max_parallel < 1:
+        raise ValueError("max_parallel must be >= 1")
     all_units = []
     for direction in directions:
         src, tgt = direction
@@ -472,7 +463,7 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
         records = [issue(u) for u in all_units]
 
     if run_log_path is not None:
-        header = {
+        jsonio.write_jsonl(run_log_path, records, header={
             "type": "header",
             "version": RUN_LOG_VERSION,
             "granularity": granularity,
@@ -481,22 +472,16 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
             "prompt_hash": _prompt_hash(prompt_template),
             "suite_hash": suite.content_hash(),
             "temperature": temperature,
-        }
-        with open(run_log_path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(header, ensure_ascii=False) + "\n")
-            for record in records:
-                f.write(json.dumps(record, ensure_ascii=False) + "\n")
+        })
 
     return _score_records(records, suite, directions, granularity, prompt_template)
 
 
 def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport:
     """Re-score a persisted run log offline; reproduces the original report."""
-    with open(run_log_path, encoding="utf-8") as f:
-        header = json.loads(f.readline())
-        if header.get("type") != "header" or header.get("version") != RUN_LOG_VERSION:
-            raise ValueError("not a recognized run log")
-        records = [json.loads(line) for line in f if line.strip()]
+    header, *records = jsonio.read_jsonl(run_log_path) or [{}]
+    if header.get("type") != "header" or header.get("version") != RUN_LOG_VERSION:
+        raise ValueError("not a recognized run log")
     if header["suite_hash"] != suite.content_hash():
         raise ValueError("run log was produced from a different suite")
     directions = [tuple(d) for d in header["directions"]]
@@ -513,15 +498,12 @@ class McqItem:
     choices: list[str]
     answer_index: int
     lang: str
-    mode: str = "direct"  # "direct" | "translate_test"
 
     def __post_init__(self) -> None:
         if len(self.choices) < 2:
             raise ValueError("need at least 2 choices")
         if not 0 <= self.answer_index < len(self.choices):
             raise ValueError("answer_index out of range")
-        if self.mode not in ("direct", "translate_test"):
-            raise ValueError(f"unknown mode: {self.mode!r}")
 
 
 def _mcq_prompt(item: McqItem) -> str:

@@ -17,6 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Protocol
 
+from . import jsonio
 from .corpus import ParallelPair
 
 CATEGORIES = (
@@ -146,8 +147,7 @@ class VocabFileTokenizer:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "VocabFileTokenizer":
-        with open(path, encoding="utf-8") as f:
-            return cls(json.load(f))
+        return cls(jsonio.read_json(path))
 
     def encode(self, text: str) -> list[int]:
         ids = []
@@ -179,8 +179,7 @@ class ChatTemplate:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ChatTemplate":
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+        data = jsonio.read_json(path)
         missing = [k for k in ("user_prefix", "user_suffix", "assistant_prefix", "assistant_suffix")
                    if k not in data]
         if missing:
@@ -368,34 +367,21 @@ PACKED_FORMAT_VERSION = 1
 def write_packed_jsonl(sequences: Iterable[PackedSequence], path: str | Path,
                        max_len: int = 512) -> int:
     """Write packed sequences as JSONL; the first line is a version header."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"version": PACKED_FORMAT_VERSION, "max_len": max_len}) + "\n")
-        for seq in sequences:
-            f.write(json.dumps({
-                "token_ids": seq.token_ids,
-                "segment_spans": [list(s) for s in seq.segment_spans],
-                "attention_segments": seq.attention_segments,
-            }) + "\n")
-            n += 1
-    return n
+    return jsonio.write_jsonl(path, ({
+        "token_ids": seq.token_ids,
+        "segment_spans": [list(s) for s in seq.segment_spans],
+        "attention_segments": seq.attention_segments,
+    } for seq in sequences), header={"version": PACKED_FORMAT_VERSION, "max_len": max_len})
 
 
 def read_packed_jsonl(path: str | Path) -> tuple[list[PackedSequence], int]:
-    with open(path, encoding="utf-8") as f:
-        header = json.loads(f.readline())
-        if header.get("version") != PACKED_FORMAT_VERSION:
-            raise ValueError(f"unsupported packed format version: {header.get('version')}")
-        sequences = []
-        for line in f:
-            if line.strip():
-                obj = json.loads(line)
-                sequences.append(PackedSequence(
-                    token_ids=obj["token_ids"],
-                    segment_spans=[tuple(s) for s in obj["segment_spans"]],
-                    attention_segments=obj["attention_segments"],
-                ))
-    return sequences, header["max_len"]
+    header, *rows = jsonio.read_jsonl(path) or [{}]
+    if header.get("version") != PACKED_FORMAT_VERSION:
+        raise ValueError(f"unsupported packed format version: {header.get('version')}")
+    return [PackedSequence(token_ids=obj["token_ids"],
+                           segment_spans=[tuple(s) for s in obj["segment_spans"]],
+                           attention_segments=obj["attention_segments"])
+            for obj in rows], header["max_len"]
 
 
 # --- Synthetic preference pairs ------------------------------------------------
@@ -470,45 +456,23 @@ def build_instruction_dataset(pairs: list[ParallelPair],
 
 
 def write_instructions_jsonl(examples: Iterable[InstructionExample], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(json.dumps({
-                "category": ex.category,
-                "turns": [{"role": t.role, "text": t.text} for t in ex.turns],
-                "langs_involved": sorted(ex.langs_involved),
-            }, ensure_ascii=False) + "\n")
-            n += 1
-    return n
+    return jsonio.write_jsonl(path, ({
+        "category": ex.category,
+        "turns": [{"role": t.role, "text": t.text} for t in ex.turns],
+        "langs_involved": sorted(ex.langs_involved),
+    } for ex in examples))
 
 
 def read_instructions_jsonl(path: str | Path) -> list[InstructionExample]:
-    examples = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                obj = json.loads(line)
-                examples.append(InstructionExample(
-                    category=obj["category"],
-                    turns=[Turn(t["role"], t["text"]) for t in obj["turns"]],
-                    langs_involved=set(obj.get("langs_involved", [])),
-                ))
-    return examples
+    return [InstructionExample(category=obj["category"],
+                               turns=[Turn(t["role"], t["text"]) for t in obj["turns"]],
+                               langs_involved=set(obj.get("langs_involved", [])))
+            for obj in jsonio.read_jsonl(path)]
 
 
 def write_preferences_jsonl(pairs: Iterable[PreferencePair], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for pair in pairs:
-            f.write(json.dumps(pair.__dict__, ensure_ascii=False) + "\n")
-            n += 1
-    return n
+    return jsonio.write_jsonl(path, (pair.__dict__ for pair in pairs))
 
 
 def read_preferences_jsonl(path: str | Path) -> list[PreferencePair]:
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                pairs.append(PreferencePair(**json.loads(line)))
-    return pairs
+    return [PreferencePair(**obj) for obj in jsonio.read_jsonl(path)]

@@ -1,0 +1,69 @@
+"""The package's one path for JSON files, JSONL files and JSON-over-HTTP calls.
+
+JSONL files hold one record per line, UTF-8 as is, with an optional header
+line first.  JSON documents (reports, manifests, audits) are canonical:
+sorted keys, one-space indent, and strict JSON, so never ``NaN`` or
+``Infinity``.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from pathlib import Path
+from typing import Any, Callable, Iterable
+
+
+def write_jsonl(path: str | Path, records: Iterable[Any], header: Any = None,
+                sort_keys: bool = False) -> int:
+    """Write ``records`` one per line after an optional ``header`` line;
+    returns the number of records, not counting the header."""
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=sort_keys).encode
+    n = 0
+    with open(path, "w", encoding="utf-8") as f:
+        if header is not None:
+            f.write(encode(header) + "\n")
+        for record in records:
+            f.write(encode(record) + "\n")
+            n += 1
+    return n
+
+
+def read_jsonl(path: str | Path) -> list:
+    """Every non-blank line of a JSONL file, decoded; a header line, if the
+    format has one, is the first element."""
+    with open(path, encoding="utf-8") as f:
+        return [json.loads(line) for line in f if line.strip()]
+
+
+def read_json(path: str | Path) -> Any:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def dumps(obj: Any) -> str:
+    """Canonical JSON text of ``obj``; raises ValueError on NaN or infinity."""
+    return json.dumps(obj, indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    Path(path).write_text(dumps(obj), encoding="utf-8")
+
+
+def post_json(session, url: str, payload: Any, *, attempts: int, backoff: float,
+              timeout: float, reply: Callable[[Any], Any],
+              headers: dict | None = None) -> Any:
+    """POST ``payload`` as JSON and return ``reply(decoded response body)``.
+
+    Any failure (transport, HTTP status, or a body ``reply`` cannot read) is
+    retried, up to ``attempts`` tries in all, sleeping ``backoff * 2**i``
+    after the i-th failed try.  The last try's error is re-raised.
+    """
+    for attempt in range(attempts):
+        try:
+            resp = session.post(url, json=payload, headers=headers, timeout=timeout)
+            resp.raise_for_status()
+            return reply(resp.json())
+        except Exception:
+            if attempt == attempts - 1:
+                raise
+            time.sleep(backoff * (2 ** attempt))

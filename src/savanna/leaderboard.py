@@ -98,14 +98,19 @@ def published_reference_data() -> LeaderboardData:
 
 
 def add_run_report(data: LeaderboardData, model: str, report: EvalRunReport) -> None:
-    """Fold one evaluation run's per-direction aggregates into the board."""
+    """Fold one evaluation run's per-direction aggregates into the board.
+
+    A direction with no scored unit has no aggregates and adds no score.
+    """
     for result in report.directions:
+        agg = result.report.aggregates
+        if agg is None:
+            continue
         src, tgt = result.direction
         if tgt == "eng":
             direction, lang = XX_TO_ENG, src
         else:
             direction, lang = ENG_TO_XX, tgt
-        agg = result.report.aggregates
         for metric in ("chrf", "bleu", "cer", "wer"):
             data.add_score(model, direction, lang, metric, getattr(agg, metric))
 
@@ -134,7 +139,6 @@ def mean_table_markdown(data: LeaderboardData) -> str:
         "| Model | xx->eng chrF | xx->eng BLEU | eng->xx chrF | eng->xx BLEU |",
         "|---|---|---|---|---|",
     ]
-    cells = {}
     for model in data.models():
         row = [model]
         for direction in (XX_TO_ENG, ENG_TO_XX):
@@ -142,7 +146,6 @@ def mean_table_markdown(data: LeaderboardData) -> str:
                 try:
                     value = data.mean(model, direction, metric)
                     row.append(f"{value:.3f}")
-                    cells[(model, direction, metric)] = value
                 except (KeyError, ValueError):
                     row.append("-")
         lines.append("| " + " | ".join(row) + " |")

@@ -7,11 +7,12 @@ chosen response to the standard DPO log-sigmoid margin loss.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
+
+from . import jsonio
 
 
 @dataclass
@@ -131,18 +132,8 @@ def audit_pairs(pairs: Iterable[PairLogps], params: LossParams = LossParams()) -
 
 
 def read_pair_logps_jsonl(path: str | Path) -> list[PairLogps]:
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                pairs.append(PairLogps(**json.loads(line)))
-    return pairs
+    return [PairLogps(**obj) for obj in jsonio.read_jsonl(path)]
 
 
 def write_pair_logps_jsonl(pairs: Iterable[PairLogps], path: str | Path) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for p in pairs:
-            f.write(json.dumps(p.__dict__) + "\n")
-            n += 1
-    return n
+    return jsonio.write_jsonl(path, (p.__dict__ for p in pairs))

@@ -173,6 +173,14 @@ class TestBacktranslate:
         assert len(result.errors) == 1
         assert result.errors[0]["source_doc_id"] == docs[1].id
 
+    def test_reproducible(self):
+        docs = [doc(f"sentence {i}", lang="eng") for i in range(3)]
+        first = backtranslate(docs, "lug", StubMtClient())
+        second = backtranslate(docs, "lug", StubMtClient())
+        assert first.documents == second.documents
+        assert [d.provenance for d in first.documents] == [
+            {"source_doc_id": d.id, "client": "stub"} for d in docs]
+
     def test_provenance_resolves_to_source(self):
         docs = [doc(f"sentence {i}", lang="eng") for i in range(5)]
         result = backtranslate(docs, "teo", StubMtClient())
@@ -227,8 +235,7 @@ class TestAssemblePretraining:
     def test_instruction_replay(self):
         docs = self.make_buckets()
         replay = [doc("instruction replay example", source="community")]
-        spec = MixtureSpec(include_instruction_replay=True)
-        out, manifest = assemble_pretraining(docs, spec, seed=0,
+        out, manifest = assemble_pretraining(docs, MixtureSpec(), seed=0,
                                              instruction_docs=replay)
         assert replay[0] in out
         assert "instruction_replay" in manifest["buckets"]

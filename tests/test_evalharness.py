@@ -74,11 +74,11 @@ class TestEndpointConfig:
         ep = ModelEndpoint(name="m", base_url="http://x")
         assert ep.auth_env == "SAVANNA_API_TOKEN"
         assert ep.model == "m"
-        assert ep.temperature == 0.0
+        assert ep.retries == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ModelEndpoint(name="m", base_url="u", max_parallel=0)
+            ModelEndpoint(name="m", base_url="u", retries=-1)
 
 
 class TestPostprocess:
@@ -133,6 +133,32 @@ class TestTranslationEval:
         assert not report.invalid  # 3% < 10% threshold
         records = [json.loads(l) for l in log.read_text().splitlines()[1:]]
         assert sum(r["status"] == "error" for r in records) == 3
+
+    def test_direction_with_nothing_scored_reports_null(self, tmp_path):
+        # 12 languages x 2 directions x 100 units; the first direction fails
+        # whole, which is 100/2400 units and leaves the run valid.
+        langs = [f"l{i:02d}" for i in range(12)]
+        wide = synthetic_suite(languages=langs, seed=5)
+        directions = [(lang, "eng") for lang in langs] + [("eng", lang) for lang in langs]
+        client = FlakyClient(ConstantClient("x"), fail_on=set(range(100)))
+        log = tmp_path / "run.jsonl"
+        report = run_translation_eval(wide, client, directions, run_log_path=log)
+        assert not report.invalid and report.total_failed == 100
+        dead = report.directions[0]
+        assert dead.evaluated == 0 and dead.report.aggregates is None
+
+        def reject(constant):
+            raise AssertionError(f"report.json contains {constant}")
+
+        payload = json.loads(report.to_json(), parse_constant=reject)
+        assert payload["directions"][0]["aggregates"] is None
+        assert payload["directions"][1]["aggregates"]["cer"] == 1.0
+        assert rescore_run_log(log, wide).to_json() == report.to_json()
+
+    def test_max_parallel_must_be_positive(self, suite):
+        with pytest.raises(ValueError, match="max_parallel"):
+            run_translation_eval(suite, ConstantClient("x"), directions=[("aaa", "eng")],
+                                 max_parallel=0)
 
     def test_failure_rate_marks_invalid(self, suite):
         client = FlakyClient(ReferenceEchoClient(suite), fail_on=set(range(11)))

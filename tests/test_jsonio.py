@@ -1,0 +1,129 @@
+import math
+
+import pytest
+import requests
+
+from savanna import jsonio
+from savanna.corpus import HttpMtClient, MtClientError
+from savanna.evalharness import HttpCompletionClient, ModelEndpoint, TransportError
+
+
+class FakeResponse:
+    def __init__(self, body, status=200):
+        self.body = body
+        self.status = status
+
+    def raise_for_status(self):
+        if self.status >= 400:
+            raise requests.HTTPError(f"{self.status} Server Error")
+
+    def json(self):
+        return self.body
+
+
+class FakeSession:
+    """Plays back one outcome per POST: a response, or an exception to raise."""
+
+    def __init__(self, outcomes):
+        self.outcomes = list(outcomes)
+        self.calls = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    slept = []
+    monkeypatch.setattr(jsonio.time, "sleep", slept.append)
+    return slept
+
+
+def completion(text):
+    return FakeResponse({"choices": [{"message": {"content": text}}]})
+
+
+class TestFiles:
+    def test_jsonl_roundtrip_with_header(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        n = jsonio.write_jsonl(path, [{"b": "Ŋ", "a": 1}, {"c": []}], header={"v": 1})
+        assert n == 2
+        assert path.read_text(encoding="utf-8") == '{"v": 1}\n{"b": "Ŋ", "a": 1}\n{"c": []}\n'
+        path.write_text(path.read_text(encoding="utf-8") + "\n  \n", encoding="utf-8")
+        header, *records = jsonio.read_jsonl(path)
+        assert header == {"v": 1} and records == [{"b": "Ŋ", "a": 1}, {"c": []}]
+
+    def test_sort_keys(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        jsonio.write_jsonl(path, [{"b": 1, "a": 2}], sort_keys=True)
+        assert path.read_text() == '{"a": 2, "b": 1}\n'
+
+    def test_write_json_is_strict(self, tmp_path):
+        jsonio.write_json(tmp_path / "ok.json", {"b": 1, "a": "é"})
+        assert (tmp_path / "ok.json").read_text(encoding="utf-8") == '{\n "a": "é",\n "b": 1\n}'
+        with pytest.raises(ValueError):
+            jsonio.write_json(tmp_path / "bad.json", {"cer": math.inf})
+
+
+class TestHttpMtClient:
+    def test_success_after_transient_failures(self, sleeps):
+        session = FakeSession([requests.ConnectionError("refused"),
+                               FakeResponse({}, status=503),
+                               FakeResponse({"translation": "omwana"})])
+        client = HttpMtClient("http://mt", session=session, backoff=0.25, timeout=5.0)
+        assert client.translate("child", "eng", "lug") == "omwana"
+        assert len(session.calls) == 3
+        assert session.calls[0]["json"] == {"text": "child", "source": "eng", "target": "lug"}
+        assert session.calls[0]["timeout"] == 5.0
+        assert sleeps == [0.25, 0.5]
+
+    def test_gives_up_after_three_attempts(self, sleeps):
+        session = FakeSession([FakeResponse({}, status=500)] * 2 + [FakeResponse({"wrong": 1})]
+                              + [FakeResponse({"translation": "never reached"})])
+        client = HttpMtClient("http://mt", session=session)
+        with pytest.raises(MtClientError,
+                           match=r"^translation failed after 3 attempts: 'translation'$"):
+            client.translate("child", "eng", "lug")
+        assert len(session.calls) == 3
+        assert len(sleeps) == 2
+
+
+class TestHttpCompletionClient:
+    def endpoint(self, retries=2):
+        return ModelEndpoint(name="m", base_url="http://llm", model="sunflower",
+                             timeout=7.0, retries=retries)
+
+    def test_success_after_transient_failures(self, sleeps, monkeypatch):
+        monkeypatch.delenv("SAVANNA_API_TOKEN", raising=False)
+        session = FakeSession([requests.Timeout("slow"), completion("hello")])
+        client = HttpCompletionClient(self.endpoint(), session=session, backoff=0.1)
+        messages = [{"role": "user", "content": "hi"}]
+        assert client.complete(messages, temperature=0.3) == "hello"
+        assert session.calls[0]["json"] == {"model": "sunflower", "messages": messages,
+                                            "temperature": 0.3}
+        assert session.calls[0]["timeout"] == 7.0
+        assert len(session.calls) == 2 and sleeps == [0.1]
+
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_gives_up_after_retries_plus_one(self, sleeps, retries):
+        session = FakeSession([FakeResponse({}, status=502)] * (retries + 2))
+        client = HttpCompletionClient(self.endpoint(retries), session=session)
+        with pytest.raises(TransportError,
+                           match=rf"^request failed after {retries + 1} attempts: 502 Server Error$"):
+            client.complete([{"role": "user", "content": "hi"}])
+        assert len(session.calls) == retries + 1
+        assert len(sleeps) == retries
+
+    def test_bearer_header_only_with_token(self, monkeypatch):
+        monkeypatch.delenv("SAVANNA_API_TOKEN", raising=False)
+        session = FakeSession([completion("a"), completion("b")])
+        client = HttpCompletionClient(self.endpoint(), session=session)
+        client.complete([{"role": "user", "content": "hi"}])
+        monkeypatch.setenv("SAVANNA_API_TOKEN", "s3cret")
+        client.complete([{"role": "user", "content": "hi"}])
+        assert session.calls[0]["headers"] == {}
+        assert session.calls[1]["headers"] == {"Authorization": "Bearer s3cret"}

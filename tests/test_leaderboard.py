@@ -1,6 +1,11 @@
 import pytest
 
-from savanna.evalharness import ReferenceEchoClient, run_translation_eval, synthetic_suite
+from savanna.evalharness import (
+    FlakyClient,
+    ReferenceEchoClient,
+    run_translation_eval,
+    synthetic_suite,
+)
 from savanna.leaderboard import (
     ENG_TO_XX,
     XX_TO_ENG,
@@ -138,3 +143,13 @@ class TestAddRunReport:
         assert data.scores["echo"][XX_TO_ENG]["aaa"]["chrf"] == pytest.approx(1.0)
         assert data.scores["echo"][ENG_TO_XX]["aaa"]["bleu"] == pytest.approx(100.0)
         assert data.bidirectional_mean("echo", "aaa") == pytest.approx(1.0)
+
+    def test_direction_without_scores_is_skipped(self):
+        suite = synthetic_suite(languages=("aaa",), seed=1)
+        client = FlakyClient(ReferenceEchoClient(suite), fail_on=set(range(100)))
+        report = run_translation_eval(suite, client, directions=[("aaa", "eng"), ("eng", "aaa")])
+        assert report.directions[0].report.aggregates is None
+        data = LeaderboardData()
+        add_run_report(data, "echo", report)
+        assert XX_TO_ENG not in data.scores["echo"]
+        assert data.scores["echo"][ENG_TO_XX]["aaa"]["chrf"] == pytest.approx(1.0)
