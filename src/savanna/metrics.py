@@ -4,6 +4,12 @@ All scoring functions expect inputs already normalized with the metric
 profile from :mod:`savanna.textnorm`.  Each metric exposes a sufficient
 statistics form so that corpus-level aggregation can pool counts rather
 than averaging sentence scores.
+
+chrF (Popović 2015) and BLEU count the n-grams of every order in one pass
+per side, as sacreBLEU does.  CER and WER use the bit-parallel Levenshtein
+distance of Myers 1999 ("A fast bit-vector algorithm for approximate string
+matching based on dynamic programming") in Hyyrö's global-distance form, so
+the elements it compares must be hashable.
 """
 
 from __future__ import annotations
@@ -86,20 +92,29 @@ class MetricReport:
     aggregates: SentenceScores | None = None
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    chars = "".join(text.split())  # spaces never participate in n-grams
-    return Counter(chars[i : i + n] for i in range(len(chars) - n + 1))
+def _ngram_counts(seq: Sequence, max_n: int) -> Counter:
+    """Every n-gram of orders 1..max_n, keyed by the gram, whose length is its order."""
+    return Counter([seq[i : i + n] for n in range(1, max_n + 1) for i in range(len(seq) - n + 1)])
+
+
+def _matches_and_totals(hyp: Sequence, ref: Sequence, max_n: int) -> tuple[list[int], list[int], list[int]]:
+    """Per-order clipped matches and hypothesis/reference n-gram totals."""
+    ref_counts = _ngram_counts(ref, max_n)
+    matched = [0] * max_n
+    for gram, count in _ngram_counts(hyp, max_n).items():
+        ref_count = ref_counts.get(gram)
+        if ref_count:
+            matched[len(gram) - 1] += min(count, ref_count)
+    hyp_total = [max(0, len(hyp) - n + 1) for n in range(1, max_n + 1)]
+    ref_total = [max(0, len(ref) - n + 1) for n in range(1, max_n + 1)]
+    return matched, hyp_total, ref_total
 
 
 def chrf_statistics(hypothesis: str, reference: str, params: ChrfParams = ChrfParams()) -> ChrfStatistics:
-    matched, hyp_total, ref_total = [], [], []
-    for n in range(1, params.max_char_ngram + 1):
-        hyp_counts = _char_ngrams(hypothesis, n)
-        ref_counts = _char_ngrams(reference, n)
-        matched.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
-        hyp_total.append(sum(hyp_counts.values()))
-        ref_total.append(sum(ref_counts.values()))
-    return ChrfStatistics(matched, hyp_total, ref_total)
+    # spaces never participate in n-grams
+    hyp_chars = "".join(hypothesis.split())
+    ref_chars = "".join(reference.split())
+    return ChrfStatistics(*_matches_and_totals(hyp_chars, ref_chars, params.max_char_ngram))
 
 
 def chrf_from_statistics(stats: ChrfStatistics, beta: float = 2.0) -> float:
@@ -121,29 +136,14 @@ def chrf_from_statistics(stats: ChrfStatistics, beta: float = 2.0) -> float:
 
 
 def chrf(hypothesis: str, reference: str, params: ChrfParams = ChrfParams()) -> float:
-    """Character n-gram F-score in [0, 1]."""
-    hyp_chars = "".join(hypothesis.split())
-    ref_chars = "".join(reference.split())
-    if not hyp_chars and not ref_chars:
-        return 1.0
-    if not hyp_chars or not ref_chars:
-        return 0.0
+    """Character n-gram F-score in [0, 1]; 1 when both sides are empty, 0 when one is."""
     return chrf_from_statistics(chrf_statistics(hypothesis, reference, params), params.beta)
 
 
-def _word_ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
 def bleu_statistics(hypothesis: str, reference: str, params: BleuParams = BleuParams()) -> BleuStatistics:
-    hyp_tokens = hypothesis.split()
-    ref_tokens = reference.split()
-    clipped, totals = [], []
-    for n in range(1, params.max_ngram + 1):
-        hyp_counts = _word_ngrams(hyp_tokens, n)
-        ref_counts = _word_ngrams(ref_tokens, n)
-        clipped.append(sum(min(c, ref_counts[g]) for g, c in hyp_counts.items()))
-        totals.append(sum(hyp_counts.values()))
+    hyp_tokens = tuple(hypothesis.split())
+    ref_tokens = tuple(reference.split())
+    clipped, totals, _ = _matches_and_totals(hyp_tokens, ref_tokens, params.max_ngram)
     return BleuStatistics(clipped, totals, len(hyp_tokens), len(ref_tokens))
 
 
@@ -170,18 +170,39 @@ def bleu(hypothesis: str, reference: str, params: BleuParams = BleuParams()) -> 
 
 
 def edit_distance(a: Sequence, b: Sequence) -> int:
-    """Levenshtein distance with unit costs (two-row dynamic program)."""
+    """Levenshtein distance with unit costs; elements must be hashable.
+
+    Myers' bit-vector recurrence in Hyyrö's global form: one Python int per
+    symbol marks its positions in the shorter sequence, and each element of
+    the longer one updates the vertical +1/-1 delta vectors of the whole
+    column at once.  ``score`` follows the last row of the DP matrix.
+    """
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        current = [i]
-        for j, y in enumerate(b, start=1):
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (x != y))
-            )
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    peq: dict = {}
+    bit = 1
+    for y in b:
+        peq[y] = peq.get(y, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(b)
+    for x in a:
+        eq = peq.get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask ^ (xh | pv))
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1  # row 0 of the matrix grows by 1 per column
+        pv = ((mh << 1) | (mask ^ (xv | ph))) & mask
+        mv = ph & xv
+    return score
 
 
 def cer(hypothesis: str, reference: str) -> float:

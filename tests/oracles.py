@@ -87,3 +87,15 @@ def brute_edit_distance(a, b) -> int:
             cost = 0 if a[i - 1] == b[j - 1] else 1
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
     return d[-1][-1]
+
+
+def brute_ngram_statistics(hyp, ref, max_n):
+    """Per-order (clipped matches, hypothesis total, reference total), one dict per order."""
+    matched, hyp_total, ref_total = [], [], []
+    for n in range(1, max_n + 1):
+        hyp_grams = _ngram_dict(hyp, n)
+        ref_grams = _ngram_dict(ref, n)
+        matched.append(sum(min(c, ref_grams[g]) for g, c in hyp_grams.items() if g in ref_grams))
+        hyp_total.append(sum(hyp_grams.values()))
+        ref_total.append(sum(ref_grams.values()))
+    return matched, hyp_total, ref_total

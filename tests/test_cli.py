@@ -159,6 +159,19 @@ class TestLossCommand:
         assert audit["mean_irpo_loss"] == pytest.approx(1.6931471805599454)
         assert "mean irpo: 1.693147" in capsys.readouterr().out
 
+    def test_non_finite_logp_rejected(self, tmp_path, capsys):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"policy_chosen": [-0.5], "policy_rejected": [-2.0], '
+                        '"ref_chosen": [-0.5], "ref_rejected": [-2.0]}\n'
+                        '{"policy_chosen": [NaN], "policy_rejected": [-2.0], '
+                        '"ref_chosen": [-0.5], "ref_rejected": [-2.0]}\n', encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["loss", "--pairs", str(path), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "policy_chosen contains a non-finite log-probability",
+                       "type": "ValueError"}
+        assert not (out / "loss_audit.json").exists()
+
     def test_missing_pairs_file(self, tmp_path, capsys):
         assert main(["loss", "--pairs", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o")]) == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_bleu, brute_chrf, brute_edit_distance
+from oracles import brute_bleu, brute_chrf, brute_edit_distance, brute_ngram_statistics
 from savanna.metrics import (
     BleuParams,
     BleuStatistics,
@@ -24,6 +24,40 @@ from savanna.metrics import (
 )
 
 metric_text = st.text(alphabet="abcdefgh ", max_size=60)
+
+# Adversarial Unicode: NFD combining marks, Ugandan-orthography letters,
+# astral-plane characters and several kinds of whitespace.  Few symbols, so
+# matches are frequent and carries run across whole bit vectors.
+UNICODE_ALPHABET = "ab\u0301\u0303\u0327ɛŋɔ\U0001F600\U00010348 \t\n\u00a0\u3000"
+# Lengths drawn uniformly from 0-150 (hypothesis alone favours short values),
+# so the bit vectors often span several machine words and int digits.
+lengths = st.integers(min_value=0, max_value=150)
+unicode_text = lengths.flatmap(
+    lambda n: st.text(alphabet=UNICODE_ALPHABET, min_size=n, max_size=n))
+unicode_tokens = lengths.flatmap(
+    lambda n: st.lists(st.sampled_from(["a", "ɛ", "ŋɔ", "a\u0301", "\U0001F600", "b"]),
+                       min_size=n, max_size=n))
+
+
+def eval_like_pairs(seed: int, count: int, words_per_pair: int):
+    """(hypothesis, reference) pairs: a reference with ~15% word errors as hypothesis."""
+    rng = random.Random(seed)
+    letters = "abdefgikmnoprstuwyzɛŋɔ"
+    lexicon = ["".join(rng.choice(letters) + rng.choice(["", "\u0301", "\u0300"])
+                       for _ in range(rng.randint(1, 8))) for _ in range(200)]
+    pairs = []
+    for _ in range(count):
+        ref = [rng.choice(lexicon) for _ in range(words_per_pair)]
+        hyp = []
+        for word in ref:
+            roll = rng.random()
+            if roll < 0.05:
+                continue
+            hyp.append(rng.choice(lexicon) if roll < 0.10 else word)
+            if roll > 0.95:
+                hyp.append(rng.choice(lexicon))
+        pairs.append((" ".join(hyp), " ".join(ref)))
+    return pairs
 
 
 class TestChrf:
@@ -64,6 +98,21 @@ class TestChrf:
     def test_range(self, hyp, ref):
         assert 0.0 <= chrf(hyp, ref) <= 1.0
 
+    @pytest.mark.parametrize("max_n", range(1, 9))
+    @settings(max_examples=60)
+    @given(hyp=unicode_text, ref=unicode_text)
+    def test_matches_oracle_at_every_order(self, max_n, hyp, ref):
+        got = chrf(hyp, ref, ChrfParams(max_char_ngram=max_n))
+        assert got == pytest.approx(brute_chrf(hyp, ref, max_n=max_n), abs=1e-9)
+
+    def test_statistics_exact_on_eval_like_pairs(self):
+        for hyp, ref in eval_like_pairs(seed=3, count=60, words_per_pair=25):
+            hyp_chars = [c for c in hyp if not c.isspace()]
+            ref_chars = [c for c in ref if not c.isspace()]
+            stats = chrf_statistics(hyp, ref)
+            assert (stats.matched, stats.hyp_total, stats.ref_total) == \
+                brute_ngram_statistics(hyp_chars, ref_chars, 6)
+
 
 class TestBleu:
     def test_identical(self):
@@ -93,6 +142,20 @@ class TestBleu:
         # clipped counts never grow faster than totals
         assert all(a - b <= ta - tb for a, b, ta, tb in
                    zip(after.clipped, before.clipped, after.totals, before.totals))
+
+    @pytest.mark.parametrize("max_n", range(1, 7))
+    @settings(max_examples=60)
+    @given(hyp=unicode_text, ref=unicode_text)
+    def test_matches_oracle_at_every_order(self, max_n, hyp, ref):
+        got = bleu(hyp, ref, BleuParams(max_ngram=max_n))
+        assert got == pytest.approx(brute_bleu(hyp, ref, max_n=max_n), abs=1e-9)
+
+    def test_statistics_exact_on_eval_like_pairs(self):
+        for hyp, ref in eval_like_pairs(seed=4, count=60, words_per_pair=25):
+            stats = bleu_statistics(hyp, ref)
+            clipped, totals, _ = brute_ngram_statistics(hyp.split(), ref.split(), 4)
+            assert (stats.clipped, stats.totals) == (clipped, totals)
+            assert (stats.hyp_len, stats.ref_len) == (len(hyp.split()), len(ref.split()))
 
 
 class TestErrorRates:
@@ -126,6 +189,35 @@ class TestErrorRates:
     @given(st.text(alphabet="abcd ", max_size=40), st.text(alphabet="abcd ", max_size=40))
     def test_edit_distance_matches_oracle(self, a, b):
         assert edit_distance(a, b) == brute_edit_distance(a, b)
+
+    @settings(max_examples=150)
+    @given(unicode_text, unicode_text)
+    def test_edit_distance_matches_oracle_on_unicode(self, a, b):
+        assert edit_distance(a, b) == brute_edit_distance(a, b)
+
+    @settings(max_examples=150)
+    @given(unicode_tokens, unicode_tokens)
+    def test_edit_distance_matches_oracle_on_tokens(self, a, b):
+        assert edit_distance(a, b) == brute_edit_distance(a, b)
+
+    @settings(max_examples=150)
+    @given(unicode_text, unicode_text)
+    def test_edit_distance_symmetric(self, a, b):
+        assert edit_distance(a, b) == edit_distance(b, a)
+
+    def test_edit_distance_long_pair(self):
+        # ~1,000 chars: the bit vectors span many machine words
+        rng = random.Random(7)
+        ref = "".join(rng.choice(UNICODE_ALPHABET) for _ in range(1000))
+        hyp = "".join(c if rng.random() > 0.1 else rng.choice(UNICODE_ALPHABET)
+                      for c in ref if rng.random() > 0.05)
+        assert edit_distance(hyp, ref) == brute_edit_distance(hyp, ref)
+
+    def test_error_rates_on_eval_like_pairs(self):
+        for hyp, ref in eval_like_pairs(seed=5, count=30, words_per_pair=25):
+            assert cer(hyp, ref) == brute_edit_distance(hyp, ref) / len(ref)
+            ref_tokens = ref.split()
+            assert wer(hyp, ref) == brute_edit_distance(hyp.split(), ref_tokens) / len(ref_tokens)
 
     def test_cer_may_exceed_one(self):
         assert cer("aaaaaaaa", "b") == 8.0

@@ -51,6 +51,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             PairLogps([0.1], [-1.0], [-1.0], [-1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_non_finite_logp_rejected(self, bad):
+        with pytest.raises(ValueError, match="ref_rejected contains a non-finite"):
+            PairLogps([-1.0], [-1.0], [-1.0], [-2.0, bad])
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             PairLogps([], [-1.0], [], [-1.0])
