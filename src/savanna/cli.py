@@ -3,7 +3,8 @@
 Subcommands: ``corpus``, ``instruct``, ``eval``, ``report``, ``loss``.
 Configuration comes from a YAML file (``--config``) with flag overrides;
 every run writes a resolved-config snapshot next to its outputs and holds a
-lock file so only one instance works per output directory.  Secrets are
+lock file so only one instance works per output directory; the lock holds
+the run's PID, so a lock left by a killed run can be broken.  Secrets are
 read from environment variables only (``SAVANNA_API_TOKEN``).
 """
 
@@ -27,16 +28,53 @@ class CliError(Exception):
     pass
 
 
+def _lock_holder(lock: Path) -> int | None:
+    """PID written in ``lock``, or None if it is empty or unparsable."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return None
+    return pid if pid > 0 else None
+
+
+def _is_dead(pid: int) -> bool:
+    if os.name != "posix":
+        return False  # os.kill(pid, 0) would terminate the process on Windows
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):
+        pass  # a live process of another user, or no PID this system can have
+    return False
+
+
+def _create_lock(lock: Path) -> int:
+    """Create ``lock`` exclusively.  A lock whose PID names no live process
+    was left by a killed run and is broken once.  A lock without a readable
+    PID may belong to a run that has not written it yet, so it is held."""
+    try:
+        return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        pid = _lock_holder(lock)
+    if pid is not None and _is_dead(pid):
+        lock.unlink(missing_ok=True)
+        try:
+            return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            pid = _lock_holder(lock)
+    holder = f" (pid {pid})" if pid is not None else ""
+    raise CliError(f"output directory is locked by another run{holder}: {lock}")
+
+
 @contextlib.contextmanager
 def _locked_output_dir(out: Path):
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".savanna.lock"
+    fd = _create_lock(lock)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise CliError(f"output directory is locked by another run: {lock}")
-    try:
-        os.close(fd)
+        with os.fdopen(fd, "w", encoding="ascii") as f:
+            f.write(str(os.getpid()))
         yield out
     finally:
         lock.unlink(missing_ok=True)
@@ -58,13 +96,13 @@ def _snapshot_config(config: dict, out: Path) -> None:
         yaml.safe_dump(config, f, sort_keys=True)
 
 
-def _make_client(endpoint_url: str, config: dict) -> evalharness.CompletionClient:
+def _make_client(endpoint_url: str, config: dict,
+                 suite: evalharness.EvalSuite) -> evalharness.CompletionClient:
     # "stub:" URLs select in-process clients; used by tests, demos and the
     # offline echo pipeline.  Anything else is treated as a live endpoint.
     if endpoint_url.startswith("stub:"):
         kind = endpoint_url.split(":", 1)[1]
         if kind == "echo":
-            suite = evalharness.load_suite(config["suite"])
             return evalharness.ReferenceEchoClient(suite)
         if kind == "empty":
             return evalharness.ConstantClient("")
@@ -188,8 +226,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             endpoint_url = args.endpoint or config.get("endpoint")
             if not endpoint_url:
                 raise CliError("--endpoint is required unless --rescore is given")
-            config.setdefault("suite", args.suite or config.get("suite"))
-            client = _make_client(endpoint_url, config)
+            client = _make_client(endpoint_url, config, suite)
             report = evalharness.run_translation_eval(
                 suite, client, directions,
                 granularity=args.granularity or config.get("granularity", "sentence"),

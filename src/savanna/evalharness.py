@@ -95,6 +95,9 @@ class EvalSuite:
         return h.hexdigest()[:16]
 
 
+_SUITE_KEY_COLUMNS = ("category_id", "sent_index", "english")
+
+
 def load_suite(path: str | Path) -> EvalSuite:
     """Load a suite from CSV (or TSV by extension): columns category_id,
     sent_index, english, then one column per language code."""
@@ -102,15 +105,27 @@ def load_suite(path: str | Path) -> EvalSuite:
     delimiter = "\t" if path.suffix.lower() == ".tsv" else ","
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f, delimiter=delimiter)
-        lang_cols = [c for c in reader.fieldnames if c not in ("category_id", "sent_index", "english")]
+        if reader.fieldnames is None:
+            raise ValueError(f"suite file {path} is empty; expected a header row")
+        missing = [c for c in _SUITE_KEY_COLUMNS if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"suite file {path} lacks columns: {', '.join(missing)}")
+        lang_cols = [c for c in reader.fieldnames if c not in _SUITE_KEY_COLUMNS]
         items = []
         for row in reader:
-            items.append(EvalItem(
-                category_id=int(row["category_id"]),
-                sent_index=int(row["sent_index"]),
-                english=row["english"],
-                translations={lang: row[lang] for lang in lang_cols if row[lang]},
-            ))
+            try:
+                # DictReader fills the columns of a short row with None.
+                empty = [c for c, value in row.items() if value is None]
+                if empty:
+                    raise ValueError(f"missing cells for columns: {', '.join(empty)}")
+                items.append(EvalItem(
+                    category_id=int(row["category_id"]),
+                    sent_index=int(row["sent_index"]),
+                    english=row["english"],
+                    translations={lang: row[lang] for lang in lang_cols if row[lang]},
+                ))
+            except ValueError as exc:
+                raise ValueError(f"suite file {path}, line {reader.line_num}: {exc}") from exc
     return EvalSuite(items=items, languages=set(lang_cols))
 
 

@@ -1,27 +1,33 @@
 """Deterministic Unicode normalization and document cleaning.
 
-Two standard profiles are used throughout the toolkit:
+Two fixed profiles are used throughout the toolkit:
 
 * ``metric_profile()`` -- aggressive normalization applied before scoring
-  (NFC, lowercase, punctuation stripped, whitespace collapsed).
+  (lowercase, punctuation stripped).
 * ``corpus_profile()`` -- conservative cleanup for pretraining text
-  (NFC, control characters removed, whitespace collapsed; case and
-  punctuation preserved).
+  (case and punctuation preserved).
 
-``normalize`` is a total function and idempotent for any profile.
+Both apply NFC, remove control and format characters (categories Cc/Cf)
+except whitespace controls, and collapse whitespace runs to single spaces.
+``normalize`` does this in one pass; it is a total function and idempotent
+under either profile.
 """
 
 from __future__ import annotations
 
 import difflib
+import itertools
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Literal
 
-# Cc characters that act as whitespace; these are turned into spaces rather
-# than deleted, so that control removal never glues words together.
-_WHITESPACE_CONTROLS = {"\t", "\n", "\r", "\x0b", "\x0c"}
+# Cc characters that act as whitespace.  They are kept through control
+# removal so that ``str.split`` treats them as separators, which means
+# control removal never glues words together.
+_WHITESPACE_CONTROLS = frozenset("\t\n\r\x0b\x0c")
+
+_CONTROL_CATEGORIES = frozenset({"Cc", "Cf"})
+_CONTROL_OR_PUNCTUATION_CATEGORIES = _CONTROL_CATEGORIES | {"Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po"}
 
 _PAGE_NUMBER_RE = re.compile(r"^\s*(page\s+)?\d{1,4}\s*$", re.IGNORECASE)
 
@@ -35,9 +41,6 @@ _RECUR_PREFIX_LEN = 10
 class NormProfile:
     lowercase: bool
     strip_punctuation: bool
-    collapse_whitespace: bool
-    remove_control_chars: bool
-    unicode_form: Literal["NFC", "NFKC"] = "NFC"
 
 
 @dataclass
@@ -50,74 +53,33 @@ class CleanReport:
 
 def metric_profile() -> NormProfile:
     """Normalization applied to hypotheses and references before scoring."""
-    return NormProfile(
-        lowercase=True,
-        strip_punctuation=True,
-        collapse_whitespace=True,
-        remove_control_chars=True,
-        unicode_form="NFC",
-    )
+    return NormProfile(lowercase=True, strip_punctuation=True)
 
 
 def corpus_profile() -> NormProfile:
     """Conservative cleanup for corpus text; preserves case and punctuation."""
-    return NormProfile(
-        lowercase=False,
-        strip_punctuation=False,
-        collapse_whitespace=True,
-        remove_control_chars=True,
-        unicode_form="NFC",
-    )
-
-
-def _is_control(ch: str) -> bool:
-    return unicodedata.category(ch) in ("Cc", "Cf")
-
-
-def _is_punctuation(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
-
-
-def _apply_once(text: str, profile: NormProfile) -> str:
-    s = unicodedata.normalize(profile.unicode_form, text)
-    if profile.remove_control_chars:
-        out = []
-        for ch in s:
-            if ch in _WHITESPACE_CONTROLS:
-                out.append(" ")
-            elif not _is_control(ch):
-                out.append(ch)
-        s = "".join(out)
-    if profile.strip_punctuation:
-        s = "".join(ch for ch in s if not _is_punctuation(ch))
-    if profile.lowercase:
-        s = s.lower()
-    if profile.collapse_whitespace:
-        s = " ".join(s.split())
-    return s
+    return NormProfile(lowercase=False, strip_punctuation=False)
 
 
 def normalize(text: str, profile: NormProfile) -> str:
     """Normalize ``text`` per ``profile``.
 
-    Steps are applied in a fixed order: unicode form, control removal,
-    punctuation strip, lowercase, whitespace collapse.  The pipeline is
-    iterated to a fixed point so that removing characters (which can expose
-    new canonical compositions) never breaks idempotence.
+    NFC, then one pass over the characters that drops controls (keeping
+    whitespace controls) and, if the profile says so, punctuation; then
+    lowercase if the profile says so.  Removals and lowercasing can expose
+    new canonical compositions (``e`` + ZWSP + U+0301), so NFC runs again
+    before whitespace is collapsed; the result is its own fixed point.
     """
-    current = text
-    for _ in range(4):
-        nxt = _apply_once(current, profile)
-        if nxt == current:
-            break
-        current = nxt
-    return current
+    dropped = _CONTROL_OR_PUNCTUATION_CATEGORIES if profile.strip_punctuation else _CONTROL_CATEGORIES
+    s = "".join(ch for ch in unicodedata.normalize("NFC", text)
+                if unicodedata.category(ch) not in dropped or ch in _WHITESPACE_CONTROLS)
+    if profile.lowercase:
+        s = s.lower()
+    return " ".join(unicodedata.normalize("NFC", s).split())
 
 
 def _count_controls(line: str) -> int:
-    return sum(1 for ch in line if _is_control(ch) and ch not in _WHITESPACE_CONTROLS) + sum(
-        1 for ch in line if ch in _WHITESPACE_CONTROLS
-    )
+    return sum(1 for ch in line if unicodedata.category(ch) in _CONTROL_CATEGORIES)
 
 
 def _recurring_line_indices(lines: list[str]) -> set[int]:
@@ -173,18 +135,8 @@ def clean_document(raw: str, profile: NormProfile) -> tuple[str, CleanReport]:
         report.control_removed += _count_controls(line)
         kept.append(normalize(line, profile))
 
-    # Collapse blank-line runs; strip leading/trailing blanks.
-    paragraphs: list[str] = []
-    blank = True
-    for line in kept:
-        if line:
-            if not blank and paragraphs:
-                paragraphs[-1] += "\n" + line
-            else:
-                paragraphs.append(line)
-            blank = False
-        else:
-            blank = True
-    text = "\n\n".join(paragraphs)
+    # Blank-line runs become single paragraph breaks; leading and trailing
+    # blanks go.
+    text = "\n\n".join("\n".join(run) for nonblank, run in itertools.groupby(kept, bool) if nonblank)
     report.chars_out = len(text)
     return text, report

@@ -2,12 +2,16 @@
 
 These deliberately avoid sharing code with the package: n-grams are
 enumerated into plain dicts, edit distance uses a full Wagner-Fischer
-matrix, and the F-score arithmetic is written out longhand.
+matrix, the F-score arithmetic is written out longhand, and text
+normalization runs its five steps separately, repeated to a fixed point.
 """
 
 from __future__ import annotations
 
+import difflib
 import math
+import re
+import unicodedata
 
 
 def _ngram_dict(seq, n):
@@ -99,3 +103,91 @@ def brute_ngram_statistics(hyp, ref, max_n):
         hyp_total.append(sum(hyp_grams.values()))
         ref_total.append(sum(ref_grams.values()))
     return matched, hyp_total, ref_total
+
+
+_WHITESPACE_CONTROLS = {"\t", "\n", "\r", "\x0b", "\x0c"}
+
+
+def _normalize_once(text: str, lowercase: bool, strip_punctuation: bool) -> str:
+    s = unicodedata.normalize("NFC", text)
+    out = []
+    for ch in s:
+        if ch in _WHITESPACE_CONTROLS:
+            out.append(" ")
+        elif unicodedata.category(ch) not in ("Cc", "Cf"):
+            out.append(ch)
+    s = "".join(out)
+    if strip_punctuation:
+        s = "".join(ch for ch in s if not unicodedata.category(ch).startswith("P"))
+    if lowercase:
+        s = s.lower()
+    return " ".join(s.split())
+
+
+def brute_normalize(text: str, profile) -> str:
+    """NFC, controls out (whitespace controls become spaces), punctuation out
+    and lowercase as ``profile`` says, whitespace collapsed; the whole
+    pipeline iterated until the text stops changing."""
+    current = text
+    for _ in range(4):
+        nxt = _normalize_once(current, profile.lowercase, profile.strip_punctuation)
+        if nxt == current:
+            break
+        current = nxt
+    return current
+
+
+_PAGE_NUMBER_RE = re.compile(r"^\s*(page\s+)?\d{1,4}\s*$", re.IGNORECASE)
+
+
+def _brute_recurring_line_indices(lines: list[str]) -> set[int]:
+    families: dict[str, list[tuple[str, list[int]]]] = {}
+    for idx, line in enumerate(lines):
+        collapsed = " ".join(line.split())
+        if not collapsed:
+            continue
+        folded = collapsed.casefold()
+        bucket = families.setdefault(folded[:10], [])
+        for rep, members in bucket:
+            matcher = difflib.SequenceMatcher(None, folded, rep)
+            if matcher.real_quick_ratio() >= 0.8 and matcher.ratio() >= 0.8:
+                members.append(idx)
+                break
+        else:
+            bucket.append((folded, [idx]))
+    return {idx for bucket in families.values() for _rep, members in bucket
+            if len(members) >= 3 for idx in members}
+
+
+def brute_clean_document(raw: str, profile) -> tuple[str, dict]:
+    """Artifact lines dropped, each other line normalized, blank-line runs
+    collapsed by an explicit state machine.  The report is a plain dict with
+    ``CleanReport``'s fields."""
+    report = {"chars_in": len(raw), "chars_out": 0, "control_removed": 0, "artifacts_removed": 0}
+    if not raw:
+        return "", report
+    lines = raw.split("\n")
+    recurring = _brute_recurring_line_indices(lines)
+    kept = []
+    for idx, line in enumerate(lines):
+        if line.strip() and (_PAGE_NUMBER_RE.match(line) or idx in recurring):
+            report["artifacts_removed"] += 1
+            continue
+        report["control_removed"] += sum(
+            1 for ch in line if unicodedata.category(ch) in ("Cc", "Cf") and ch not in _WHITESPACE_CONTROLS
+        ) + sum(1 for ch in line if ch in _WHITESPACE_CONTROLS)
+        kept.append(brute_normalize(line, profile))
+    paragraphs: list[str] = []
+    blank = True
+    for line in kept:
+        if line:
+            if not blank and paragraphs:
+                paragraphs[-1] += "\n" + line
+            else:
+                paragraphs.append(line)
+            blank = False
+        else:
+            blank = True
+    text = "\n\n".join(paragraphs)
+    report["chars_out"] = len(text)
+    return text, report

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
 from savanna import corpus, evalharness, instruct, preference_loss
-from savanna.cli import main
+from savanna.cli import _locked_output_dir, main
 from savanna.corpus import ParallelPair, make_document
 
 
@@ -48,6 +51,34 @@ class TestCorpusCommand:
         (out / ".savanna.lock").touch()
         config = write_yaml(tmp_path / "c.yaml", {"inputs": []})
         assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+
+    def test_lock_holds_pid_and_is_released(self, tmp_path):
+        out = tmp_path / "out"
+        with _locked_output_dir(out):
+            assert (out / ".savanna.lock").read_text() == str(os.getpid())
+        assert not (out / ".savanna.lock").exists()
+
+    def test_lock_of_dead_process_is_broken(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=30)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".savanna.lock").write_text(str(child.pid))
+        config = write_yaml(tmp_path / "c.yaml", {"inputs": []})
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+        assert not (out / ".savanna.lock").exists()
+
+    def test_lock_of_live_process_is_held(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".savanna.lock").write_text(str(os.getpid()))
+        config = write_yaml(tmp_path / "c.yaml", {"inputs": []})
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert f"pid {os.getpid()}" in err["error"]
+        assert (out / ".savanna.lock").read_text() == str(os.getpid())
+        assert not (out / "manifest.json").exists()
 
     def test_missing_inputs_key_fails_cleanly(self, tmp_path, capsys):
         config = write_yaml(tmp_path / "c.yaml", {})
@@ -109,6 +140,22 @@ class TestEvalCommand:
                      "--directions", "aaa-bbb", "--out", str(tmp_path / "o")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "eng" in err["error"]
+
+    @pytest.mark.parametrize("content, expected", [
+        ("", "is empty"),
+        ("category_id,english,aaa\n1,hello,x\n", "lacks columns: sent_index"),
+        ("category_id,sent_index,english,aaa\n1,0,hello,x\n1,1\n", "line 3: missing cells for columns: english, aaa"),
+        ("category_id,sent_index,english,aaa\n1,zero,hello,x\n", "line 2: invalid literal"),
+    ], ids=["empty", "missing-column", "short-row", "non-integer"])
+    def test_malformed_suite_fails_cleanly(self, tmp_path, capsys, content, expected):
+        path = tmp_path / "suite.csv"
+        path.write_text(content)
+        assert main(["eval", "--suite", str(path), "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng", "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError"
+        assert str(path) in err["error"]
+        assert expected in err["error"]
 
     def test_missing_endpoint_fails(self, tmp_path, suite_csv, capsys):
         assert main(["eval", "--suite", suite_csv, "--directions", "aaa-eng",

@@ -1,12 +1,13 @@
+import dataclasses
 import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_clean_document, brute_normalize
 
 from savanna.textnorm import (
     CleanReport,
-    NormProfile,
     clean_document,
     corpus_profile,
     metric_profile,
@@ -22,9 +23,7 @@ class TestNormalize:
         assert normalize("abc", metric_profile()) == "abc"
 
     def test_control_char_removed(self):
-        profile = NormProfile(lowercase=False, strip_punctuation=False,
-                              collapse_whitespace=False, remove_control_chars=True)
-        assert normalize("A\x00B", profile) == "AB"
+        assert normalize("A\x00B", corpus_profile()) == "AB"
         assert normalize("A\x00B", metric_profile()) == "ab"
 
     def test_newlines_become_spaces_not_joins(self):
@@ -40,11 +39,47 @@ class TestNormalize:
         # Pc Pd Ps Pe Pi Pf Po samples
         assert normalize("a_b-c(d)e«f»g'h", metric_profile()) == "abcdefgh"
 
-    def test_nfkc_profile(self):
-        profile = NormProfile(lowercase=False, strip_punctuation=False,
-                              collapse_whitespace=False, remove_control_chars=False,
-                              unicode_form="NFKC")
-        assert normalize("ﬁ", profile) == "fi"
+    def test_removal_exposes_composition(self):
+        # ZWSP (Cf) between a base and a combining mark, and a ring above
+        # that only composes once "W" is lowercased.
+        assert normalize("e\u200b\u0301", corpus_profile()) == "\u00e9"
+        assert normalize("W\u030a", metric_profile()) == "\u1e98"
+
+
+PROFILES = [metric_profile(), corpus_profile()]
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=["metric", "corpus"])
+def test_every_bmp_code_point_matches_oracle(profile):
+    mismatches = []
+    for cp in range(0x10000):
+        if 0xD800 <= cp <= 0xDFFF:
+            continue
+        ch = chr(cp)
+        for text in (ch, f"A{ch}\u0301 b"):
+            if normalize(text, profile) != brute_normalize(text, profile):
+                mismatches.append(text)
+    assert mismatches == []
+
+
+# Characters that interact with one of normalize's steps: NFD marks that
+# compose with a neighbour, Cf characters that sit between a base and its
+# mark, case mappings that expose or create marks, punctuation that NFC
+# rewrites, controls that str.split treats as whitespace, line separators,
+# the whitespace controls themselves, Ugandan-orthography letters and
+# astral characters.
+ADVERSARIAL_ALPHABET = [
+    "a", "e", "o", "E", "W", "w", "i", "I", " ", "  ",
+    "\u0300", "\u0301", "\u0302", "\u0303", "\u0308", "\u030a", "\u0327",
+    "\u200b", "\u200d", "\u00ad", "\ufeff", "\u2060",
+    "\u0130", "\u037e", ";", ",", "'", "-", "\u00ab",
+    "\x00", "\x1c", "\x1f", "\x85", "\x7f", "\u2028", "\u2029", "\u00a0", "\u2000",
+    "\t", "\x0b", "\x0c", "\r", "\n",
+    "\u025b", "\u014b", "\u0254", "\u0190", "\u014a", "\u0186",
+    "\U0001d400", "\U0001f600", "\U00010400", "\U0001d15e", "\U000e0001",
+]
+
+adversarial_text = st.lists(st.sampled_from(ADVERSARIAL_ALPHABET), max_size=40).map("".join)
 
 
 @st.composite
@@ -53,6 +88,13 @@ def unicode_text(draw):
 
 
 class TestNormalizeProperties:
+    @settings(max_examples=1000)
+    @given(adversarial_text, st.sampled_from(PROFILES))
+    def test_adversarial_matches_oracle_and_is_fixed_point(self, text, profile):
+        out = normalize(text, profile)
+        assert out == brute_normalize(text, profile)
+        assert normalize(out, profile) == out
+
     @settings(max_examples=300)
     @given(unicode_text())
     def test_idempotent_metric(self, text):
@@ -140,3 +182,23 @@ class TestCleanDocument:
         raw = "para one\n\n\n\npara two"
         text, _ = clean_document(raw, corpus_profile())
         assert text == "para one\n\npara two"
+
+
+document_line = st.one_of(
+    st.just(""),
+    st.just("   "),
+    st.just("\t\x00"),
+    st.integers(0, 9999).map(str),
+    st.integers(0, 9999).map(lambda n: f"  Page {n} "),
+    st.sampled_from(["RUNNING TITLE - CHAPTER 1", "RUNNING TITLE - CHAPTER 2"]),
+    adversarial_text,
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(document_line, max_size=25).map("\n".join), st.sampled_from(PROFILES))
+def test_clean_document_matches_oracle(raw, profile):
+    text, report = clean_document(raw, profile)
+    expected_text, expected_report = brute_clean_document(raw, profile)
+    assert text == expected_text
+    assert dataclasses.asdict(report) == expected_report
