@@ -36,7 +36,7 @@ def main():
         )
         print("\necho run")
         for d in report.directions:
-            agg = d.report.aggregates
+            agg = d.aggregates
             print(f"  {d.direction[0]}->{d.direction[1]}: chrF {agg.chrf:.3f}, "
                   f"BLEU {agg.bleu:.1f}, CER {agg.cer:.3f}, WER {agg.wer:.3f} "
                   f"({d.evaluated} items, {d.failed} failed)")

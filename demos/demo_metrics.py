@@ -11,6 +11,8 @@ from savanna.metrics import (
     cer,
     chrf,
     chrf_statistics,
+    corpus_bleu,
+    corpus_chrf,
     wer,
 )
 from savanna.textnorm import metric_profile, normalize
@@ -38,15 +40,15 @@ def main():
     print(f"  normalized:     {normalize(raw_hyp, profile)!r}")
     print(f"  chrF vs {raw_ref!r}: {chrf(normalize(raw_hyp, profile), raw_ref):.4f}")
 
-    # two aggregation schemes over the same sentences
+    # mean of sentence scores (what eval reports) vs scores of pooled counts
     scored = [(h, r) for h, r in pairs if h]
-    print("\naggregation schemes")
+    print("\nmean of sentences vs pooled corpus")
     mean_chrf = aggregate([chrf(h, r) for h, r in scored])
-    pooled_chrf = aggregate([chrf_statistics(h, r) for h, r in scored], "corpus_level")
+    pooled_chrf = corpus_chrf(chrf_statistics(h, r) for h, r in scored)
     print(f"  chrF mean of sentences: {mean_chrf:.4f}")
     print(f"  chrF pooled corpus:     {pooled_chrf:.4f}")
     mean_bleu = aggregate([bleu(h, r) for h, r in scored])
-    pooled_bleu = aggregate([bleu_statistics(h, r) for h, r in scored], "corpus_level")
+    pooled_bleu = corpus_bleu(bleu_statistics(h, r) for h, r in scored)
     print(f"  BLEU mean of sentences: {mean_bleu:.3f}")
     print(f"  BLEU pooled corpus:     {pooled_bleu:.3f}")
 

@@ -172,6 +172,14 @@ def cmd_instruct(args: argparse.Namespace) -> int:
     out = Path(args.out or config.get("out", "instruct_out"))
     with _locked_output_dir(out):
         _snapshot_config(config, out)
+        if config.get("tokenizer_vocab"):
+            tokenizer = instruct.VocabFileTokenizer.from_file(config["tokenizer_vocab"])
+        else:
+            tokenizer = instruct.ByteTokenizer()
+        if config.get("template"):
+            template = instruct.ChatTemplate.from_file(config["template"])
+        else:
+            template = instruct.ChatTemplate("<user>", "</user>", "<assistant>", "</assistant>")
         pairs = corpus_mod.read_pairs_jsonl(config["parallel"])
         conversational = []
         if config.get("conversational"):
@@ -185,14 +193,6 @@ def cmd_instruct(args: argparse.Namespace) -> int:
         )
         instruct.write_instructions_jsonl(examples, out / "instructions.jsonl")
 
-        if config.get("tokenizer_vocab"):
-            tokenizer = instruct.VocabFileTokenizer.from_file(config["tokenizer_vocab"])
-        else:
-            tokenizer = instruct.ByteTokenizer()
-        if config.get("template"):
-            template = instruct.ChatTemplate.from_file(config["template"])
-        else:
-            template = instruct.ChatTemplate("<user>", "</user>", "<assistant>", "</assistant>")
         max_len = config.get("max_len", 512)
         streams = []
         for i, example in enumerate(examples):

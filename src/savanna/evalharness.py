@@ -17,9 +17,9 @@ import random
 import re
 import string
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Iterable, Protocol
 
 import requests
 
@@ -331,9 +331,13 @@ def _direction_units(suite: EvalSuite, direction: tuple[str, str],
 @dataclass
 class DirectionResult:
     direction: tuple[str, str]
-    report: metrics.MetricReport  # aggregates is None when no unit scored
-    evaluated: int
+    per_sentence: list[metrics.SentenceScores]
+    aggregates: metrics.SentenceScores | None  # None when no unit scored
     failed: int
+
+    @property
+    def evaluated(self) -> int:
+        return len(self.per_sentence)
 
 
 @dataclass
@@ -341,11 +345,24 @@ class EvalRunReport:
     directions: list[DirectionResult]
     granularity: str
     prompt_template: str
-    prompt_hash: str
     suite_hash: str
-    invalid: bool
-    total_failed: int
-    total_items: int
+
+    @property
+    def prompt_hash(self) -> str:
+        return _prompt_hash(self.prompt_template)
+
+    @property
+    def total_failed(self) -> int:
+        return sum(d.failed for d in self.directions)
+
+    @property
+    def total_items(self) -> int:
+        return sum(d.evaluated + d.failed for d in self.directions)
+
+    @property
+    def invalid(self) -> bool:
+        """More than ``MAX_FAILURE_RATE`` of all units failed."""
+        return self.total_items > 0 and self.total_failed / self.total_items > MAX_FAILURE_RATE
 
     def to_json(self) -> str:
         """Deterministic serialization (no timestamps)."""
@@ -362,8 +379,8 @@ class EvalRunReport:
                     "direction": list(d.direction),
                     "evaluated": d.evaluated,
                     "failed": d.failed,
-                    "aggregates": d.report.aggregates.__dict__ if d.report.aggregates else None,
-                    "per_sentence": [s.__dict__ for s in d.report.per_sentence],
+                    "aggregates": d.aggregates.__dict__ if d.aggregates else None,
+                    "per_sentence": [s.__dict__ for s in d.per_sentence],
                 }
                 for d in self.directions
             ],
@@ -381,12 +398,10 @@ def _score_records(records: list[dict], suite: EvalSuite, directions: list[tuple
     profile = metric_profile()
     by_id = {r["id"]: r for r in records}
     results = []
-    total_failed = total_items = 0
     for direction in directions:
-        units = _direction_units(suite, direction, granularity)
         per_sentence = []
         failed = 0
-        for unit in units:
+        for unit in _direction_units(suite, direction, granularity):
             record = by_id.get(unit["id"])
             if record is None or record["status"] != "ok":
                 failed += 1
@@ -411,37 +426,22 @@ def _score_records(records: list[dict], suite: EvalSuite, directions: list[tuple
             )
         else:
             aggregates = None
-        report = metrics.MetricReport(direction=direction, per_sentence=per_sentence,
-                                      aggregates=aggregates)
-        results.append(DirectionResult(direction=direction, report=report,
-                                       evaluated=len(per_sentence), failed=failed))
-        total_failed += failed
-        total_items += len(units)
-    return EvalRunReport(
-        directions=results,
-        granularity=granularity,
-        prompt_template=prompt_template,
-        prompt_hash=_prompt_hash(prompt_template),
-        suite_hash=suite.content_hash(),
-        invalid=total_items > 0 and total_failed / total_items > MAX_FAILURE_RATE,
-        total_failed=total_failed,
-        total_items=total_items,
-    )
+        results.append(DirectionResult(direction, per_sentence, aggregates, failed))
+    return EvalRunReport(results, granularity, prompt_template, suite.content_hash())
 
 
 def run_translation_eval(suite: EvalSuite, client: CompletionClient,
                          directions: list[tuple[str, str]],
                          granularity: str = "sentence",
                          run_log_path: str | Path | None = None,
-                         prompt_template: str = DEFAULT_PROMPT_TEMPLATE,
                          max_parallel: int = 1,
                          temperature: float = 0.0) -> EvalRunReport:
     """Drive ``client`` over every item of every direction and score it.
 
-    Every request/response is persisted to ``run_log_path`` (JSONL with a
-    header line) before scoring; per-item transport failures are excluded
-    from scoring and counted, and a failure rate above 10% marks the run
-    invalid.
+    Prompts follow ``DEFAULT_PROMPT_TEMPLATE``.  Every request/response is
+    persisted to ``run_log_path`` (JSONL with a header line) before scoring;
+    per-item transport failures are excluded from scoring and counted, and a
+    failure rate above 10% marks the run invalid.
     """
     if max_parallel < 1:
         raise ValueError("max_parallel must be >= 1")
@@ -449,8 +449,8 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
     for direction in directions:
         src, tgt = direction
         for unit in _direction_units(suite, direction, granularity):
-            prompt = prompt_template.format(src=language_name(src), tgt=language_name(tgt),
-                                            text=unit["source"])
+            prompt = DEFAULT_PROMPT_TEMPLATE.format(
+                src=language_name(src), tgt=language_name(tgt), text=unit["source"])
             all_units.append({"id": unit["id"], "direction": direction, "prompt": prompt})
 
     def issue(unit: dict) -> dict:
@@ -483,13 +483,13 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
             "version": RUN_LOG_VERSION,
             "granularity": granularity,
             "directions": [list(d) for d in directions],
-            "prompt_template": prompt_template,
-            "prompt_hash": _prompt_hash(prompt_template),
+            "prompt_template": DEFAULT_PROMPT_TEMPLATE,
+            "prompt_hash": _prompt_hash(DEFAULT_PROMPT_TEMPLATE),
             "suite_hash": suite.content_hash(),
             "temperature": temperature,
         })
 
-    return _score_records(records, suite, directions, granularity, prompt_template)
+    return _score_records(records, suite, directions, granularity, DEFAULT_PROMPT_TEMPLATE)
 
 
 def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport:

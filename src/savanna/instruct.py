@@ -12,7 +12,7 @@ import json
 import random
 import string
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -168,7 +168,7 @@ class VocabFileTokenizer:
 class ChatTemplate:
     """Control strings delimiting each role's message.
 
-    All four delimiters must be declared (empty strings are allowed, as in
+    All four delimiters must be strings (empty strings are allowed, as in
     the zero-overhead toy template used in tests).
     """
 
@@ -177,15 +177,21 @@ class ChatTemplate:
     assistant_prefix: str
     assistant_suffix: str
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str):
+                raise ValueError(f"chat template role delimiter {f.name} must be a string, "
+                                 f"got {value!r}")
+
     @classmethod
     def from_file(cls, path: str | Path) -> "ChatTemplate":
         data = jsonio.read_json(path)
-        missing = [k for k in ("user_prefix", "user_suffix", "assistant_prefix", "assistant_suffix")
-                   if k not in data]
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in data]
         if missing:
             raise ValueError(f"chat template missing role delimiters: {missing}")
-        return cls(**{k: data[k] for k in
-                      ("user_prefix", "user_suffix", "assistant_prefix", "assistant_suffix")})
+        return cls(**{k: data[k] for k in names})
 
 
 def render_chat(example: InstructionExample, tokenizer: TokenizerPort,
@@ -197,9 +203,6 @@ def render_chat(example: InstructionExample, tokenizer: TokenizerPort,
     isolation, so decoding the masked-in positions reconstructs the
     concatenated assistant bodies.
     """
-    for name in ("user_prefix", "user_suffix", "assistant_prefix", "assistant_suffix"):
-        if getattr(template, name) is None:
-            raise ValueError(f"chat template missing role delimiter: {name}")
     token_ids: list[int] = []
     loss_mask: list[int] = []
     boundaries: list[tuple[int, int, int]] = []

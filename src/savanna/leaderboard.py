@@ -69,31 +69,35 @@ class LeaderboardData:
         return (a + b) / 2
 
 
-def load_score_csv(data: LeaderboardData, path_or_text: str | Path, direction: str,
-                   metric: str) -> None:
+def load_score_csv(data: LeaderboardData, path: Path | resources.abc.Traversable,
+                   direction: str, metric: str) -> None:
     """Load a per-language score table (columns: lang, language, one column
-    per model) into ``data``."""
-    if isinstance(path_or_text, Path) or "\n" not in str(path_or_text):
-        with open(path_or_text, encoding="utf-8", newline="") as f:
-            rows = list(csv.reader(f))
-    else:
-        rows = list(csv.reader(io.StringIO(str(path_or_text))))
-    header = rows[0]
-    models = header[2:]
-    for row in rows[1:]:
-        lang, lang_name = row[0], row[1]
-        data.language_names[lang] = lang_name
-        for model, value in zip(models, row[2:]):
-            data.add_score(model, direction, lang, metric, float(value))
+    per model) into ``data``.  Every row must have as many cells as the header."""
+    with path.open(encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"score file {path} is empty; expected a header row")
+        models = header[2:]
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, header has {len(header)}")
+                lang, lang_name = row[0], row[1]
+                data.language_names[lang] = lang_name
+                for model, value in zip(models, row[2:]):
+                    data.add_score(model, direction, lang, metric, float(value))
+            except ValueError as exc:
+                raise ValueError(f"score file {path}, line {reader.line_num}: {exc}") from exc
 
 
 def published_reference_data() -> LeaderboardData:
     """Scores of the six published models over the 31 evaluation languages."""
     data = LeaderboardData()
     pkg = resources.files("savanna.data")
-    load_score_csv(data, pkg.joinpath("chrf_xx_to_eng.csv").read_text(), XX_TO_ENG, "chrf")
-    load_score_csv(data, pkg.joinpath("chrf_eng_to_xx.csv").read_text(), ENG_TO_XX, "chrf")
-    load_score_csv(data, pkg.joinpath("bleu_xx_to_eng.csv").read_text(), XX_TO_ENG, "bleu")
+    load_score_csv(data, pkg.joinpath("chrf_xx_to_eng.csv"), XX_TO_ENG, "chrf")
+    load_score_csv(data, pkg.joinpath("chrf_eng_to_xx.csv"), ENG_TO_XX, "chrf")
+    load_score_csv(data, pkg.joinpath("bleu_xx_to_eng.csv"), XX_TO_ENG, "bleu")
     return data
 
 
@@ -103,7 +107,7 @@ def add_run_report(data: LeaderboardData, model: str, report: EvalRunReport) -> 
     A direction with no scored unit has no aggregates and adds no score.
     """
     for result in report.directions:
-        agg = result.report.aggregates
+        agg = result.aggregates
         if agg is None:
             continue
         src, tgt = result.direction

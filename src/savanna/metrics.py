@@ -1,48 +1,30 @@
 """Reference implementations of chrF, BLEU, CER and WER.
 
 All scoring functions expect inputs already normalized with the metric
-profile from :mod:`savanna.textnorm`.  Each metric exposes a sufficient
-statistics form so that corpus-level aggregation can pool counts rather
-than averaging sentence scores.
+profile from :mod:`savanna.textnorm`.  The configuration is fixed, as in
+the published tables: chrF over character orders 1-6 with beta=2 (Popović
+2015), add-one smoothed sentence BLEU-4, and a direction's score is the
+mean of its sentence scores (sacreBLEU conventions, Post 2018).  Each
+metric also has a sufficient-statistics form, which ``corpus_chrf``,
+``corpus_bleu`` and ``corpus_error_rate`` pool into one corpus score.
 
-chrF (Popović 2015) and BLEU count the n-grams of every order in one pass
-per side, as sacreBLEU does.  CER and WER use the bit-parallel Levenshtein
-distance of Myers 1999 ("A fast bit-vector algorithm for approximate string
-matching based on dynamic programming") in Hyyrö's global-distance form, so
-the elements it compares must be hashable.
+chrF and BLEU count the n-grams of every order in one pass per side, as
+sacreBLEU does.  CER and WER use the bit-parallel Levenshtein distance of
+Myers 1999 ("A fast bit-vector algorithm for approximate string matching
+based on dynamic programming") in Hyyrö's global-distance form, so the
+elements it compares must be hashable.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-Smoothing = Literal["none", "add_one_for_sentence"]
-AggregationScheme = Literal["mean_of_sentences", "corpus_level"]
-
-
-@dataclass(frozen=True)
-class ChrfParams:
-    max_char_ngram: int = 6
-    beta: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_char_ngram < 1:
-            raise ValueError("max_char_ngram must be >= 1")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-
-
-@dataclass(frozen=True)
-class BleuParams:
-    max_ngram: int = 4
-    smoothing: Smoothing = "add_one_for_sentence"
-
-    def __post_init__(self) -> None:
-        if self.max_ngram < 1:
-            raise ValueError("max_ngram must be >= 1")
+CHRF_ORDER = 6
+CHRF_BETA = 2.0
+BLEU_ORDER = 4
 
 
 @dataclass
@@ -85,13 +67,6 @@ class SentenceScores:
     wer: float
 
 
-@dataclass
-class MetricReport:
-    direction: tuple[str, str]
-    per_sentence: list[SentenceScores] = field(default_factory=list)
-    aggregates: SentenceScores | None = None
-
-
 def _ngram_counts(seq: Sequence, max_n: int) -> Counter:
     """Every n-gram of orders 1..max_n, keyed by the gram, whose length is its order."""
     return Counter([seq[i : i + n] for n in range(1, max_n + 1) for i in range(len(seq) - n + 1)])
@@ -110,14 +85,14 @@ def _matches_and_totals(hyp: Sequence, ref: Sequence, max_n: int) -> tuple[list[
     return matched, hyp_total, ref_total
 
 
-def chrf_statistics(hypothesis: str, reference: str, params: ChrfParams = ChrfParams()) -> ChrfStatistics:
+def chrf_statistics(hypothesis: str, reference: str) -> ChrfStatistics:
     # spaces never participate in n-grams
     hyp_chars = "".join(hypothesis.split())
     ref_chars = "".join(reference.split())
-    return ChrfStatistics(*_matches_and_totals(hyp_chars, ref_chars, params.max_char_ngram))
+    return ChrfStatistics(*_matches_and_totals(hyp_chars, ref_chars, CHRF_ORDER))
 
 
-def chrf_from_statistics(stats: ChrfStatistics, beta: float = 2.0) -> float:
+def chrf_from_statistics(stats: ChrfStatistics) -> float:
     precisions, recalls = [], []
     for m, h, r in zip(stats.matched, stats.hyp_total, stats.ref_total):
         if r == 0:
@@ -131,28 +106,29 @@ def chrf_from_statistics(stats: ChrfStatistics, beta: float = 2.0) -> float:
     r = sum(recalls) / len(recalls)
     if p + r == 0.0:
         return 0.0
-    b2 = beta * beta
+    b2 = CHRF_BETA * CHRF_BETA
     return (1 + b2) * p * r / (b2 * p + r)
 
 
-def chrf(hypothesis: str, reference: str, params: ChrfParams = ChrfParams()) -> float:
+def chrf(hypothesis: str, reference: str) -> float:
     """Character n-gram F-score in [0, 1]; 1 when both sides are empty, 0 when one is."""
-    return chrf_from_statistics(chrf_statistics(hypothesis, reference, params), params.beta)
+    return chrf_from_statistics(chrf_statistics(hypothesis, reference))
 
 
-def bleu_statistics(hypothesis: str, reference: str, params: BleuParams = BleuParams()) -> BleuStatistics:
+def bleu_statistics(hypothesis: str, reference: str) -> BleuStatistics:
     hyp_tokens = tuple(hypothesis.split())
     ref_tokens = tuple(reference.split())
-    clipped, totals, _ = _matches_and_totals(hyp_tokens, ref_tokens, params.max_ngram)
+    clipped, totals, _ = _matches_and_totals(hyp_tokens, ref_tokens, BLEU_ORDER)
     return BleuStatistics(clipped, totals, len(hyp_tokens), len(ref_tokens))
 
 
-def bleu_from_statistics(stats: BleuStatistics, smoothing: Smoothing = "none") -> float:
+def bleu_from_statistics(stats: BleuStatistics, smooth: bool) -> float:
+    """BLEU in [0, 100]; ``smooth`` adds one to the counts of orders 2 and up."""
     if stats.hyp_len == 0:
         return 0.0
     log_sum = 0.0
     for n, (clipped, total) in enumerate(zip(stats.clipped, stats.totals), start=1):
-        if smoothing == "add_one_for_sentence" and n >= 2:
+        if smooth and n >= 2:
             p = (clipped + 1) / (total + 1)
         else:
             p = clipped / total if total > 0 else 0.0
@@ -164,9 +140,9 @@ def bleu_from_statistics(stats: BleuStatistics, smoothing: Smoothing = "none") -
     return 100.0 * geo_mean * bp
 
 
-def bleu(hypothesis: str, reference: str, params: BleuParams = BleuParams()) -> float:
-    """BLEU in [0, 100]; sentence-level smoothing per ``params.smoothing``."""
-    return bleu_from_statistics(bleu_statistics(hypothesis, reference, params), params.smoothing)
+def bleu(hypothesis: str, reference: str) -> float:
+    """Sentence BLEU in [0, 100], add-one smoothed."""
+    return bleu_from_statistics(bleu_statistics(hypothesis, reference), smooth=True)
 
 
 def edit_distance(a: Sequence, b: Sequence) -> int:
@@ -220,7 +196,7 @@ def wer(hypothesis: str, reference: str) -> float:
     return edit_distance(hypothesis.split(), ref_tokens) / len(ref_tokens)
 
 
-def corpus_chrf(stats: Iterable[ChrfStatistics], beta: float = 2.0) -> float:
+def corpus_chrf(stats: Iterable[ChrfStatistics]) -> float:
     pooled = None
     for s in stats:
         if pooled is None:
@@ -229,7 +205,7 @@ def corpus_chrf(stats: Iterable[ChrfStatistics], beta: float = 2.0) -> float:
             pooled.add(s)
     if pooled is None:
         raise ValueError("cannot aggregate an empty list")
-    return chrf_from_statistics(pooled, beta)
+    return chrf_from_statistics(pooled)
 
 
 def corpus_bleu(stats: Iterable[BleuStatistics]) -> float:
@@ -241,7 +217,7 @@ def corpus_bleu(stats: Iterable[BleuStatistics]) -> float:
             pooled.add(s)
     if pooled is None:
         raise ValueError("cannot aggregate an empty list")
-    return bleu_from_statistics(pooled, smoothing="none")
+    return bleu_from_statistics(pooled, smooth=False)
 
 
 def corpus_error_rate(distances_and_ref_lens: Iterable[tuple[int, int]]) -> float:
@@ -259,23 +235,8 @@ def corpus_error_rate(distances_and_ref_lens: Iterable[tuple[int, int]]) -> floa
     return total_dist / total_ref
 
 
-def aggregate(per_sentence_scores: Sequence, scheme: AggregationScheme = "mean_of_sentences"):
-    """Aggregate per-sentence values.
-
-    ``mean_of_sentences`` takes a list of floats and returns their arithmetic
-    mean.  ``corpus_level`` takes a list of :class:`ChrfStatistics`,
-    :class:`BleuStatistics` or ``(distance, ref_len)`` tuples and recomputes
-    the score from pooled counts.
-    """
-    if len(per_sentence_scores) == 0:
+def aggregate(values: Sequence[float]) -> float:
+    """Arithmetic mean of per-sentence scores."""
+    if len(values) == 0:
         raise ValueError("cannot aggregate an empty list")
-    if scheme == "mean_of_sentences":
-        return sum(per_sentence_scores) / len(per_sentence_scores)
-    if scheme == "corpus_level":
-        first = per_sentence_scores[0]
-        if isinstance(first, ChrfStatistics):
-            return corpus_chrf(per_sentence_scores)
-        if isinstance(first, BleuStatistics):
-            return corpus_bleu(per_sentence_scores)
-        return corpus_error_rate(per_sentence_scores)
-    raise ValueError(f"unknown aggregation scheme: {scheme}")
+    return sum(values) / len(values)

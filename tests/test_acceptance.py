@@ -99,7 +99,7 @@ def test_criterion_3_end_to_end_echo_run(capsys, tmp_path):
         suite, evalharness.ReferenceEchoClient(suite), directions, run_log_path=log)
     ok = not report.invalid and report.total_failed == 0
     for d in report.directions:
-        agg = d.report.aggregates
+        agg = d.aggregates
         ok &= (agg.chrf == 1.0 and agg.bleu == 100.0 and agg.cer == 0.0 and agg.wer == 0.0)
     rescored = evalharness.rescore_run_log(log, suite)
     ok &= rescored.to_json().encode("utf-8") == report.to_json().encode("utf-8")
@@ -259,6 +259,6 @@ def test_criterion_7_live_model_scores(capsys):
         base_url=endpoint_url)
     client = evalharness.HttpCompletionClient(endpoint)
     report = evalharness.run_translation_eval(suite, client, [("lug", "eng")], max_parallel=4)
-    chrf = report.directions[0].report.aggregates.chrf
+    chrf = report.directions[0].aggregates.chrf
     ok = not report.invalid and abs(chrf - 0.596) <= 0.02
     report_line(capsys, 7, "live lug->eng chrF within 0.02 of 0.596", ok, f"chrF {chrf:.4f}")

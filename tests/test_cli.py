@@ -110,6 +110,20 @@ class TestInstructCommand:
         assert max_len == 128
         assert all(len(s.token_ids) <= 128 for s in packed)
 
+    def test_bad_template_fails_cleanly(self, tmp_path, capsys):
+        parallel = tmp_path / "pairs.jsonl"
+        corpus.write_pairs_jsonl([ParallelPair("lug", "eng", "gamba", "say")], parallel)
+        template = tmp_path / "tmpl.json"
+        template.write_text('{"user_prefix": 5, "user_suffix": "", '
+                            '"assistant_prefix": "", "assistant_suffix": ""}')
+        config = write_yaml(tmp_path / "c.yaml", {
+            "parallel": str(parallel), "n_translation": 1, "template": str(template)})
+        out = tmp_path / "out"
+        assert main(["instruct", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and "user_prefix" in err["error"]
+        assert not (out / "instructions.jsonl").exists()
+
 
 class TestEvalCommand:
     def test_echo_run_and_rescore(self, tmp_path, suite_csv):

@@ -103,17 +103,17 @@ class TestTranslationEval:
         assert not report.invalid and report.total_failed == 0
         for d in report.directions:
             assert d.evaluated == 100
-            assert d.report.aggregates.chrf == pytest.approx(1.0)
-            assert d.report.aggregates.bleu == pytest.approx(100.0)
-            assert d.report.aggregates.cer == 0.0
-            assert d.report.aggregates.wer == 0.0
+            assert d.aggregates.chrf == pytest.approx(1.0)
+            assert d.aggregates.bleu == pytest.approx(100.0)
+            assert d.aggregates.cer == 0.0
+            assert d.aggregates.wer == 0.0
 
     def test_document_granularity(self, suite):
         client = ReferenceEchoClient(suite)
         report = run_translation_eval(suite, client, directions=[("bbb", "eng")],
                                       granularity="document")
         assert report.directions[0].evaluated == 20
-        assert report.directions[0].report.aggregates.chrf == pytest.approx(1.0)
+        assert report.directions[0].aggregates.chrf == pytest.approx(1.0)
 
     def test_direction_must_involve_english(self, suite):
         with pytest.raises(ValueError, match="eng on exactly one side"):
@@ -145,7 +145,7 @@ class TestTranslationEval:
         report = run_translation_eval(wide, client, directions, run_log_path=log)
         assert not report.invalid and report.total_failed == 100
         dead = report.directions[0]
-        assert dead.evaluated == 0 and dead.report.aggregates is None
+        assert dead.evaluated == 0 and dead.aggregates is None
 
         def reject(constant):
             raise AssertionError(f"report.json contains {constant}")
@@ -161,6 +161,10 @@ class TestTranslationEval:
                                  max_parallel=0)
 
     def test_failure_rate_marks_invalid(self, suite):
+        client = FlakyClient(ReferenceEchoClient(suite), fail_on=set(range(10)))
+        report = run_translation_eval(suite, client, directions=[("aaa", "eng")])
+        assert (report.total_failed, report.total_items) == (10, 100)
+        assert not report.invalid  # 10% is the limit
         client = FlakyClient(ReferenceEchoClient(suite), fail_on=set(range(11)))
         report = run_translation_eval(suite, client, directions=[("aaa", "eng")])
         assert report.invalid  # 11% > 10%
@@ -191,7 +195,7 @@ class TestTranslationEval:
     def test_empty_replies_score_zero(self, suite):
         report = run_translation_eval(suite, ConstantClient(""),
                                       directions=[("aaa", "eng")])
-        agg = report.directions[0].report.aggregates
+        agg = report.directions[0].aggregates
         assert agg.chrf == 0.0 and agg.bleu == 0.0 and agg.cer == 1.0 and agg.wer == 1.0
 
     def test_scoring_normalizes_case_and_punct(self, suite):
@@ -206,7 +210,7 @@ class TestTranslationEval:
 
         report = run_translation_eval(suite, Shouty(ReferenceEchoClient(suite)),
                                       directions=[("aaa", "eng")])
-        assert report.directions[0].report.aggregates.chrf == pytest.approx(1.0)
+        assert report.directions[0].aggregates.chrf == pytest.approx(1.0)
 
 
 class TestMcq:

@@ -120,6 +120,14 @@ class TestRenderChat:
         with pytest.raises(ValueError, match="assistant_suffix"):
             ChatTemplate.from_file(path)
 
+    @pytest.mark.parametrize("value", ["5", "null"])
+    def test_template_from_file_non_string_delimiter(self, tmp_path, value):
+        path = tmp_path / "tmpl.json"
+        path.write_text('{"user_prefix": "u", "user_suffix": "v", "assistant_prefix": "a", '
+                        f'"assistant_suffix": {value}}}')
+        with pytest.raises(ValueError, match="assistant_suffix must be a string"):
+            ChatTemplate.from_file(path)
+
 
 class TestTokenizers:
     @settings(max_examples=150)

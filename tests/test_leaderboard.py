@@ -132,6 +132,20 @@ class TestBoardOps:
         load_score_csv(data, path, XX_TO_ENG, "chrf")
         assert data.scores["m2"][XX_TO_ENG]["lug"]["chrf"] == 0.3
 
+    @pytest.mark.parametrize("row", ["lug,Luganda,0.4", "lug,Luganda,0.4,0.3,0.2",
+                                     "lug,Luganda,0.4,n/a"])
+    def test_load_score_csv_rejects_bad_row(self, tmp_path, row):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"lang,language,m1,m2\nach,Acholi,0.5,0.6\n{row}\n")
+        with pytest.raises(ValueError, match=r"scores\.csv, line 3"):
+            load_score_csv(LeaderboardData(), path, XX_TO_ENG, "chrf")
+
+    def test_load_score_csv_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"scores\.csv is empty"):
+            load_score_csv(LeaderboardData(), path, XX_TO_ENG, "chrf")
+
 
 class TestAddRunReport:
     def test_run_report_folds_in(self):
@@ -148,7 +162,7 @@ class TestAddRunReport:
         suite = synthetic_suite(languages=("aaa",), seed=1)
         client = FlakyClient(ReferenceEchoClient(suite), fail_on=set(range(100)))
         report = run_translation_eval(suite, client, directions=[("aaa", "eng"), ("eng", "aaa")])
-        assert report.directions[0].report.aggregates is None
+        assert report.directions[0].aggregates is None
         data = LeaderboardData()
         add_run_report(data, "echo", report)
         assert XX_TO_ENG not in data.scores["echo"]
