@@ -170,6 +170,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 def cmd_instruct(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = Path(args.out or config.get("out", "instruct_out"))
+    max_len = config.get("max_len", 512)
+    sequences_per_batch = instruct.batch_spec(config.get("tokens_per_batch", 32768), max_len)
     with _locked_output_dir(out):
         _snapshot_config(config, out)
         if config.get("tokenizer_vocab"):
@@ -193,7 +195,6 @@ def cmd_instruct(args: argparse.Namespace) -> int:
         )
         instruct.write_instructions_jsonl(examples, out / "instructions.jsonl")
 
-        max_len = config.get("max_len", 512)
         streams = []
         for i, example in enumerate(examples):
             rendered = instruct.render_chat(example, tokenizer, template)
@@ -205,8 +206,7 @@ def cmd_instruct(args: argparse.Namespace) -> int:
             "category_counts": counts,
             "examples": len(examples),
             "packed_sequences": len(packed),
-            "sequences_per_batch": instruct.batch_spec(
-                config.get("tokens_per_batch", 32768), max_len),
+            "sequences_per_batch": sequences_per_batch,
         })
     return 0
 

@@ -322,8 +322,17 @@ def pack(token_streams: list[tuple[str, list[int]]], max_len: int = 512) -> list
     """First-fit sample packing into sequences of at most ``max_len`` tokens.
 
     Documents longer than ``max_len`` are split into consecutive chunks.
-    Every input token appears exactly once; each sequence carries per-token
-    segment ids so a consumer can block cross-document attention.
+    Each chunk goes into the first sequence, in order of creation, with
+    room for it, or else opens a new sequence.  Every input token appears
+    exactly once; each sequence carries per-token segment ids so a consumer
+    can block cross-document attention.
+
+    The first sequence with room is found in a max-segment-tree over free
+    capacity, with one leaf per chunk (no more sequences can be opened).
+    Leaves of sequences not yet opened hold ``max_len``, so the leftmost
+    leaf with room is the first-fit choice, and it is the next sequence to
+    open when no open one has room.  Placing n chunks costs O(n log n), on
+    top of copying the tokens.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -334,30 +343,44 @@ def pack(token_streams: list[tuple[str, list[int]]], max_len: int = 512) -> list
         for start in range(0, len(ids), max_len):
             chunks.append((doc_id, ids[start : start + max_len]))
 
+    # free[size + i] is the free capacity of sequence i; free[k] is the
+    # larger of free[2k] and free[2k + 1].  Padding leaves hold 0.
+    size = 1
+    while size < len(chunks):
+        size *= 2
+    free = [0] * size + [max_len] * len(chunks) + [0] * (size - len(chunks))
+    for node in range(size - 1, 0, -1):
+        free[node] = max(free[2 * node], free[2 * node + 1])
+
     sequences: list[PackedSequence] = []
     for doc_id, chunk in chunks:
-        placed = False
-        for seq in sequences:
-            if len(seq.token_ids) + len(chunk) <= max_len:
-                start = len(seq.token_ids)
-                seq.token_ids.extend(chunk)
-                seq.segment_spans.append((doc_id, start, start + len(chunk)))
-                seq.attention_segments.extend([len(seq.segment_spans) - 1] * len(chunk))
-                placed = True
-                break
-        if not placed:
-            sequences.append(
-                PackedSequence(
-                    token_ids=list(chunk),
-                    segment_spans=[(doc_id, 0, len(chunk))],
-                    attention_segments=[0] * len(chunk),
-                )
-            )
+        n = len(chunk)
+        node = 1
+        while node < size:
+            node *= 2
+            if free[node] < n:
+                node += 1
+        slot = node - size
+        if slot == len(sequences):
+            sequences.append(PackedSequence(token_ids=[], segment_spans=[], attention_segments=[]))
+        seq = sequences[slot]
+        start = len(seq.token_ids)
+        seq.token_ids.extend(chunk)
+        seq.attention_segments.extend([len(seq.segment_spans)] * n)
+        seq.segment_spans.append((doc_id, start, start + n))
+        free[node] -= n
+        while node > 1:
+            node //= 2
+            free[node] = max(free[2 * node], free[2 * node + 1])
     return sequences
 
 
 def batch_spec(tokens_per_batch: int = 32768, max_len: int = 512) -> int:
     """Sequences per batch for a fixed token budget (e.g. 32768/512 = 64)."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    if tokens_per_batch < 1:
+        raise ValueError("tokens_per_batch must be >= 1")
     q, r = divmod(tokens_per_batch, max_len)
     if r != 0:
         raise ValueError("tokens_per_batch must be divisible by max_len")

@@ -82,33 +82,66 @@ def _count_controls(line: str) -> int:
     return sum(1 for ch in line if unicodedata.category(ch) in _CONTROL_CATEGORIES)
 
 
+class _Family:
+    """A family of similar lines: its representative (the first member's
+    folded text), the member indices, and a ``SequenceMatcher`` holding the
+    representative as ``b``, built when a line is first compared with it."""
+
+    __slots__ = ("rep", "members", "_matcher")
+
+    def __init__(self, rep: str) -> None:
+        self.rep = rep
+        self.members: list[int] = []
+        self._matcher: difflib.SequenceMatcher | None = None
+
+    def admits(self, folded: str) -> bool:
+        """``SequenceMatcher(None, folded, rep).ratio() >= 0.8``.
+
+        The argument order matters: autojunk applies to ``b`` and ties
+        break asymmetrically.  The ratio's upper bounds are tried first,
+        cheapest first: the length bound (``real_quick_ratio``, from the
+        lengths alone) and the character-multiset bound (``quick_ratio``).
+        The matcher keeps its index of the representative, so only
+        ``ratio`` costs more than O(len).
+        """
+        la, lb = len(folded), len(self.rep)
+        if 2.0 * min(la, lb) / (la + lb) < _RECUR_SIMILARITY:
+            return False
+        matcher = self._matcher
+        if matcher is None:
+            matcher = self._matcher = difflib.SequenceMatcher(None, "", self.rep)
+        matcher.set_seq1(folded)
+        return matcher.quick_ratio() >= _RECUR_SIMILARITY and matcher.ratio() >= _RECUR_SIMILARITY
+
+
 def _recurring_line_indices(lines: list[str]) -> set[int]:
     """Indices of lines belonging to families recurring >= 3 times.
 
     Lines are grouped by a short casefolded prefix, then fuzzy-matched
-    against one representative per family (>= 80% character overlap).
+    against one representative per family (>= 80% character overlap); a
+    line joins the first family, in creation order, whose representative
+    admits it, or founds a new one.
+
+    Cost: each line is compared with the representatives of its bucket;
+    those of incompatible length cost one division, the rest an O(len)
+    ``quick_ratio`` before any ``ratio``, and each representative's
+    ``SequenceMatcher`` index is built once.  So the work grows with the
+    lines that share a prefix times the families in that bucket.
     """
-    families: dict[str, list[tuple[str, list[int]]]] = {}
+    buckets: dict[str, list[_Family]] = {}
     for idx, line in enumerate(lines):
         collapsed = " ".join(line.split())
         if not collapsed:
             continue
         folded = collapsed.casefold()
-        key = folded[:_RECUR_PREFIX_LEN]
-        bucket = families.setdefault(key, [])
-        for rep, members in bucket:
-            matcher = difflib.SequenceMatcher(None, folded, rep)
-            if matcher.real_quick_ratio() >= _RECUR_SIMILARITY and matcher.ratio() >= _RECUR_SIMILARITY:
-                members.append(idx)
-                break
-        else:
-            bucket.append((folded, [idx]))
-    dropped: set[int] = set()
-    for bucket in families.values():
-        for _rep, members in bucket:
-            if len(members) >= _RECUR_MIN_COUNT:
-                dropped.update(members)
-    return dropped
+        bucket = buckets.setdefault(folded[:_RECUR_PREFIX_LEN], [])
+        family = next((f for f in bucket if f.admits(folded)), None)
+        if family is None:
+            family = _Family(folded)
+            bucket.append(family)
+        family.members.append(idx)
+    return {idx for bucket in buckets.values() for family in bucket
+            if len(family.members) >= _RECUR_MIN_COUNT for idx in family.members}
 
 
 def clean_document(raw: str, profile: NormProfile) -> tuple[str, CleanReport]:

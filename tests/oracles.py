@@ -2,8 +2,9 @@
 
 These deliberately avoid sharing code with the package: n-grams are
 enumerated into plain dicts, edit distance uses a full Wagner-Fischer
-matrix, the F-score arithmetic is written out longhand, and text
-normalization runs its five steps separately, repeated to a fixed point.
+matrix, the F-score arithmetic is written out longhand, text
+normalization runs its five steps separately, repeated to a fixed point,
+and first-fit packing scans every open sequence for each chunk.
 """
 
 from __future__ import annotations
@@ -191,3 +192,26 @@ def brute_clean_document(raw: str, profile) -> tuple[str, dict]:
     text = "\n\n".join(paragraphs)
     report["chars_out"] = len(text)
     return text, report
+
+
+def brute_pack(token_streams, max_len):
+    """First-fit packing by a linear scan over the sequences for each chunk.
+    Returns one dict per sequence with ``token_ids``, ``segment_spans`` and
+    ``attention_segments``."""
+    chunks = []
+    for doc_id, ids in token_streams:
+        for start in range(0, len(ids), max_len):
+            chunks.append((doc_id, ids[start : start + max_len]))
+    sequences = []
+    for doc_id, chunk in chunks:
+        for seq in sequences:
+            if len(seq["token_ids"]) + len(chunk) <= max_len:
+                break
+        else:
+            seq = {"token_ids": [], "segment_spans": [], "attention_segments": []}
+            sequences.append(seq)
+        start = len(seq["token_ids"])
+        seq["token_ids"].extend(chunk)
+        seq["segment_spans"].append((doc_id, start, start + len(chunk)))
+        seq["attention_segments"].extend([len(seq["segment_spans"]) - 1] * len(chunk))
+    return sequences

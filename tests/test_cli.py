@@ -124,6 +124,23 @@ class TestInstructCommand:
         assert err["type"] == "ValueError" and "user_prefix" in err["error"]
         assert not (out / "instructions.jsonl").exists()
 
+    @pytest.mark.parametrize("sizes, message", [
+        ({"max_len": 500}, "tokens_per_batch must be divisible by max_len"),
+        ({"max_len": 0}, "max_len must be >= 1"),
+        ({"tokens_per_batch": 0}, "tokens_per_batch must be >= 1"),
+    ])
+    def test_bad_batch_sizes_fail_before_writing(self, tmp_path, capsys, sizes, message):
+        parallel = tmp_path / "pairs.jsonl"
+        corpus.write_pairs_jsonl([ParallelPair("lug", "eng", "gamba", "say")], parallel)
+        config = write_yaml(tmp_path / "c.yaml", {
+            "parallel": str(parallel), "n_translation": 1, **sizes})
+        out = tmp_path / "out"
+        assert main(["instruct", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": message, "type": "ValueError"}
+        assert not (out / "instructions.jsonl").exists()
+        assert not (out / "packed.jsonl").exists()
+
 
 class TestEvalCommand:
     def test_echo_run_and_rescore(self, tmp_path, suite_csv):

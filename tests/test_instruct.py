@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_pack
 
 from savanna.corpus import ParallelPair
 from savanna.instruct import (
@@ -253,6 +254,28 @@ class TestPacking:
         for doc_id, ids in streams:
             assert sorted(by_doc[doc_id]) == ids
 
+    @staticmethod
+    def packed_rows(streams, max_len):
+        return [{"token_ids": s.token_ids, "segment_spans": s.segment_spans,
+                 "attention_segments": s.attention_segments} for s in pack(streams, max_len)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 7, 512]).flatmap(lambda m: st.tuples(
+        st.just(m),
+        # Chunks shorter than, equal to and split from documents longer
+        # than 3 * max_len.
+        st.lists(st.one_of(st.integers(1, 2 * m), st.just(m), st.integers(3 * m + 1, 4 * m)),
+                 max_size=30))))
+    def test_matches_first_fit_oracle(self, case):
+        max_len, lengths = case
+        streams = self.streams(lengths)
+        assert self.packed_rows(streams, max_len) == brute_pack(streams, max_len)
+
+    def test_matches_first_fit_oracle_on_5k_streams(self):
+        rng = random.Random(5)
+        streams = self.streams([rng.randint(20, 700) for _ in range(5000)])
+        assert self.packed_rows(streams, 512) == brute_pack(streams, 512)
+
     def test_empty_doc_rejected(self):
         with pytest.raises(ValueError):
             pack([("empty", [])])
@@ -260,8 +283,9 @@ class TestPacking:
     def test_batch_spec(self):
         assert batch_spec(32768, 512) == 64
         assert batch_spec(1024, 256) == 4
-        with pytest.raises(ValueError):
-            batch_spec(1000, 512)
+        for tokens_per_batch, max_len in ((1000, 512), (512, 0), (0, 512), (-1024, 512)):
+            with pytest.raises(ValueError):
+                batch_spec(tokens_per_batch, max_len)
 
     def test_packed_jsonl_roundtrip(self, tmp_path):
         seqs = pack(self.streams([100, 600, 50]), max_len=512)

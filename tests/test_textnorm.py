@@ -2,12 +2,13 @@ import dataclasses
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import brute_clean_document, brute_normalize
+from oracles import _brute_recurring_line_indices, brute_clean_document, brute_normalize
 
 from savanna.textnorm import (
     CleanReport,
+    _recurring_line_indices,
     clean_document,
     corpus_profile,
     metric_profile,
@@ -202,3 +203,44 @@ def test_clean_document_matches_oracle(raw, profile):
     expected_text, expected_report = brute_clean_document(raw, profile)
     assert text == expected_text
     assert dataclasses.asdict(report) == expected_report
+
+
+# Lines that stress the recurring-line matcher.  Casefolding (ß and SS,
+# U+0130) and whitespace variants fold to one text.  Lines of 200 or more
+# characters are where difflib's autojunk heuristic drops the frequent
+# characters of the representative; "ab" * 100 has no other kind.
+_LONG_LINE = "omwana omuto agenda mu kibuga ekinene " * 6
+RECURRING_LINES = [
+    "STRASSE DER EINHEIT - SEITE", "straße der einheit - seite", "Straße  der\tEinheit - Seite ",
+    "\u0130STANBUL HEADER", "i\u0307stanbul header", "istanbul header",
+    "ab" * 100, "ab" * 100 + "c", _LONG_LINE, _LONG_LINE.upper(), "", "  ",
+]
+
+
+def _edited(base: str, edits: list[tuple[int, str]]) -> str:
+    """``base`` with one-character substitutions, deletions and insertions."""
+    chars = list(base)
+    for position, replacement in edits:
+        chars[position % len(chars)] = replacement
+    return "".join(chars)
+
+
+recurring_line = st.one_of(
+    st.sampled_from(RECURRING_LINES),
+    # Many distinct lines in one 10-character prefix bucket, with lengths on
+    # both sides of the 2/3 length bound and ratios near 0.8.
+    st.text("ab ", max_size=30).map(lambda tail: "Running ti" + tail),
+    st.builds(_edited, st.sampled_from(["running title chapter one", _LONG_LINE, "ab" * 100]),
+              st.lists(st.tuples(st.integers(0, 300), st.sampled_from(["", "x", "xy", "A"])),
+                       max_size=6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(recurring_line, max_size=40))
+@example(["ab" * 100] * 3)
+@example([_LONG_LINE] * 3 + [_LONG_LINE.upper()])
+@example(["straße der einheit", "STRASSE DER EINHEIT", "Strasse  der einheit\t"])
+def test_recurring_lines_match_oracle(lines):
+    assert _recurring_line_indices(lines) == _brute_recurring_line_indices(lines)
+
