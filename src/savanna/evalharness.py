@@ -2,8 +2,9 @@
 
 The evaluation suite is a grid of 20 categories x 5 sentences, each English
 sentence carrying reference translations for the supported languages.  The
-harness persists every request/response to a run log before scoring, so any
-run can be re-scored offline, bit for bit.
+harness scores each reply as it comes back, while later requests are still
+in flight, and persists every request/response to a run log before it
+returns the report, so any run can be re-scored offline, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import requests
 from . import jsonio, metrics
 from .instruct import TRANSLATION_PROMPT as DEFAULT_PROMPT_TEMPLATE
 from .instruct import language_name
-from .textnorm import metric_profile, normalize
+from .textnorm import NormProfile, metric_profile, normalize
 
 N_CATEGORIES = 20
 SENTENCES_PER_CATEGORY = 5
@@ -392,31 +393,39 @@ def _prompt_hash(template: str) -> str:
     return hashlib.sha256(template.encode("utf-8")).hexdigest()[:16]
 
 
-def _score_records(records: list[dict], suite: EvalSuite, directions: list[tuple[str, str]],
-                   granularity: str, prompt_template: str) -> EvalRunReport:
-    """Deterministic scoring of persisted request/response records."""
-    profile = metric_profile()
-    by_id = {r["id"]: r for r in records}
+def _score_unit(record: dict, reference: str,
+                profile: NormProfile) -> metrics.SentenceScores | None:
+    """Scores of one persisted request/response against its reference; None
+    for a failed request or a reference that normalizes to nothing."""
+    if record["status"] != "ok":
+        return None
+    hyp = normalize(postprocess_hypothesis(record["response"]), profile)
+    ref = normalize(reference, profile)
+    if not ref:
+        return None
+    return metrics.SentenceScores(
+        chrf=metrics.chrf(hyp, ref),
+        bleu=metrics.bleu(hyp, ref),
+        cer=metrics.cer(hyp, ref),
+        wer=metrics.wer(hyp, ref),
+    )
+
+
+def _build_report(scores: dict[str, metrics.SentenceScores | None], suite: EvalSuite,
+                  directions: list[tuple[str, str]], granularity: str,
+                  prompt_template: str) -> EvalRunReport:
+    """Report over every unit of every direction, in unit order, from a
+    table of unit id -> scores; a unit absent from it or scored None failed."""
     results = []
     for direction in directions:
         per_sentence = []
         failed = 0
         for unit in _direction_units(suite, direction, granularity):
-            record = by_id.get(unit["id"])
-            if record is None or record["status"] != "ok":
+            unit_scores = scores.get(unit["id"])
+            if unit_scores is None:
                 failed += 1
-                continue
-            hyp = normalize(postprocess_hypothesis(record["response"]), profile)
-            ref = normalize(unit["reference"], profile)
-            if not ref:
-                failed += 1
-                continue
-            per_sentence.append(metrics.SentenceScores(
-                chrf=metrics.chrf(hyp, ref),
-                bleu=metrics.bleu(hyp, ref),
-                cer=metrics.cer(hyp, ref),
-                wer=metrics.wer(hyp, ref),
-            ))
+            else:
+                per_sentence.append(unit_scores)
         if per_sentence:
             aggregates = metrics.SentenceScores(
                 chrf=metrics.aggregate([s.chrf for s in per_sentence]),
@@ -438,20 +447,31 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
                          temperature: float = 0.0) -> EvalRunReport:
     """Drive ``client`` over every item of every direction and score it.
 
-    Prompts follow ``DEFAULT_PROMPT_TEMPLATE``.  Every request/response is
-    persisted to ``run_log_path`` (JSONL with a header line) before scoring;
-    per-item transport failures are excluded from scoring and counted, and a
+    Prompts follow ``DEFAULT_PROMPT_TEMPLATE``.  Up to ``max_parallel``
+    worker threads issue the requests in unit order; the calling thread
+    scores each reply as soon as it and the replies before it are in, while
+    later requests are still in flight.  Every request/response is persisted
+    to ``run_log_path`` (JSONL with a header line) before the report is
+    returned, and also before an error raised while scoring propagates.
+    Per-item transport failures are excluded from scoring and counted, and a
     failure rate above 10% marks the run invalid.
     """
-    if max_parallel < 1:
-        raise ValueError("max_parallel must be >= 1")
+    if (isinstance(max_parallel, bool) or not isinstance(max_parallel, int)
+            or max_parallel < 1):
+        raise ValueError(f"max_parallel must be an integer >= 1, got {max_parallel!r}")
+    seen = set()
+    for src, tgt in directions:
+        if (src, tgt) in seen:
+            raise ValueError(f"direction {src}-{tgt} is repeated")
+        seen.add((src, tgt))
     all_units = []
     for direction in directions:
         src, tgt = direction
         for unit in _direction_units(suite, direction, granularity):
             prompt = DEFAULT_PROMPT_TEMPLATE.format(
                 src=language_name(src), tgt=language_name(tgt), text=unit["source"])
-            all_units.append({"id": unit["id"], "direction": direction, "prompt": prompt})
+            all_units.append({"id": unit["id"], "direction": direction, "prompt": prompt,
+                              "reference": unit["reference"]})
 
     def issue(unit: dict) -> dict:
         started = time.monotonic()
@@ -471,11 +491,20 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
             "status": status,
         }
 
-    if max_parallel > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_parallel) as pool:
-            records = list(pool.map(issue, all_units))
-    else:
-        records = [issue(u) for u in all_units]
+    profile = metric_profile()
+    records = []
+    scores: dict[str, metrics.SentenceScores | None] = {}
+    scoring_error = None
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max_parallel) as pool:
+        # The loop holds the only reference to the map iterator: an interrupt
+        # frees it, which cancels the requests not yet started.
+        for unit, record in zip(all_units, pool.map(issue, all_units)):
+            records.append(record)
+            if scoring_error is None:
+                try:
+                    scores[unit["id"]] = _score_unit(record, unit["reference"], profile)
+                except Exception as exc:  # the run log is still written in full
+                    scoring_error = exc
 
     if run_log_path is not None:
         jsonio.write_jsonl(run_log_path, records, header={
@@ -488,8 +517,10 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
             "suite_hash": suite.content_hash(),
             "temperature": temperature,
         })
+    if scoring_error is not None:
+        raise scoring_error
 
-    return _score_records(records, suite, directions, granularity, DEFAULT_PROMPT_TEMPLATE)
+    return _build_report(scores, suite, directions, granularity, DEFAULT_PROMPT_TEMPLATE)
 
 
 def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport:
@@ -500,8 +531,16 @@ def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport
     if header["suite_hash"] != suite.content_hash():
         raise ValueError("run log was produced from a different suite")
     directions = [tuple(d) for d in header["directions"]]
-    return _score_records(records, suite, directions, header["granularity"],
-                          header["prompt_template"])
+    granularity = header["granularity"]
+    profile = metric_profile()
+    by_id = {r["id"]: r for r in records}
+    scores: dict[str, metrics.SentenceScores | None] = {}
+    for direction in directions:
+        for unit in _direction_units(suite, direction, granularity):
+            record = by_id.get(unit["id"])
+            if record is not None:
+                scores[unit["id"]] = _score_unit(record, unit["reference"], profile)
+    return _build_report(scores, suite, directions, granularity, header["prompt_template"])
 
 
 # --- Multiple choice ----------------------------------------------------------

@@ -188,6 +188,24 @@ class TestEvalCommand:
         assert str(path) in err["error"]
         assert expected in err["error"]
 
+    @pytest.mark.parametrize("value", ["4", 0, 1.5])
+    def test_bad_max_parallel_fails_cleanly(self, tmp_path, suite_csv, capsys, value):
+        out = tmp_path / "o"
+        config = write_yaml(tmp_path / "eval.yaml", {"max_parallel": value})
+        assert main(["eval", "--config", config, "--suite", suite_csv, "--endpoint",
+                     "stub:echo", "--directions", "aaa-eng", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and "max_parallel" in err["error"]
+        assert not (out / "run_log.jsonl").exists()
+
+    def test_repeated_direction_fails(self, tmp_path, suite_csv, capsys):
+        out = tmp_path / "o"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng,aaa-eng", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "direction aaa-eng is repeated", "type": "ValueError"}
+        assert not (out / "run_log.jsonl").exists()
+
     def test_missing_endpoint_fails(self, tmp_path, suite_csv, capsys):
         assert main(["eval", "--suite", suite_csv, "--directions", "aaa-eng",
                      "--out", str(tmp_path / "o")]) == 1

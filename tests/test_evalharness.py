@@ -1,7 +1,10 @@
 import json
+import threading
+import time
 
 import pytest
 
+from savanna import metrics
 from savanna.evalharness import (
     ConstantClient,
     EvalItem,
@@ -19,6 +22,7 @@ from savanna.evalharness import (
     save_suite,
     synthetic_suite,
 )
+from savanna.textnorm import metric_profile, normalize
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +163,114 @@ class TestTranslationEval:
         with pytest.raises(ValueError, match="max_parallel"):
             run_translation_eval(suite, ConstantClient("x"), directions=[("aaa", "eng")],
                                  max_parallel=0)
+
+    @pytest.mark.parametrize("value", ["4", 2.0, True, None])
+    def test_max_parallel_must_be_an_integer(self, suite, value):
+        with pytest.raises(ValueError, match="max_parallel"):
+            run_translation_eval(suite, ConstantClient("x"), directions=[("aaa", "eng")],
+                                 max_parallel=value)
+
+    def test_repeated_direction_rejected_before_any_request(self, suite):
+        prompts = []
+
+        class Recording:
+            def complete(self, messages, temperature=0.0):
+                prompts.append(messages[-1]["content"])
+                return "x"
+
+        with pytest.raises(ValueError, match="direction aaa-eng is repeated"):
+            run_translation_eval(suite, Recording(),
+                                 directions=[("aaa", "eng"), ("eng", "aaa"), ("aaa", "eng")])
+        assert prompts == []
+
+    def test_rescore_accepts_a_log_with_a_repeated_direction(self, suite, tmp_path):
+        # Logs written before repeated directions were rejected list the
+        # direction twice and hold each of its records twice.
+        log = tmp_path / "run.jsonl"
+        once = run_translation_eval(suite, ReferenceEchoClient(suite),
+                                    directions=[("aaa", "eng")], run_log_path=log)
+        header, *records = log.read_text().splitlines()
+        header = json.loads(header)
+        header["directions"] *= 2
+        log.write_text("\n".join([json.dumps(header)] + records * 2) + "\n")
+        report = rescore_run_log(log, suite)
+        assert [d.direction for d in report.directions] == [("aaa", "eng")] * 2
+        for d in report.directions:
+            assert d.per_sentence == once.directions[0].per_sentence
+
+    @pytest.mark.parametrize("max_parallel", [1, 4])
+    def test_scoring_overlaps_requests(self, suite, tmp_path, monkeypatch, max_parallel):
+        # The last request is answered only once scoring has begun (or after
+        # a timeout), so the run finishes promptly only if the first reply is
+        # scored while that request is still in flight.
+        last = max(suite.items, key=lambda i: (i.category_id, i.sent_index))
+        scoring_started = threading.Event()
+        timed_out = []
+
+        class HoldLast:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, messages, temperature=0.0):
+                if messages[-1]["content"].endswith("\n\n" + last.translations["aaa"]):
+                    if not scoring_started.wait(timeout=5.0):
+                        timed_out.append(True)
+                return self.inner.complete(messages, temperature)
+
+        chrf = metrics.chrf
+
+        def chrf_marking_start(hyp, ref):
+            scoring_started.set()
+            return chrf(hyp, ref)
+
+        monkeypatch.setattr(metrics, "chrf", chrf_marking_start)
+        log = tmp_path / "run.jsonl"
+        live = run_translation_eval(suite, HoldLast(ReferenceEchoClient(suite)),
+                                    directions=[("aaa", "eng")], run_log_path=log,
+                                    max_parallel=max_parallel)
+        assert scoring_started.is_set() and not timed_out
+        assert live.total_failed == 0
+        assert rescore_run_log(log, suite).to_json() == live.to_json()
+
+    def test_run_log_survives_a_scoring_error(self, suite, tmp_path, monkeypatch):
+        doomed = normalize(suite.items[50].english, metric_profile())
+        chrf = metrics.chrf
+
+        def chrf_failing_once(hyp, ref):
+            if hyp == doomed:
+                raise RuntimeError("scoring broke")
+            return chrf(hyp, ref)
+
+        monkeypatch.setattr(metrics, "chrf", chrf_failing_once)
+        log = tmp_path / "run.jsonl"
+        with pytest.raises(RuntimeError, match="scoring broke"):
+            run_translation_eval(suite, ReferenceEchoClient(suite),
+                                 directions=[("aaa", "eng"), ("bbb", "eng")],
+                                 run_log_path=log, max_parallel=2)
+        header, *records = [json.loads(l) for l in log.read_text().splitlines()]
+        assert header["type"] == "header"
+        assert len(records) == 200 and all(r["status"] == "ok" for r in records)
+        items = sorted(suite.items, key=lambda i: (i.category_id, i.sent_index))
+        assert [r["id"] for r in records] == [
+            f"{lang}-eng:{i.category_id}:{i.sent_index}" for lang in ("aaa", "bbb")
+            for i in items]
+
+    def test_interrupt_while_scoring_cancels_pending_requests(self, suite, monkeypatch):
+        calls = []
+
+        class Slow:
+            def complete(self, messages, temperature=0.0):
+                calls.append(messages)
+                time.sleep(0.01)
+                return "x"
+
+        def interrupt(hyp, ref):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(metrics, "chrf", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_translation_eval(suite, Slow(), directions=[("aaa", "eng")])
+        assert len(calls) < 10
 
     def test_failure_rate_marks_invalid(self, suite):
         client = FlakyClient(ReferenceEchoClient(suite), fail_on=set(range(10)))
