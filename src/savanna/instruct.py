@@ -91,9 +91,25 @@ class ChatExample:
 
 @dataclass
 class PackedSequence:
+    """Token ids of one packed sequence and the documents' spans in it.
+
+    The spans tile the sequence in order: the first starts at 0, each
+    starts where the previous one ended, and the last ends at
+    ``len(token_ids)``.
+    """
+
     token_ids: list[int]
     segment_spans: list[tuple[str, int, int]]  # (doc id, start, end) in sequence
-    attention_segments: list[int]  # per-token segment id
+
+    @property
+    def attention_segments(self) -> list[int]:
+        """Per-token segment id (the index of the token's span), derived
+        from ``segment_spans``, so a consumer can block cross-document
+        attention."""
+        segments: list[int] = []
+        for k, (_doc_id, start, end) in enumerate(self.segment_spans):
+            segments += [k] * (end - start)
+        return segments
 
 
 # --- Tokenizers --------------------------------------------------------------
@@ -139,11 +155,25 @@ class WhitespaceTokenizer:
 
 
 class VocabFileTokenizer:
-    """Word-level tokenizer backed by an explicit ``{token: id}`` JSON file."""
+    """Word-level tokenizer backed by an explicit ``{token: id}`` JSON file.
+
+    Every id must be a non-negative ``int`` (not a ``bool``) used by one
+    token only, so that ids round-trip through ``decode``.
+    """
 
     def __init__(self, vocab: dict[str, int]):
+        if not isinstance(vocab, dict):
+            raise ValueError(f"vocabulary must be a {{token: id}} object, got {type(vocab).__name__}")
         self._token_to_id = dict(vocab)
-        self._id_to_token = {i: t for t, i in vocab.items()}
+        self._id_to_token: dict[int, str] = {}
+        for token, i in self._token_to_id.items():
+            if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+                raise ValueError(f"vocabulary id of token {token!r} must be a non-negative int, "
+                                 f"got {i!r}")
+            if i in self._id_to_token:
+                raise ValueError(f"vocabulary id {i} of token {token!r} is already the id of "
+                                 f"token {self._id_to_token[i]!r}")
+            self._id_to_token[i] = token
 
     @classmethod
     def from_file(cls, path: str | Path) -> "VocabFileTokenizer":
@@ -324,8 +354,8 @@ def pack(token_streams: list[tuple[str, list[int]]], max_len: int = 512) -> list
     Documents longer than ``max_len`` are split into consecutive chunks.
     Each chunk goes into the first sequence, in order of creation, with
     room for it, or else opens a new sequence.  Every input token appears
-    exactly once; each sequence carries per-token segment ids so a consumer
-    can block cross-document attention.
+    exactly once; each sequence's spans give its per-token segment ids
+    (``PackedSequence.attention_segments``).
 
     The first sequence with room is found in a max-segment-tree over free
     capacity, with one leaf per chunk (no more sequences can be opened).
@@ -362,11 +392,10 @@ def pack(token_streams: list[tuple[str, list[int]]], max_len: int = 512) -> list
                 node += 1
         slot = node - size
         if slot == len(sequences):
-            sequences.append(PackedSequence(token_ids=[], segment_spans=[], attention_segments=[]))
+            sequences.append(PackedSequence(token_ids=[], segment_spans=[]))
         seq = sequences[slot]
         start = len(seq.token_ids)
         seq.token_ids.extend(chunk)
-        seq.attention_segments.extend([len(seq.segment_spans)] * n)
         seq.segment_spans.append((doc_id, start, start + n))
         free[node] -= n
         while node > 1:
@@ -392,22 +421,47 @@ PACKED_FORMAT_VERSION = 1
 
 def write_packed_jsonl(sequences: Iterable[PackedSequence], path: str | Path,
                        max_len: int = 512) -> int:
-    """Write packed sequences as JSONL; the first line is a version header."""
-    return jsonio.write_jsonl(path, ({
-        "token_ids": seq.token_ids,
-        "segment_spans": [list(s) for s in seq.segment_spans],
-        "attention_segments": seq.attention_segments,
-    } for seq in sequences), header={"version": PACKED_FORMAT_VERSION, "max_len": max_len})
+    """Write packed sequences as JSONL; the first line is a version header.
+
+    Each line is the JSON object ``{"token_ids": ..., "segment_spans": ...,
+    "attention_segments": ...}``.  ``attention_segments`` repeats what the
+    spans say, one id per token, so its text is built from the span
+    lengths (``"k, "`` once per token of span k) instead of being encoded
+    an int at a time; the line is the same as the JSON encoder's.
+    """
+    encode = jsonio.jsonl_encoder()
+
+    def line(seq: PackedSequence) -> str:
+        segments = "".join(f"{k}, " * (end - start)
+                           for k, (_doc_id, start, end) in enumerate(seq.segment_spans))
+        return (f'{{"token_ids": {encode(seq.token_ids)}, '
+                f'"segment_spans": {encode([list(s) for s in seq.segment_spans])}, '
+                f'"attention_segments": [{segments[:-2]}]}}')
+
+    return jsonio.write_jsonl_lines(path, map(line, sequences),
+                                    header=encode({"version": PACKED_FORMAT_VERSION, "max_len": max_len}))
 
 
 def read_packed_jsonl(path: str | Path) -> tuple[list[PackedSequence], int]:
+    """Packed sequences and ``max_len`` from a file ``write_packed_jsonl``
+    wrote.  Raises ValueError on an unknown version, on spans that do not
+    tile their sequence, and on ``attention_segments`` that disagree with
+    the spans."""
     header, *rows = jsonio.read_jsonl(path) or [{}]
     if header.get("version") != PACKED_FORMAT_VERSION:
         raise ValueError(f"unsupported packed format version: {header.get('version')}")
-    return [PackedSequence(token_ids=obj["token_ids"],
-                           segment_spans=[tuple(s) for s in obj["segment_spans"]],
-                           attention_segments=obj["attention_segments"])
-            for obj in rows], header["max_len"]
+    sequences = []
+    for index, obj in enumerate(rows):
+        seq = PackedSequence(token_ids=obj["token_ids"],
+                             segment_spans=[tuple(s) for s in obj["segment_spans"]])
+        ends = [0] + [end for _doc_id, _start, end in seq.segment_spans]
+        if ([start for _doc_id, start, _end in seq.segment_spans] != ends[:-1]
+                or ends[-1] != len(seq.token_ids)):
+            raise ValueError(f"{path}: sequence {index}: segment_spans do not tile the sequence")
+        if obj["attention_segments"] != seq.attention_segments:
+            raise ValueError(f"{path}: sequence {index}: attention_segments disagree with segment_spans")
+        sequences.append(seq)
+    return sequences, header["max_len"]
 
 
 # --- Synthetic preference pairs ------------------------------------------------

@@ -2,8 +2,8 @@
 
 JSONL files hold one record per line, UTF-8 as is, with an optional header
 line first.  JSON documents (reports, manifests, audits) are canonical:
-sorted keys, one-space indent, and strict JSON, so never ``NaN`` or
-``Infinity``.
+sorted keys and one-space indent.  Both are strict JSON, so never ``NaN``
+or ``Infinity``: writing either raises ValueError.
 """
 
 from __future__ import annotations
@@ -14,17 +14,31 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 
+def jsonl_encoder(sort_keys: bool = False) -> Callable[[Any], str]:
+    """The encoder of a JSONL line: UTF-8 as is, and strict, so it raises
+    ValueError on NaN or infinity."""
+    return json.JSONEncoder(ensure_ascii=False, sort_keys=sort_keys, allow_nan=False).encode
+
+
 def write_jsonl(path: str | Path, records: Iterable[Any], header: Any = None,
                 sort_keys: bool = False) -> int:
     """Write ``records`` one per line after an optional ``header`` line;
     returns the number of records, not counting the header."""
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=sort_keys).encode
+    encode = jsonl_encoder(sort_keys)
+    return write_jsonl_lines(path, map(encode, records),
+                             header=None if header is None else encode(header))
+
+
+def write_jsonl_lines(path: str | Path, lines: Iterable[str], header: str | None = None) -> int:
+    """Write JSONL ``lines`` already encoded (each one JSON text, as
+    ``jsonl_encoder`` makes it) after an optional ``header`` line; returns
+    the number of lines, not counting the header."""
     n = 0
     with open(path, "w", encoding="utf-8") as f:
         if header is not None:
-            f.write(encode(header) + "\n")
-        for record in records:
-            f.write(encode(record) + "\n")
+            f.write(header + "\n")
+        for line in lines:
+            f.write(line + "\n")
             n += 1
     return n
 

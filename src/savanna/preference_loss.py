@@ -27,9 +27,9 @@ class PairLogps:
             values = getattr(self, name)
             if len(values) < 1:
                 raise ValueError(f"{name} must have at least one entry")
-            if not all(math.isfinite(v) for v in values):
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"{name} contains a non-finite log-probability")
-            if any(v > 0 for v in values):
+            if max(values) > 0:
                 raise ValueError(f"{name} contains a positive log-probability")
         if len(self.policy_chosen) != len(self.ref_chosen):
             raise ValueError("policy_chosen and ref_chosen lengths differ")

@@ -64,22 +64,37 @@ def corpus_profile() -> NormProfile:
 def normalize(text: str, profile: NormProfile) -> str:
     """Normalize ``text`` per ``profile``.
 
-    NFC, then one pass over the characters that drops controls (keeping
-    whitespace controls) and, if the profile says so, punctuation; then
-    lowercase if the profile says so.  Removals and lowercasing can expose
-    new canonical compositions (``e`` + ZWSP + U+0301), so NFC runs again
-    before whitespace is collapsed; the result is its own fixed point.
+    NFC, then the characters to drop (controls other than whitespace
+    controls and, if the profile says so, punctuation) are deleted in one
+    ``str.translate``; then lowercase if the profile says so.  Removals and
+    lowercasing can expose new canonical compositions (``e`` + ZWSP +
+    U+0301), so NFC runs again before whitespace is collapsed; the result
+    is its own fixed point.
+
+    Whether a character is dropped depends on the character alone, so
+    ``unicodedata.category`` is looked up once per distinct character, not
+    once per character.  A printable string holds no Cc/Cf character, so
+    under the corpus profile such a string is not classified at all.
     """
-    dropped = _CONTROL_OR_PUNCTUATION_CATEGORIES if profile.strip_punctuation else _CONTROL_CATEGORIES
-    s = "".join(ch for ch in unicodedata.normalize("NFC", text)
-                if unicodedata.category(ch) not in dropped or ch in _WHITESPACE_CONTROLS)
+    s = unicodedata.normalize("NFC", text)
+    if profile.strip_punctuation or not s.isprintable():
+        dropped = _CONTROL_OR_PUNCTUATION_CATEGORIES if profile.strip_punctuation else _CONTROL_CATEGORIES
+        s = s.translate({ord(ch): None for ch in set(s)
+                         if unicodedata.category(ch) in dropped and ch not in _WHITESPACE_CONTROLS})
     if profile.lowercase:
         s = s.lower()
     return " ".join(unicodedata.normalize("NFC", s).split())
 
 
 def _count_controls(line: str) -> int:
-    return sum(1 for ch in line if unicodedata.category(ch) in _CONTROL_CATEGORIES)
+    """Number of Cc/Cf characters in ``line``, whitespace controls included.
+
+    A printable line has none; otherwise each distinct character is
+    classified once and the controls among them are counted in C.
+    """
+    if line.isprintable():
+        return 0
+    return sum(line.count(ch) for ch in set(line) if unicodedata.category(ch) in _CONTROL_CATEGORIES)
 
 
 class _Family:

@@ -4,12 +4,14 @@ These deliberately avoid sharing code with the package: n-grams are
 enumerated into plain dicts, edit distance uses a full Wagner-Fischer
 matrix, the F-score arithmetic is written out longhand, text
 normalization runs its five steps separately, repeated to a fixed point,
-and first-fit packing scans every open sequence for each chunk.
+first-fit packing scans every open sequence for each chunk, and the packed
+file is written by the JSON encoder, one attention-segment int at a time.
 """
 
 from __future__ import annotations
 
 import difflib
+import json
 import math
 import re
 import unicodedata
@@ -215,3 +217,18 @@ def brute_pack(token_streams, max_len):
         seq["segment_spans"].append((doc_id, start, start + len(chunk)))
         seq["attention_segments"].extend([len(seq["segment_spans"]) - 1] * len(chunk))
     return sequences
+
+
+def brute_write_packed_jsonl(sequences, path, max_len):
+    """The packed JSONL file of ``sequences`` (dicts as ``brute_pack``
+    returns them), every line, header included, encoded whole by the JSON
+    encoder."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(encode({"version": 1, "max_len": max_len}) + "\n")
+        for seq in sequences:
+            f.write(encode({
+                "token_ids": seq["token_ids"],
+                "segment_spans": [list(s) for s in seq["segment_spans"]],
+                "attention_segments": seq["attention_segments"],
+            }) + "\n")

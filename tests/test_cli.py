@@ -80,6 +80,18 @@ class TestCorpusCommand:
         assert (out / ".savanna.lock").read_text() == str(os.getpid())
         assert not (out / "manifest.json").exists()
 
+    def test_non_finite_provenance_fails_before_manifest(self, tmp_path, capsys):
+        doc = make_document("lug", "omwana agenda mu kibuga", "web",
+                            provenance={"ocr_score": float("nan")})
+        inputs = tmp_path / "docs.jsonl"
+        inputs.write_text(json.dumps(doc.__dict__) + "\n", encoding="utf-8")  # holds NaN
+        config = write_yaml(tmp_path / "c.yaml", {"inputs": [str(inputs)]})
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and "not JSON compliant" in err["error"]
+        assert not (out / "manifest.json").exists()
+
     def test_missing_inputs_key_fails_cleanly(self, tmp_path, capsys):
         config = write_yaml(tmp_path / "c.yaml", {})
         assert main(["corpus", "--config", config, "--out", str(tmp_path / "o")]) == 1
@@ -123,6 +135,20 @@ class TestInstructCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["type"] == "ValueError" and "user_prefix" in err["error"]
         assert not (out / "instructions.jsonl").exists()
+
+    def test_bad_vocab_fails_before_writing(self, tmp_path, capsys):
+        parallel = tmp_path / "pairs.jsonl"
+        corpus.write_pairs_jsonl([ParallelPair("lug", "eng", "a b", "c d")], parallel)
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text('{"a": 1, "b": 1, "c": "7", "d": true, "e": 2.0}')
+        config = write_yaml(tmp_path / "c.yaml", {
+            "parallel": str(parallel), "n_translation": 1, "tokenizer_vocab": str(vocab)})
+        out = tmp_path / "out"
+        assert main(["instruct", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError" and "token 'b'" in err["error"]
+        assert not (out / "instructions.jsonl").exists()
+        assert not (out / "packed.jsonl").exists()
 
     @pytest.mark.parametrize("sizes, message", [
         ({"max_len": 500}, "tokens_per_batch must be divisible by max_len"),

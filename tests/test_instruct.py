@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_pack
+from oracles import brute_pack, brute_write_packed_jsonl
 
 from savanna.corpus import ParallelPair
 from savanna.instruct import (
@@ -148,6 +148,22 @@ class TestTokenizers:
         assert tok.encode("agenda omwana") == [1, 0]
         with pytest.raises(ValueError):
             tok.encode("unknown")
+
+    @pytest.mark.parametrize("vocab, token", [
+        ({"a": 1, "b": 1}, "b"),
+        ({"a": 0, "c": "7"}, "c"),
+        ({"d": True}, "d"),
+        ({"e": 2.0}, "e"),
+        ({"f": -1}, "f"),
+        ({"g": None}, "g"),
+    ])
+    def test_vocab_ids_must_be_distinct_non_negative_ints(self, vocab, token):
+        with pytest.raises(ValueError, match=f"token '{token}'"):
+            VocabFileTokenizer(vocab)
+
+    def test_vocab_must_be_an_object(self):
+        with pytest.raises(ValueError, match="vocabulary must be"):
+            VocabFileTokenizer([["a", 0]])
 
 
 class TestTranslationInstruction:
@@ -294,6 +310,52 @@ class TestPacking:
         loaded, max_len = read_packed_jsonl(path)
         assert max_len == 512
         assert loaded == seqs
+
+    # Doc ids the JSON encoder escapes or leaves as is: quotes, backslashes,
+    # controls, non-ASCII and astral text, the empty string.
+    doc_ids = st.one_of(st.sampled_from(["", '"', "\\", "a\"b\\c", "\x00\x1f\x7f\n", "é\u2028ŋ",
+                                         "\U0001f600"]),
+                        st.text(max_size=6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 2, 3, 7, 512]).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.tuples(TestPacking.doc_ids,
+                           st.one_of(st.integers(1, 2 * m), st.just(m), st.integers(3 * m + 1, 4 * m)),
+                           st.integers(0, 70000)),
+                 max_size=20))))
+    def test_packed_jsonl_matches_encoder_oracle(self, tmp_path_factory, case):
+        # Token ids start anywhere up to 70000, so most are above 255; an
+        # empty case writes the header alone.
+        max_len, docs = case
+        streams = [(doc_id, list(range(first, first + n))) for doc_id, n, first in docs]
+        directory = tmp_path_factory.mktemp("packed")
+        fast, brute = directory / "fast.jsonl", directory / "brute.jsonl"
+        seqs = pack(streams, max_len)
+        assert write_packed_jsonl(seqs, fast, max_len=max_len) == len(seqs)
+        brute_write_packed_jsonl(brute_pack(streams, max_len), brute, max_len)
+        assert fast.read_bytes() == brute.read_bytes()
+        assert read_packed_jsonl(fast) == (seqs, max_len)
+
+    @pytest.mark.parametrize("row, message", [
+        ('"segment_spans": [["a", 0, 2], ["b", 2, 3]], "attention_segments": [0, 1, 1]',
+         "attention_segments disagree"),
+        ('"segment_spans": [["a", 0, 2], ["b", 2, 3]], "attention_segments": [0, 0, 1, 1]',
+         "attention_segments disagree"),
+        ('"segment_spans": [["a", 0, 2], ["b", 2, 3]], "attention_segments": [0, 0]',
+         "attention_segments disagree"),
+        ('"segment_spans": [["a", 0, 1], ["b", 2, 3]], "attention_segments": [0, 1, 1]',
+         "do not tile"),
+        ('"segment_spans": [["a", 0, 2]], "attention_segments": [0, 0]', "do not tile"),
+    ], ids=["wrong-values", "too-long", "too-short", "gap-between-spans", "spans-end-early"])
+    def test_packed_jsonl_reader_checks_segments(self, tmp_path, row, message):
+        path = tmp_path / "packed.jsonl"
+        path.write_text('{"version": 1, "max_len": 8}\n'
+                        '{"token_ids": [5, 6], "segment_spans": [["a", 0, 2]], '
+                        '"attention_segments": [0, 0]}\n'
+                        f'{{"token_ids": [7, 8, 9], {row}}}\n')
+        with pytest.raises(ValueError, match=f"sequence 1: .*{message}"):
+            read_packed_jsonl(path)
 
     def test_packed_jsonl_version_check(self, tmp_path):
         path = tmp_path / "packed.jsonl"

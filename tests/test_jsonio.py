@@ -62,6 +62,13 @@ class TestFiles:
         jsonio.write_jsonl(path, [{"b": 1, "a": 2}], sort_keys=True)
         assert path.read_text() == '{"a": 2, "b": 1}\n'
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_write_jsonl_is_strict(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            jsonio.write_jsonl(tmp_path / "bad.jsonl", [{"score": 0.5}, {"score": bad}])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            jsonio.write_jsonl(tmp_path / "bad.jsonl", [], header={"score": bad})
+
     def test_write_json_is_strict(self, tmp_path):
         jsonio.write_json(tmp_path / "ok.json", {"b": 1, "a": "é"})
         assert (tmp_path / "ok.json").read_text(encoding="utf-8") == '{\n "a": "é",\n "b": 1\n}'

@@ -56,6 +56,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="ref_rejected contains a non-finite"):
             PairLogps([-1.0], [-1.0], [-1.0], [-2.0, bad])
 
+    def test_non_finite_reported_before_positive(self):
+        with pytest.raises(ValueError, match="policy_rejected contains a non-finite"):
+            PairLogps([-1.0], [0.5, math.nan], [-1.0], [-2.0, -1.0])
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             PairLogps([], [-1.0], [], [-1.0])

@@ -8,6 +8,7 @@ from oracles import _brute_recurring_line_indices, brute_clean_document, brute_n
 
 from savanna.textnorm import (
     CleanReport,
+    _count_controls,
     _recurring_line_indices,
     clean_document,
     corpus_profile,
@@ -61,6 +62,21 @@ def test_every_bmp_code_point_matches_oracle(profile):
             if normalize(text, profile) != brute_normalize(text, profile):
                 mismatches.append(text)
     assert mismatches == []
+
+
+def test_count_controls_matches_category_on_every_code_point():
+    wrong = [cp for cp in range(0x110000)
+             if _count_controls(chr(cp)) != (unicodedata.category(chr(cp)) in ("Cc", "Cf"))]
+    assert wrong == []
+
+
+# Not printable, so the corpus profile classifies them, but not Cc/Cf, so
+# they are kept: no-break space (Zs), line separator (Zl), private use (Co),
+# a lone surrogate (Cs) and unassigned code points in and above the BMP (Cn).
+@pytest.mark.parametrize("ch", ["\u00a0", "\u2028", "\ue000", "\ud800", "\u0378", "\U000e0080"])
+def test_corpus_profile_keeps_unprintable_non_controls(ch):
+    for text in (ch, f"a{ch}b", f"A{ch}\u0301 b\x00c", f"\t{ch}\u200b{ch}"):
+        assert normalize(text, corpus_profile()) == brute_normalize(text, corpus_profile())
 
 
 # Characters that interact with one of normalize's steps: NFD marks that
