@@ -120,11 +120,18 @@ def _make_client(endpoint_url: str, config: dict,
 def cmd_corpus(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = Path(args.out or config.get("out", "corpus_out"))
+    bible = config.get("bible")
+    if bible is not None and (not isinstance(bible, list) or len(bible) != 2
+                              or not all(isinstance(e, dict) for e in bible)):
+        raise CliError("bible must list two editions, {lang, path} each, the source first")
     with _locked_output_dir(out):
         _snapshot_config(config, out)
         docs = []
         for path in config["inputs"]:
             docs.extend(corpus_mod.read_documents_jsonl(path))
+        if bible is not None:
+            aligned = corpus_mod.align_bibles(
+                *(corpus_mod.load_bible_tsv(e["path"], e["lang"]) for e in bible))
 
         profile = corpus_profile()
         chars_in = sum(len(d.text) for d in docs)
@@ -158,6 +165,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             deduped, spec, config["seed"], sample_size=config.get("sample_size"))
 
         corpus_mod.write_documents_jsonl(sampled, out / "documents.jsonl")
+        if bible is not None:
+            corpus_mod.write_pairs_jsonl(aligned.pairs, out / "pairs.jsonl")
+            manifest["bible"] = {"pairs": len(aligned.pairs), "only_in_src": len(aligned.only_in_a),
+                                 "only_in_tgt": len(aligned.only_in_b)}
         manifest["chars_in"] = chars_in
         manifest["chars_out"] = sum(d.char_count for d in sampled)
         manifest["reduction_ratio"] = (manifest["chars_out"] / chars_in) if chars_in else 0.0

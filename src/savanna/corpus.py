@@ -9,6 +9,7 @@ line.  Back-translation is delegated to an external MT service behind the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
@@ -110,11 +111,10 @@ class ParallelPair:
 class MixtureSpec:
     source_weights: dict[str, float] = field(default_factory=dict)
     lang_weights: dict[str, float] = field(default_factory=dict)
-    default_weight: float = 1.0
 
     def bucket_weight(self, source: str, lang: str) -> float:
-        sw = self.source_weights.get(source, self.default_weight)
-        lw = self.lang_weights.get(lang, self.default_weight)
+        sw = self.source_weights.get(source, 1.0)
+        lw = self.lang_weights.get(lang, 1.0)
         if sw < 0 or lw < 0:
             raise ValueError("weights must be >= 0")
         return sw * lw
@@ -162,7 +162,8 @@ def dedup(docs: Iterable[CorpusDocument]) -> Iterator[CorpusDocument]:
 # --- Verse-aligned Bible editions ------------------------------------------
 
 
-def _load_book_table() -> dict[str, str]:
+@functools.cache
+def _book_table() -> dict[str, str]:
     raw = json.loads(resources.files("savanna.data").joinpath("bible_books.json").read_text())
     table: dict[str, str] = {}
     for book in raw["canon"]:
@@ -173,17 +174,12 @@ def _load_book_table() -> dict[str, str]:
     return table
 
 
-_BOOK_TABLE: dict[str, str] | None = None
-
-
 def canonical_book(name: str) -> str:
-    global _BOOK_TABLE
-    if _BOOK_TABLE is None:
-        _BOOK_TABLE = _load_book_table()
+    table = _book_table()
     key = " ".join(name.split()).casefold()
-    if key not in _BOOK_TABLE:
+    if key not in table:
         raise KeyError(f"unknown book name: {name!r}")
-    return _BOOK_TABLE[key]
+    return table[key]
 
 
 @dataclass
@@ -195,8 +191,9 @@ class BibleEdition:
 def load_bible_tsv(path: str | Path, lang: str) -> BibleEdition:
     """Load ``book<TAB>chapter<TAB>verse<TAB>text`` lines into an edition.
 
-    Book names are canonicalized against the shared 66-book table; a
-    duplicate verse key raises an error naming the key.
+    Book names are canonicalized against the shared 66-book table.  An
+    unknown book, a chapter or verse not an integer >= 1, or a repeated
+    verse key raises a ValueError naming the file and line.
     """
     verses: dict[VerseRef, str] = {}
     with open(path, encoding="utf-8") as f:
@@ -207,9 +204,12 @@ def load_bible_tsv(path: str | Path, lang: str) -> BibleEdition:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            ref = VerseRef(canonical_book(parts[0]), int(parts[1]), int(parts[2]))
+            try:
+                ref = VerseRef(canonical_book(parts[0]), int(parts[1]), int(parts[2]))
+            except (KeyError, ValueError) as exc:  # unknown book; chapter or verse not an int >= 1
+                raise ValueError(f"{path}:{lineno}: {exc.args[0]}") from None
             if ref in verses:
-                raise ValueError(f"duplicate verse key: {ref}")
+                raise ValueError(f"{path}:{lineno}: duplicate verse key: {ref}")
             verses[ref] = parts[3]
     return BibleEdition(lang=lang, verses=verses)
 
@@ -358,15 +358,12 @@ def _allocate(sample_size: int, weights: dict, capacities: dict) -> dict:
 
 def assemble_pretraining(docs: Iterable[CorpusDocument], spec: MixtureSpec, seed: int,
                          sample_size: int | None = None,
-                         instruction_docs: Iterable[CorpusDocument] | None = None,
                          ) -> tuple[list[CorpusDocument], dict]:
     """Weighted stratified sampling without replacement per (source, lang).
 
     Deterministic for a fixed seed.  Returns the sampled documents and a
     manifest of per-bucket document and character counts.  With
     ``sample_size=None`` the weights act as include/exclude filters.
-    ``instruction_docs``, when given, are appended whole as an
-    ``instruction_replay`` bucket.
     """
     buckets: dict[tuple[str, str], list[CorpusDocument]] = {}
     for doc in docs:
@@ -404,17 +401,6 @@ def assemble_pretraining(docs: Iterable[CorpusDocument], spec: MixtureSpec, seed
             "docs_out": len(docs_out),
             "chars_in": sum(d.char_count for d in buckets[key]),
             "chars_out": sum(d.char_count for d in docs_out),
-        }
-
-    if instruction_docs is not None:
-        replay = list(instruction_docs)
-        output.extend(replay)
-        manifest["buckets"]["instruction_replay"] = {
-            "weight": 1.0,
-            "docs_in": len(replay),
-            "docs_out": len(replay),
-            "chars_in": sum(d.char_count for d in replay),
-            "chars_out": sum(d.char_count for d in replay),
         }
     manifest["total_docs"] = len(output)
     manifest["total_chars"] = sum(d.char_count for d in output)

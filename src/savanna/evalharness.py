@@ -1,4 +1,4 @@
-"""Translation and multiple-choice evaluation over chat-completion endpoints.
+"""Translation evaluation over chat-completion endpoints.
 
 The evaluation suite is a grid of 20 categories x 5 sentences, each English
 sentence carrying reference translations for the supported languages.  The
@@ -16,7 +16,6 @@ import json
 import os
 import random
 import re
-import string
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -542,75 +541,3 @@ def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport
                 scores[unit["id"]] = _score_unit(record, unit["reference"], profile)
     return _build_report(scores, suite, directions, granularity, header["prompt_template"])
 
-
-# --- Multiple choice ----------------------------------------------------------
-
-
-@dataclass
-class McqItem:
-    question: str
-    choices: list[str]
-    answer_index: int
-    lang: str
-
-    def __post_init__(self) -> None:
-        if len(self.choices) < 2:
-            raise ValueError("need at least 2 choices")
-        if not 0 <= self.answer_index < len(self.choices):
-            raise ValueError("answer_index out of range")
-
-
-def _mcq_prompt(item: McqItem) -> str:
-    lines = [item.question, ""]
-    for letter, choice in zip(string.ascii_uppercase, item.choices):
-        lines.append(f"{letter}. {choice}")
-    lines.append("")
-    lines.append("Answer with the letter of the correct choice.")
-    return "\n".join(lines)
-
-
-def extract_choice(reply: str, choices: list[str]) -> int | None:
-    """First standalone choice letter in the reply; fallback to a unique
-    choice-text substring match.  Returns the choice index, or None."""
-    letters = string.ascii_uppercase[: len(choices)]
-    match = re.search(rf"\b([{letters}])\b", reply)
-    if match:
-        return letters.index(match.group(1))
-    folded = reply.casefold()
-    hits = [i for i, choice in enumerate(choices) if choice.casefold() in folded]
-    if len(hits) == 1:
-        return hits[0]
-    return None
-
-
-@dataclass
-class McqResult:
-    accuracy_by_lang: dict[str, float]
-    correct_by_lang: dict[str, int]
-    total_by_lang: dict[str, int]
-    unparseable: list[dict]
-
-
-def run_mcq_eval(items: list[McqItem], client: CompletionClient,
-                 temperature: float = 0.0) -> McqResult:
-    """Multiple-choice accuracy per language in the direct setting.
-
-    Unparseable replies are counted incorrect and logged, never dropped.
-    """
-    if not items:
-        raise ValueError("no MCQ items")
-    correct: dict[str, int] = {}
-    total: dict[str, int] = {}
-    unparseable: list[dict] = []
-    for idx, item in enumerate(items):
-        reply = client.complete([{"role": "user", "content": _mcq_prompt(item)}],
-                                temperature=temperature)
-        picked = extract_choice(reply, item.choices)
-        total[item.lang] = total.get(item.lang, 0) + 1
-        if picked is None:
-            unparseable.append({"index": idx, "lang": item.lang, "reply": reply})
-        elif picked == item.answer_index:
-            correct[item.lang] = correct.get(item.lang, 0) + 1
-    accuracy = {lang: correct.get(lang, 0) / n for lang, n in total.items()}
-    return McqResult(accuracy_by_lang=accuracy, correct_by_lang=correct,
-                     total_by_lang=total, unparseable=unparseable)

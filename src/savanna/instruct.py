@@ -2,8 +2,9 @@
 
 Conversations are built as alternating user/assistant turns; rendering
 produces token ids with a response-only loss mask (1 exactly on assistant
-message bodies).  Tokenization is pluggable via :class:`TokenizerPort`;
-tests and demos use the byte and whitespace toy tokenizers.
+message bodies).  Tokenization is pluggable via :class:`TokenizerPort`:
+the byte tokenizer by default, or a word-level one read from a vocabulary
+file.  Repetition-loop preference pairs stand in for glitching outputs.
 """
 
 from __future__ import annotations
@@ -129,29 +130,6 @@ class ByteTokenizer:
 
     def decode(self, ids: list[int]) -> str:
         return bytes(ids).decode("utf-8")
-
-
-class WhitespaceTokenizer:
-    """Word-level tokenizer with a dynamically grown vocabulary.
-
-    Round-trips text whose tokens are separated by single spaces.
-    """
-
-    def __init__(self) -> None:
-        self._token_to_id: dict[str, int] = {}
-        self._id_to_token: list[str] = []
-
-    def encode(self, text: str) -> list[int]:
-        ids = []
-        for token in text.split():
-            if token not in self._token_to_id:
-                self._token_to_id[token] = len(self._id_to_token)
-                self._id_to_token.append(token)
-            ids.append(self._token_to_id[token])
-        return ids
-
-    def decode(self, ids: list[int]) -> str:
-        return " ".join(self._id_to_token[i] for i in ids)
 
 
 class VocabFileTokenizer:
@@ -317,34 +295,6 @@ def make_translation_instruction(pair: ParallelPair, noisy: bool = False,
     )
 
 
-def concat_conversations(examples: list[InstructionExample], rng_seed: int = 0,
-                         max_turns: int = 16) -> InstructionExample:
-    """Concatenate conversations in seeded random order.
-
-    Turns of each input stay contiguous and internally ordered; examples
-    that would exceed ``max_turns`` are skipped (the first sampled example
-    is always included).
-    """
-    if not examples:
-        raise ValueError("need at least one example")
-    for ex in examples:
-        validate_alternation(ex.turns)
-    order = list(range(len(examples)))
-    random.Random(rng_seed).shuffle(order)
-    turns: list[Turn] = []
-    langs: set[str] = set()
-    category = None
-    for idx in order:
-        ex = examples[idx]
-        if turns and len(turns) + len(ex.turns) > max_turns:
-            continue
-        if category is None:
-            category = ex.category
-        turns.extend(ex.turns)
-        langs.update(ex.langs_involved)
-    return InstructionExample(category=category, turns=turns, langs_involved=langs)
-
-
 # --- Sample packing -----------------------------------------------------------
 
 
@@ -467,15 +417,6 @@ def read_packed_jsonl(path: str | Path) -> tuple[list[PackedSequence], int]:
 # --- Synthetic preference pairs ------------------------------------------------
 
 
-def synth_factuality_pair(prompt: str, chosen: str, wrong_fact: tuple[str, str]) -> PreferencePair:
-    """Rejected response substitutes a factual span (old, new) in the chosen one."""
-    old, new = wrong_fact
-    if old not in chosen:
-        raise ValueError(f"fact {old!r} not present in chosen response")
-    rejected = chosen.replace(old, new)
-    return PreferencePair(prompt=prompt, chosen=chosen, rejected=rejected, defect="factuality")
-
-
 def synth_glitch_pair(prompt: str, chosen: str, phrase: str = "wammanga ",
                       repeats: int = 8) -> PreferencePair:
     """Rejected response degenerates into a repetition loop.
@@ -488,19 +429,6 @@ def synth_glitch_pair(prompt: str, chosen: str, phrase: str = "wammanga ",
     repeats = max(repeats, 5)
     rejected = chosen.split(".")[0] + ". " + phrase * repeats
     return PreferencePair(prompt=prompt, chosen=chosen, rejected=rejected, defect="glitching")
-
-
-def has_repetition_loop(text: str, min_len: int = 8, min_count: int = 5) -> bool:
-    """True if some substring of length >= min_len occurs >= min_count times."""
-    if len(text) < min_len * min_count:
-        return False
-    counts: dict[str, int] = {}
-    for i in range(len(text) - min_len + 1):
-        window = text[i : i + min_len]
-        counts[window] = counts.get(window, 0) + 1
-        if counts[window] >= min_count:
-            return True
-    return False
 
 
 # --- Dataset assembly and JSONL I/O --------------------------------------------
@@ -549,10 +477,3 @@ def read_instructions_jsonl(path: str | Path) -> list[InstructionExample]:
                                langs_involved=set(obj.get("langs_involved", [])))
             for obj in jsonio.read_jsonl(path)]
 
-
-def write_preferences_jsonl(pairs: Iterable[PreferencePair], path: str | Path) -> int:
-    return jsonio.write_jsonl(path, (pair.__dict__ for pair in pairs))
-
-
-def read_preferences_jsonl(path: str | Path) -> list[PreferencePair]:
-    return [PreferencePair(**obj) for obj in jsonio.read_jsonl(path)]

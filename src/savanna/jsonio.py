@@ -3,15 +3,19 @@
 JSONL files hold one record per line, UTF-8 as is, with an optional header
 line first.  JSON documents (reports, manifests, audits) are canonical:
 sorted keys and one-space indent.  Both are strict JSON, so never ``NaN``
-or ``Infinity``: writing either raises ValueError.
+or ``Infinity``: writing either raises ValueError, and so does reading one.
+A failed write leaves the target file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import re
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NoReturn
 
 
 def jsonl_encoder(sort_keys: bool = False) -> Callable[[Any], str]:
@@ -34,7 +38,7 @@ def write_jsonl_lines(path: str | Path, lines: Iterable[str], header: str | None
     ``jsonl_encoder`` makes it) after an optional ``header`` line; returns
     the number of lines, not counting the header."""
     n = 0
-    with open(path, "w", encoding="utf-8") as f:
+    with _replacing(path) as f:
         if header is not None:
             f.write(header + "\n")
         for line in lines:
@@ -43,15 +47,58 @@ def write_jsonl_lines(path: str | Path, lines: Iterable[str], header: str | None
     return n
 
 
+@contextlib.contextmanager
+def _replacing(path: str | Path):
+    """A file open for writing beside ``path``, moved onto it on success, deleted on failure."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not valid JSON")
+
+
+# One decoder for every read: passing parse_constant to json.loads would
+# build a new decoder per call.
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+# A JSON string, or (group 1) a non-finite constant outside any string.
+_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)')
+
+
 def read_jsonl(path: str | Path) -> list:
     """Every non-blank line of a JSONL file, decoded; a header line, if the
-    format has one, is the first element."""
+    format has one, is the first element.  A line that is not strict JSON
+    raises ValueError naming the file and line."""
+    records = []
     with open(path, encoding="utf-8") as f:
-        return [json.loads(line) for line in f if line.strip()]
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                try:
+                    records.append(_decode(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The decoded JSON document in ``path``.  Text that is not strict JSON
+    raises ValueError naming the file and line."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return _decode(text)
+    except ValueError as exc:
+        # A rejected constant has no position: it is the first one outside a string.
+        at = exc.pos if isinstance(exc, json.JSONDecodeError) else next(
+            (m.start(1) for m in _STRING_OR_CONSTANT.finditer(text) if m.group(1)), 0)
+        lineno = text.count("\n", 0, at) + 1
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def dumps(obj: Any) -> str:
@@ -60,7 +107,8 @@ def dumps(obj: Any) -> str:
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    with _replacing(path) as f:
+        f.write(dumps(obj))
 
 
 def post_json(session, url: str, payload: Any, *, attempts: int, backoff: float,

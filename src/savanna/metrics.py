@@ -4,9 +4,9 @@ All scoring functions expect inputs already normalized with the metric
 profile from :mod:`savanna.textnorm`.  The configuration is fixed, as in
 the published tables: chrF over character orders 1-6 with beta=2 (Popović
 2015), add-one smoothed sentence BLEU-4, and a direction's score is the
-mean of its sentence scores (sacreBLEU conventions, Post 2018).  Each
-metric also has a sufficient-statistics form, which ``corpus_chrf``,
-``corpus_bleu`` and ``corpus_error_rate`` pool into one corpus score.
+mean of its sentence scores (sacreBLEU conventions, Post 2018).  chrF and
+BLEU also have a sufficient-statistics form, which ``corpus_chrf`` and
+``corpus_bleu`` pool into one corpus score.
 
 chrF and BLEU count the n-grams of every order in one pass per side, as
 sacreBLEU does.  CER and WER use the bit-parallel Levenshtein distance of
@@ -218,21 +218,6 @@ def corpus_bleu(stats: Iterable[BleuStatistics]) -> float:
     if pooled is None:
         raise ValueError("cannot aggregate an empty list")
     return bleu_from_statistics(pooled, smooth=False)
-
-
-def corpus_error_rate(distances_and_ref_lens: Iterable[tuple[int, int]]) -> float:
-    """Summed edit distances over summed reference lengths."""
-    total_dist = total_ref = 0
-    count = 0
-    for dist, ref_len in distances_and_ref_lens:
-        total_dist += dist
-        total_ref += ref_len
-        count += 1
-    if count == 0:
-        raise ValueError("cannot aggregate an empty list")
-    if total_ref == 0:
-        raise ValueError("undefined denominator: zero total reference length")
-    return total_dist / total_ref
 
 
 def aggregate(values: Sequence[float]) -> float:

@@ -44,6 +44,7 @@ class TestCorpusCommand:
         result = corpus.read_documents_jsonl(out / "documents.jsonl")
         assert len(result) == 2
         assert all("17" not in d.text for d in result)
+        assert "bible" not in manifest and not (out / "pairs.jsonl").exists()
 
     def test_lock_prevents_concurrent_runs(self, tmp_path):
         out = tmp_path / "out"
@@ -81,16 +82,93 @@ class TestCorpusCommand:
         assert not (out / "manifest.json").exists()
 
     def test_non_finite_provenance_fails_before_manifest(self, tmp_path, capsys):
-        doc = make_document("lug", "omwana agenda mu kibuga", "web",
-                            provenance={"ocr_score": float("nan")})
+        # 1e999 reads as infinity (only the NaN/Infinity tokens are rejected
+        # on read), so the fourth document fails when documents.jsonl is
+        # written, after three records.
+        lines = [json.dumps(make_document("lug", f"omwana agenda mu kibuga {i}", "web",
+                                          provenance={"ocr_score": 0.5}).__dict__)
+                 for i in range(6)]
+        lines[3] = lines[3].replace("0.5", "1e999")
         inputs = tmp_path / "docs.jsonl"
-        inputs.write_text(json.dumps(doc.__dict__) + "\n", encoding="utf-8")  # holds NaN
+        inputs.write_text("\n".join(lines) + "\n", encoding="utf-8")
         config = write_yaml(tmp_path / "c.yaml", {"inputs": [str(inputs)]})
         out = tmp_path / "out"
         assert main(["corpus", "--config", config, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["type"] == "ValueError" and "not JSON compliant" in err["error"]
         assert not (out / "manifest.json").exists()
+        # No truncated documents.jsonl and no temporary file are left.
+        assert [p.name for p in out.iterdir()] == ["resolved_config.yaml"]
+
+    def test_non_finite_token_in_input_names_file_and_line(self, tmp_path, capsys):
+        good = make_document("lug", "omwana agenda mu kibuga", "web")
+        bad = make_document("lug", "ekitabo ekinene", "web", provenance={"ocr_score": float("nan")})
+        inputs = tmp_path / "docs.jsonl"
+        inputs.write_text(json.dumps(good.__dict__) + "\n" + json.dumps(bad.__dict__) + "\n",
+                          encoding="utf-8")  # the second line holds NaN
+        config = write_yaml(tmp_path / "c.yaml", {"inputs": [str(inputs)]})
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": f"{inputs}:2: NaN is not valid JSON", "type": "ValueError"}
+        assert [p.name for p in out.iterdir()] == ["resolved_config.yaml"]
+
+    def bible_config(self, tmp_path, editions):
+        paths = []
+        for lang, text in editions:
+            path = tmp_path / f"{lang}.tsv"
+            path.write_text(text, encoding="utf-8")
+            paths.append({"lang": lang, "path": str(path)})
+        return write_yaml(tmp_path / "c.yaml", {"inputs": [], "bible": paths})
+
+    def test_bible_pairs_feed_instruct(self, tmp_path):
+        config = self.bible_config(tmp_path, [
+            ("lug", "Genesis\t1\t1\tMu kusooka\ngen\t1\t2\tEnsi\ngen\t1\t3\tKatonda n'agamba\n"),
+            ("eng", "gen\t1\t1\tIn the beginning\ngen\t1\t3\tAnd God said\nexo\t2\t3\tLater on\n"),
+        ])
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["bible"] == {"pairs": 2, "only_in_src": 1, "only_in_tgt": 1}
+        pairs = corpus.read_pairs_jsonl(out / "pairs.jsonl")
+        assert [(p.src_lang, p.tgt_lang, p.src_text, p.tgt_text, p.origin, p.doc_id) for p in pairs] == [
+            ("lug", "eng", "Mu kusooka", "In the beginning", "bible", "Genesis_1:1"),
+            ("lug", "eng", "Katonda n'agamba", "And God said", "bible", "Genesis_1:3"),
+        ]
+
+        instruct_config = write_yaml(tmp_path / "i.yaml", {
+            "parallel": str(out / "pairs.jsonl"), "max_len": 128, "tokens_per_batch": 1024})
+        instruct_out = tmp_path / "instruct"
+        assert main(["instruct", "--config", instruct_config, "--out", str(instruct_out)]) == 0
+        examples = instruct.read_instructions_jsonl(instruct_out / "instructions.jsonl")
+        assert [ex.turns[1].text for ex in examples] == ["In the beginning", "And God said"]
+
+    def test_bad_bible_tsv_fails_before_writing(self, tmp_path, capsys):
+        config = self.bible_config(tmp_path, [
+            ("lug", "gen\t1\t1\tMu kusooka\ngen\t1\tbibiri\tEnsi\n"),
+            ("eng", "gen\t1\t1\tIn the beginning\n"),
+        ])
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": f"{tmp_path / 'lug.tsv'}:2: invalid literal for int() "
+                                "with base 10: 'bibiri'",
+                       "type": "ValueError"}
+        assert [p.name for p in out.iterdir()] == ["resolved_config.yaml"]
+
+    @pytest.mark.parametrize("bible", [
+        [{"lang": "lug", "path": "lug.tsv"}],
+        [{"lang": lang, "path": f"{lang}.tsv"} for lang in ("lug", "eng", "ach")],
+        ["lug.tsv", "eng.tsv"],
+        {"lug": "lug.tsv", "eng": "eng.tsv"},
+    ], ids=["one", "three", "paths-only", "mapping"])
+    def test_bible_needs_two_editions(self, tmp_path, capsys, bible):
+        config = write_yaml(tmp_path / "c.yaml", {"inputs": [], "bible": bible})
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "CliError" and "two editions" in err["error"]
+        assert not out.exists()
 
     def test_missing_inputs_key_fails_cleanly(self, tmp_path, capsys):
         config = write_yaml(tmp_path / "c.yaml", {})
@@ -290,8 +368,7 @@ class TestLossCommand:
         out = tmp_path / "out"
         assert main(["loss", "--pairs", str(path), "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "policy_chosen contains a non-finite log-probability",
-                       "type": "ValueError"}
+        assert err == {"error": f"{path}:2: NaN is not valid JSON", "type": "ValueError"}
         assert not (out / "loss_audit.json").exists()
 
     def test_missing_pairs_file(self, tmp_path, capsys):

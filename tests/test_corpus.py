@@ -133,8 +133,25 @@ class TestAlignBibles:
     def test_load_tsv_duplicate_key(self, tmp_path):
         path = tmp_path / "bible.tsv"
         path.write_text("gen\t1\t1\tfirst\ngenesis\t1\t1\tagain\n")
-        with pytest.raises(ValueError, match="duplicate verse key"):
+        with pytest.raises(ValueError) as info:
             load_bible_tsv(path, "eng")
+        assert str(info.value) == (f"{path}:2: duplicate verse key: "
+                                   "VerseRef(book='Genesis', chapter=1, verse=1)")
+
+    @pytest.mark.parametrize("line, message", [
+        ("gospel of thomas\t1\t1\tx", "unknown book name: 'gospel of thomas'"),
+        ("gen\tone\t2\tx", "invalid literal for int() with base 10: 'one'"),
+        ("gen\t1\t2.5\tx", "invalid literal for int() with base 10: '2.5'"),
+        ("gen\t0\t1\tx", "chapter and verse must be >= 1"),
+        ("gen\t1\t-1\tx", "chapter and verse must be >= 1"),
+    ], ids=["unknown-book", "non-integer-chapter", "non-integer-verse", "chapter-0",
+            "negative-verse"])
+    def test_load_tsv_errors_name_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "bible.tsv"
+        path.write_text(f"gen\t1\t1\tfirst\n\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            load_bible_tsv(path, "eng")
+        assert str(info.value) == f"{path}:3: {message}"
 
     def test_load_tsv(self, tmp_path):
         path = tmp_path / "bible.tsv"
@@ -231,14 +248,6 @@ class TestAssemblePretraining:
         out, manifest = assemble_pretraining(docs, spec, seed=0, sample_size=50)
         assert manifest["buckets"]["web/lug"]["docs_out"] == 5
         assert manifest["buckets"]["book_ocr/lug"]["docs_out"] == 45
-
-    def test_instruction_replay(self):
-        docs = self.make_buckets()
-        replay = [doc("instruction replay example", source="community")]
-        out, manifest = assemble_pretraining(docs, MixtureSpec(), seed=0,
-                                             instruction_docs=replay)
-        assert replay[0] in out
-        assert "instruction_replay" in manifest["buckets"]
 
 
 class TestParallelPair:

@@ -10,14 +10,11 @@ from savanna.evalharness import (
     EvalItem,
     EvalSuite,
     FlakyClient,
-    McqItem,
     ModelEndpoint,
     ReferenceEchoClient,
-    extract_choice,
     load_suite,
     postprocess_hypothesis,
     rescore_run_log,
-    run_mcq_eval,
     run_translation_eval,
     save_suite,
     synthetic_suite,
@@ -323,44 +320,3 @@ class TestTranslationEval:
         report = run_translation_eval(suite, Shouty(ReferenceEchoClient(suite)),
                                       directions=[("aaa", "eng")])
         assert report.directions[0].aggregates.chrf == pytest.approx(1.0)
-
-
-class TestMcq:
-    def items(self):
-        return [
-            McqItem("Capital of Uganda?", ["Kampala", "Nairobi", "Kigali"], 0, "eng"),
-            McqItem("Largest lake?", ["Albert", "Victoria"], 1, "eng"),
-            McqItem("Ekibuga ekikulu?", ["Kampala", "Jinja"], 0, "lug"),
-        ]
-
-    def test_extract_choice_letter(self):
-        assert extract_choice("The answer is B.", ["x", "y", "z"]) == 1
-        assert extract_choice("A", ["x", "y"]) == 0
-
-    def test_extract_choice_text_fallback(self):
-        assert extract_choice("I think it is kampala", ["Kampala", "Jinja"]) == 0
-
-    def test_extract_choice_ambiguous_none(self):
-        assert extract_choice("either kampala or jinja", ["Kampala", "Jinja"]) is None
-
-    def test_run_mcq_accuracy(self):
-        class FixedAnswers:
-            def __init__(self):
-                self.replies = iter(["A", "B", "B"])
-
-            def complete(self, messages, temperature=0.0):
-                return next(self.replies)
-
-        result = run_mcq_eval(self.items(), FixedAnswers())
-        assert result.accuracy_by_lang == {"eng": 1.0, "lug": 0.0}
-
-    def test_unparseable_counts_incorrect(self):
-        result = run_mcq_eval(self.items(), ConstantClient("no idea at all"))
-        assert result.accuracy_by_lang == {"eng": 0.0, "lug": 0.0}
-        assert len(result.unparseable) == 3
-
-    def test_item_validation(self):
-        with pytest.raises(ValueError):
-            McqItem("q", ["only one"], 0, "eng")
-        with pytest.raises(ValueError):
-            McqItem("q", ["a", "b"], 2, "eng")

@@ -13,25 +13,19 @@ from savanna.instruct import (
     PreferencePair,
     Turn,
     VocabFileTokenizer,
-    WhitespaceTokenizer,
     asr_noise,
     batch_spec,
     build_instruction_dataset,
     category_counts,
-    concat_conversations,
-    has_repetition_loop,
     language_name,
     make_translation_instruction,
     pack,
     read_instructions_jsonl,
     read_packed_jsonl,
-    read_preferences_jsonl,
     render_chat,
-    synth_factuality_pair,
     synth_glitch_pair,
     write_instructions_jsonl,
     write_packed_jsonl,
-    write_preferences_jsonl,
 )
 
 TEMPLATE = ChatTemplate(
@@ -99,7 +93,7 @@ class TestRenderChat:
     def test_empty_template_pieces_allowed(self):
         template = ChatTemplate("", " ", "", " ")
         ex = convo("hello there", "general reply")
-        tok = WhitespaceTokenizer()
+        tok = ByteTokenizer()
         chat = render_chat(ex, tok, template)
         masked = [t for t, m in zip(chat.token_ids, chat.loss_mask) if m == 1]
         assert tok.decode(masked) == "general reply"
@@ -136,10 +130,6 @@ class TestTokenizers:
     def test_byte_roundtrip(self, text):
         tok = ByteTokenizer()
         assert tok.decode(tok.encode(text)) == text
-
-    def test_whitespace_roundtrip(self):
-        tok = WhitespaceTokenizer()
-        assert tok.decode(tok.encode("omwana agenda mu kibuga")) == "omwana agenda mu kibuga"
 
     def test_vocab_file_tokenizer(self, tmp_path):
         path = tmp_path / "vocab.json"
@@ -200,29 +190,6 @@ class TestTranslationInstruction:
     def test_asr_noise_zero_rate_identity_modulo_punct(self):
         text = "omwana agenda mu kibuga"
         assert asr_noise(text, 0.0, random.Random(1)) == text
-
-
-class TestConcat:
-    def test_respects_max_turns(self):
-        examples = [convo(f"q{i}", f"a{i}") for i in range(20)]
-        out = concat_conversations(examples, rng_seed=3, max_turns=8)
-        assert len(out.turns) <= 8
-        assert out.turns[0].role == "user" and out.turns[-1].role == "assistant"
-
-    def test_deterministic(self):
-        examples = [convo(f"q{i}", f"a{i}") for i in range(6)]
-        a = concat_conversations(examples, rng_seed=9)
-        b = concat_conversations(examples, rng_seed=9)
-        assert [t.text for t in a.turns] == [t.text for t in b.turns]
-
-    def test_inner_order_preserved(self):
-        ex = convo("first q", "first a", "second q", "second a")
-        out = concat_conversations([ex], rng_seed=0)
-        assert [t.text for t in out.turns] == [t.text for t in ex.turns]
-
-    def test_empty_input_errors(self):
-        with pytest.raises(ValueError):
-            concat_conversations([])
 
 
 class TestPacking:
@@ -365,37 +332,19 @@ class TestPacking:
 
 
 class TestPreferencePairs:
-    def test_factuality_pair(self):
-        pair = synth_factuality_pair("Who led the 1900 agreement?",
-                                     "The 1900 agreement was signed in Buganda.",
-                                     ("1900", "1890"))
-        assert pair.defect == "factuality"
-        assert "1890" in pair.rejected and "1890" not in pair.chosen
-
-    def test_factuality_requires_fact_present(self):
-        with pytest.raises(ValueError):
-            synth_factuality_pair("q", "nothing here", ("missing", "x"))
-
     def test_glitch_pair_detected_by_loop_check(self):
         pair = synth_glitch_pair("q", "A normal answer. It has two sentences.")
         assert pair.defect == "glitching"
-        assert has_repetition_loop(pair.rejected)
-        assert not has_repetition_loop(pair.chosen)
-
-    def test_loop_detector_thresholds(self):
-        assert not has_repetition_loop("abcdefgh" * 4)   # only 4 repeats
-        assert has_repetition_loop("abcdefgh" * 5)
-        assert not has_repetition_loop("short")
+        assert pair.rejected == "A normal answer. " + "wammanga " * 8
+        assert "wammanga" not in pair.chosen
+        # A phrase under 8 characters is padded to "ok ok ok ok ok " and
+        # repeated at least 5 times.
+        short = synth_glitch_pair("q", "A normal answer.", phrase="ok", repeats=2)
+        assert short.rejected == "A normal answer. " + "ok " * 5 * 5
 
     def test_identical_chosen_rejected_invalid(self):
         with pytest.raises(ValueError):
             PreferencePair("p", "same", "same")
-
-    def test_preferences_jsonl_roundtrip(self, tmp_path):
-        pairs = [PreferencePair("p", "good answer", "bad answer", "other")]
-        path = tmp_path / "prefs.jsonl"
-        write_preferences_jsonl(pairs, path)
-        assert read_preferences_jsonl(path) == pairs
 
 
 class TestDatasetAssembly:

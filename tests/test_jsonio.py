@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 import requests
@@ -74,6 +75,39 @@ class TestFiles:
         assert (tmp_path / "ok.json").read_text(encoding="utf-8") == '{\n "a": "é",\n "b": 1\n}'
         with pytest.raises(ValueError):
             jsonio.write_json(tmp_path / "bad.json", {"cer": math.inf})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.json"]
+
+    def test_failed_write_leaves_target_as_it_was(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b'{"old": 1}\n')
+        records = ({"score": s} for s in (0.5, 0.25, math.nan, 0.125))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            jsonio.write_jsonl(path, records, header={"v": 1})
+        assert path.read_bytes() == b'{"old": 1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_read_rejects_non_finite_constants(self, tmp_path, constant):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": "NaN"}\n\n{"a": [1.5, %s]}\n' % constant, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {constant} is not valid JSON$"):
+            jsonio.read_jsonl(path)
+        # The line of a JSON document is found past strings that hold the
+        # constant's text.
+        path = tmp_path / "x.json"
+        path.write_text('{\n "a": "NaN \\" Infinity",\n "b": %s\n}' % constant, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {constant} is not valid JSON$"):
+            jsonio.read_json(path)
+
+    def test_read_syntax_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n{"a": \n', encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: Expecting value"):
+            jsonio.read_jsonl(path)
+        path = tmp_path / "x.json"
+        path.write_text('{\n "a": 1,\n}', encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: Expecting property name"):
+            jsonio.read_json(path)
 
 
 class TestHttpMtClient:

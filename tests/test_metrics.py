@@ -16,7 +16,6 @@ from savanna.metrics import (
     chrf_statistics,
     corpus_bleu,
     corpus_chrf,
-    corpus_error_rate,
     edit_distance,
     wer,
 )
@@ -256,10 +255,6 @@ class TestAggregate:
         stats = [chrf_statistics("abcd", "abce"), chrf_statistics("xyz", "xyz")]
         pooled = corpus_chrf(stats)
         assert 0.0 < pooled < 1.0
-
-    def test_corpus_error_rate(self):
-        rates = corpus_error_rate([(1, 3), (0, 5)])
-        assert rates == pytest.approx(1 / 8)
 
     def test_published_mean_chrf_column(self):
         """Mean of the per-language chrF column for the strongest model."""
