@@ -124,6 +124,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if bible is not None and (not isinstance(bible, list) or len(bible) != 2
                               or not all(isinstance(e, dict) for e in bible)):
         raise CliError("bible must list two editions, {lang, path} each, the source first")
+    if bible is not None and bible[0].get("lang") == bible[1].get("lang"):
+        raise CliError(f"bible editions must be in two languages, not lang "
+                       f"{bible[0].get('lang')!r} and lang {bible[1].get('lang')!r}")
     with _locked_output_dir(out):
         _snapshot_config(config, out)
         docs = []

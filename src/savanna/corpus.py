@@ -17,9 +17,10 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from . import jsonio
 
@@ -271,7 +272,7 @@ class HttpMtClient:
         self.name = name or base_url
         self.timeout = timeout
         self.backoff = backoff
-        self._session = session or requests.Session()
+        self._session = session if session is not None else jsonio.http_session()
 
     def translate(self, text: str, source: str, target: str) -> str:
         payload = {"text": text, "source": source, "target": target}

@@ -19,9 +19,10 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import TYPE_CHECKING, Iterable, Protocol
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from . import jsonio, metrics
 from .instruct import TRANSLATION_PROMPT as DEFAULT_PROMPT_TEMPLATE
@@ -196,7 +197,7 @@ class HttpCompletionClient:
                  backoff: float = 0.5):
         self.endpoint = endpoint
         self.backoff = backoff
-        self._session = session or requests.Session()
+        self._session = session if session is not None else jsonio.http_session()
 
     def complete(self, messages: list[dict], temperature: float = 0.0) -> str:
         payload = {"model": self.endpoint.model, "messages": messages,

@@ -312,16 +312,17 @@ def pack(token_streams: list[tuple[str, list[int]]], max_len: int = 512) -> list
     Leaves of sequences not yet opened hold ``max_len``, so the leftmost
     leaf with room is the first-fit choice, and it is the next sequence to
     open when no open one has room.  Placing n chunks costs O(n log n), on
-    top of copying the tokens.
+    top of copying the tokens.  A chunk is a range of its stream, copied
+    only when it is placed, so the tokens are never held twice.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    chunks: list[tuple[str, list[int]]] = []
+    chunks: list[tuple[str, list[int], int, int]] = []
     for doc_id, ids in token_streams:
         if not ids:
             raise ValueError(f"document {doc_id!r} is empty after tokenization")
         for start in range(0, len(ids), max_len):
-            chunks.append((doc_id, ids[start : start + max_len]))
+            chunks.append((doc_id, ids, start, min(start + max_len, len(ids))))
 
     # free[size + i] is the free capacity of sequence i; free[k] is the
     # larger of free[2k] and free[2k + 1].  Padding leaves hold 0.
@@ -333,8 +334,8 @@ def pack(token_streams: list[tuple[str, list[int]]], max_len: int = 512) -> list
         free[node] = max(free[2 * node], free[2 * node + 1])
 
     sequences: list[PackedSequence] = []
-    for doc_id, chunk in chunks:
-        n = len(chunk)
+    for doc_id, ids, start, end in chunks:
+        n = end - start
         node = 1
         while node < size:
             node *= 2
@@ -344,9 +345,9 @@ def pack(token_streams: list[tuple[str, list[int]]], max_len: int = 512) -> list
         if slot == len(sequences):
             sequences.append(PackedSequence(token_ids=[], segment_spans=[]))
         seq = sequences[slot]
-        start = len(seq.token_ids)
-        seq.token_ids.extend(chunk)
-        seq.segment_spans.append((doc_id, start, start + n))
+        offset = len(seq.token_ids)
+        seq.token_ids.extend(ids if n == len(ids) else ids[start:end])
+        seq.segment_spans.append((doc_id, offset, offset + n))
         free[node] -= n
         while node > 1:
             node //= 2

@@ -5,6 +5,10 @@ line first.  JSON documents (reports, manifests, audits) are canonical:
 sorted keys and one-space indent.  Both are strict JSON, so never ``NaN``
 or ``Infinity``: writing either raises ValueError, and so does reading one.
 A failed write leaves the target file as it was.
+
+This is also the one place ``requests`` is imported, inside
+:func:`http_session`: only a live endpoint or back-translation pays for
+the HTTP stack, and every offline command runs without it.
 """
 
 from __future__ import annotations
@@ -109,6 +113,13 @@ def dumps(obj: Any) -> str:
 def write_json(path: str | Path, obj: Any) -> None:
     with _replacing(path) as f:
         f.write(dumps(obj))
+
+
+def http_session():
+    """A new ``requests.Session``; ``requests`` is imported on the first call."""
+    import requests
+
+    return requests.Session()
 
 
 def post_json(session, url: str, payload: Any, *, attempts: int, backoff: float,

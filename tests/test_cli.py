@@ -170,6 +170,25 @@ class TestCorpusCommand:
         assert err["type"] == "CliError" and "two editions" in err["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("tgt_line", ["gen\t1\t1\tKu ntandikwa\n", "exo\t2\t3\tOluvannyuma\n"],
+                             ids=["shared-verse", "no-shared-verse"])
+    def test_bible_editions_in_one_language_rejected(self, tmp_path, capsys, tgt_line):
+        src = tmp_path / "a.tsv"
+        src.write_text("gen\t1\t1\tMu kusooka\n", encoding="utf-8")
+        tgt = tmp_path / "b.tsv"
+        tgt.write_text(tgt_line, encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {"inputs": [], "bible": [
+            {"lang": "lug", "path": str(src)}, {"lang": "lug", "path": str(tgt)}]})
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "bible editions must be in two languages, not lang 'lug' "
+                                "and lang 'lug'",
+                       "type": "CliError"}
+        # Rejected before the output directory is made: no documents.jsonl,
+        # pairs.jsonl or manifest.json.
+        assert not out.exists()
+
     def test_missing_inputs_key_fails_cleanly(self, tmp_path, capsys):
         config = write_yaml(tmp_path / "c.yaml", {})
         assert main(["corpus", "--config", config, "--out", str(tmp_path / "o")]) == 1

@@ -259,6 +259,19 @@ class TestPacking:
         streams = self.streams([rng.randint(20, 700) for _ in range(5000)])
         assert self.packed_rows(streams, 512) == brute_pack(streams, 512)
 
+    def test_inputs_neither_mutated_nor_aliased(self):
+        # Whole streams shorter than max_len (doc3 backfills doc0's
+        # sequence) and equal to it, and one split into chunks.
+        streams = self.streams([5, 8, 20, 3])
+        before = [(doc_id, list(ids)) for doc_id, ids in streams]
+        seqs = pack(streams, max_len=8)
+        assert streams == before
+        packed = [list(seq.token_ids) for seq in seqs]
+        for _doc_id, ids in streams:
+            ids[0] = -1
+            ids.append(-2)
+        assert [seq.token_ids for seq in seqs] == packed
+
     def test_empty_doc_rejected(self):
         with pytest.raises(ValueError):
             pack([("empty", [])])
