@@ -124,9 +124,15 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if bible is not None and (not isinstance(bible, list) or len(bible) != 2
                               or not all(isinstance(e, dict) for e in bible)):
         raise CliError("bible must list two editions, {lang, path} each, the source first")
-    if bible is not None and bible[0].get("lang") == bible[1].get("lang"):
+    for i, edition in enumerate(bible or ()):
+        for key in ("lang", "path"):
+            if key not in edition:
+                raise CliError(f"bible[{i}].{key} is required")
+            if not isinstance(edition[key], str):
+                raise CliError(f"bible[{i}].{key} must be a string")
+    if bible is not None and bible[0]["lang"] == bible[1]["lang"]:
         raise CliError(f"bible editions must be in two languages, not lang "
-                       f"{bible[0].get('lang')!r} and lang {bible[1].get('lang')!r}")
+                       f"{bible[0]['lang']!r} and lang {bible[1]['lang']!r}")
     with _locked_output_dir(out):
         _snapshot_config(config, out)
         docs = []

@@ -130,18 +130,6 @@ def load_suite(path: str | Path) -> EvalSuite:
     return EvalSuite(items=items, languages=set(lang_cols))
 
 
-def save_suite(suite: EvalSuite, path: str | Path) -> None:
-    path = Path(path)
-    delimiter = "\t" if path.suffix.lower() == ".tsv" else ","
-    languages = sorted(suite.languages)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, delimiter=delimiter)
-        writer.writerow(["category_id", "sent_index", "english"] + languages)
-        for item in sorted(suite.items, key=lambda i: (i.category_id, i.sent_index)):
-            writer.writerow([item.category_id, item.sent_index, item.english]
-                            + [item.translations.get(lang, "") for lang in languages])
-
-
 def synthetic_suite(languages: Iterable[str] = ("aaa", "bbb", "ccc"), seed: int = 0) -> EvalSuite:
     """Miniature suite with the real dataset's shape (20 x 5 grid) and
     deterministic synthetic text; useful for tests and demos."""
@@ -257,22 +245,6 @@ class ConstantClient:
 
     def complete(self, messages: list[dict], temperature: float = 0.0) -> str:
         return self.reply
-
-
-class FlakyClient:
-    """Wraps another client, failing on a chosen set of call indices."""
-
-    def __init__(self, inner: CompletionClient, fail_on: set[int]):
-        self.inner = inner
-        self.fail_on = fail_on
-        self._calls = 0
-
-    def complete(self, messages: list[dict], temperature: float = 0.0) -> str:
-        call = self._calls
-        self._calls += 1
-        if call in self.fail_on:
-            raise TransportError(f"injected failure on call {call}")
-        return self.inner.complete(messages, temperature)
 
 
 # --- Translation evaluation ---------------------------------------------------

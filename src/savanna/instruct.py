@@ -393,28 +393,6 @@ def write_packed_jsonl(sequences: Iterable[PackedSequence], path: str | Path,
                                     header=encode({"version": PACKED_FORMAT_VERSION, "max_len": max_len}))
 
 
-def read_packed_jsonl(path: str | Path) -> tuple[list[PackedSequence], int]:
-    """Packed sequences and ``max_len`` from a file ``write_packed_jsonl``
-    wrote.  Raises ValueError on an unknown version, on spans that do not
-    tile their sequence, and on ``attention_segments`` that disagree with
-    the spans."""
-    header, *rows = jsonio.read_jsonl(path) or [{}]
-    if header.get("version") != PACKED_FORMAT_VERSION:
-        raise ValueError(f"unsupported packed format version: {header.get('version')}")
-    sequences = []
-    for index, obj in enumerate(rows):
-        seq = PackedSequence(token_ids=obj["token_ids"],
-                             segment_spans=[tuple(s) for s in obj["segment_spans"]])
-        ends = [0] + [end for _doc_id, _start, end in seq.segment_spans]
-        if ([start for _doc_id, start, _end in seq.segment_spans] != ends[:-1]
-                or ends[-1] != len(seq.token_ids)):
-            raise ValueError(f"{path}: sequence {index}: segment_spans do not tile the sequence")
-        if obj["attention_segments"] != seq.attention_segments:
-            raise ValueError(f"{path}: sequence {index}: attention_segments disagree with segment_spans")
-        sequences.append(seq)
-    return sequences, header["max_len"]
-
-
 # --- Synthetic preference pairs ------------------------------------------------
 
 

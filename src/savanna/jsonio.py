@@ -3,7 +3,8 @@
 JSONL files hold one record per line, UTF-8 as is, with an optional header
 line first.  JSON documents (reports, manifests, audits) are canonical:
 sorted keys and one-space indent.  Both are strict JSON, so never ``NaN``
-or ``Infinity``: writing either raises ValueError, and so does reading one.
+or ``Infinity``: writing either raises ValueError, and so does reading one,
+or a number literal such as ``1e999`` that overflows to infinity.
 A failed write leaves the target file as it was.
 
 This is also the one place ``requests`` is imported, inside
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import re
 import time
@@ -68,39 +70,71 @@ def _reject_constant(name: str) -> NoReturn:
     raise ValueError(f"{name} is not valid JSON")
 
 
-# One decoder for every read: passing parse_constant to json.loads would
-# build a new decoder per call.
-_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        raise ValueError(f"{literal} overflows to infinity")
+    return value
 
-# A JSON string, or (group 1) a non-finite constant outside any string.
-_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity)')
+
+# One decoder for every read: passing parse_constant to json.loads would
+# build a new decoder per call.  The checking decoder calls back into Python
+# for every float, so it only decodes text that may hold an overflowing one.
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+_decode_checked = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float).decode
+
+# A float literal overflows only if its exponent has 3 or more digits, or if
+# it has 210 or more digits before its point (not looked for: no JSON
+# writer emits those, and such a value still fails on write).  Two patterns
+# that each open with a literal scan faster than one opening with [eE].
+_LOWER_EXPONENT = re.compile(r"e[+-]?\d\d\d").search
+_UPPER_EXPONENT = re.compile(r"E[+-]?\d\d\d").search
+
+
+def _decoder(text: str) -> Callable[[str], Any]:
+    return _decode_checked if _LOWER_EXPONENT(text) or _UPPER_EXPONENT(text) else _decode
+
+
+# A JSON string, or (group 1) a constant or number outside any string.
+_STRING_OR_VALUE = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)')
+
+
+def _first_rejected(text: str) -> int:
+    """Offset of the first non-finite constant or overflowing float literal
+    outside a string: the value a rejecting decoder raised on."""
+    for m in _STRING_OR_VALUE.finditer(text):
+        literal = m.group(1)
+        if literal and not literal.lstrip("-").isdigit() and not math.isfinite(float(literal)):
+            return m.start(1)
+    return 0
 
 
 def read_jsonl(path: str | Path) -> list:
     """Every non-blank line of a JSONL file, decoded; a header line, if the
-    format has one, is the first element.  A line that is not strict JSON
-    raises ValueError naming the file and line."""
+    format has one, is the first element.  A line that is not strict JSON,
+    or holds a number that overflows to infinity, raises ValueError naming
+    the file and line."""
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if line.strip():
                 try:
-                    records.append(_decode(line))
+                    records.append(_decoder(line)(line))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
 def read_json(path: str | Path) -> Any:
-    """The decoded JSON document in ``path``.  Text that is not strict JSON
-    raises ValueError naming the file and line."""
+    """The decoded JSON document in ``path``.  Text that is not strict JSON,
+    or holds a number that overflows to infinity, raises ValueError naming
+    the file and line."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return _decode(text)
+        return _decoder(text)(text)
     except ValueError as exc:
-        # A rejected constant has no position: it is the first one outside a string.
-        at = exc.pos if isinstance(exc, json.JSONDecodeError) else next(
-            (m.start(1) for m in _STRING_OR_CONSTANT.finditer(text) if m.group(1)), 0)
+        # A rejected value has no position: it is the first one outside a string.
+        at = exc.pos if isinstance(exc, json.JSONDecodeError) else _first_rejected(text)
         lineno = text.count("\n", 0, at) + 1
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 

@@ -135,7 +135,3 @@ def audit_pairs(pairs: Iterable[PairLogps], params: LossParams = LossParams()) -
 
 def read_pair_logps_jsonl(path: str | Path) -> list[PairLogps]:
     return [PairLogps(**obj) for obj in jsonio.read_jsonl(path)]
-
-
-def write_pair_logps_jsonl(pairs: Iterable[PairLogps], path: str | Path) -> int:
-    return jsonio.write_jsonl(path, (p.__dict__ for p in pairs))

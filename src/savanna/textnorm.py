@@ -99,49 +99,84 @@ def _count_controls(line: str) -> int:
 
 class _Family:
     """A family of similar lines: its representative (the first member's
-    folded text), the member indices, and a ``SequenceMatcher`` holding the
-    representative as ``b``, built when a line is first compared with it."""
+    folded text) and the member indices.  The representative's per-character
+    position masks and a ``SequenceMatcher`` holding it as ``b`` are built
+    when a line is first compared with it."""
 
-    __slots__ = ("rep", "members", "_matcher")
+    __slots__ = ("rep", "members", "_masks", "_matcher")
 
     def __init__(self, rep: str) -> None:
         self.rep = rep
         self.members: list[int] = []
+        self._masks: dict[str, int] | None = None
         self._matcher: difflib.SequenceMatcher | None = None
+
+    def _lcs(self, folded: str) -> int:
+        """Length of the longest common subsequence of ``folded`` and the
+        representative, by the bit-vector recurrence of Allison & Dix 1986
+        (Hyyrö 2004).  After each character of ``folded``, bit j of ``v``
+        is 0 exactly where the LCS of the text read so far with
+        ``rep[:j + 1]`` is one longer than with ``rep[:j]``, so the LCS is
+        the number of 0 bits in the low ``len(rep)`` bits.  Carries out of
+        the top bit only set bits above them, which are masked off."""
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = {}
+            bit = 1
+            for ch in self.rep:
+                masks[ch] = masks.get(ch, 0) | bit
+                bit <<= 1
+        mask = (1 << len(self.rep)) - 1
+        v = mask
+        for ch in folded:
+            u = v & masks.get(ch, 0)
+            v = (v + u) | (v - u)
+        return len(self.rep) - (v & mask).bit_count()
 
     def admits(self, folded: str) -> bool:
         """``SequenceMatcher(None, folded, rep).ratio() >= 0.8``.
 
         The argument order matters: autojunk applies to ``b`` and ties
-        break asymmetrically.  The ratio's upper bounds are tried first,
-        cheapest first: the length bound (``real_quick_ratio``, from the
-        lengths alone) and the character-multiset bound (``quick_ratio``).
-        The matcher keeps its index of the representative, so only
-        ``ratio`` costs more than O(len).
+        break asymmetrically.  ``ratio`` is ``2·M/(la+lb)``, where ``M`` is
+        the size of the matching blocks.  Those blocks, autojunk or not,
+        form a common subsequence of the two lines, so ``M <= LCS`` and
+        ``2·LCS/(la+lb)``, computed by the same float expression, bounds
+        ``ratio`` from above.  The LCS is at most the length of the
+        shorter line, so the length bound, from the lengths alone, is tried
+        first; then the LCS bound, O(len(folded)) big-int steps over
+        ``len(rep)`` bits; and ``ratio`` only for the lines both bounds
+        pass.  A line is rejected by a bound only if ``ratio`` would reject
+        it too, so the answer is exactly ``ratio``'s.  The LCS is also at
+        most the overlap of the two character multisets, so it implies
+        ``quick_ratio``'s bound, which is not tried.
         """
         la, lb = len(folded), len(self.rep)
         if 2.0 * min(la, lb) / (la + lb) < _RECUR_SIMILARITY:
+            return False
+        if 2.0 * self._lcs(folded) / (la + lb) < _RECUR_SIMILARITY:
             return False
         matcher = self._matcher
         if matcher is None:
             matcher = self._matcher = difflib.SequenceMatcher(None, "", self.rep)
         matcher.set_seq1(folded)
-        return matcher.quick_ratio() >= _RECUR_SIMILARITY and matcher.ratio() >= _RECUR_SIMILARITY
+        return matcher.ratio() >= _RECUR_SIMILARITY
 
 
 def _recurring_line_indices(lines: list[str]) -> set[int]:
     """Indices of lines belonging to families recurring >= 3 times.
 
     Lines are grouped by a short casefolded prefix, then fuzzy-matched
-    against one representative per family (>= 80% character overlap); a
+    against one representative per family (``difflib`` ``ratio`` >= 0.8); a
     line joins the first family, in creation order, whose representative
     admits it, or founds a new one.
 
     Cost: each line is compared with the representatives of its bucket;
-    those of incompatible length cost one division, the rest an O(len)
-    ``quick_ratio`` before any ``ratio``, and each representative's
-    ``SequenceMatcher`` index is built once.  So the work grows with the
-    lines that share a prefix times the families in that bucket.
+    those of incompatible length cost one division, the rest a bit-vector
+    LCS bound before any ``ratio``, and ``ratio`` runs only where that
+    bound passes.  The bound leaves the result exactly as ``ratio`` alone
+    gives it, and cuts the per-comparison cost, but not the number of
+    comparisons: the work still grows with the lines that share a prefix
+    times the families in that bucket.
     """
     buckets: dict[str, list[_Family]] = {}
     for idx, line in enumerate(lines):

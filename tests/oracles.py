@@ -2,8 +2,9 @@
 
 These deliberately avoid sharing code with the package: n-grams are
 enumerated into plain dicts, edit distance uses a full Wagner-Fischer
-matrix, the F-score arithmetic is written out longhand, text
-normalization runs its five steps separately, repeated to a fixed point,
+matrix and the longest common subsequence a full DP matrix, the F-score
+arithmetic is written out longhand, text normalization runs its five
+steps separately, repeated to a fixed point,
 first-fit packing scans every open sequence for each chunk, and the packed
 file is written by the JSON encoder, one attention-segment int at a time.
 """
@@ -93,6 +94,15 @@ def brute_edit_distance(a, b) -> int:
         for j in range(1, cols):
             cost = 0 if a[i - 1] == b[j - 1] else 1
             d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, d[i - 1][j - 1] + cost)
+    return d[-1][-1]
+
+
+def brute_lcs(a, b) -> int:
+    """Length of the longest common subsequence, by the full dynamic-programming matrix."""
+    d = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            d[i][j] = d[i - 1][j - 1] + 1 if a[i - 1] == b[j - 1] else max(d[i - 1][j], d[i][j - 1])
     return d[-1][-1]
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 import yaml
+from helpers import read_packed_jsonl, save_suite, write_pair_logps_jsonl
 
 from savanna import corpus, evalharness, instruct, preference_loss
 from savanna.cli import _locked_output_dir, main
@@ -20,7 +21,7 @@ def write_yaml(path, payload):
 def suite_csv(tmp_path):
     suite = evalharness.synthetic_suite(languages=("aaa", "bbb"), seed=5)
     path = tmp_path / "suite.csv"
-    evalharness.save_suite(suite, path)
+    save_suite(suite, path)
     return str(path)
 
 
@@ -82,9 +83,8 @@ class TestCorpusCommand:
         assert not (out / "manifest.json").exists()
 
     def test_non_finite_provenance_fails_before_manifest(self, tmp_path, capsys):
-        # 1e999 reads as infinity (only the NaN/Infinity tokens are rejected
-        # on read), so the fourth document fails when documents.jsonl is
-        # written, after three records.
+        # 1e999 overflows to infinity, so the input is rejected on read,
+        # naming the file and the line, before any output is written.
         lines = [json.dumps(make_document("lug", f"omwana agenda mu kibuga {i}", "web",
                                           provenance={"ocr_score": 0.5}).__dict__)
                  for i in range(6)]
@@ -95,9 +95,7 @@ class TestCorpusCommand:
         out = tmp_path / "out"
         assert main(["corpus", "--config", config, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["type"] == "ValueError" and "not JSON compliant" in err["error"]
-        assert not (out / "manifest.json").exists()
-        # No truncated documents.jsonl and no temporary file are left.
+        assert err == {"error": f"{inputs}:4: 1e999 overflows to infinity", "type": "ValueError"}
         assert [p.name for p in out.iterdir()] == ["resolved_config.yaml"]
 
     def test_non_finite_token_in_input_names_file_and_line(self, tmp_path, capsys):
@@ -189,6 +187,18 @@ class TestCorpusCommand:
         # pairs.jsonl or manifest.json.
         assert not out.exists()
 
+    @pytest.mark.parametrize("bible, message", [
+        ([{"path": "a.tsv"}, {"lang": "eng", "path": "b.tsv"}], "bible[0].lang is required"),
+        ([{"lang": "lug", "path": "a.tsv"}, {"lang": "eng"}], "bible[1].path is required"),
+        ([{"lang": "lug", "path": "a.tsv"}, {"lang": 7, "path": "b.tsv"}], "bible[1].lang must be a string"),
+    ], ids=["no-lang", "no-path", "int-lang"])
+    def test_bible_entry_keys_checked_before_lock(self, tmp_path, capsys, bible, message):
+        config = write_yaml(tmp_path / "c.yaml", {"inputs": [], "bible": bible})
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": message, "type": "CliError"}
+        assert not out.exists()
+
     def test_missing_inputs_key_fails_cleanly(self, tmp_path, capsys):
         config = write_yaml(tmp_path / "c.yaml", {})
         assert main(["corpus", "--config", config, "--out", str(tmp_path / "o")]) == 1
@@ -215,7 +225,7 @@ class TestInstructCommand:
         assert manifest["sequences_per_batch"] == 8
         examples = instruct.read_instructions_jsonl(out / "instructions.jsonl")
         assert len(examples) == 8
-        packed, max_len = instruct.read_packed_jsonl(out / "packed.jsonl")
+        packed, max_len = read_packed_jsonl(out / "packed.jsonl")
         assert max_len == 128
         assert all(len(s.token_ids) <= 128 for s in packed)
 
@@ -370,7 +380,7 @@ class TestLossCommand:
     def test_audit(self, tmp_path, capsys):
         pairs = [preference_loss.PairLogps([-0.5, -1.5], [-2.0], [-0.5, -1.5], [-2.0])]
         path = tmp_path / "pairs.jsonl"
-        preference_loss.write_pair_logps_jsonl(pairs, path)
+        write_pair_logps_jsonl(pairs, path)
         out = tmp_path / "out"
         assert main(["loss", "--pairs", str(path), "--out", str(out)]) == 0
         audit = json.loads((out / "loss_audit.json").read_text())

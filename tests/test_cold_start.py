@@ -11,12 +11,15 @@ from pathlib import Path
 import savanna
 
 SRC = str(Path(savanna.__file__).resolve().parents[1])
+TESTS = str(Path(__file__).resolve().parent)
 
 # Every offline command, in an interpreter where ``import requests`` raises.
 OFFLINE = r"""
 import sys
 sys.modules["requests"] = None
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
+
+from helpers import save_suite, write_pair_logps_jsonl
 
 from savanna import corpus, evalharness, preference_loss
 from savanna.cli import main
@@ -30,11 +33,11 @@ open("corpus.yaml", "w", encoding="utf-8").write(
     "bible:\n- {lang: lug, path: lug.tsv}\n- {lang: eng, path: eng.tsv}\n")
 open("instruct.yaml", "w", encoding="utf-8").write(
     "parallel: corpus_out/pairs.jsonl\nmax_len: 128\ntokens_per_batch: 1024\n")
-evalharness.save_suite(evalharness.synthetic_suite(languages=("lug",), seed=5), "suite.csv")
+save_suite(evalharness.synthetic_suite(languages=("lug",), seed=5), "suite.csv")
 open("report.yaml", "w", encoding="utf-8").write(
     "use_published_reference: false\n"
     "runs:\n- {model: echo, suite: suite.csv, run_log: eval_out/run_log.jsonl}\n")
-preference_loss.write_pair_logps_jsonl(
+write_pair_logps_jsonl(
     [preference_loss.PairLogps([-0.5], [-2.0], [-0.5], [-2.0])], "logps.jsonl")
 
 commands = [
@@ -75,7 +78,7 @@ assert "requests" in sys.modules
 
 
 def run(code, tmp_path):
-    result = subprocess.run([sys.executable, "-c", code, SRC], cwd=tmp_path,
+    result = subprocess.run([sys.executable, "-c", code, SRC, TESTS], cwd=tmp_path,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
 

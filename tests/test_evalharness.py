@@ -3,20 +3,19 @@ import threading
 import time
 
 import pytest
+from helpers import FlakyClient, save_suite
 
 from savanna import metrics
 from savanna.evalharness import (
     ConstantClient,
     EvalItem,
     EvalSuite,
-    FlakyClient,
     ModelEndpoint,
     ReferenceEchoClient,
     load_suite,
     postprocess_hypothesis,
     rescore_run_log,
     run_translation_eval,
-    save_suite,
     synthetic_suite,
 )
 from savanna.textnorm import metric_profile, normalize

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import read_packed_jsonl
 from oracles import brute_pack, brute_write_packed_jsonl
 
 from savanna.corpus import ParallelPair
@@ -21,7 +22,6 @@ from savanna.instruct import (
     make_translation_instruction,
     pack,
     read_instructions_jsonl,
-    read_packed_jsonl,
     render_chat,
     synth_glitch_pair,
     write_instructions_jsonl,

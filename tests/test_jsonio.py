@@ -99,6 +99,31 @@ class TestFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {constant} is not valid JSON$"):
             jsonio.read_json(path)
 
+    @pytest.mark.parametrize("literal", ["1e999", "-1E+400", "2.5e0309", "1.0e308" + "0" * 3])
+    def test_read_rejects_overflowing_numbers(self, tmp_path, literal):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": "1e999"}\n{"a": [1e-999, 1e308]}\n{"a": [0.5, %s]}\n' % literal,
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "
+                                             f"{re.escape(literal)} overflows to infinity$"):
+            jsonio.read_jsonl(path)
+        path = tmp_path / "x.json"
+        path.write_text('{\n "a": "1e999 \\" 1e999",\n "n": 123456789012345678901234567890,\n'
+                        ' "b": [1e-999, %s]\n}' % literal, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: "
+                                             f"{re.escape(literal)} overflows to infinity$"):
+            jsonio.read_json(path)
+
+    def test_read_keeps_numbers_that_fit(self, tmp_path):
+        # Three-digit exponents that do not overflow, and the text of one in
+        # a string, decode as they always did.
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": [1e-999, 1.5e308, 1E+100], "s": "e999"}\n', encoding="utf-8")
+        assert jsonio.read_jsonl(path) == [{"a": [0.0, 1.5e308, 1e100], "s": "e999"}]
+        path = tmp_path / "x.json"
+        path.write_text('{"a": [1e-999, 1.5e308], "s": "1e999"}', encoding="utf-8")
+        assert jsonio.read_json(path) == {"a": [0.0, 1.5e308], "s": "1e999"}
+
     def test_read_syntax_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n{"a": \n', encoding="utf-8")

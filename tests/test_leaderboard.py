@@ -1,7 +1,7 @@
 import pytest
+from helpers import FlakyClient
 
 from savanna.evalharness import (
-    FlakyClient,
     ReferenceEchoClient,
     run_translation_eval,
     synthetic_suite,

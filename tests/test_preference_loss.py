@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import write_pair_logps_jsonl
 
 from savanna.preference_loss import (
     LossParams,
@@ -15,7 +16,6 @@ from savanna.preference_loss import (
     margin,
     nll_chosen,
     read_pair_logps_jsonl,
-    write_pair_logps_jsonl,
 )
 
 

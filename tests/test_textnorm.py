@@ -1,14 +1,17 @@
 import dataclasses
+import difflib
+import random
 import unicodedata
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import _brute_recurring_line_indices, brute_clean_document, brute_normalize
+from oracles import _brute_recurring_line_indices, brute_clean_document, brute_lcs, brute_normalize
 
 from savanna.textnorm import (
     CleanReport,
     _count_controls,
+    _Family,
     _recurring_line_indices,
     clean_document,
     corpus_profile,
@@ -260,3 +263,62 @@ recurring_line = st.one_of(
 def test_recurring_lines_match_oracle(lines):
     assert _recurring_line_indices(lines) == _brute_recurring_line_indices(lines)
 
+
+
+# Casefolded text the LCS sees: combining marks, Ugandan-orthography
+# letters (ɛ ŋ ɔ and their capitals, which casefold to them), astral
+# characters and spaces, short and at the 200 characters where autojunk
+# starts to apply.
+_LCS_ALPHABET = ["a", "b", "e", "o", " ", "\u0301", "\u0308", "\u025b", "\u014b", "\u0254",
+                 "\u0190", "\u014a", "\u0186", "\u00df", "\U0001d400", "\U0001f600", "\U00010400"]
+folded_text = st.one_of(
+    st.lists(st.sampled_from(_LCS_ALPHABET), max_size=40),
+    st.lists(st.sampled_from(_LCS_ALPHABET), min_size=200, max_size=240),
+).map(lambda chars: "".join(chars).casefold())
+
+
+@settings(max_examples=150, deadline=None)
+@given(folded_text, folded_text)
+@example("", "")
+@example("", "abc")
+@example("abc", "")
+@example("ab" * 100, "ba" * 100)
+def test_bit_vector_lcs_matches_oracle(a, b):
+    assert _Family(b)._lcs(a) == brute_lcs(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recurring_line, recurring_line)
+def test_lcs_bound_is_never_below_ratio(a, b):
+    # The lines as the matcher sees them: whitespace collapsed, casefolded.
+    a, b = (" ".join(line.split()).casefold() for line in (a, b))
+    assume(a and b)
+    ratio = difflib.SequenceMatcher(None, a, b).ratio()
+    assert 2.0 * _Family(b)._lcs(a) / (len(a) + len(b)) >= ratio
+
+
+def _formulaic_document() -> list[str]:
+    """Sixty lines in one prefix bucket: body lines open with one phrase and
+    go on with seeded words, and every tenth line is a running head."""
+    rng = random.Random(11)
+    lexicon = ["".join(rng.choice("abdefgiklmnoprstuwyz\u014b\u025b\u0254") for _ in range(rng.randint(2, 8)))
+               for _ in range(120)]
+    return [f"Awo Yesu n'agamba - essuula {n // 10 + 1}" if n % 10 == 0 else
+            "Awo Yesu n'agamba " + " ".join(rng.choice(lexicon) for _ in range(rng.randint(8, 14)))
+            for n in range(60)]
+
+
+def test_lcs_bound_leaves_ratio_only_admitting_calls(monkeypatch):
+    # Without the bound, most of these lines reach ratio and fail it; with
+    # it, ratio runs only for the running heads it admits.
+    ratios = []
+    ratio = difflib.SequenceMatcher.ratio
+    monkeypatch.setattr(difflib.SequenceMatcher, "ratio",
+                        lambda self: ratios.append(ratio(self)) or ratios[-1])
+    monkeypatch.setattr(difflib.SequenceMatcher, "quick_ratio",
+                        lambda self: pytest.fail("quick_ratio called"))
+    lines = _formulaic_document()
+    found = _recurring_line_indices(lines)
+    monkeypatch.undo()
+    assert ratios and min(ratios) >= 0.8
+    assert found == _brute_recurring_line_indices(lines) == set(range(0, 60, 10))
