@@ -1,17 +1,20 @@
 """Command-line entry point wiring the toolkit into reproducible pipelines.
 
 Subcommands: ``corpus``, ``instruct``, ``eval``, ``report``, ``loss``.
-Configuration comes from a YAML file (``--config``) with flag overrides;
-every run writes a resolved-config snapshot next to its outputs and holds a
-lock file so only one instance works per output directory; the lock holds
-the run's PID, so a lock left by a killed run can be broken.  Secrets are
-read from environment variables only (``SAVANNA_API_TOKEN``).
+:func:`resolve_config` builds each run's config from ``CONFIG_KEYS``, the
+YAML file (``--config``) and the flags, and checks it before the run locks
+its output directory; the lock holds the run's PID, so a lock left by a
+killed run can be broken.  Every resolved key is written to
+``resolved_config.yaml``, which ``--config`` takes back.  Secrets are read
+from environment variables only (``SAVANNA_API_TOKEN``).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
+import difflib
 import json
 import os
 import sys
@@ -80,235 +83,269 @@ def _locked_output_dir(out: Path):
         lock.unlink(missing_ok=True)
 
 
-def _load_config(args: argparse.Namespace) -> dict:
-    config: dict = {}
+REQUIRED = object()  # the default of a key that has none
+NUMBER = (int, float)
+
+# Each command's keys besides ``seed`` and ``out``: key -> (type, default).  A
+# callable default is computed from the keys before it; such a key may be null,
+# like one whose default is None.  ``bible`` is checked by resolve_config.
+CONFIG_KEYS = {
+    "corpus": {"inputs": (list, REQUIRED), "bible": (object, None), "backtranslate": (dict, None),
+               "source_weights": (dict, {}), "lang_weights": (dict, {}),
+               "sample_size": (int, None)},
+    "instruct": {"parallel": (str, REQUIRED), "conversational": (str, None),
+                 "tokenizer_vocab": (str, None), "template": (str, None), "max_len": (int, 512),
+                 "tokens_per_batch": (int, 32768), "n_translation": (int, 2347),
+                 "n_conversational": (int, 726), "noisy_fraction": (NUMBER, 0.2)},
+    "eval": {"suite": (str, REQUIRED), "rescore": (str, None), "endpoint": (str, None),
+             "directions": ((str, list), None), "granularity": (str, "sentence"),
+             "full_suite": (bool, True), "max_parallel": (int, 1), "temperature": (NUMBER, 0.0),
+             "model_name": (str, lambda config: config["endpoint"]), "model": (str, ""),
+             "timeout": (NUMBER, 60.0), "retries": (int, 2)},
+    "report": {"tables": (list, []), "runs": (list, []), "winner_models": (list, None),
+               "use_published_reference": (bool, lambda config: not config["tables"])},
+    "loss": {"pairs": (str, REQUIRED), "beta": (NUMBER, 0.1), "alpha_rpo": (NUMBER, 1.0)},
+}
+
+# The keys of ``backtranslate`` and of each entry of ``bible``, ``runs`` and ``tables``.
+ENTRY_KEYS = {
+    "backtranslate": {"endpoint": (str, REQUIRED), "targets": (list, REQUIRED)},
+    "bible": {"lang": (str, REQUIRED), "path": (str, REQUIRED)},
+    "runs": {"model": (str, REQUIRED), "suite": (str, REQUIRED), "run_log": (str, REQUIRED)},
+    "tables": {"path": (str, REQUIRED), "direction": (str, REQUIRED), "metric": (str, REQUIRED)},
+}
+
+TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a number", bool: "true or false",
+              list: "a list", dict: "a mapping", (str, list): "a string or a list"}
+
+
+def _resolved(given, keys: dict, where: str = "") -> dict:
+    """``given`` checked against ``keys``, with the defaults of keys it lacks.
+    Errors name a key after ``where``, such as ``runs[0].``."""
+    if not isinstance(given, dict):
+        raise CliError(f"{where.rstrip('.') or 'the config'} must be a mapping")
+    for key in given:
+        if key not in keys:
+            close = difflib.get_close_matches(str(key), keys, n=1)
+            raise CliError(f"{where}{key} is not a known key" + "".join(
+                f"; did you mean {match}?" for match in close))
+    resolved = {}
+    for key, (kind, default) in keys.items():
+        if key not in given:
+            if default is REQUIRED:
+                raise CliError(f"{where}{key} is required")
+            resolved[key] = default(resolved) if callable(default) else copy.copy(default)
+            continue
+        value = resolved[key] = given[key]
+        if value is None and (default is None or callable(default)):
+            continue
+        # isinstance(True, int) holds, but true is not a number here.
+        if not isinstance(value, kind) or isinstance(value, bool) and kind in (int, NUMBER):
+            raise CliError(f"{where}{key} must be {TYPE_NAMES[kind]}")
+    return resolved
+
+
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The YAML file of ``--config`` with each flag set over the key of its
+    name and the defaults filled in, checked before any output is made."""
+    given = {}
     if args.config:
         with open(args.config, encoding="utf-8") as f:
-            config = yaml.safe_load(f) or {}
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    config.setdefault("seed", 0)
+            try:
+                given = yaml.safe_load(f) or {}
+            except yaml.YAMLError as exc:
+                raise CliError(f"{args.config} is not valid YAML: {exc}") from None
+    if isinstance(given, dict):
+        given.update((key, value) for key, value in vars(args).items()
+                     if key not in ("command", "config") and value is not None)
+    config = _resolved(given, {"seed": (int, 0), "out": (str, f"{args.command}_out"),
+                               **CONFIG_KEYS[args.command]})
+    if args.command == "corpus" and config["bible"] is not None:
+        bible = config["bible"]
+        if (not isinstance(bible, list) or len(bible) != 2
+                or not all(isinstance(e, dict) for e in bible)):
+            raise CliError("bible must list two editions, {lang, path} each, the source first")
+        for i, edition in enumerate(bible):
+            _resolved(edition, ENTRY_KEYS["bible"], f"bible[{i}].")
+        if bible[0]["lang"] == bible[1]["lang"]:
+            raise CliError(f"bible editions must be in two languages, not lang "
+                           f"{bible[0]['lang']!r} and lang {bible[1]['lang']!r}")
+    if args.command == "corpus" and config["backtranslate"]:
+        _resolved(config["backtranslate"], ENTRY_KEYS["backtranslate"], "backtranslate.")
+    if args.command == "instruct":
+        instruct.batch_spec(config["tokens_per_batch"], config["max_len"])
+    if args.command == "eval" and not config["rescore"]:
+        for key in ("endpoint", "directions"):
+            if config[key] is None:
+                raise CliError(f"{key} is required unless rescore is set")
+        if config["endpoint"].startswith("stub:") and config["endpoint"] != "stub:echo":
+            raise CliError(f"unknown stub endpoint: {config['endpoint']}")
+    if args.command == "report":
+        for key in ("runs", "tables"):
+            for i, entry in enumerate(config[key]):
+                _resolved(entry, ENTRY_KEYS[key], f"{key}[{i}].")
     return config
 
 
-def _snapshot_config(config: dict, out: Path) -> None:
-    with open(out / "resolved_config.yaml", "w", encoding="utf-8") as f:
-        yaml.safe_dump(config, f, sort_keys=True)
+def cmd_corpus(config: dict, out: Path) -> None:
+    docs = []
+    for path in config["inputs"]:
+        docs.extend(corpus_mod.read_documents_jsonl(path))
+    if config["bible"] is not None:
+        aligned = corpus_mod.align_bibles(
+            *(corpus_mod.load_bible_tsv(e["path"], e["lang"]) for e in config["bible"]))
 
+    profile = corpus_profile()
+    chars_in = sum(len(d.text) for d in docs)
+    cleaned = []
+    clean_stats = {"control_removed": 0, "artifacts_removed": 0}
+    for doc in docs:
+        text, report = clean_document(doc.text, profile)
+        clean_stats["control_removed"] += report.control_removed
+        clean_stats["artifacts_removed"] += report.artifacts_removed
+        if text:
+            cleaned.append(corpus_mod.make_document(
+                doc.lang, text, doc.source, doc.license_note, doc.provenance))
 
-def _make_client(endpoint_url: str, config: dict,
-                 suite: evalharness.EvalSuite) -> evalharness.CompletionClient:
-    # "stub:" URLs select in-process clients; used by tests, demos and the
-    # offline echo pipeline.  Anything else is treated as a live endpoint.
-    if endpoint_url.startswith("stub:"):
-        kind = endpoint_url.split(":", 1)[1]
-        if kind == "echo":
-            return evalharness.ReferenceEchoClient(suite)
-        if kind == "empty":
-            return evalharness.ConstantClient("")
-        raise CliError(f"unknown stub endpoint: {endpoint_url}")
-    endpoint = evalharness.ModelEndpoint(
-        name=config.get("model_name", endpoint_url),
-        base_url=endpoint_url,
-        model=config.get("model", ""),
-        timeout=config.get("timeout", 60.0),
-        retries=config.get("retries", 2),
+    deduped = list(corpus_mod.dedup(cleaned))
+
+    bt_config = config["backtranslate"]
+    errors = []
+    if bt_config:
+        client = corpus_mod.HttpMtClient(bt_config["endpoint"])
+        english = [d for d in deduped if d.lang == "eng"]
+        for target in bt_config["targets"]:
+            result = corpus_mod.backtranslate(english, target, client)
+            deduped.extend(result.documents)
+            errors.extend(result.errors)
+
+    spec = corpus_mod.MixtureSpec(
+        source_weights=config["source_weights"],
+        lang_weights=config["lang_weights"],
     )
-    return evalharness.HttpCompletionClient(endpoint)
+    sampled, manifest = corpus_mod.assemble_pretraining(
+        deduped, spec, config["seed"], sample_size=config["sample_size"])
+
+    corpus_mod.write_documents_jsonl(sampled, out / "documents.jsonl")
+    if config["bible"] is not None:
+        corpus_mod.write_pairs_jsonl(aligned.pairs, out / "pairs.jsonl")
+        manifest["bible"] = {"pairs": len(aligned.pairs), "only_in_src": len(aligned.only_in_a),
+                             "only_in_tgt": len(aligned.only_in_b)}
+    manifest["chars_in"] = chars_in
+    manifest["chars_out"] = sum(d.char_count for d in sampled)
+    manifest["reduction_ratio"] = (manifest["chars_out"] / chars_in) if chars_in else 0.0
+    manifest["cleaning"] = clean_stats
+    manifest["backtranslation_errors"] = errors
+    jsonio.write_json(out / "manifest.json", manifest)
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = Path(args.out or config.get("out", "corpus_out"))
-    bible = config.get("bible")
-    if bible is not None and (not isinstance(bible, list) or len(bible) != 2
-                              or not all(isinstance(e, dict) for e in bible)):
-        raise CliError("bible must list two editions, {lang, path} each, the source first")
-    for i, edition in enumerate(bible or ()):
-        for key in ("lang", "path"):
-            if key not in edition:
-                raise CliError(f"bible[{i}].{key} is required")
-            if not isinstance(edition[key], str):
-                raise CliError(f"bible[{i}].{key} must be a string")
-    if bible is not None and bible[0]["lang"] == bible[1]["lang"]:
-        raise CliError(f"bible editions must be in two languages, not lang "
-                       f"{bible[0]['lang']!r} and lang {bible[1]['lang']!r}")
-    with _locked_output_dir(out):
-        _snapshot_config(config, out)
-        docs = []
-        for path in config["inputs"]:
-            docs.extend(corpus_mod.read_documents_jsonl(path))
-        if bible is not None:
-            aligned = corpus_mod.align_bibles(
-                *(corpus_mod.load_bible_tsv(e["path"], e["lang"]) for e in bible))
+def cmd_instruct(config: dict, out: Path) -> None:
+    if config["tokenizer_vocab"]:
+        tokenizer = instruct.VocabFileTokenizer.from_file(config["tokenizer_vocab"])
+    else:
+        tokenizer = instruct.ByteTokenizer()
+    if config["template"]:
+        template = instruct.ChatTemplate.from_file(config["template"])
+    else:
+        template = instruct.ChatTemplate("<user>", "</user>", "<assistant>", "</assistant>")
+    pairs = corpus_mod.read_pairs_jsonl(config["parallel"])
+    conversational = []
+    if config["conversational"]:
+        conversational = instruct.read_instructions_jsonl(config["conversational"])
+    examples, counts = instruct.build_instruction_dataset(
+        pairs, conversational,
+        n_translation=config["n_translation"],
+        n_conversational=config["n_conversational"],
+        noisy_fraction=config["noisy_fraction"],
+        rng_seed=config["seed"],
+    )
+    instruct.write_instructions_jsonl(examples, out / "instructions.jsonl")
 
-        profile = corpus_profile()
-        chars_in = sum(len(d.text) for d in docs)
-        cleaned = []
-        clean_stats = {"control_removed": 0, "artifacts_removed": 0}
-        for doc in docs:
-            text, report = clean_document(doc.text, profile)
-            clean_stats["control_removed"] += report.control_removed
-            clean_stats["artifacts_removed"] += report.artifacts_removed
-            if text:
-                cleaned.append(corpus_mod.make_document(
-                    doc.lang, text, doc.source, doc.license_note, doc.provenance))
+    max_len = config["max_len"]
+    streams = []
+    for i, example in enumerate(examples):
+        rendered = instruct.render_chat(example, tokenizer, template)
+        streams.append((f"ex{i}", rendered.token_ids))
+    packed = instruct.pack(streams, max_len=max_len)
+    instruct.write_packed_jsonl(packed, out / "packed.jsonl", max_len=max_len)
 
-        deduped = list(corpus_mod.dedup(cleaned))
-
-        bt_config = config.get("backtranslate")
-        errors = []
-        if bt_config:
-            client = corpus_mod.HttpMtClient(bt_config["endpoint"])
-            english = [d for d in deduped if d.lang == "eng"]
-            for target in bt_config["targets"]:
-                result = corpus_mod.backtranslate(english, target, client)
-                deduped.extend(result.documents)
-                errors.extend(result.errors)
-
-        spec = corpus_mod.MixtureSpec(
-            source_weights=config.get("source_weights", {}),
-            lang_weights=config.get("lang_weights", {}),
-        )
-        sampled, manifest = corpus_mod.assemble_pretraining(
-            deduped, spec, config["seed"], sample_size=config.get("sample_size"))
-
-        corpus_mod.write_documents_jsonl(sampled, out / "documents.jsonl")
-        if bible is not None:
-            corpus_mod.write_pairs_jsonl(aligned.pairs, out / "pairs.jsonl")
-            manifest["bible"] = {"pairs": len(aligned.pairs), "only_in_src": len(aligned.only_in_a),
-                                 "only_in_tgt": len(aligned.only_in_b)}
-        manifest["chars_in"] = chars_in
-        manifest["chars_out"] = sum(d.char_count for d in sampled)
-        manifest["reduction_ratio"] = (manifest["chars_out"] / chars_in) if chars_in else 0.0
-        manifest["cleaning"] = clean_stats
-        manifest["backtranslation_errors"] = errors
-        jsonio.write_json(out / "manifest.json", manifest)
-    return 0
+    jsonio.write_json(out / "manifest.json", {
+        "category_counts": counts,
+        "examples": len(examples),
+        "packed_sequences": len(packed),
+        "sequences_per_batch": instruct.batch_spec(config["tokens_per_batch"], max_len),
+    })
 
 
-def cmd_instruct(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = Path(args.out or config.get("out", "instruct_out"))
-    max_len = config.get("max_len", 512)
-    sequences_per_batch = instruct.batch_spec(config.get("tokens_per_batch", 32768), max_len)
-    with _locked_output_dir(out):
-        _snapshot_config(config, out)
-        if config.get("tokenizer_vocab"):
-            tokenizer = instruct.VocabFileTokenizer.from_file(config["tokenizer_vocab"])
+def cmd_eval(config: dict, out: Path) -> None:
+    suite = evalharness.load_suite(config["suite"])
+    suite.validate(full=config["full_suite"])
+
+    if config["rescore"]:
+        report = evalharness.rescore_run_log(config["rescore"], suite)
+    else:
+        directions = _parse_directions(config["directions"])
+        # stub:echo replies with the reference, in process: tests, demos and
+        # the offline echo pipeline use it.  Anything else is a live endpoint.
+        if config["endpoint"] == "stub:echo":
+            client = evalharness.ReferenceEchoClient(suite)
         else:
-            tokenizer = instruct.ByteTokenizer()
-        if config.get("template"):
-            template = instruct.ChatTemplate.from_file(config["template"])
-        else:
-            template = instruct.ChatTemplate("<user>", "</user>", "<assistant>", "</assistant>")
-        pairs = corpus_mod.read_pairs_jsonl(config["parallel"])
-        conversational = []
-        if config.get("conversational"):
-            conversational = instruct.read_instructions_jsonl(config["conversational"])
-        examples, counts = instruct.build_instruction_dataset(
-            pairs, conversational,
-            n_translation=config.get("n_translation", 2347),
-            n_conversational=config.get("n_conversational", 726),
-            noisy_fraction=config.get("noisy_fraction", 0.2),
-            rng_seed=config["seed"],
+            client = evalharness.HttpCompletionClient(evalharness.ModelEndpoint(
+                name=config["model_name"],
+                base_url=config["endpoint"],
+                model=config["model"],
+                timeout=config["timeout"],
+                retries=config["retries"],
+            ))
+        report = evalharness.run_translation_eval(
+            suite, client, directions,
+            granularity=config["granularity"],
+            run_log_path=out / "run_log.jsonl",
+            max_parallel=config["max_parallel"],
+            temperature=config["temperature"],
         )
-        instruct.write_instructions_jsonl(examples, out / "instructions.jsonl")
-
-        streams = []
-        for i, example in enumerate(examples):
-            rendered = instruct.render_chat(example, tokenizer, template)
-            streams.append((f"ex{i}", rendered.token_ids))
-        packed = instruct.pack(streams, max_len=max_len)
-        instruct.write_packed_jsonl(packed, out / "packed.jsonl", max_len=max_len)
-
-        jsonio.write_json(out / "manifest.json", {
-            "category_counts": counts,
-            "examples": len(examples),
-            "packed_sequences": len(packed),
-            "sequences_per_batch": sequences_per_batch,
-        })
-    return 0
+    jsonio.write_text(out / "report.json", report.to_json())
+    if report.invalid:
+        raise CliError(f"run invalid: {report.total_failed}/{report.total_items} items failed")
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = Path(args.out or config.get("out", "eval_out"))
-    with _locked_output_dir(out):
-        _snapshot_config(config, out)
-        suite = evalharness.load_suite(args.suite or config["suite"])
-        suite.validate(full=config.get("full_suite", True))
+def cmd_report(config: dict, out: Path) -> None:
+    data = leaderboard.LeaderboardData()
+    if config["use_published_reference"]:
+        data = leaderboard.published_reference_data()
+    for table in config["tables"]:
+        leaderboard.load_score_csv(data, Path(table["path"]),
+                                   table["direction"], table["metric"])
+    for entry in config["runs"]:
+        suite = evalharness.load_suite(entry["suite"])
+        report = evalharness.rescore_run_log(entry["run_log"], suite)
+        leaderboard.add_run_report(data, entry["model"], report)
 
-        if args.rescore:
-            report = evalharness.rescore_run_log(args.rescore, suite)
-        else:
-            directions = _parse_directions(args.directions or config.get("directions"))
-            endpoint_url = args.endpoint or config.get("endpoint")
-            if not endpoint_url:
-                raise CliError("--endpoint is required unless --rescore is given")
-            client = _make_client(endpoint_url, config, suite)
-            report = evalharness.run_translation_eval(
-                suite, client, directions,
-                granularity=args.granularity or config.get("granularity", "sentence"),
-                run_log_path=out / "run_log.jsonl",
-                max_parallel=config.get("max_parallel", 1),
-                temperature=config.get("temperature", 0.0),
-            )
-        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-        if report.invalid:
-            raise CliError(f"run invalid: {report.total_failed}/{report.total_items} items failed")
-    return 0
+    artifacts = leaderboard.make_leaderboard(data, config["winner_models"])
+    jsonio.write_text(out / "mean_table.md", artifacts["mean_table"])
+    for direction in (leaderboard.XX_TO_ENG, leaderboard.ENG_TO_XX):
+        key = f"per_language_{direction}"
+        if key in artifacts:
+            jsonio.write_text(out / f"{key}.md", artifacts[key])
+    if "chart_csv" in artifacts:
+        jsonio.write_text(out / "chart.csv", artifacts["chart_csv"])
+    jsonio.write_json(out / "winner_counts.json", artifacts["winner_counts"])
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = Path(args.out or config.get("out", "report_out"))
-    with _locked_output_dir(out):
-        _snapshot_config(config, out)
-        data = leaderboard.LeaderboardData()
-        if config.get("use_published_reference", not config.get("tables")):
-            data = leaderboard.published_reference_data()
-        for table in config.get("tables", []):
-            leaderboard.load_score_csv(data, Path(table["path"]),
-                                       table["direction"], table["metric"])
-        for entry in config.get("runs", []):
-            suite = evalharness.load_suite(entry["suite"])
-            report = evalharness.rescore_run_log(entry["run_log"], suite)
-            leaderboard.add_run_report(data, entry["model"], report)
-
-        artifacts = leaderboard.make_leaderboard(data, config.get("winner_models"))
-        (out / "mean_table.md").write_text(artifacts["mean_table"], encoding="utf-8")
-        for direction in (leaderboard.XX_TO_ENG, leaderboard.ENG_TO_XX):
-            key = f"per_language_{direction}"
-            if key in artifacts:
-                (out / f"{key}.md").write_text(artifacts[key], encoding="utf-8")
-        if "chart_csv" in artifacts:
-            (out / "chart.csv").write_text(artifacts["chart_csv"], encoding="utf-8")
-        jsonio.write_json(out / "winner_counts.json", artifacts["winner_counts"])
-    return 0
-
-
-def cmd_loss(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    out = Path(args.out or config.get("out", "loss_out"))
-    with _locked_output_dir(out):
-        _snapshot_config(config, out)
-        pairs = preference_loss.read_pair_logps_jsonl(args.pairs or config["pairs"])
-        params = preference_loss.LossParams(
-            beta=config.get("beta", 0.1),
-            alpha_rpo=config.get("alpha_rpo", 1.0),
-        )
-        audit = preference_loss.audit_pairs(pairs, params)
-        jsonio.write_json(out / "loss_audit.json", audit)
-        print(f"pairs: {len(audit['pairs'])}  "
-              f"mean dpo: {audit['mean_dpo_loss']:.6f}  "
-              f"mean irpo: {audit['mean_irpo_loss']:.6f}")
-    return 0
+def cmd_loss(config: dict, out: Path) -> None:
+    pairs = preference_loss.read_pair_logps_jsonl(config["pairs"])
+    params = preference_loss.LossParams(
+        beta=config["beta"],
+        alpha_rpo=config["alpha_rpo"],
+    )
+    audit = preference_loss.audit_pairs(pairs, params)
+    jsonio.write_json(out / "loss_audit.json", audit)
+    print(f"pairs: {len(audit['pairs'])}  "
+          f"mean dpo: {audit['mean_dpo_loss']:.6f}  "
+          f"mean irpo: {audit['mean_irpo_loss']:.6f}")
 
 
 def _parse_directions(raw) -> list[tuple[str, str]]:
-    if raw is None:
-        raise CliError("--directions is required (e.g. 'lug-eng,eng-lug')")
     if isinstance(raw, str):
         raw = [d for d in raw.split(",") if d]
     directions = []
@@ -320,49 +357,45 @@ def _parse_directions(raw) -> list[tuple[str, str]]:
     return directions
 
 
+# Each command's function and help line.
+COMMANDS = {
+    "corpus": (cmd_corpus, "clean, dedup and assemble pretraining text"),
+    "instruct": (cmd_instruct, "build instruction data, render and pack"),
+    "eval": (cmd_eval, "run translation evaluation"),
+    "report": (cmd_report, "leaderboards and chart CSVs"),
+    "loss": (cmd_loss, "audit DPO/IRPO losses from a JSONL file"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="savanna",
                                      description="Corpus and MT-evaluation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (_run, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="YAML config file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
-
-    p_corpus = sub.add_parser("corpus", help="clean, dedup and assemble pretraining text")
-    common(p_corpus)
-    p_corpus.set_defaults(func=cmd_corpus)
-
-    p_instr = sub.add_parser("instruct", help="build instruction data, render and pack")
-    common(p_instr)
-    p_instr.set_defaults(func=cmd_instruct)
-
-    p_eval = sub.add_parser("eval", help="run translation evaluation")
-    common(p_eval)
+    # Every flag but --config sets the config key of its name.
+    p_eval, p_loss = sub.choices["eval"], sub.choices["loss"]
     p_eval.add_argument("--suite", help="suite CSV/TSV path")
     p_eval.add_argument("--endpoint", help="chat-completions base URL (or stub:echo)")
     p_eval.add_argument("--directions", help="comma-separated src-tgt pairs")
     p_eval.add_argument("--granularity", choices=["sentence", "document"])
     p_eval.add_argument("--rescore", help="re-score a persisted run log offline")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_rep = sub.add_parser("report", help="leaderboards and chart CSVs")
-    common(p_rep)
-    p_rep.set_defaults(func=cmd_report)
-
-    p_loss = sub.add_parser("loss", help="audit DPO/IRPO losses from a JSONL file")
-    common(p_loss)
     p_loss.add_argument("--pairs", help="PairLogps JSONL path")
-    p_loss.set_defaults(func=cmd_loss)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = resolve_config(args)
+        out = Path(config["out"])
+        with _locked_output_dir(out):
+            jsonio.write_text(out / "resolved_config.yaml", yaml.safe_dump(config, sort_keys=True))
+            COMMANDS[args.command][0](config, out)
+        return 0
     except (CliError, FileNotFoundError, KeyError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 1

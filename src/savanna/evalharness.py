@@ -237,16 +237,6 @@ class ReferenceEchoClient:
         return self._by_source[(text, tgt)]
 
 
-class ConstantClient:
-    """Always replies with the same string (e.g. '' for the empty stub)."""
-
-    def __init__(self, reply: str = ""):
-        self.reply = reply
-
-    def complete(self, messages: list[dict], temperature: float = 0.0) -> str:
-        return self.reply
-
-
 # --- Translation evaluation ---------------------------------------------------
 
 

@@ -144,9 +144,14 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)
 
 
-def write_json(path: str | Path, obj: Any) -> None:
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, replacing the file only once it is complete."""
     with _replacing(path) as f:
-        f.write(dumps(obj))
+        f.write(text)
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    write_text(path, dumps(obj))
 
 
 def http_session():

@@ -1,4 +1,4 @@
-"""Fixtures' writers, a failing client and the packed-file validator.
+"""Fixtures' writers, stand-in clients and the packed-file validator.
 
 The commands never write an eval suite or log-probability pairs and never
 read ``packed.jsonl`` back, so these live with the tests, not the package.
@@ -28,6 +28,16 @@ def save_suite(suite: EvalSuite, path: str | Path) -> None:
         for item in sorted(suite.items, key=lambda i: (i.category_id, i.sent_index)):
             writer.writerow([item.category_id, item.sent_index, item.english]
                             + [item.translations.get(lang, "") for lang in languages])
+
+
+class ConstantClient:
+    """Always replies with the same string."""
+
+    def __init__(self, reply: str = ""):
+        self.reply = reply
+
+    def complete(self, messages: list[dict], temperature: float = 0.0) -> str:
+        return self.reply
 
 
 class FlakyClient:

@@ -203,7 +203,8 @@ class TestCorpusCommand:
         config = write_yaml(tmp_path / "c.yaml", {})
         assert main(["corpus", "--config", config, "--out", str(tmp_path / "o")]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["type"] == "KeyError"
+        assert err == {"error": "inputs is required", "type": "CliError"}
+        assert not (tmp_path / "o").exists()
 
 
 class TestInstructCommand:
@@ -321,14 +322,17 @@ class TestEvalCommand:
         assert str(path) in err["error"]
         assert expected in err["error"]
 
-    @pytest.mark.parametrize("value", ["4", 0, 1.5])
-    def test_bad_max_parallel_fails_cleanly(self, tmp_path, suite_csv, capsys, value):
+    # A value of the wrong type is the config's error; 0 is the library's.
+    @pytest.mark.parametrize("value, error_type", [
+        ("4", "CliError"), (0, "ValueError"), (1.5, "CliError"),
+    ], ids=["4", "0", "1.5"])
+    def test_bad_max_parallel_fails_cleanly(self, tmp_path, suite_csv, capsys, value, error_type):
         out = tmp_path / "o"
         config = write_yaml(tmp_path / "eval.yaml", {"max_parallel": value})
         assert main(["eval", "--config", config, "--suite", suite_csv, "--endpoint",
                      "stub:echo", "--directions", "aaa-eng", "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["type"] == "ValueError" and "max_parallel" in err["error"]
+        assert err["type"] == error_type and "max_parallel" in err["error"]
         assert not (out / "run_log.jsonl").exists()
 
     def test_repeated_direction_fails(self, tmp_path, suite_csv, capsys):
@@ -418,3 +422,199 @@ class TestSeedHandling:
         assert main(["corpus", "--config", config, "--seed", "9", "--out", str(out)]) == 0
         resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
         assert resolved["seed"] == 9
+
+
+# (command, config, message): each config fails to resolve before any output.
+BAD_CONFIGS = [
+    ("corpus", {"inputs": [], "sample_sise": 5},
+     "sample_sise is not a known key; did you mean sample_size?"),
+    ("corpus", {"inputs": "docs.jsonl"}, "inputs must be a list"),
+    ("corpus", {"inputs": [], "seed": "1"}, "seed must be an integer"),
+    ("corpus", {}, "inputs is required"),
+    ("corpus", {"inputs": [], "backtranslate": {"targets": ["lug"]}},
+     "backtranslate.endpoint is required"),
+    ("corpus", {"inputs": [], "backtranslate": {"endpoint": "http://mt", "targets": "lug"}},
+     "backtranslate.targets must be a list"),
+    ("instruct", {"parallel": "pairs.jsonl", "max_lne": 128},
+     "max_lne is not a known key; did you mean max_len?"),
+    ("instruct", {"parallel": "pairs.jsonl", "max_len": "512"}, "max_len must be an integer"),
+    ("instruct", {"parallel": "pairs.jsonl", "noisy_fraction": None},
+     "noisy_fraction must be a number"),
+    ("instruct", {"max_len": 128}, "parallel is required"),
+    ("eval", {"suite": "suite.csv", "endpiont": "stub:echo"},
+     "endpiont is not a known key; did you mean endpoint?"),
+    ("eval", {"suite": "suite.csv", "endpoint": "stub:echo", "directions": "aaa-eng",
+              "full_suite": "yes"}, "full_suite must be true or false"),
+    ("eval", {"suite": "suite.csv", "endpoint": "stub:echo", "directions": 7},
+     "directions must be a string or a list"),
+    ("eval", {"endpoint": "stub:echo", "directions": "aaa-eng"}, "suite is required"),
+    ("eval", {"suite": "suite.csv", "directions": "aaa-eng"},
+     "endpoint is required unless rescore is set"),
+    ("eval", {"suite": "suite.csv", "endpoint": "stub:echo"},
+     "directions is required unless rescore is set"),
+    ("report", {"run": []}, "run is not a known key; did you mean runs?"),
+    ("report", {"tables": {"path": "t.csv"}}, "tables must be a list"),
+    ("report", {"runs": [{"model": "m", "suite": "suite.csv"}]}, "runs[0].run_log is required"),
+    ("report", {"runs": ["run_log.jsonl"]}, "runs[0] must be a mapping"),
+    ("report", {"tables": [{"path": 1, "direction": "xx-eng", "metric": "chrf"}]},
+     "tables[0].path must be a string"),
+    ("report", {"runs": [{"model": "m", "suite": "s.csv", "run_log": "l.jsonl", "log": "x"}]},
+     "runs[0].log is not a known key; did you mean run_log?"),
+    ("loss", {"pairs": "logps.jsonl", "alpha": 1.0},
+     "alpha is not a known key; did you mean alpha_rpo?"),
+    ("loss", {"pairs": "logps.jsonl", "beta": True}, "beta must be a number"),
+    ("loss", {"beta": 0.1}, "pairs is required"),
+]
+
+
+def assert_config_error(capsys, out, message):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": message, "type": "CliError"}
+    assert not out.exists()
+
+
+class TestConfigResolution:
+    @pytest.mark.parametrize("command, config, message", BAD_CONFIGS,
+                             ids=[f"{c}-{m.split()[0]}" for c, _, m in BAD_CONFIGS])
+    def test_bad_config_fails_before_output(self, tmp_path, capsys, command, config, message):
+        path = write_yaml(tmp_path / "c.yaml", config)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        assert_config_error(capsys, out, message)
+
+    @pytest.mark.parametrize("command", ["corpus", "instruct", "eval", "report", "loss"])
+    @pytest.mark.parametrize("text, message", [
+        ("inputs: [a\nseed: 1\n", "is not valid YAML: while parsing a flow sequence"),
+        ("- inputs\n- seed\n", "the config must be a mapping"),
+    ], ids=["malformed", "list"])
+    def test_unreadable_config_fails_before_output(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "c.yaml"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["type"] == "CliError" and message in error["error"]
+        assert not out.exists()
+
+    def test_flag_overrides_key_and_is_recorded(self, tmp_path, suite_csv):
+        config = write_yaml(tmp_path / "c.yaml", {"suite": "elsewhere.csv", "directions": "x-y"})
+        out = tmp_path / "out"
+        assert main(["eval", "--config", config, "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng", "--out", str(out)]) == 0
+        resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
+        assert resolved == {
+            "suite": suite_csv, "rescore": None, "endpoint": "stub:echo", "directions": "aaa-eng",
+            "granularity": "sentence", "full_suite": True, "max_parallel": 1, "temperature": 0.0,
+            "model_name": "stub:echo", "model": "", "timeout": 60.0, "retries": 2,
+            "seed": 0, "out": str(out),
+        }
+
+    def test_unknown_stub_endpoint_rejected(self, tmp_path, suite_csv, capsys):
+        out = tmp_path / "o"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:empty",
+                     "--directions", "aaa-eng", "--out", str(out)]) == 1
+        assert_config_error(capsys, out, "unknown stub endpoint: stub:empty")
+
+
+def outputs(out):
+    """The bytes of each output file but resolved_config.yaml.  A run log is
+    compared record by record without ``latency_ms``, the one field that
+    differs between two runs."""
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "resolved_config.yaml"}
+    if "run_log.jsonl" in files:
+        files["run_log.jsonl"] = [{k: v for k, v in json.loads(line).items() if k != "latency_ms"}
+                                  for line in files["run_log.jsonl"].splitlines()]
+    return files
+
+
+class TestResolvedConfigRoundTrip:
+    """A run's resolved_config.yaml, passed back as --config with a fresh
+    --out, reproduces the run's outputs byte for byte, and resolves to the
+    same config."""
+
+    def rerun(self, tmp_path, command, argv):
+        first, second = tmp_path / f"{command}1", tmp_path / f"{command}2"
+        assert main([command, *argv, "--out", str(first)]) == 0
+        resolved = first / "resolved_config.yaml"
+        assert main([command, "--config", str(resolved), "--out", str(second)]) == 0
+        assert outputs(second) == outputs(first)
+        again = yaml.safe_load((second / "resolved_config.yaml").read_text())
+        assert again == {**yaml.safe_load(resolved.read_text()), "out": str(second)}
+        return first
+
+    def test_corpus_with_bible(self, tmp_path):
+        docs = [make_document("lug", f"ekigambo {i} mu lukalala", "web") for i in range(20)]
+        corpus.write_documents_jsonl(docs, tmp_path / "docs.jsonl")
+        for lang, text in (("lug", "gen\t1\t1\tMu kusooka\n"), ("eng", "gen\t1\t1\tIn the beginning\n")):
+            (tmp_path / f"{lang}.tsv").write_text(text, encoding="utf-8")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "inputs": [str(tmp_path / "docs.jsonl")], "sample_size": 5,
+            "bible": [{"lang": "lug", "path": str(tmp_path / "lug.tsv")},
+                      {"lang": "eng", "path": str(tmp_path / "eng.tsv")}]})
+        first = self.rerun(tmp_path, "corpus", ["--config", config, "--seed", "3"])
+        assert {"documents.jsonl", "pairs.jsonl", "manifest.json"} <= set(outputs(first))
+
+    def test_instruct(self, tmp_path):
+        pairs = [ParallelPair("lug", "eng", f"gamba {i}", f"say {i}") for i in range(8)]
+        corpus.write_pairs_jsonl(pairs, tmp_path / "pairs.jsonl")
+        config = write_yaml(tmp_path / "c.yaml", {
+            "parallel": str(tmp_path / "pairs.jsonl"), "n_translation": 8, "max_len": 128,
+            "tokens_per_batch": 1024})
+        self.rerun(tmp_path, "instruct", ["--config", config, "--seed", "2"])
+
+    def test_eval_echo(self, tmp_path, suite_csv):
+        self.rerun(tmp_path, "eval", ["--suite", suite_csv, "--endpoint", "stub:echo",
+                                      "--directions", "aaa-eng,eng-bbb"])
+
+    def test_eval_rescore(self, tmp_path, suite_csv):
+        eval_out = tmp_path / "eval"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng,eng-bbb", "--out", str(eval_out)]) == 0
+        # The second run takes rescore from the YAML, with no --rescore flag.
+        first = self.rerun(tmp_path, "eval", ["--suite", suite_csv,
+                                              "--rescore", str(eval_out / "run_log.jsonl")])
+        assert (first / "report.json").read_bytes() == (eval_out / "report.json").read_bytes()
+
+    def test_report_with_runs(self, tmp_path, suite_csv):
+        eval_out = tmp_path / "eval"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng,eng-aaa", "--out", str(eval_out)]) == 0
+        config = write_yaml(tmp_path / "c.yaml", {"use_published_reference": False, "runs": [
+            {"model": "echo", "suite": suite_csv, "run_log": str(eval_out / "run_log.jsonl")}]})
+        self.rerun(tmp_path, "report", ["--config", config])
+
+    def test_report_published(self, tmp_path):
+        first = self.rerun(tmp_path, "report", [])
+        resolved = yaml.safe_load((first / "resolved_config.yaml").read_text())
+        assert resolved["use_published_reference"] is True
+        assert {"mean_table.md", "per_language_xx-eng.md", "chart.csv"} <= set(outputs(first))
+
+    def test_loss(self, tmp_path):
+        pairs = [preference_loss.PairLogps([-0.5, -1.5], [-2.0], [-0.5, -1.5], [-2.0])]
+        write_pair_logps_jsonl(pairs, tmp_path / "logps.jsonl")
+        self.rerun(tmp_path, "loss", ["--pairs", str(tmp_path / "logps.jsonl")])
+
+
+class TestAtomicOutputs:
+    def test_failed_report_write_leaves_old_report(self, tmp_path, suite_csv, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng", "--out", str(out)]) == 0
+        before = (out / "report.json").read_bytes()
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.path.basename(dst) == "report.json":
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                  "--directions", "aaa-eng,eng-aaa", "--out", str(out)])
+        assert (out / "report.json").read_bytes() == before
+        assert not list(out.glob("*.tmp"))
+        assert not (out / ".savanna.lock").exists()

@@ -3,11 +3,10 @@ import threading
 import time
 
 import pytest
-from helpers import FlakyClient, save_suite
+from helpers import ConstantClient, FlakyClient, save_suite
 
 from savanna import metrics
 from savanna.evalharness import (
-    ConstantClient,
     EvalItem,
     EvalSuite,
     ModelEndpoint,
