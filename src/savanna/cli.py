@@ -18,6 +18,7 @@ import difflib
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import yaml
@@ -87,12 +88,13 @@ REQUIRED = object()  # the default of a key that has none
 NUMBER = (int, float)
 
 # Each command's keys besides ``seed`` and ``out``: key -> (type, default).  A
+# list[str] key holds a list whose every element must be a string.  A
 # callable default is computed from the keys before it; such a key may be null,
 # like one whose default is None.  ``bible`` is checked by resolve_config.
 CONFIG_KEYS = {
-    "corpus": {"inputs": (list, REQUIRED), "bible": (object, None), "backtranslate": (dict, None),
-               "source_weights": (dict, {}), "lang_weights": (dict, {}),
-               "sample_size": (int, None)},
+    "corpus": {"inputs": (list[str], REQUIRED), "bible": (object, None),
+               "backtranslate": (dict, None), "source_weights": (dict, {}),
+               "lang_weights": (dict, {}), "sample_size": (int, None)},
     "instruct": {"parallel": (str, REQUIRED), "conversational": (str, None),
                  "tokenizer_vocab": (str, None), "template": (str, None), "max_len": (int, 512),
                  "tokens_per_batch": (int, 32768), "n_translation": (int, 2347),
@@ -102,14 +104,14 @@ CONFIG_KEYS = {
              "full_suite": (bool, True), "max_parallel": (int, 1), "temperature": (NUMBER, 0.0),
              "model_name": (str, lambda config: config["endpoint"]), "model": (str, ""),
              "timeout": (NUMBER, 60.0), "retries": (int, 2)},
-    "report": {"tables": (list, []), "runs": (list, []), "winner_models": (list, None),
+    "report": {"tables": (list, []), "runs": (list, []), "winner_models": (list[str], None),
                "use_published_reference": (bool, lambda config: not config["tables"])},
     "loss": {"pairs": (str, REQUIRED), "beta": (NUMBER, 0.1), "alpha_rpo": (NUMBER, 1.0)},
 }
 
 # The keys of ``backtranslate`` and of each entry of ``bible``, ``runs`` and ``tables``.
 ENTRY_KEYS = {
-    "backtranslate": {"endpoint": (str, REQUIRED), "targets": (list, REQUIRED)},
+    "backtranslate": {"endpoint": (str, REQUIRED), "targets": (list[str], REQUIRED)},
     "bible": {"lang": (str, REQUIRED), "path": (str, REQUIRED)},
     "runs": {"model": (str, REQUIRED), "suite": (str, REQUIRED), "run_log": (str, REQUIRED)},
     "tables": {"path": (str, REQUIRED), "direction": (str, REQUIRED), "metric": (str, REQUIRED)},
@@ -117,6 +119,18 @@ ENTRY_KEYS = {
 
 TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a number", bool: "true or false",
               list: "a list", dict: "a mapping", (str, list): "a string or a list"}
+
+
+def _check_type(value, kind, name: str) -> None:
+    """Raise unless ``value`` is of ``kind``; errors name an element of a
+    list by its index, such as ``inputs[0]``."""
+    if typing.get_origin(kind) is list:
+        _check_type(value, list, name)
+        for i, element in enumerate(value):
+            _check_type(element, typing.get_args(kind)[0], f"{name}[{i}]")
+    # isinstance(True, int) holds, but true is not a number here.
+    elif not isinstance(value, kind) or isinstance(value, bool) and kind in (int, NUMBER):
+        raise CliError(f"{name} must be {TYPE_NAMES[kind]}")
 
 
 def _resolved(given, keys: dict, where: str = "") -> dict:
@@ -139,9 +153,7 @@ def _resolved(given, keys: dict, where: str = "") -> dict:
         value = resolved[key] = given[key]
         if value is None and (default is None or callable(default)):
             continue
-        # isinstance(True, int) holds, but true is not a number here.
-        if not isinstance(value, kind) or isinstance(value, bool) and kind in (int, NUMBER):
-            raise CliError(f"{where}{key} must be {TYPE_NAMES[kind]}")
+        _check_type(value, kind, f"{where}{key}")
     return resolved
 
 
@@ -170,16 +182,21 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if bible[0]["lang"] == bible[1]["lang"]:
             raise CliError(f"bible editions must be in two languages, not lang "
                            f"{bible[0]['lang']!r} and lang {bible[1]['lang']!r}")
-    if args.command == "corpus" and config["backtranslate"]:
-        _resolved(config["backtranslate"], ENTRY_KEYS["backtranslate"], "backtranslate.")
+    if args.command == "corpus":
+        if config["backtranslate"] is not None:
+            _resolved(config["backtranslate"], ENTRY_KEYS["backtranslate"], "backtranslate.")
+        corpus_mod.MixtureSpec(config["source_weights"], config["lang_weights"])
     if args.command == "instruct":
         instruct.batch_spec(config["tokens_per_batch"], config["max_len"])
+    if args.command == "eval" and config["granularity"] not in evalharness.GRANULARITIES:
+        raise CliError("granularity must be " + " or ".join(evalharness.GRANULARITIES))
     if args.command == "eval" and not config["rescore"]:
         for key in ("endpoint", "directions"):
             if config[key] is None:
                 raise CliError(f"{key} is required unless rescore is set")
         if config["endpoint"].startswith("stub:") and config["endpoint"] != "stub:echo":
             raise CliError(f"unknown stub endpoint: {config['endpoint']}")
+        _parse_directions(config["directions"])
     if args.command == "report":
         for key in ("runs", "tables"):
             for i, entry in enumerate(config[key]):
@@ -219,10 +236,7 @@ def cmd_corpus(config: dict, out: Path) -> None:
             deduped.extend(result.documents)
             errors.extend(result.errors)
 
-    spec = corpus_mod.MixtureSpec(
-        source_weights=config["source_weights"],
-        lang_weights=config["lang_weights"],
-    )
+    spec = corpus_mod.MixtureSpec(config["source_weights"], config["lang_weights"])
     sampled, manifest = corpus_mod.assemble_pretraining(
         deduped, spec, config["seed"], sample_size=config["sample_size"])
 
@@ -329,7 +343,8 @@ def cmd_report(config: dict, out: Path) -> None:
             jsonio.write_text(out / f"{key}.md", artifacts[key])
     if "chart_csv" in artifacts:
         jsonio.write_text(out / "chart.csv", artifacts["chart_csv"])
-    jsonio.write_json(out / "winner_counts.json", artifacts["winner_counts"])
+    if "winner_counts" in artifacts:
+        jsonio.write_json(out / "winner_counts.json", artifacts["winner_counts"])
 
 
 def cmd_loss(config: dict, out: Path) -> None:
@@ -354,6 +369,8 @@ def _parse_directions(raw) -> list[tuple[str, str]]:
         if not src or not tgt:
             raise CliError(f"bad direction: {item!r}")
         directions.append((src, tgt))
+    if not directions:
+        raise CliError("directions must name at least one src-tgt pair")
     return directions
 
 
@@ -381,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--suite", help="suite CSV/TSV path")
     p_eval.add_argument("--endpoint", help="chat-completions base URL (or stub:echo)")
     p_eval.add_argument("--directions", help="comma-separated src-tgt pairs")
-    p_eval.add_argument("--granularity", choices=["sentence", "document"])
+    p_eval.add_argument("--granularity", choices=evalharness.GRANULARITIES)
     p_eval.add_argument("--rescore", help="re-score a persisted run log offline")
     p_loss.add_argument("--pairs", help="PairLogps JSONL path")
     return parser

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import random
 import re
 from dataclasses import dataclass, field, replace
@@ -113,12 +114,17 @@ class MixtureSpec:
     source_weights: dict[str, float] = field(default_factory=dict)
     lang_weights: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for name, weights in (("source_weights", self.source_weights),
+                              ("lang_weights", self.lang_weights)):
+            for key, weight in weights.items():
+                if (isinstance(weight, bool) or not isinstance(weight, (int, float))
+                        or not 0 <= weight < math.inf):
+                    raise ValueError(f"{name}.{key} must be a finite number >= 0, "
+                                     f"got {weight!r}")
+
     def bucket_weight(self, source: str, lang: str) -> float:
-        sw = self.source_weights.get(source, 1.0)
-        lw = self.lang_weights.get(lang, 1.0)
-        if sw < 0 or lw < 0:
-            raise ValueError("weights must be >= 0")
-        return sw * lw
+        return self.source_weights.get(source, 1.0) * self.lang_weights.get(lang, 1.0)
 
 
 def _paragraphs(text: str) -> list[str]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import hashlib
+import itertools
 import json
 import os
 import random
-import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,11 +26,12 @@ if TYPE_CHECKING:
 
 from . import jsonio, metrics
 from .instruct import TRANSLATION_PROMPT as DEFAULT_PROMPT_TEMPLATE
-from .instruct import language_name
+from .instruct import translation_prompt
 from .textnorm import NormProfile, metric_profile, normalize
 
 N_CATEGORIES = 20
 SENTENCES_PER_CATEGORY = 5
+GRANULARITIES = ("sentence", "document")
 
 RUN_LOG_VERSION = 1
 MAX_FAILURE_RATE = 0.10
@@ -204,37 +205,21 @@ class HttpCompletionClient:
             raise TransportError(f"request failed after {attempts} attempts: {exc}") from exc
 
 
-_PROMPT_TEXT_RE = re.compile(r"\n\n(.*)\Z", re.DOTALL)
-_PROMPT_TGT_RE = re.compile(r" to (.+?)\. Reply")
-
-
 class ReferenceEchoClient:
-    """Test/demo client that replies with the reference translation.
-
-    Understands the default prompt template: it extracts the source text and
-    target language name, then looks the reference up in the suite.
-    """
+    """Test/demo client that replies with the reference translation: it
+    answers the prompt of every unit of ``suite``, in both directions of
+    every language and at both granularities."""
 
     def __init__(self, suite: EvalSuite):
-        self._by_source: dict[tuple[str, str], str] = {}
-        for item in suite.items:
-            for lang, text in item.translations.items():
-                self._by_source[(item.english, language_name(lang))] = text
-                self._by_source[(text, language_name("eng"))] = item.english
-        # document-granularity lookups: 5 sentences joined by single spaces
-        for _cat, items in _documents(suite):
-            eng = " ".join(i.english for i in items)
-            langs = set.intersection(*(set(i.translations) for i in items))
-            for lang in langs:
-                ref = " ".join(i.translations[lang] for i in items)
-                self._by_source[(eng, language_name(lang))] = ref
-                self._by_source[(ref, language_name("eng"))] = eng
+        self._references: dict[str, str] = {}
+        for lang in sorted(suite.languages - {"eng"}):
+            for direction in ((lang, "eng"), ("eng", lang)):
+                for granularity in GRANULARITIES:
+                    for unit in _units(suite, direction, granularity):
+                        self._references[unit["prompt"]] = unit["reference"]
 
     def complete(self, messages: list[dict], temperature: float = 0.0) -> str:
-        prompt = messages[-1]["content"]
-        text = _PROMPT_TEXT_RE.search(prompt).group(1)
-        tgt = _PROMPT_TGT_RE.search(prompt).group(1)
-        return self._by_source[(text, tgt)]
+        return self._references[messages[-1]["content"]]
 
 
 # --- Translation evaluation ---------------------------------------------------
@@ -251,43 +236,35 @@ def postprocess_hypothesis(raw: str) -> str:
     return text
 
 
-def _documents(suite: EvalSuite) -> list[tuple[int, list[EvalItem]]]:
-    """Suite items grouped into one document per category, in category
-    order, each document's items in sentence order."""
-    by_cat: dict[int, list[EvalItem]] = {}
-    for item in suite.items:
-        by_cat.setdefault(item.category_id, []).append(item)
-    return [(cat, sorted(by_cat[cat], key=lambda i: i.sent_index)) for cat in sorted(by_cat)]
-
-
-def _direction_units(suite: EvalSuite, direction: tuple[str, str],
-                     granularity: str) -> list[dict]:
+def _units(suite: EvalSuite, direction: tuple[str, str], granularity: str) -> list[dict]:
+    """Every unit of one direction, in order, each with its ``id``,
+    ``direction``, ``prompt`` and ``reference``.  A sentence unit is one
+    suite item; a document unit joins a category's items, in sentence order,
+    with single spaces.  A unit with an item that lacks the direction's
+    language (in a partial suite) is left out."""
     src, tgt = direction
     if (src == "eng") == (tgt == "eng"):
         raise ValueError(f"direction {direction} must have eng on exactly one side")
     other = tgt if src == "eng" else src
     if other not in suite.languages:
         raise ValueError(f"language {other!r} not in suite")
-    units = []
+    items = sorted(suite.items, key=lambda i: (i.category_id, i.sent_index))
     if granularity == "sentence":
-        for item in sorted(suite.items, key=lambda i: (i.category_id, i.sent_index)):
-            source = item.english if src == "eng" else item.translations[other]
-            reference = item.english if tgt == "eng" else item.translations[other]
-            units.append({
-                "id": f"{src}-{tgt}:{item.category_id}:{item.sent_index}",
-                "source": source, "reference": reference,
-            })
+        groups = [(f"{i.category_id}:{i.sent_index}", [i]) for i in items]
     elif granularity == "document":
-        for cat, items in _documents(suite):
-            eng = " ".join(i.english for i in items)
-            loc = " ".join(i.translations[other] for i in items)
-            units.append({
-                "id": f"{src}-{tgt}:{cat}:doc",
-                "source": eng if src == "eng" else loc,
-                "reference": eng if tgt == "eng" else loc,
-            })
+        groups = [(f"{cat}:doc", list(group))
+                  for cat, group in itertools.groupby(items, key=lambda i: i.category_id)]
     else:
         raise ValueError(f"unknown granularity: {granularity!r}")
+    units = []
+    for key, group in groups:
+        if any(other not in i.translations for i in group):
+            continue
+        text = {"eng": " ".join(i.english for i in group),
+                other: " ".join(i.translations[other] for i in group)}
+        units.append({"id": f"{src}-{tgt}:{key}", "direction": direction,
+                      "prompt": translation_prompt(src, tgt, text[src]),
+                      "reference": text[tgt]})
     return units
 
 
@@ -374,20 +351,15 @@ def _score_unit(record: dict, reference: str,
 
 
 def _build_report(scores: dict[str, metrics.SentenceScores | None], suite: EvalSuite,
-                  directions: list[tuple[str, str]], granularity: str,
-                  prompt_template: str) -> EvalRunReport:
-    """Report over every unit of every direction, in unit order, from a
-    table of unit id -> scores; a unit absent from it or scored None failed."""
+                  directions: list[tuple[str, str]], unit_lists: list[list[dict]],
+                  granularity: str, prompt_template: str) -> EvalRunReport:
+    """Report over each direction's units, in unit order, from a table of
+    unit id -> scores; a unit absent from it or scored None failed."""
     results = []
-    for direction in directions:
-        per_sentence = []
-        failed = 0
-        for unit in _direction_units(suite, direction, granularity):
-            unit_scores = scores.get(unit["id"])
-            if unit_scores is None:
-                failed += 1
-            else:
-                per_sentence.append(unit_scores)
+    for direction, units in zip(directions, unit_lists):
+        scored = [scores.get(unit["id"]) for unit in units]
+        per_sentence = [unit_scores for unit_scores in scored if unit_scores is not None]
+        aggregates = None
         if per_sentence:
             aggregates = metrics.SentenceScores(
                 chrf=metrics.aggregate([s.chrf for s in per_sentence]),
@@ -395,8 +367,7 @@ def _build_report(scores: dict[str, metrics.SentenceScores | None], suite: EvalS
                 cer=metrics.aggregate([s.cer for s in per_sentence]),
                 wer=metrics.aggregate([s.wer for s in per_sentence]),
             )
-        else:
-            aggregates = None
+        failed = len(scored) - len(per_sentence)
         results.append(DirectionResult(direction, per_sentence, aggregates, failed))
     return EvalRunReport(results, granularity, prompt_template, suite.content_hash())
 
@@ -407,7 +378,7 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
                          run_log_path: str | Path | None = None,
                          max_parallel: int = 1,
                          temperature: float = 0.0) -> EvalRunReport:
-    """Drive ``client`` over every item of every direction and score it.
+    """Drive ``client`` over every unit of every direction and score it.
 
     Prompts follow ``DEFAULT_PROMPT_TEMPLATE``.  Up to ``max_parallel``
     worker threads issue the requests in unit order; the calling thread
@@ -426,14 +397,8 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
         if (src, tgt) in seen:
             raise ValueError(f"direction {src}-{tgt} is repeated")
         seen.add((src, tgt))
-    all_units = []
-    for direction in directions:
-        src, tgt = direction
-        for unit in _direction_units(suite, direction, granularity):
-            prompt = DEFAULT_PROMPT_TEMPLATE.format(
-                src=language_name(src), tgt=language_name(tgt), text=unit["source"])
-            all_units.append({"id": unit["id"], "direction": direction, "prompt": prompt,
-                              "reference": unit["reference"]})
+    unit_lists = [_units(suite, direction, granularity) for direction in directions]
+    all_units = [unit for units in unit_lists for unit in units]
 
     def issue(unit: dict) -> dict:
         started = time.monotonic()
@@ -482,7 +447,8 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
     if scoring_error is not None:
         raise scoring_error
 
-    return _build_report(scores, suite, directions, granularity, DEFAULT_PROMPT_TEMPLATE)
+    return _build_report(scores, suite, directions, unit_lists, granularity,
+                         DEFAULT_PROMPT_TEMPLATE)
 
 
 def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport:
@@ -494,13 +460,11 @@ def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport
         raise ValueError("run log was produced from a different suite")
     directions = [tuple(d) for d in header["directions"]]
     granularity = header["granularity"]
+    unit_lists = [_units(suite, direction, granularity) for direction in directions]
     profile = metric_profile()
     by_id = {r["id"]: r for r in records}
-    scores: dict[str, metrics.SentenceScores | None] = {}
-    for direction in directions:
-        for unit in _direction_units(suite, direction, granularity):
-            record = by_id.get(unit["id"])
-            if record is not None:
-                scores[unit["id"]] = _score_unit(record, unit["reference"], profile)
-    return _build_report(scores, suite, directions, granularity, header["prompt_template"])
+    scores = {unit["id"]: _score_unit(by_id[unit["id"]], unit["reference"], profile)
+              for units in unit_lists for unit in units if unit["id"] in by_id}
+    return _build_report(scores, suite, directions, unit_lists, granularity,
+                         header["prompt_template"])
 

@@ -251,6 +251,13 @@ TRANSLATION_PROMPT = (
 )
 
 
+def translation_prompt(src_lang: str, tgt_lang: str, text: str) -> str:
+    """The user turn asking for ``text`` to be translated from ``src_lang``
+    to ``tgt_lang`` (language codes), worded by ``TRANSLATION_PROMPT``."""
+    return TRANSLATION_PROMPT.format(src=language_name(src_lang), tgt=language_name(tgt_lang),
+                                     text=text)
+
+
 def asr_noise(text: str, rate: float, rng: random.Random) -> str:
     """Simulate ASR-style corruption: per-character substitution, deletion
     and insertion at the given rate, plus punctuation drop."""
@@ -285,12 +292,10 @@ def make_translation_instruction(pair: ParallelPair, noisy: bool = False,
     source_text = pair.src_text
     if noisy:
         source_text = asr_noise(source_text, noise_rate, random.Random(rng_seed))
-    user = TRANSLATION_PROMPT.format(
-        src=language_name(pair.src_lang), tgt=language_name(pair.tgt_lang), text=source_text
-    )
     return InstructionExample(
         category="translation",
-        turns=[Turn("user", user), Turn("assistant", pair.tgt_text)],
+        turns=[Turn("user", translation_prompt(pair.src_lang, pair.tgt_lang, source_text)),
+               Turn("assistant", pair.tgt_text)],
         langs_involved={pair.src_lang, pair.tgt_lang},
     )
 

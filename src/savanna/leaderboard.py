@@ -63,6 +63,13 @@ class LeaderboardData:
             raise ValueError(f"no {metric} scores for {model} {direction}")
         return sum(values) / len(values)
 
+    def covers_both_directions(self, metric: str = "chrf") -> bool:
+        """Every model has ``metric`` for every language in both directions."""
+        langs = self.languages()
+        return all(metric in self.scores[model].get(direction, {}).get(lang, {})
+                   for model in self.models() for direction in (XX_TO_ENG, ENG_TO_XX)
+                   for lang in langs)
+
     def bidirectional_mean(self, model: str, lang: str, metric: str = "chrf") -> float:
         a = self.scores[model][XX_TO_ENG][lang][metric]
         b = self.scores[model][ENG_TO_XX][lang][metric]
@@ -190,17 +197,15 @@ def bidirectional_chart_csv(data: LeaderboardData, metric: str = "chrf") -> str:
 
 
 def make_leaderboard(data: LeaderboardData, winner_models: list[str] | None = None) -> dict:
-    """Render every leaderboard artifact from a populated score board."""
+    """Render every leaderboard artifact from a populated score board.  The
+    winner counts and the chart, which rank bidirectional means, are made
+    only when every model has chrF for every language in both directions."""
     data.validate_consistency()
-    artifacts = {
-        "mean_table": mean_table_markdown(data),
-        "winner_counts": winner_counts(data, winner_models),
-    }
+    artifacts = {"mean_table": mean_table_markdown(data)}
     for direction in (XX_TO_ENG, ENG_TO_XX):
         if any(direction in d for d in data.scores.values()):
             artifacts[f"per_language_{direction}"] = per_language_table_markdown(data, direction)
-    try:
+    if data.covers_both_directions():
+        artifacts["winner_counts"] = winner_counts(data, winner_models)
         artifacts["chart_csv"] = bidirectional_chart_csv(data)
-    except KeyError:
-        pass  # chart needs both directions
     return artifacts

@@ -300,6 +300,27 @@ class TestEvalCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["directions"][0]["evaluated"] == 20
 
+    @pytest.mark.parametrize("granularity, units", [("sentence", 99), ("document", 19)])
+    def test_partial_suite_leaves_out_units_without_text(self, tmp_path, granularity, units):
+        suite = evalharness.synthetic_suite(languages=("aaa", "bbb"), seed=5)
+        del suite.items[37].translations["aaa"]  # saved as an empty cell
+        path = tmp_path / "suite.csv"
+        save_suite(suite, path)
+        config = write_yaml(tmp_path / "c.yaml", {"full_suite": False})
+        out = tmp_path / "out"
+        assert main(["eval", "--config", config, "--suite", str(path), "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng,eng-aaa", "--granularity", granularity,
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["total_items"], report["total_failed"]) == (2 * units, 0)
+        for d in report["directions"]:
+            assert d["evaluated"] == units
+            assert d["aggregates"]["chrf"] == 1.0
+        rescored = tmp_path / "rescored"
+        assert main(["eval", "--config", config, "--suite", str(path),
+                     "--rescore", str(out / "run_log.jsonl"), "--out", str(rescored)]) == 0
+        assert (rescored / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
     def test_invalid_direction_fails(self, tmp_path, suite_csv, capsys):
         assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
                      "--directions", "aaa-bbb", "--out", str(tmp_path / "o")]) == 1
@@ -379,6 +400,21 @@ class TestReportCommand:
         counts = json.loads((out / "winner_counts.json").read_text())
         assert counts == {"echo": 1}
 
+    def test_one_direction_run_report(self, tmp_path, suite_csv):
+        eval_out = tmp_path / "eval"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng", "--out", str(eval_out)]) == 0
+        config = write_yaml(tmp_path / "c.yaml", {
+            "use_published_reference": False,
+            "runs": [{"model": "echo", "suite": suite_csv,
+                      "run_log": str(eval_out / "run_log.jsonl")}],
+        })
+        out = tmp_path / "report"
+        assert main(["report", "--config", config, "--out", str(out)]) == 0
+        # Winner counts and the chart rank bidirectional means, which need eng-xx.
+        assert sorted(p.name for p in out.iterdir()) == [
+            "mean_table.md", "per_language_xx-eng.md", "resolved_config.yaml"]
+
 
 class TestLossCommand:
     def test_audit(self, tmp_path, capsys):
@@ -435,6 +471,9 @@ BAD_CONFIGS = [
      "backtranslate.endpoint is required"),
     ("corpus", {"inputs": [], "backtranslate": {"endpoint": "http://mt", "targets": "lug"}},
      "backtranslate.targets must be a list"),
+    ("corpus", {"inputs": [0]}, "inputs[0] must be a string"),
+    ("corpus", {"inputs": [], "backtranslate": {"endpoint": "http://mt", "targets": ["lug", 3]}},
+     "backtranslate.targets[1] must be a string"),
     ("instruct", {"parallel": "pairs.jsonl", "max_lne": 128},
      "max_lne is not a known key; did you mean max_len?"),
     ("instruct", {"parallel": "pairs.jsonl", "max_len": "512"}, "max_len must be an integer"),
@@ -452,10 +491,19 @@ BAD_CONFIGS = [
      "endpoint is required unless rescore is set"),
     ("eval", {"suite": "suite.csv", "endpoint": "stub:echo"},
      "directions is required unless rescore is set"),
+    ("eval", {"suite": "suite.csv", "endpoint": "stub:echo", "directions": "aaa"},
+     "bad direction: 'aaa'"),
+    ("eval", {"suite": "suite.csv", "endpoint": "stub:echo", "directions": []},
+     "directions must name at least one src-tgt pair"),
+    ("eval", {"suite": "suite.csv", "endpoint": "stub:echo", "directions": ""},
+     "directions must name at least one src-tgt pair"),
+    ("eval", {"suite": "suite.csv", "endpoint": "stub:echo", "directions": "aaa-eng",
+              "granularity": "paragraph"}, "granularity must be sentence or document"),
     ("report", {"run": []}, "run is not a known key; did you mean runs?"),
     ("report", {"tables": {"path": "t.csv"}}, "tables must be a list"),
     ("report", {"runs": [{"model": "m", "suite": "suite.csv"}]}, "runs[0].run_log is required"),
     ("report", {"runs": ["run_log.jsonl"]}, "runs[0] must be a mapping"),
+    ("report", {"winner_models": ["m", None]}, "winner_models[1] must be a string"),
     ("report", {"tables": [{"path": 1, "direction": "xx-eng", "metric": "chrf"}]},
      "tables[0].path must be a string"),
     ("report", {"runs": [{"model": "m", "suite": "s.csv", "run_log": "l.jsonl", "log": "x"}]},
@@ -511,6 +559,23 @@ class TestConfigResolution:
             "model_name": "stub:echo", "model": "", "timeout": 60.0, "retries": 2,
             "seed": 0, "out": str(out),
         }
+
+    def test_empty_backtranslate_mapping_is_checked(self, tmp_path, capsys):
+        # As a BAD_CONFIGS entry its id would clash with the existing
+        # backtranslate.endpoint entry and rename that test.
+        path = write_yaml(tmp_path / "c.yaml", {"inputs": [], "backtranslate": {}})
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", path, "--out", str(out)]) == 1
+        assert_config_error(capsys, out, "backtranslate.endpoint is required")
+
+    def test_bad_mixture_weight_fails_before_output(self, tmp_path, capsys):
+        path = write_yaml(tmp_path / "c.yaml", {"inputs": [], "source_weights": {"web": "x"}})
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", path, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "source_weights.web must be a finite number >= 0, got 'x'",
+            "type": "ValueError"}
+        assert not out.exists()
 
     def test_unknown_stub_endpoint_rejected(self, tmp_path, suite_csv, capsys):
         out = tmp_path / "o"

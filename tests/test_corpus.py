@@ -235,6 +235,12 @@ class TestAssemblePretraining:
         assert manifest["buckets"]["book_ocr/lug"]["docs_out"] == 10
         assert len(out) == 40
 
+    @pytest.mark.parametrize("weight", [-1.0, True, "2", None, float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["source_weights", "lang_weights"])
+    def test_bad_weight_rejected_on_construction(self, field, weight):
+        with pytest.raises(ValueError, match=rf"^{field}\.web must be a finite number >= 0"):
+            MixtureSpec(**{field: {"web": weight}})
+
     def test_all_weights_zero_errors(self):
         docs = self.make_buckets()
         spec = MixtureSpec(source_weights={"web": 0.0, "book_ocr": 0.0})

@@ -7,6 +7,7 @@ from helpers import ConstantClient, FlakyClient, save_suite
 
 from savanna import metrics
 from savanna.evalharness import (
+    SENTENCES_PER_CATEGORY,
     EvalItem,
     EvalSuite,
     ModelEndpoint,
@@ -17,6 +18,8 @@ from savanna.evalharness import (
     run_translation_eval,
     synthetic_suite,
 )
+from savanna.instruct import translation_prompt
+from savanna.leaderboard import published_reference_data
 from savanna.textnorm import metric_profile, normalize
 
 
@@ -113,6 +116,24 @@ class TestTranslationEval:
                                       granularity="document")
         assert report.directions[0].evaluated == 20
         assert report.directions[0].aggregates.chrf == pytest.approx(1.0)
+
+    def test_echo_client_answers_every_unit_of_31_languages(self):
+        # Prompts and references are built here from the items, independently
+        # of the harness's own unit list.
+        langs = published_reference_data().languages()
+        wide = synthetic_suite(languages=langs, seed=7)
+        client = ReferenceEchoClient(wide)
+        items = sorted(wide.items, key=lambda i: (i.category_id, i.sent_index))
+        documents = [items[k:k + SENTENCES_PER_CATEGORY]
+                     for k in range(0, len(items), SENTENCES_PER_CATEGORY)]
+        assert len(langs) == 31 and len(documents) == 20
+        for lang in langs:
+            for group in [[item] for item in items] + documents:
+                eng = " ".join(i.english for i in group)
+                loc = " ".join(i.translations[lang] for i in group)
+                for src, tgt, text, reference in (("eng", lang, eng, loc), (lang, "eng", loc, eng)):
+                    prompt = translation_prompt(src, tgt, text)
+                    assert client.complete([{"role": "user", "content": prompt}]) == reference
 
     def test_direction_must_involve_english(self, suite):
         with pytest.raises(ValueError, match="eng on exactly one side"):

@@ -125,6 +125,15 @@ class TestBoardOps:
         assert set(artifacts) >= {"mean_table", "winner_counts",
                                   "per_language_xx-eng", "per_language_eng-xx", "chart_csv"}
 
+    @pytest.mark.parametrize("drop", [("m1", "m2"), ("m2",)], ids=["both", "one"])
+    def test_winners_and_chart_need_every_model_in_both_directions(self, drop):
+        data = self.small_board()
+        for model in drop:
+            del data.scores[model][ENG_TO_XX]
+        artifacts = make_leaderboard(data)
+        assert "per_language_xx-eng" in artifacts
+        assert "winner_counts" not in artifacts and "chart_csv" not in artifacts
+
     def test_load_score_csv_from_file(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("lang,language,m1,m2\nlug,Luganda,0.4,0.3\n")
