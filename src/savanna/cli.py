@@ -2,11 +2,12 @@
 
 Subcommands: ``corpus``, ``instruct``, ``eval``, ``report``, ``loss``.
 :func:`resolve_config` builds each run's config from ``CONFIG_KEYS``, the
-YAML file (``--config``) and the flags, and checks it before the run locks
-its output directory; the lock holds the run's PID, so a lock left by a
-killed run can be broken.  Every resolved key is written to
-``resolved_config.yaml``, which ``--config`` takes back.  Secrets are read
-from environment variables only (``SAVANNA_API_TOKEN``).
+YAML file (``--config``) and the flags.  Each ``cmd_*`` function reads and
+checks every input, then returns the step that runs once the output
+directory is locked: endpoint requests and writes.  The lock holds the
+run's PID, so a lock left by a killed run can be broken.  Every resolved
+key is written to ``resolved_config.yaml``, which ``--config`` takes back.
+Secrets are read from environment variables only (``SAVANNA_API_TOKEN``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import copy
 import difflib
+import functools
 import json
 import os
 import sys
@@ -25,7 +27,6 @@ import yaml
 
 from . import corpus as corpus_mod
 from . import evalharness, instruct, jsonio, leaderboard, preference_loss
-from .textnorm import clean_document, corpus_profile
 
 
 class CliError(Exception):
@@ -88,11 +89,11 @@ REQUIRED = object()  # the default of a key that has none
 NUMBER = (int, float)
 
 # Each command's keys besides ``seed`` and ``out``: key -> (type, default).  A
-# list[str] key holds a list whose every element must be a string.  A
-# callable default is computed from the keys before it; such a key may be null,
-# like one whose default is None.  ``bible`` is checked by resolve_config.
+# list[str] key holds a list whose every element must be a string, a
+# tuple[dict, dict] key a list of two mappings.  A callable default is computed
+# from the keys before it; such a key may be null, like one whose default is None.
 CONFIG_KEYS = {
-    "corpus": {"inputs": (list[str], REQUIRED), "bible": (object, None),
+    "corpus": {"inputs": (list[str], REQUIRED), "bible": (tuple[dict, dict], None),
                "backtranslate": (dict, None), "source_weights": (dict, {}),
                "lang_weights": (dict, {}), "sample_size": (int, None)},
     "instruct": {"parallel": (str, REQUIRED), "conversational": (str, None),
@@ -128,14 +129,18 @@ def _check_type(value, kind, name: str) -> None:
         _check_type(value, list, name)
         for i, element in enumerate(value):
             _check_type(element, typing.get_args(kind)[0], f"{name}[{i}]")
+    elif typing.get_origin(kind) is tuple:  # bible, the one such key
+        if not (isinstance(value, list) and len(value) == len(typing.get_args(kind))
+                and all(map(isinstance, value, typing.get_args(kind)))):
+            raise CliError(f"{name} must list two editions, {{lang, path}} each, the source first")
     # isinstance(True, int) holds, but true is not a number here.
     elif not isinstance(value, kind) or isinstance(value, bool) and kind in (int, NUMBER):
         raise CliError(f"{name} must be {TYPE_NAMES[kind]}")
 
 
 def _resolved(given, keys: dict, where: str = "") -> dict:
-    """``given`` checked against ``keys``, with the defaults of keys it lacks.
-    Errors name a key after ``where``, such as ``runs[0].``."""
+    """``given``, and each entry of an ``ENTRY_KEYS`` key in it, checked against
+    their keys, with defaults filled in.  Errors name a key after ``where``."""
     if not isinstance(given, dict):
         raise CliError(f"{where.rstrip('.') or 'the config'} must be a mapping")
     for key in given:
@@ -154,6 +159,11 @@ def _resolved(given, keys: dict, where: str = "") -> dict:
         if value is None and (default is None or callable(default)):
             continue
         _check_type(value, kind, f"{where}{key}")
+        if key in ENTRY_KEYS:
+            entries = {"": value} if isinstance(value, dict) else {
+                f"[{i}]": entry for i, entry in enumerate(value)}
+            for index, entry in entries.items():
+                _resolved(entry, ENTRY_KEYS[key], f"{where}{key}{index}.")
     return resolved
 
 
@@ -170,90 +180,60 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if isinstance(given, dict):
         given.update((key, value) for key, value in vars(args).items()
                      if key not in ("command", "config") and value is not None)
-    config = _resolved(given, {"seed": (int, 0), "out": (str, f"{args.command}_out"),
-                               **CONFIG_KEYS[args.command]})
-    if args.command == "corpus" and config["bible"] is not None:
-        bible = config["bible"]
-        if (not isinstance(bible, list) or len(bible) != 2
-                or not all(isinstance(e, dict) for e in bible)):
-            raise CliError("bible must list two editions, {lang, path} each, the source first")
-        for i, edition in enumerate(bible):
-            _resolved(edition, ENTRY_KEYS["bible"], f"bible[{i}].")
-        if bible[0]["lang"] == bible[1]["lang"]:
-            raise CliError(f"bible editions must be in two languages, not lang "
-                           f"{bible[0]['lang']!r} and lang {bible[1]['lang']!r}")
-    if args.command == "corpus":
-        if config["backtranslate"] is not None:
-            _resolved(config["backtranslate"], ENTRY_KEYS["backtranslate"], "backtranslate.")
-        corpus_mod.MixtureSpec(config["source_weights"], config["lang_weights"])
-    if args.command == "instruct":
-        instruct.batch_spec(config["tokens_per_batch"], config["max_len"])
-    if args.command == "eval" and config["granularity"] not in evalharness.GRANULARITIES:
-        raise CliError("granularity must be " + " or ".join(evalharness.GRANULARITIES))
-    if args.command == "eval" and not config["rescore"]:
-        for key in ("endpoint", "directions"):
-            if config[key] is None:
-                raise CliError(f"{key} is required unless rescore is set")
-        if config["endpoint"].startswith("stub:") and config["endpoint"] != "stub:echo":
-            raise CliError(f"unknown stub endpoint: {config['endpoint']}")
-        _parse_directions(config["directions"])
-    if args.command == "report":
-        for key in ("runs", "tables"):
-            for i, entry in enumerate(config[key]):
-                _resolved(entry, ENTRY_KEYS[key], f"{key}[{i}].")
-    return config
+    return _resolved(given, {"seed": (int, 0), "out": (str, f"{args.command}_out"),
+                             **CONFIG_KEYS[args.command]})
 
 
-def cmd_corpus(config: dict, out: Path) -> None:
+def cmd_corpus(config: dict) -> typing.Callable[[Path], None]:
+    bible, bt = config["bible"], config["backtranslate"]
+    if bible is not None and bible[0]["lang"] == bible[1]["lang"]:
+        raise CliError(f"bible editions must be in two languages, not lang "
+                       f"{bible[0]['lang']!r} and lang {bible[1]['lang']!r}")
+    spec = corpus_mod.MixtureSpec(config["source_weights"], config["lang_weights"])
+    corpus_mod.check_count("sample_size", config["sample_size"])
     docs = []
     for path in config["inputs"]:
         docs.extend(corpus_mod.read_documents_jsonl(path))
-    if config["bible"] is not None:
+    if bible is not None:
         aligned = corpus_mod.align_bibles(
-            *(corpus_mod.load_bible_tsv(e["path"], e["lang"]) for e in config["bible"]))
+            *(corpus_mod.load_bible_tsv(e["path"], e["lang"]) for e in bible))
+    client = corpus_mod.HttpMtClient(bt["endpoint"]) if bt else None
 
-    profile = corpus_profile()
     chars_in = sum(len(d.text) for d in docs)
-    cleaned = []
-    clean_stats = {"control_removed": 0, "artifacts_removed": 0}
-    for doc in docs:
-        text, report = clean_document(doc.text, profile)
-        clean_stats["control_removed"] += report.control_removed
-        clean_stats["artifacts_removed"] += report.artifacts_removed
-        if text:
-            cleaned.append(corpus_mod.make_document(
-                doc.lang, text, doc.source, doc.license_note, doc.provenance))
-
+    cleaned, clean_stats = corpus_mod.clean_documents(docs)
     deduped = list(corpus_mod.dedup(cleaned))
+    sample = functools.partial(corpus_mod.assemble_pretraining, deduped, spec, config["seed"],
+                               sample_size=config["sample_size"])
+    # Without back-translation the sample waits for no endpoint, so it is drawn now.
+    drawn = None if bt else sample()
 
-    bt_config = config["backtranslate"]
-    errors = []
-    if bt_config:
-        client = corpus_mod.HttpMtClient(bt_config["endpoint"])
-        english = [d for d in deduped if d.lang == "eng"]
-        for target in bt_config["targets"]:
-            result = corpus_mod.backtranslate(english, target, client)
-            deduped.extend(result.documents)
-            errors.extend(result.errors)
+    def run(out: Path) -> None:
+        errors = []
+        if bt:
+            english = [d for d in deduped if d.lang == "eng"]
+            for target in bt["targets"]:
+                result = corpus_mod.backtranslate(english, target, client)
+                deduped.extend(result.documents)
+                errors.extend(result.errors)
+        sampled, manifest = drawn or sample()
 
-    spec = corpus_mod.MixtureSpec(config["source_weights"], config["lang_weights"])
-    sampled, manifest = corpus_mod.assemble_pretraining(
-        deduped, spec, config["seed"], sample_size=config["sample_size"])
-
-    corpus_mod.write_documents_jsonl(sampled, out / "documents.jsonl")
-    if config["bible"] is not None:
-        corpus_mod.write_pairs_jsonl(aligned.pairs, out / "pairs.jsonl")
-        manifest["bible"] = {"pairs": len(aligned.pairs), "only_in_src": len(aligned.only_in_a),
-                             "only_in_tgt": len(aligned.only_in_b)}
-    manifest["chars_in"] = chars_in
-    manifest["chars_out"] = sum(d.char_count for d in sampled)
-    manifest["reduction_ratio"] = (manifest["chars_out"] / chars_in) if chars_in else 0.0
-    manifest["cleaning"] = clean_stats
-    manifest["backtranslation_errors"] = errors
-    jsonio.write_json(out / "manifest.json", manifest)
+        corpus_mod.write_documents_jsonl(sampled, out / "documents.jsonl")
+        if bible is not None:
+            corpus_mod.write_pairs_jsonl(aligned.pairs, out / "pairs.jsonl")
+            manifest["bible"] = {"pairs": len(aligned.pairs), "only_in_src": len(aligned.only_in_a),
+                                 "only_in_tgt": len(aligned.only_in_b)}
+        manifest["chars_in"] = chars_in
+        manifest["chars_out"] = sum(d.char_count for d in sampled)
+        manifest["reduction_ratio"] = (manifest["chars_out"] / chars_in) if chars_in else 0.0
+        manifest["cleaning"] = clean_stats
+        manifest["backtranslation_errors"] = errors
+        jsonio.write_json(out / "manifest.json", manifest)
+    return run
 
 
-def cmd_instruct(config: dict, out: Path) -> None:
+def cmd_instruct(config: dict) -> typing.Callable[[Path], None]:
+    max_len = config["max_len"]
+    sequences_per_batch = instruct.batch_spec(config["tokens_per_batch"], max_len)
     if config["tokenizer_vocab"]:
         tokenizer = instruct.VocabFileTokenizer.from_file(config["tokenizer_vocab"])
     else:
@@ -273,57 +253,69 @@ def cmd_instruct(config: dict, out: Path) -> None:
         noisy_fraction=config["noisy_fraction"],
         rng_seed=config["seed"],
     )
-    instruct.write_instructions_jsonl(examples, out / "instructions.jsonl")
-
-    max_len = config["max_len"]
     streams = []
     for i, example in enumerate(examples):
         rendered = instruct.render_chat(example, tokenizer, template)
         streams.append((f"ex{i}", rendered.token_ids))
     packed = instruct.pack(streams, max_len=max_len)
-    instruct.write_packed_jsonl(packed, out / "packed.jsonl", max_len=max_len)
 
-    jsonio.write_json(out / "manifest.json", {
-        "category_counts": counts,
-        "examples": len(examples),
-        "packed_sequences": len(packed),
-        "sequences_per_batch": instruct.batch_spec(config["tokens_per_batch"], max_len),
-    })
+    def run(out: Path) -> None:
+        instruct.write_instructions_jsonl(examples, out / "instructions.jsonl")
+        instruct.write_packed_jsonl(packed, out / "packed.jsonl", max_len=max_len)
+        jsonio.write_json(out / "manifest.json", {
+            "category_counts": counts,
+            "examples": len(examples),
+            "packed_sequences": len(packed),
+            "sequences_per_batch": sequences_per_batch,
+        })
+    return run
 
 
-def cmd_eval(config: dict, out: Path) -> None:
+def cmd_eval(config: dict) -> typing.Callable[[Path], None]:
+    if config["granularity"] not in evalharness.GRANULARITIES:
+        raise CliError("granularity must be " + " or ".join(evalharness.GRANULARITIES))
+    if not config["rescore"]:
+        for key in ("endpoint", "directions"):
+            if config[key] is None:
+                raise CliError(f"{key} is required unless rescore is set")
+        if config["endpoint"].startswith("stub:") and config["endpoint"] != "stub:echo":
+            raise CliError(f"unknown stub endpoint: {config['endpoint']}")
+        directions = _parse_directions(config["directions"])
     suite = evalharness.load_suite(config["suite"])
     suite.validate(full=config["full_suite"])
 
     if config["rescore"]:
         report = evalharness.rescore_run_log(config["rescore"], suite)
+        return lambda out: _write_report(out, report)
+    evalharness.check_directions(suite, directions, config["max_parallel"])
+    # stub:echo replies with the reference, in process: tests, demos and
+    # the offline echo pipeline use it.  Anything else is a live endpoint.
+    if config["endpoint"] == "stub:echo":
+        client = evalharness.ReferenceEchoClient(suite)
     else:
-        directions = _parse_directions(config["directions"])
-        # stub:echo replies with the reference, in process: tests, demos and
-        # the offline echo pipeline use it.  Anything else is a live endpoint.
-        if config["endpoint"] == "stub:echo":
-            client = evalharness.ReferenceEchoClient(suite)
-        else:
-            client = evalharness.HttpCompletionClient(evalharness.ModelEndpoint(
-                name=config["model_name"],
-                base_url=config["endpoint"],
-                model=config["model"],
-                timeout=config["timeout"],
-                retries=config["retries"],
-            ))
-        report = evalharness.run_translation_eval(
-            suite, client, directions,
-            granularity=config["granularity"],
-            run_log_path=out / "run_log.jsonl",
-            max_parallel=config["max_parallel"],
-            temperature=config["temperature"],
-        )
+        client = evalharness.HttpCompletionClient(evalharness.ModelEndpoint(
+            name=config["model_name"],
+            base_url=config["endpoint"],
+            model=config["model"],
+            timeout=config["timeout"],
+            retries=config["retries"],
+        ))
+    return lambda out: _write_report(out, evalharness.run_translation_eval(
+        suite, client, directions,
+        granularity=config["granularity"],
+        run_log_path=out / "run_log.jsonl",
+        max_parallel=config["max_parallel"],
+        temperature=config["temperature"],
+    ))
+
+
+def _write_report(out: Path, report: evalharness.EvalRunReport) -> None:
     jsonio.write_text(out / "report.json", report.to_json())
     if report.invalid:
         raise CliError(f"run invalid: {report.total_failed}/{report.total_items} items failed")
 
 
-def cmd_report(config: dict, out: Path) -> None:
+def cmd_report(config: dict) -> typing.Callable[[Path], None]:
     data = leaderboard.LeaderboardData()
     if config["use_published_reference"]:
         data = leaderboard.published_reference_data()
@@ -336,28 +328,34 @@ def cmd_report(config: dict, out: Path) -> None:
         leaderboard.add_run_report(data, entry["model"], report)
 
     artifacts = leaderboard.make_leaderboard(data, config["winner_models"])
-    jsonio.write_text(out / "mean_table.md", artifacts["mean_table"])
-    for direction in (leaderboard.XX_TO_ENG, leaderboard.ENG_TO_XX):
-        key = f"per_language_{direction}"
-        if key in artifacts:
-            jsonio.write_text(out / f"{key}.md", artifacts[key])
-    if "chart_csv" in artifacts:
-        jsonio.write_text(out / "chart.csv", artifacts["chart_csv"])
-    if "winner_counts" in artifacts:
-        jsonio.write_json(out / "winner_counts.json", artifacts["winner_counts"])
+
+    def run(out: Path) -> None:
+        jsonio.write_text(out / "mean_table.md", artifacts["mean_table"])
+        for direction in (leaderboard.XX_TO_ENG, leaderboard.ENG_TO_XX):
+            key = f"per_language_{direction}"
+            if key in artifacts:
+                jsonio.write_text(out / f"{key}.md", artifacts[key])
+        if "chart_csv" in artifacts:
+            jsonio.write_text(out / "chart.csv", artifacts["chart_csv"])
+        if "winner_counts" in artifacts:
+            jsonio.write_json(out / "winner_counts.json", artifacts["winner_counts"])
+    return run
 
 
-def cmd_loss(config: dict, out: Path) -> None:
-    pairs = preference_loss.read_pair_logps_jsonl(config["pairs"])
+def cmd_loss(config: dict) -> typing.Callable[[Path], None]:
     params = preference_loss.LossParams(
         beta=config["beta"],
         alpha_rpo=config["alpha_rpo"],
     )
+    pairs = preference_loss.read_pair_logps_jsonl(config["pairs"])
     audit = preference_loss.audit_pairs(pairs, params)
-    jsonio.write_json(out / "loss_audit.json", audit)
-    print(f"pairs: {len(audit['pairs'])}  "
-          f"mean dpo: {audit['mean_dpo_loss']:.6f}  "
-          f"mean irpo: {audit['mean_irpo_loss']:.6f}")
+
+    def run(out: Path) -> None:
+        jsonio.write_json(out / "loss_audit.json", audit)
+        print(f"pairs: {len(audit['pairs'])}  "
+              f"mean dpo: {audit['mean_dpo_loss']:.6f}  "
+              f"mean irpo: {audit['mean_irpo_loss']:.6f}")
+    return run
 
 
 def _parse_directions(raw) -> list[tuple[str, str]]:
@@ -408,10 +406,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        run = COMMANDS[args.command][0](config)
         out = Path(config["out"])
         with _locked_output_dir(out):
             jsonio.write_text(out / "resolved_config.yaml", yaml.safe_dump(config, sort_keys=True))
-            COMMANDS[args.command][0](config, out)
+            run(out)
         return 0
     except (CliError, FileNotFoundError, KeyError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)

@@ -24,6 +24,7 @@ if TYPE_CHECKING:
     import requests
 
 from . import jsonio
+from .textnorm import clean_document, corpus_profile
 
 Source = str
 _SOURCES = {
@@ -133,6 +134,22 @@ def _paragraphs(text: str) -> list[str]:
 
 def _content_key(text: str) -> str:
     return " ".join(text.split())
+
+
+def clean_documents(docs: Iterable[CorpusDocument]) -> tuple[list[CorpusDocument], dict]:
+    """Each document's text cleaned with ``textnorm.corpus_profile``, the
+    documents left empty dropped, and the cleaning counts summed over all."""
+    profile = corpus_profile()
+    cleaned = []
+    stats = {"control_removed": 0, "artifacts_removed": 0}
+    for doc in docs:
+        text, report = clean_document(doc.text, profile)
+        stats["control_removed"] += report.control_removed
+        stats["artifacts_removed"] += report.artifacts_removed
+        if text:
+            cleaned.append(make_document(doc.lang, text, doc.source, doc.license_note,
+                                         doc.provenance))
+    return cleaned, stats
 
 
 def dedup(docs: Iterable[CorpusDocument]) -> Iterator[CorpusDocument]:
@@ -336,6 +353,13 @@ def backtranslate(english_docs: list[CorpusDocument], target: str,
 # --- Pretraining mixture assembly -------------------------------------------
 
 
+def check_count(name: str, value: int | None) -> None:
+    """Raise a ValueError naming ``name`` unless the count ``value`` is None
+    or >= 0."""
+    if value is not None and value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+
+
 def _allocate(sample_size: int, weights: dict, capacities: dict) -> dict:
     """Largest-remainder allocation of ``sample_size`` across buckets,
     proportional to weight and capped at bucket capacity."""
@@ -372,6 +396,7 @@ def assemble_pretraining(docs: Iterable[CorpusDocument], spec: MixtureSpec, seed
     manifest of per-bucket document and character counts.  With
     ``sample_size=None`` the weights act as include/exclude filters.
     """
+    check_count("sample_size", sample_size)
     buckets: dict[tuple[str, str], list[CorpusDocument]] = {}
     for doc in docs:
         buckets.setdefault((doc.source, doc.lang), []).append(doc)

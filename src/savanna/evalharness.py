@@ -241,13 +241,10 @@ def _units(suite: EvalSuite, direction: tuple[str, str], granularity: str) -> li
     ``direction``, ``prompt`` and ``reference``.  A sentence unit is one
     suite item; a document unit joins a category's items, in sentence order,
     with single spaces.  A unit with an item that lacks the direction's
-    language (in a partial suite) is left out."""
+    language (in a partial suite) is left out.  ``direction`` must pass
+    :func:`check_directions`."""
     src, tgt = direction
-    if (src == "eng") == (tgt == "eng"):
-        raise ValueError(f"direction {direction} must have eng on exactly one side")
     other = tgt if src == "eng" else src
-    if other not in suite.languages:
-        raise ValueError(f"language {other!r} not in suite")
     items = sorted(suite.items, key=lambda i: (i.category_id, i.sent_index))
     if granularity == "sentence":
         groups = [(f"{i.category_id}:{i.sent_index}", [i]) for i in items]
@@ -372,6 +369,27 @@ def _build_report(scores: dict[str, metrics.SentenceScores | None], suite: EvalS
     return EvalRunReport(results, granularity, prompt_template, suite.content_hash())
 
 
+def check_directions(suite: EvalSuite, directions: list[tuple[str, str]],
+                     max_parallel: int = 1) -> None:
+    """Raise a ValueError unless :func:`run_translation_eval` can run
+    ``directions`` over ``suite`` with ``max_parallel`` workers: each
+    direction has eng on exactly one side and a language the suite has, no
+    direction is repeated, and ``max_parallel`` is an integer >= 1."""
+    if (isinstance(max_parallel, bool) or not isinstance(max_parallel, int)
+            or max_parallel < 1):
+        raise ValueError(f"max_parallel must be an integer >= 1, got {max_parallel!r}")
+    seen = set()
+    for src, tgt in directions:
+        if (src == "eng") == (tgt == "eng"):
+            raise ValueError(f"direction {(src, tgt)} must have eng on exactly one side")
+        other = tgt if src == "eng" else src
+        if other not in suite.languages:
+            raise ValueError(f"language {other!r} not in suite")
+        if (src, tgt) in seen:
+            raise ValueError(f"direction {src}-{tgt} is repeated")
+        seen.add((src, tgt))
+
+
 def run_translation_eval(suite: EvalSuite, client: CompletionClient,
                          directions: list[tuple[str, str]],
                          granularity: str = "sentence",
@@ -389,14 +407,7 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
     Per-item transport failures are excluded from scoring and counted, and a
     failure rate above 10% marks the run invalid.
     """
-    if (isinstance(max_parallel, bool) or not isinstance(max_parallel, int)
-            or max_parallel < 1):
-        raise ValueError(f"max_parallel must be an integer >= 1, got {max_parallel!r}")
-    seen = set()
-    for src, tgt in directions:
-        if (src, tgt) in seen:
-            raise ValueError(f"direction {src}-{tgt} is repeated")
-        seen.add((src, tgt))
+    check_directions(suite, directions, max_parallel)
     unit_lists = [_units(suite, direction, granularity) for direction in directions]
     all_units = [unit for units in unit_lists for unit in units]
 
@@ -459,6 +470,8 @@ def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport
     if header["suite_hash"] != suite.content_hash():
         raise ValueError("run log was produced from a different suite")
     directions = [tuple(d) for d in header["directions"]]
+    # A log written before repeated directions were rejected may repeat one.
+    check_directions(suite, list(dict.fromkeys(directions)))
     granularity = header["granularity"]
     unit_lists = [_units(suite, direction, granularity) for direction in directions]
     profile = metric_profile()

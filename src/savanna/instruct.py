@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Protocol
 
 from . import jsonio
-from .corpus import ParallelPair
+from .corpus import ParallelPair, check_count
 
 CATEGORIES = (
     "translation",
@@ -436,8 +436,13 @@ def build_instruction_dataset(pairs: list[ParallelPair],
 
     Counts are capped by the available inputs; a configurable fraction of
     translation tasks simulates noisy (ASR-like) source text.  Returns the
-    examples and per-category counts.
+    examples and per-category counts.  Counts must be >= 0 and
+    ``noisy_fraction`` in [0, 1].
     """
+    check_count("n_translation", n_translation)
+    check_count("n_conversational", n_conversational)
+    if not 0 <= noisy_fraction <= 1:
+        raise ValueError(f"noisy_fraction must be in [0, 1], got {noisy_fraction!r}")
     rng = random.Random(rng_seed)
     examples: list[InstructionExample] = []
     for i, pair in enumerate(pairs[:n_translation]):

@@ -199,7 +199,12 @@ def bidirectional_chart_csv(data: LeaderboardData, metric: str = "chrf") -> str:
 def make_leaderboard(data: LeaderboardData, winner_models: list[str] | None = None) -> dict:
     """Render every leaderboard artifact from a populated score board.  The
     winner counts and the chart, which rank bidirectional means, are made
-    only when every model has chrF for every language in both directions."""
+    only when every model has chrF for every language in both directions.
+    Each of ``winner_models`` must be a model with scores."""
+    models = data.models()
+    for i, model in enumerate(winner_models or []):
+        if model not in models:
+            raise ValueError(f"winner_models[{i}] is {model!r}, a model with no scores")
     data.validate_consistency()
     artifacts = {"mean_table": mean_table_markdown(data)}
     for direction in (XX_TO_ENG, ENG_TO_XX):

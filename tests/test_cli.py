@@ -84,7 +84,7 @@ class TestCorpusCommand:
 
     def test_non_finite_provenance_fails_before_manifest(self, tmp_path, capsys):
         # 1e999 overflows to infinity, so the input is rejected on read,
-        # naming the file and the line, before any output is written.
+        # naming the file and the line, before the output directory is made.
         lines = [json.dumps(make_document("lug", f"omwana agenda mu kibuga {i}", "web",
                                           provenance={"ocr_score": 0.5}).__dict__)
                  for i in range(6)]
@@ -96,7 +96,7 @@ class TestCorpusCommand:
         assert main(["corpus", "--config", config, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": f"{inputs}:4: 1e999 overflows to infinity", "type": "ValueError"}
-        assert [p.name for p in out.iterdir()] == ["resolved_config.yaml"]
+        assert not out.exists()
 
     def test_non_finite_token_in_input_names_file_and_line(self, tmp_path, capsys):
         good = make_document("lug", "omwana agenda mu kibuga", "web")
@@ -109,7 +109,7 @@ class TestCorpusCommand:
         assert main(["corpus", "--config", config, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": f"{inputs}:2: NaN is not valid JSON", "type": "ValueError"}
-        assert [p.name for p in out.iterdir()] == ["resolved_config.yaml"]
+        assert not out.exists()
 
     def bible_config(self, tmp_path, editions):
         paths = []
@@ -152,7 +152,7 @@ class TestCorpusCommand:
         assert err == {"error": f"{tmp_path / 'lug.tsv'}:2: invalid literal for int() "
                                 "with base 10: 'bibiri'",
                        "type": "ValueError"}
-        assert [p.name for p in out.iterdir()] == ["resolved_config.yaml"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("bible", [
         [{"lang": "lug", "path": "lug.tsv"}],
@@ -683,3 +683,124 @@ class TestAtomicOutputs:
         assert (out / "report.json").read_bytes() == before
         assert not list(out.glob("*.tmp"))
         assert not (out / ".savanna.lock").exists()
+
+
+@pytest.fixture()
+def inputs(tmp_path, suite_csv):
+    """A valid input file of each kind, by name; ``missing`` names none."""
+    paths = {name: tmp_path / f"{name}.{ext}" for name, ext in (
+        ("docs", "jsonl"), ("pairs", "jsonl"), ("logps", "jsonl"), ("vocab", "json"),
+        ("bad_log", "jsonl"), ("missing", "jsonl"))}
+    corpus.write_documents_jsonl([make_document("lug", "omwana agenda mu kibuga", "web")],
+                                 paths["docs"])
+    corpus.write_pairs_jsonl([ParallelPair("lug", "eng", f"gamba {i}", f"say {i}")
+                              for i in range(3)], paths["pairs"])
+    write_pair_logps_jsonl([preference_loss.PairLogps([-0.5], [-2.0], [-0.5], [-2.0])],
+                           paths["logps"])
+    paths["vocab"].write_text('{"say": 0}')  # lacks every word of the prompt
+    paths["bad_log"].write_text('{"type": "record"}\n')
+    eval_out = tmp_path / "eval"
+    assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                 "--directions", "aaa-eng,eng-aaa", "--out", str(eval_out)]) == 0
+    return {**{name: str(path) for name, path in paths.items()}, "suite": suite_csv,
+            "run_log": str(eval_out / "run_log.jsonl")}
+
+
+def with_inputs(value, inputs):
+    """``value`` with each ``{name}`` in its strings replaced by an input path."""
+    if isinstance(value, dict):
+        return {key: with_inputs(v, inputs) for key, v in value.items()}
+    if isinstance(value, list):
+        return [with_inputs(v, inputs) for v in value]
+    return value.format(**inputs) if isinstance(value, str) else value
+
+
+EVAL = {"suite": "{suite}", "endpoint": "stub:echo", "directions": "aaa-eng"}
+RUN = {"model": "m", "suite": "{suite}", "run_log": "{run_log}"}
+# (command, config, part of the error): each input fails the run before the
+# output directory is made.
+BAD_INPUTS = {
+    "corpus-missing-input": ("corpus", {"inputs": ["{docs}", "{missing}"]}, "missing.jsonl"),
+    "corpus-missing-bible": ("corpus", {"inputs": [], "bible": [
+        {"lang": "lug", "path": "{missing}"}, {"lang": "eng", "path": "{missing}"}]},
+        "missing.jsonl"),
+    "corpus-negative-sample": ("corpus", {"inputs": ["{docs}"], "sample_size": -5},
+                               "sample_size must be >= 0, got -5"),
+    "instruct-missing-parallel": ("instruct", {"parallel": "{missing}"}, "missing.jsonl"),
+    "instruct-token-not-in-vocab": ("instruct", {"parallel": "{pairs}",
+                                                 "tokenizer_vocab": "{vocab}"},
+                                    "token not in vocabulary"),
+    "instruct-negative-translation": ("instruct", {"parallel": "{pairs}", "n_translation": -1},
+                                      "n_translation must be >= 0, got -1"),
+    "instruct-negative-conversational": ("instruct", {"parallel": "{pairs}",
+                                                      "n_conversational": -1},
+                                         "n_conversational must be >= 0, got -1"),
+    "instruct-noisy-fraction": ("instruct", {"parallel": "{pairs}", "noisy_fraction": 1.5},
+                                "noisy_fraction must be in [0, 1], got 1.5"),
+    "eval-missing-suite": ("eval", {**EVAL, "suite": "{missing}"}, "missing.jsonl"),
+    "eval-missing-run-log": ("eval", {"suite": "{suite}", "rescore": "{missing}"}, "missing.jsonl"),
+    "eval-no-english": ("eval", {**EVAL, "directions": "lug-ach"}, "eng on exactly one side"),
+    "eval-language-not-in-suite": ("eval", {**EVAL, "directions": "aaa-eng,eng-ccc"},
+                                   "language 'ccc' not in suite"),
+    "eval-max-parallel-0": ("eval", {**EVAL, "max_parallel": 0},
+                            "max_parallel must be an integer >= 1, got 0"),
+    "report-missing-table": ("report", {"tables": [
+        {"path": "{missing}", "direction": "xx-eng", "metric": "chrf"}]}, "missing.jsonl"),
+    "report-missing-run-log": ("report", {"runs": [{**RUN, "run_log": "{missing}"}]},
+                               "missing.jsonl"),
+    "report-malformed-run-log": ("report", {"runs": [{**RUN, "run_log": "{bad_log}"}]},
+                                 "not a recognized run log"),
+    "report-unknown-winner": ("report", {"winner_models": ["gpt-4o", "nobody"]},
+                              "winner_models[1] is 'nobody', a model with no scores"),
+    "loss-missing-pairs": ("loss", {"pairs": "{missing}"}, "missing.jsonl"),
+}
+
+
+@pytest.mark.parametrize("command, config, message", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_fails_before_output(tmp_path, capsys, inputs, command, config, message):
+    path = write_yaml(tmp_path / "c.yaml", with_inputs(config, inputs))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert message in json.loads(err)["error"]
+    assert not out.exists()
+
+
+# (command, a good config, the same config changed to fail on its input)
+RERUNS = {
+    "corpus": ({"inputs": ["{docs}"]}, {"inputs": ["{docs}", "{missing}"], "seed": 4}),
+    "instruct": ({"parallel": "{pairs}"}, {"parallel": "{pairs}", "n_translation": -1}),
+    "eval": (EVAL, {**EVAL, "directions": "aaa-eng,eng-ccc", "max_parallel": 2}),
+    "report": ({"runs": [RUN], "use_published_reference": False},
+               {"runs": [RUN, {**RUN, "model": "n", "run_log": "{bad_log}"}]}),
+    "loss": ({"pairs": "{logps}"}, {"pairs": "{missing}", "beta": 0.5}),
+}
+
+
+@pytest.mark.parametrize("command", RERUNS)
+def test_failed_rerun_leaves_earlier_run_untouched(tmp_path, capsys, inputs, command):
+    good, bad = (write_yaml(tmp_path / f"{name}.yaml", with_inputs(config, inputs))
+                 for name, config in zip(("good", "bad"), RERUNS[command]))
+    out = tmp_path / "out"
+    assert main([command, "--config", good, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "resolved_config.yaml" in before and len(before) > 1
+    assert main([command, "--config", bad, "--out", str(out)]) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_sample_size_checked_before_backtranslation(tmp_path, capsys, inputs, monkeypatch):
+    def backtranslate(*args):
+        raise AssertionError("back-translation started")
+
+    monkeypatch.setattr(corpus, "backtranslate", backtranslate)
+    path = write_yaml(tmp_path / "c.yaml", {
+        "inputs": [inputs["docs"]], "sample_size": -1,
+        "backtranslate": {"endpoint": "http://localhost:9/mt", "targets": ["lug"]}})
+    out = tmp_path / "out"
+    assert main(["corpus", "--config", path, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "sample_size must be >= 0, got -1",
+                                                   "type": "ValueError"}
+    assert not out.exists()

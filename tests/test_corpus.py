@@ -247,6 +247,11 @@ class TestAssemblePretraining:
         with pytest.raises(ValueError, match="zero"):
             assemble_pretraining(docs, spec, seed=0, sample_size=10)
 
+    def test_negative_sample_size_rejected(self):
+        # It once wrote an empty sample.
+        with pytest.raises(ValueError, match="sample_size must be >= 0, got -5"):
+            assemble_pretraining(self.make_buckets(), MixtureSpec(), seed=0, sample_size=-5)
+
     def test_allocation_caps_at_capacity(self):
         docs = [doc(f"web {i}", source="web") for i in range(5)]
         docs += [doc(f"book {i}", source="book_ocr") for i in range(100)]

@@ -143,6 +143,17 @@ class TestTranslationEval:
         with pytest.raises(ValueError, match="not in suite"):
             run_translation_eval(suite, ConstantClient("x"), directions=[("zzz", "eng")])
 
+    def test_rescore_rejects_a_direction_the_suite_lacks(self, suite, tmp_path):
+        log = tmp_path / "run.jsonl"
+        run_translation_eval(suite, ReferenceEchoClient(suite), directions=[("aaa", "eng")],
+                             run_log_path=log)
+        header, *records = log.read_text().splitlines()
+        header = json.loads(header)
+        header["directions"] = [["zzz", "eng"]]
+        log.write_text("\n".join([json.dumps(header)] + records) + "\n")
+        with pytest.raises(ValueError, match="language 'zzz' not in suite"):
+            rescore_run_log(log, suite)
+
     def test_failures_counted_not_fabricated(self, suite, tmp_path):
         client = FlakyClient(ReferenceEchoClient(suite), fail_on={0, 1, 2})
         log = tmp_path / "run.jsonl"

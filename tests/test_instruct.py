@@ -379,6 +379,25 @@ class TestDatasetAssembly:
                       if p.src_text not in ex.turns[0].text)
         assert changed > 150  # nearly all sources perturbed at rate 1.0
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_translation": -1}, "n_translation must be >= 0, got -1"),
+        ({"n_conversational": -2}, "n_conversational must be >= 0, got -2"),
+        ({"noisy_fraction": 1.5}, r"noisy_fraction must be in \[0, 1\], got 1.5"),
+        ({"noisy_fraction": -0.1}, "noisy_fraction must be in"),
+        ({"noisy_fraction": float("nan")}, "noisy_fraction must be in"),
+    ], ids=["translation", "conversational", "fraction-above", "fraction-below", "fraction-nan"])
+    def test_out_of_range_counts_rejected(self, kwargs, message):
+        # A negative count once sliced items off the end of the inputs.
+        pairs = [ParallelPair("lug", "eng", f"s{i}", f"t{i}") for i in range(3)]
+        with pytest.raises(ValueError, match=message):
+            build_instruction_dataset(pairs, [convo("q", "a")], **kwargs)
+
+    def test_zero_counts_allowed(self):
+        pairs = [ParallelPair("lug", "eng", "s", "t")]
+        examples, _ = build_instruction_dataset(pairs, [convo("q", "a")], n_translation=0,
+                                                n_conversational=0, noisy_fraction=0)
+        assert examples == []
+
     def test_deterministic(self):
         pairs = [ParallelPair("lug", "eng", f"s{i}", f"t{i}") for i in range(30)]
         a, _ = build_instruction_dataset(pairs, [], n_translation=30, rng_seed=7)

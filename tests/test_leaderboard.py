@@ -125,6 +125,15 @@ class TestBoardOps:
         assert set(artifacts) >= {"mean_table", "winner_counts",
                                   "per_language_xx-eng", "per_language_eng-xx", "chart_csv"}
 
+    @pytest.mark.parametrize("drop", [(), ("m1", "m2")], ids=["with-winners", "without-winners"])
+    def test_winner_model_without_scores_rejected(self, drop):
+        data = self.small_board()
+        for model in drop:
+            del data.scores[model][ENG_TO_XX]
+        with pytest.raises(ValueError,
+                           match=r"^winner_models\[1\] is 'nobody', a model with no scores$"):
+            make_leaderboard(data, ["m1", "nobody"])
+
     @pytest.mark.parametrize("drop", [("m1", "m2"), ("m2",)], ids=["both", "one"])
     def test_winners_and_chart_need_every_model_in_both_directions(self, drop):
         data = self.small_board()
