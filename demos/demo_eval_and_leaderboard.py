@@ -57,9 +57,9 @@ def main():
     for model, n in sorted(counts.items(), key=lambda kv: -kv[1]):
         print(f"  {model:<16} {n:>2} of 31 languages")
 
-    artifacts = make_leaderboard(data)
+    report = make_leaderboard(data)
     print("\nmean table (markdown)")
-    print(artifacts["mean_table"])
+    print(report["mean_table.md"])
 
 
 if __name__ == "__main__":

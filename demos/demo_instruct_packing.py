@@ -21,7 +21,7 @@ def main():
 
     # translation instruction, clean and noisy source
     clean = make_translation_instruction(pair)
-    noisy = make_translation_instruction(pair, noisy=True, rng_seed=4, noise_rate=0.15)
+    noisy = make_translation_instruction(pair, noisy=True, rng_seed=2)
     print("translation instruction (clean)")
     print("  user:", clean.turns[0].text.splitlines()[-1])
     print("translation instruction (ASR noise)")

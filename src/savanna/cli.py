@@ -206,11 +206,14 @@ def cmd_corpus(config: dict) -> typing.Callable[[Path], None]:
                                sample_size=config["sample_size"])
     # Without back-translation the sample waits for no endpoint, so it is drawn now.
     drawn = None if bt else sample()
+    english = [d for d in deduped if d.lang == "eng"]
+    if bt:  # the weights, with the synthetic_bt buckets back-translation can add
+        spec.bucket_weights({(d.source, d.lang) for d in deduped}
+                            | {("synthetic_bt", t) for t in bt["targets"] if english})
 
     def run(out: Path) -> None:
         errors = []
         if bt:
-            english = [d for d in deduped if d.lang == "eng"]
             for target in bt["targets"]:
                 result = corpus_mod.backtranslate(english, target, client)
                 deduped.extend(result.documents)
@@ -222,6 +225,8 @@ def cmd_corpus(config: dict) -> typing.Callable[[Path], None]:
             corpus_mod.write_pairs_jsonl(aligned.pairs, out / "pairs.jsonl")
             manifest["bible"] = {"pairs": len(aligned.pairs), "only_in_src": len(aligned.only_in_a),
                                  "only_in_tgt": len(aligned.only_in_b)}
+        else:  # pairs an earlier run left would not match this manifest
+            (out / "pairs.jsonl").unlink(missing_ok=True)
         manifest["chars_in"] = chars_in
         manifest["chars_out"] = sum(d.char_count for d in sampled)
         manifest["reduction_ratio"] = (manifest["chars_out"] / chars_in) if chars_in else 0.0
@@ -316,29 +321,25 @@ def _write_report(out: Path, report: evalharness.EvalRunReport) -> None:
 
 
 def cmd_report(config: dict) -> typing.Callable[[Path], None]:
-    data = leaderboard.LeaderboardData()
-    if config["use_published_reference"]:
-        data = leaderboard.published_reference_data()
+    data = (leaderboard.published_reference_data() if config["use_published_reference"]
+            else leaderboard.LeaderboardData())
     for table in config["tables"]:
         leaderboard.load_score_csv(data, Path(table["path"]),
                                    table["direction"], table["metric"])
     for entry in config["runs"]:
         suite = evalharness.load_suite(entry["suite"])
-        report = evalharness.rescore_run_log(entry["run_log"], suite)
-        leaderboard.add_run_report(data, entry["model"], report)
+        leaderboard.add_run_report(data, entry["model"],
+                                   evalharness.rescore_run_log(entry["run_log"], suite))
 
-    artifacts = leaderboard.make_leaderboard(data, config["winner_models"])
+    report = leaderboard.make_leaderboard(data, config["winner_models"])
 
     def run(out: Path) -> None:
-        jsonio.write_text(out / "mean_table.md", artifacts["mean_table"])
-        for direction in (leaderboard.XX_TO_ENG, leaderboard.ENG_TO_XX):
-            key = f"per_language_{direction}"
-            if key in artifacts:
-                jsonio.write_text(out / f"{key}.md", artifacts[key])
-        if "chart_csv" in artifacts:
-            jsonio.write_text(out / "chart.csv", artifacts["chart_csv"])
-        if "winner_counts" in artifacts:
-            jsonio.write_json(out / "winner_counts.json", artifacts["winner_counts"])
+        # A report file this run lacks is removed, so none is left from an earlier run.
+        for name in leaderboard.REPORT_FILES:
+            if name in report:
+                jsonio.write_text(out / name, report[name])
+            else:
+                (out / name).unlink(missing_ok=True)
     return run
 
 

@@ -124,8 +124,14 @@ class MixtureSpec:
                     raise ValueError(f"{name}.{key} must be a finite number >= 0, "
                                      f"got {weight!r}")
 
-    def bucket_weight(self, source: str, lang: str) -> float:
-        return self.source_weights.get(source, 1.0) * self.lang_weights.get(lang, 1.0)
+    def bucket_weights(self, keys: Iterable[tuple[str, str]]) -> dict[tuple[str, str], float]:
+        """The weight of each ``(source, lang)`` bucket of ``keys``.  Raises a
+        ValueError when there are buckets and every one weighs zero."""
+        weights = {key: self.source_weights.get(key[0], 1.0) * self.lang_weights.get(key[1], 1.0)
+                   for key in keys}
+        if weights and not any(weights.values()):
+            raise ValueError("all bucket weights are zero")
+        return weights
 
 
 def _paragraphs(text: str) -> list[str]:
@@ -286,13 +292,13 @@ class MtClient(Protocol):
 class HttpMtClient:
     """MT service speaking ``POST {"text", "source", "target"}``.
 
-    Retries with exponential backoff, at most 3 attempts.
+    Retries with exponential backoff, at most 3 attempts.  Its ``name``, which
+    back-translated documents record as their client, is the URL.
     """
 
-    def __init__(self, base_url: str, name: str | None = None, timeout: float = 30.0,
+    def __init__(self, base_url: str, timeout: float = 30.0,
                  session: requests.Session | None = None, backoff: float = 0.5):
-        self.base_url = base_url
-        self.name = name or base_url
+        self.base_url = self.name = base_url
         self.timeout = timeout
         self.backoff = backoff
         self._session = session if session is not None else jsonio.http_session()
@@ -401,10 +407,7 @@ def assemble_pretraining(docs: Iterable[CorpusDocument], spec: MixtureSpec, seed
     for doc in docs:
         buckets.setdefault((doc.source, doc.lang), []).append(doc)
 
-    weights = {key: spec.bucket_weight(*key) for key in buckets}
-    if buckets and all(w == 0 for w in weights.values()):
-        raise ValueError("all bucket weights are zero")
-
+    weights = spec.bucket_weights(buckets)
     keys = sorted(buckets)
     if sample_size is None:
         chosen = {key: list(buckets[key]) if weights[key] > 0 else [] for key in keys}

@@ -281,17 +281,19 @@ def asr_noise(text: str, rate: float, rng: random.Random) -> str:
     return "".join(out)
 
 
+ASR_NOISE_RATE = 0.1  # the per-character corruption rate of a noisy source
+
+
 def make_translation_instruction(pair: ParallelPair, noisy: bool = False,
-                                 rng_seed: int = 0, noise_rate: float = 0.1,
-                                 ) -> InstructionExample:
+                                 rng_seed: int = 0) -> InstructionExample:
     """Render a parallel pair as a one-turn translation instruction.
 
-    With ``noisy=True`` the source text is perturbed by the ASR noise model,
-    deterministically for a fixed seed.
+    With ``noisy=True`` the source text is perturbed by the ASR noise model
+    at ``ASR_NOISE_RATE``, deterministically for a fixed seed.
     """
     source_text = pair.src_text
     if noisy:
-        source_text = asr_noise(source_text, noise_rate, random.Random(rng_seed))
+        source_text = asr_noise(source_text, ASR_NOISE_RATE, random.Random(rng_seed))
     return InstructionExample(
         category="translation",
         turns=[Turn("user", translation_prompt(pair.src_lang, pair.tgt_lang, source_text)),

@@ -2,8 +2,8 @@
 
 Scores are held at full precision as ``scores[model][direction][lang][metric]``
 with directions ``"xx-eng"`` and ``"eng-xx"``; tables are rendered with
-3-decimal rounding.  Reference score tables for six published models are
-shipped as CSV fixtures under ``savanna/data``.
+3-decimal rounding.  Models are ranked by chrF.  Reference score tables for
+six published models are shipped as CSV fixtures under ``savanna/data``.
 """
 
 from __future__ import annotations
@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from . import jsonio
 from .evalharness import EvalRunReport
 
 XX_TO_ENG = "xx-eng"
 ENG_TO_XX = "eng-xx"
+REPORT_FILES = ("mean_table.md", f"per_language_{XX_TO_ENG}.md", f"per_language_{ENG_TO_XX}.md",
+                "winner_counts.json", "chart.csv")
 
 
 @dataclass
@@ -63,17 +66,16 @@ class LeaderboardData:
             raise ValueError(f"no {metric} scores for {model} {direction}")
         return sum(values) / len(values)
 
-    def covers_both_directions(self, metric: str = "chrf") -> bool:
-        """Every model has ``metric`` for every language in both directions."""
+    def covers_both_directions(self) -> bool:
+        """Every model has chrF for every language in both directions."""
         langs = self.languages()
-        return all(metric in self.scores[model].get(direction, {}).get(lang, {})
+        return all("chrf" in self.scores[model].get(direction, {}).get(lang, {})
                    for model in self.models() for direction in (XX_TO_ENG, ENG_TO_XX)
                    for lang in langs)
 
-    def bidirectional_mean(self, model: str, lang: str, metric: str = "chrf") -> float:
-        a = self.scores[model][XX_TO_ENG][lang][metric]
-        b = self.scores[model][ENG_TO_XX][lang][metric]
-        return (a + b) / 2
+    def bidirectional_mean(self, model: str, lang: str) -> float:
+        return (self.scores[model][XX_TO_ENG][lang]["chrf"]
+                + self.scores[model][ENG_TO_XX][lang]["chrf"]) / 2
 
 
 def load_score_csv(data: LeaderboardData, path: Path | resources.abc.Traversable,
@@ -126,16 +128,15 @@ def add_run_report(data: LeaderboardData, model: str, report: EvalRunReport) -> 
             data.add_score(model, direction, lang, metric, getattr(agg, metric))
 
 
-def winner_counts(data: LeaderboardData, models: list[str] | None = None,
-                  metric: str = "chrf") -> dict[str, int]:
-    """Per-model count of languages with the best bidirectional mean score.
+def winner_counts(data: LeaderboardData, models: list[str] | None = None) -> dict[str, int]:
+    """Per-model count of languages with the best bidirectional mean chrF.
 
     Ties are resolved by flagging every maximal model as a winner.
     """
     models = models or data.models()
     counts = {m: 0 for m in models}
     for lang in data.languages():
-        values = {m: data.bidirectional_mean(m, lang, metric) for m in models}
+        values = {m: data.bidirectional_mean(m, lang) for m in models}
         best = max(values.values())
         for m, v in values.items():
             if v == best:
@@ -145,7 +146,6 @@ def winner_counts(data: LeaderboardData, models: list[str] | None = None,
 
 def mean_table_markdown(data: LeaderboardData) -> str:
     """Mean-score table: one row per model, chrF/BLEU for both directions."""
-    data.validate_consistency()
     lines = [
         "| Model | xx->eng chrF | xx->eng BLEU | eng->xx chrF | eng->xx BLEU |",
         "|---|---|---|---|---|",
@@ -163,15 +163,14 @@ def mean_table_markdown(data: LeaderboardData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def per_language_table_markdown(data: LeaderboardData, direction: str,
-                                metric: str = "chrf") -> str:
-    """Per-language score table with the best score per row flagged in bold."""
-    data.validate_consistency()
+def per_language_table_markdown(data: LeaderboardData, direction: str) -> str:
+    """Per-language chrF table of the languages scored in ``direction``, with
+    the best score per row flagged in bold."""
     models = [m for m in data.models() if direction in data.scores[m]]
     lines = ["| Code | Language | " + " | ".join(models) + " |",
              "|" + "---|" * (len(models) + 2)]
-    for lang in data.languages():
-        values = {m: data.scores[m][direction][lang][metric] for m in models}
+    for lang in sorted(data.scores[models[0]][direction]):
+        values = {m: data.scores[m][direction][lang]["chrf"] for m in models}
         best = max(values.values())
         row = [lang, data.language_names.get(lang, lang)]
         for m in models:
@@ -180,37 +179,37 @@ def per_language_table_markdown(data: LeaderboardData, direction: str,
                 cell = f"**{cell}**"
             row.append(cell)
         lines.append("| " + " | ".join(row) + " |")
-    means = [f"**{data.mean(m, direction, metric):.3f}**" for m in models]
+    means = [f"**{data.mean(m, direction, 'chrf'):.3f}**" for m in models]
     lines.append("| | Mean | " + " | ".join(means) + " |")
     return "\n".join(lines) + "\n"
 
 
-def bidirectional_chart_csv(data: LeaderboardData, metric: str = "chrf") -> str:
-    """CSV of mean bidirectional score per language per model (chart data)."""
+def bidirectional_chart_csv(data: LeaderboardData) -> str:
+    """CSV of mean bidirectional chrF per language per model (chart data)."""
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(["language", "model", f"mean_bidirectional_{metric}"])
+    writer.writerow(["language", "model", "mean_bidirectional_chrf"])
     for lang in data.languages():
         for model in data.models():
-            writer.writerow([lang, model, f"{data.bidirectional_mean(model, lang, metric):.6f}"])
+            writer.writerow([lang, model, f"{data.bidirectional_mean(model, lang):.6f}"])
     return out.getvalue()
 
 
 def make_leaderboard(data: LeaderboardData, winner_models: list[str] | None = None) -> dict:
-    """Render every leaderboard artifact from a populated score board.  The
-    winner counts and the chart, which rank bidirectional means, are made
-    only when every model has chrF for every language in both directions.
-    Each of ``winner_models`` must be a model with scores."""
-    models = data.models()
+    """The report of a populated score board: the text of each of its
+    ``REPORT_FILES`` by name.  The winner counts and the chart, which rank
+    bidirectional means, are made only when every model has chrF for every
+    language in both directions.  Each of ``winner_models`` must be a model
+    with scores."""
     for i, model in enumerate(winner_models or []):
-        if model not in models:
+        if model not in data.scores:
             raise ValueError(f"winner_models[{i}] is {model!r}, a model with no scores")
     data.validate_consistency()
-    artifacts = {"mean_table": mean_table_markdown(data)}
+    report = {"mean_table.md": mean_table_markdown(data)}
     for direction in (XX_TO_ENG, ENG_TO_XX):
         if any(direction in d for d in data.scores.values()):
-            artifacts[f"per_language_{direction}"] = per_language_table_markdown(data, direction)
+            report[f"per_language_{direction}.md"] = per_language_table_markdown(data, direction)
     if data.covers_both_directions():
-        artifacts["winner_counts"] = winner_counts(data, winner_models)
-        artifacts["chart_csv"] = bidirectional_chart_csv(data)
-    return artifacts
+        report["winner_counts.json"] = jsonio.dumps(winner_counts(data, winner_models))
+        report["chart.csv"] = bidirectional_chart_csv(data)
+    return report

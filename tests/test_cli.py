@@ -1,14 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 from helpers import read_packed_jsonl, save_suite, write_pair_logps_jsonl
 
 from savanna import corpus, evalharness, instruct, preference_loss
-from savanna.cli import _locked_output_dir, main
+from savanna.cli import CONFIG_KEYS, _locked_output_dir, main
 from savanna.corpus import ParallelPair, make_document
 
 
@@ -140,6 +142,17 @@ class TestCorpusCommand:
         assert main(["instruct", "--config", instruct_config, "--out", str(instruct_out)]) == 0
         examples = instruct.read_instructions_jsonl(instruct_out / "instructions.jsonl")
         assert [ex.turns[1].text for ex in examples] == ["In the beginning", "And God said"]
+
+    def test_rerun_without_bible_removes_pairs(self, tmp_path):
+        config = self.bible_config(tmp_path, [("lug", "gen\t1\t1\tMu kusooka\n"),
+                                              ("eng", "gen\t1\t1\tIn the beginning\n")])
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 0
+        assert (out / "pairs.jsonl").exists()
+        plain = write_yaml(tmp_path / "plain.yaml", {"inputs": []})
+        assert main(["corpus", "--config", plain, "--out", str(out)]) == 0
+        assert "bible" not in json.loads((out / "manifest.json").read_text())
+        assert not (out / "pairs.jsonl").exists()
 
     def test_bad_bible_tsv_fails_before_writing(self, tmp_path, capsys):
         config = self.bible_config(tmp_path, [
@@ -386,34 +399,49 @@ class TestReportCommand:
         assert (out / "per_language_xx-eng.md").exists()
         assert (out / "chart.csv").exists()
 
-    def test_run_log_report(self, tmp_path, suite_csv):
-        eval_out = tmp_path / "eval"
-        main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
-              "--directions", "aaa-eng,eng-aaa", "--out", str(eval_out)])
+    def report_of_run(self, tmp_path, suite_csv, directions, out):
+        """Run an echo eval over ``directions``, then a report of it into ``out``."""
+        eval_out = tmp_path / f"eval_{directions}"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", directions, "--out", str(eval_out)]) == 0
         config = write_yaml(tmp_path / "c.yaml", {
             "use_published_reference": False,
             "runs": [{"model": "echo", "suite": suite_csv,
                       "run_log": str(eval_out / "run_log.jsonl")}],
         })
-        out = tmp_path / "report"
         assert main(["report", "--config", config, "--out", str(out)]) == 0
+
+    def test_run_log_report(self, tmp_path, suite_csv):
+        out = tmp_path / "report"
+        self.report_of_run(tmp_path, suite_csv, "aaa-eng,eng-aaa", out)
         counts = json.loads((out / "winner_counts.json").read_text())
         assert counts == {"echo": 1}
 
     def test_one_direction_run_report(self, tmp_path, suite_csv):
-        eval_out = tmp_path / "eval"
-        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
-                     "--directions", "aaa-eng", "--out", str(eval_out)]) == 0
-        config = write_yaml(tmp_path / "c.yaml", {
-            "use_published_reference": False,
-            "runs": [{"model": "echo", "suite": suite_csv,
-                      "run_log": str(eval_out / "run_log.jsonl")}],
-        })
         out = tmp_path / "report"
-        assert main(["report", "--config", config, "--out", str(out)]) == 0
+        self.report_of_run(tmp_path, suite_csv, "aaa-eng", out)
         # Winner counts and the chart rank bidirectional means, which need eng-xx.
         assert sorted(p.name for p in out.iterdir()) == [
             "mean_table.md", "per_language_xx-eng.md", "resolved_config.yaml"]
+
+    def test_per_language_tables_list_languages_of_their_direction(self, tmp_path, suite_csv):
+        out = tmp_path / "report"
+        self.report_of_run(tmp_path, suite_csv, "aaa-eng,eng-bbb", out)
+        xx_eng = (out / "per_language_xx-eng.md").read_text()
+        eng_xx = (out / "per_language_eng-xx.md").read_text()
+        assert "| aaa |" in xx_eng and "bbb" not in xx_eng
+        assert "| bbb |" in eng_xx and "aaa" not in eng_xx
+        assert not (out / "winner_counts.json").exists() and not (out / "chart.csv").exists()
+
+    def test_rerun_leaves_only_this_runs_report(self, tmp_path, suite_csv):
+        out = tmp_path / "report"
+        self.report_of_run(tmp_path, suite_csv, "aaa-eng,eng-aaa,bbb-eng,eng-bbb", out)
+        assert {"per_language_eng-xx.md", "winner_counts.json", "chart.csv"} <= {
+            p.name for p in out.iterdir()}
+        self.report_of_run(tmp_path, suite_csv, "aaa-eng", out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "mean_table.md", "per_language_xx-eng.md", "resolved_config.yaml"]
+        assert "bbb" not in (out / "per_language_xx-eng.md").read_text()
 
 
 class TestLossCommand:
@@ -804,3 +832,30 @@ def test_sample_size_checked_before_backtranslation(tmp_path, capsys, inputs, mo
     assert json.loads(capsys.readouterr().err) == {"error": "sample_size must be >= 0, got -1",
                                                    "type": "ValueError"}
     assert not out.exists()
+
+
+def test_zero_weight_mixture_fails_before_backtranslation(tmp_path, capsys, monkeypatch):
+    def translate(text, source, target):
+        raise AssertionError("back-translation started")
+
+    monkeypatch.setattr(corpus, "HttpMtClient", lambda endpoint: corpus.StubMtClient(translate))
+    docs = tmp_path / "eng.jsonl"
+    corpus.write_documents_jsonl([make_document("eng", "the child goes to town", "web")], docs)
+    path = write_yaml(tmp_path / "c.yaml", {
+        "inputs": [str(docs)], "source_weights": {"web": 0, "synthetic_bt": 0},
+        "backtranslate": {"endpoint": "http://localhost:9/mt", "targets": ["lug"]}})
+    out = tmp_path / "out"
+    assert main(["corpus", "--config", path, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "all bucket weights are zero",
+                                                   "type": "ValueError"}
+    assert not out.exists()
+
+
+def test_readme_config_table_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config keys", 1)[1].split("\n\n|", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        command, keys = (cell.strip() for cell in row.split("|")[1:3])
+        documented.setdefault(command, set()).update(re.findall(r"`([^`]+)`", keys))
+    assert documented == {command: set(keys) for command, keys in CONFIG_KEYS.items()}

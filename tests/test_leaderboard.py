@@ -1,6 +1,7 @@
 import pytest
 from helpers import FlakyClient
 
+from savanna import jsonio
 from savanna.evalharness import (
     ReferenceEchoClient,
     run_translation_eval,
@@ -8,6 +9,7 @@ from savanna.evalharness import (
 )
 from savanna.leaderboard import (
     ENG_TO_XX,
+    REPORT_FILES,
     XX_TO_ENG,
     LeaderboardData,
     add_run_report,
@@ -121,9 +123,11 @@ class TestBoardOps:
         assert len(lines) == 5  # header + 2 langs x 2 models
 
     def test_make_leaderboard_artifacts(self, published):
-        artifacts = make_leaderboard(published)
-        assert set(artifacts) >= {"mean_table", "winner_counts",
-                                  "per_language_xx-eng", "per_language_eng-xx", "chart_csv"}
+        report = make_leaderboard(published)
+        assert set(report) >= {"mean_table.md", "winner_counts.json",
+                               "per_language_xx-eng.md", "per_language_eng-xx.md", "chart.csv"}
+        assert set(report) == set(REPORT_FILES)
+        assert report["winner_counts.json"] == jsonio.dumps(winner_counts(published))
 
     @pytest.mark.parametrize("drop", [(), ("m1", "m2")], ids=["with-winners", "without-winners"])
     def test_winner_model_without_scores_rejected(self, drop):
@@ -139,9 +143,9 @@ class TestBoardOps:
         data = self.small_board()
         for model in drop:
             del data.scores[model][ENG_TO_XX]
-        artifacts = make_leaderboard(data)
-        assert "per_language_xx-eng" in artifacts
-        assert "winner_counts" not in artifacts and "chart_csv" not in artifacts
+        report = make_leaderboard(data)
+        assert "per_language_xx-eng.md" in report
+        assert "winner_counts.json" not in report and "chart.csv" not in report
 
     def test_load_score_csv_from_file(self, tmp_path):
         path = tmp_path / "scores.csv"
