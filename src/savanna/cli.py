@@ -110,12 +110,15 @@ CONFIG_KEYS = {
     "loss": {"pairs": (str, REQUIRED), "beta": (NUMBER, 0.1), "alpha_rpo": (NUMBER, 1.0)},
 }
 
-# The keys of ``backtranslate`` and of each entry of ``bible``, ``runs`` and ``tables``.
+# The keys of ``backtranslate`` and of each entry of ``bible``, ``runs`` and
+# ``tables``.  A Literal key must hold one of its values.
 ENTRY_KEYS = {
     "backtranslate": {"endpoint": (str, REQUIRED), "targets": (list[str], REQUIRED)},
     "bible": {"lang": (str, REQUIRED), "path": (str, REQUIRED)},
     "runs": {"model": (str, REQUIRED), "suite": (str, REQUIRED), "run_log": (str, REQUIRED)},
-    "tables": {"path": (str, REQUIRED), "direction": (str, REQUIRED), "metric": (str, REQUIRED)},
+    "tables": {"path": (str, REQUIRED),
+               "direction": (typing.Literal[leaderboard.DIRECTIONS], REQUIRED),
+               "metric": (typing.Literal[leaderboard.METRICS], REQUIRED)},
 }
 
 TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a number", bool: "true or false",
@@ -129,6 +132,10 @@ def _check_type(value, kind, name: str) -> None:
         _check_type(value, list, name)
         for i, element in enumerate(value):
             _check_type(element, typing.get_args(kind)[0], f"{name}[{i}]")
+    elif typing.get_origin(kind) is typing.Literal:  # a closed set of strings
+        *others, last = typing.get_args(kind)
+        if value not in typing.get_args(kind):
+            raise CliError(f"{name} must be {', '.join(others)} or {last}, got {value!r}")
     elif typing.get_origin(kind) is tuple:  # bible, the one such key
         if not (isinstance(value, list) and len(value) == len(typing.get_args(kind))
                 and all(map(isinstance, value, typing.get_args(kind)))):
@@ -258,10 +265,10 @@ def cmd_instruct(config: dict) -> typing.Callable[[Path], None]:
         noisy_fraction=config["noisy_fraction"],
         rng_seed=config["seed"],
     )
-    streams = []
-    for i, example in enumerate(examples):
-        rendered = instruct.render_chat(example, tokenizer, template)
-        streams.append((f"ex{i}", rendered.token_ids))
+    # Each example is rendered as pack reaches it, so its tokens are freed
+    # once they are copied into their sequences.
+    streams = ((f"ex{i}", instruct.render_chat(example, tokenizer, template).token_ids)
+               for i, example in enumerate(examples))
     packed = instruct.pack(streams, max_len=max_len)
 
     def run(out: Path) -> None:

@@ -82,12 +82,22 @@ class PreferencePair:
 @dataclass
 class ChatExample:
     token_ids: list[int]
-    loss_mask: list[int]
-    boundaries: list[tuple[int, int, int]]  # (turn index, start, end)
+    boundaries: list[tuple[int, int, int]]  # (turn index, start, end) of each assistant body
 
     def __post_init__(self) -> None:
-        if len(self.token_ids) != len(self.loss_mask):
-            raise ValueError("token_ids and loss_mask must have equal length")
+        for turn_index, start, end in self.boundaries:
+            if not 0 <= start <= end <= len(self.token_ids):
+                raise ValueError(f"boundary of turn {turn_index}, [{start}, {end}), lies outside "
+                                 f"the {len(self.token_ids)} tokens")
+
+    @property
+    def loss_mask(self) -> list[int]:
+        """Per-token loss mask, derived from ``boundaries``: 1 on assistant
+        message bodies, 0 elsewhere."""
+        mask = [0] * len(self.token_ids)
+        for _turn_index, start, end in self.boundaries:
+            mask[start:end] = [1] * (end - start)
+        return mask
 
 
 @dataclass
@@ -212,7 +222,6 @@ def render_chat(example: InstructionExample, tokenizer: TokenizerPort,
     concatenated assistant bodies.
     """
     token_ids: list[int] = []
-    loss_mask: list[int] = []
     boundaries: list[tuple[int, int, int]] = []
     for turn_index, turn in enumerate(example.turns):
         if turn.role == "assistant":
@@ -226,8 +235,7 @@ def render_chat(example: InstructionExample, tokenizer: TokenizerPort,
             if mask_value == 1:
                 boundaries.append((turn_index, len(token_ids), len(token_ids) + len(ids)))
             token_ids.extend(ids)
-            loss_mask.extend([mask_value] * len(ids))
-    return ChatExample(token_ids=token_ids, loss_mask=loss_mask, boundaries=boundaries)
+    return ChatExample(token_ids=token_ids, boundaries=boundaries)
 
 
 # --- Translation instructions and ASR noise ----------------------------------
@@ -305,7 +313,8 @@ def make_translation_instruction(pair: ParallelPair, noisy: bool = False,
 # --- Sample packing -----------------------------------------------------------
 
 
-def pack(token_streams: list[tuple[str, list[int]]], max_len: int = 512) -> list[PackedSequence]:
+def pack(token_streams: Iterable[tuple[str, list[int]]],
+         max_len: int = 512) -> list[PackedSequence]:
     """First-fit sample packing into sequences of at most ``max_len`` tokens.
 
     Documents longer than ``max_len`` are split into consecutive chunks.
@@ -315,50 +324,50 @@ def pack(token_streams: list[tuple[str, list[int]]], max_len: int = 512) -> list
     (``PackedSequence.attention_segments``).
 
     The first sequence with room is found in a max-segment-tree over free
-    capacity, with one leaf per chunk (no more sequences can be opened).
-    Leaves of sequences not yet opened hold ``max_len``, so the leftmost
-    leaf with room is the first-fit choice, and it is the next sequence to
-    open when no open one has room.  Placing n chunks costs O(n log n), on
-    top of copying the tokens.  A chunk is a range of its stream, copied
-    only when it is placed, so the tokens are never held twice.
+    capacity.  Leaves of sequences not yet opened hold ``max_len``, so the
+    leftmost leaf with room is the first-fit choice, and it is the next
+    sequence to open when no open one has room.  The tree starts with one
+    leaf and doubles its leaves when every leaf is an open sequence without
+    room, so placing n chunks costs O(n log n), on top of copying the
+    tokens.  ``token_streams`` may be any iterable and is read once.  Each
+    stream's chunks are copied into their sequences as it arrives, and
+    ``pack`` drops the stream before reading the next, so the streams of a
+    generator are freed one by one and each token is held once.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    chunks: list[tuple[str, list[int], int, int]] = []
+    # free[size + i] is the free capacity of sequence i; free[k] is the
+    # larger of free[2k] and free[2k + 1].
+    size = 1
+    free = [0, max_len]
+    sequences: list[PackedSequence] = []
     for doc_id, ids in token_streams:
         if not ids:
             raise ValueError(f"document {doc_id!r} is empty after tokenization")
         for start in range(0, len(ids), max_len):
-            chunks.append((doc_id, ids, start, min(start + max_len, len(ids))))
-
-    # free[size + i] is the free capacity of sequence i; free[k] is the
-    # larger of free[2k] and free[2k + 1].  Padding leaves hold 0.
-    size = 1
-    while size < len(chunks):
-        size *= 2
-    free = [0] * size + [max_len] * len(chunks) + [0] * (size - len(chunks))
-    for node in range(size - 1, 0, -1):
-        free[node] = max(free[2 * node], free[2 * node + 1])
-
-    sequences: list[PackedSequence] = []
-    for doc_id, ids, start, end in chunks:
-        n = end - start
-        node = 1
-        while node < size:
-            node *= 2
-            if free[node] < n:
-                node += 1
-        slot = node - size
-        if slot == len(sequences):
-            sequences.append(PackedSequence(token_ids=[], segment_spans=[]))
-        seq = sequences[slot]
-        offset = len(seq.token_ids)
-        seq.token_ids.extend(ids if n == len(ids) else ids[start:end])
-        seq.segment_spans.append((doc_id, offset, offset + n))
-        free[node] -= n
-        while node > 1:
-            node //= 2
-            free[node] = max(free[2 * node], free[2 * node + 1])
+            n = min(max_len, len(ids) - start)
+            if free[1] < n:  # every leaf is an open sequence without room
+                free = [0] * (2 * size) + free[size:] + [max_len] * size
+                size *= 2
+                for node in range(size - 1, 0, -1):
+                    free[node] = max(free[2 * node], free[2 * node + 1])
+            node = 1
+            while node < size:
+                node *= 2
+                if free[node] < n:
+                    node += 1
+            slot = node - size
+            if slot == len(sequences):
+                sequences.append(PackedSequence(token_ids=[], segment_spans=[]))
+            seq = sequences[slot]
+            offset = len(seq.token_ids)
+            seq.token_ids.extend(ids if n == len(ids) else ids[start:start + n])
+            seq.segment_spans.append((doc_id, offset, offset + n))
+            free[node] -= n
+            while node > 1:
+                node //= 2
+                free[node] = max(free[2 * node], free[2 * node + 1])
+        del ids  # not held while the next stream is made
     return sequences
 
 

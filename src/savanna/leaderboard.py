@@ -19,6 +19,8 @@ from .evalharness import EvalRunReport
 
 XX_TO_ENG = "xx-eng"
 ENG_TO_XX = "eng-xx"
+DIRECTIONS = (XX_TO_ENG, ENG_TO_XX)
+METRICS = ("chrf", "bleu", "cer", "wer")
 REPORT_FILES = ("mean_table.md", f"per_language_{XX_TO_ENG}.md", f"per_language_{ENG_TO_XX}.md",
                 "winner_counts.json", "chart.csv")
 
@@ -70,7 +72,7 @@ class LeaderboardData:
         """Every model has chrF for every language in both directions."""
         langs = self.languages()
         return all("chrf" in self.scores[model].get(direction, {}).get(lang, {})
-                   for model in self.models() for direction in (XX_TO_ENG, ENG_TO_XX)
+                   for model in self.models() for direction in DIRECTIONS
                    for lang in langs)
 
     def bidirectional_mean(self, model: str, lang: str) -> float:
@@ -124,7 +126,7 @@ def add_run_report(data: LeaderboardData, model: str, report: EvalRunReport) -> 
             direction, lang = XX_TO_ENG, src
         else:
             direction, lang = ENG_TO_XX, tgt
-        for metric in ("chrf", "bleu", "cer", "wer"):
+        for metric in METRICS:
             data.add_score(model, direction, lang, metric, getattr(agg, metric))
 
 
@@ -152,7 +154,7 @@ def mean_table_markdown(data: LeaderboardData) -> str:
     ]
     for model in data.models():
         row = [model]
-        for direction in (XX_TO_ENG, ENG_TO_XX):
+        for direction in DIRECTIONS:
             for metric in ("chrf", "bleu"):
                 try:
                     value = data.mean(model, direction, metric)
@@ -200,13 +202,20 @@ def make_leaderboard(data: LeaderboardData, winner_models: list[str] | None = No
     ``REPORT_FILES`` by name.  The winner counts and the chart, which rank
     bidirectional means, are made only when every model has chrF for every
     language in both directions.  Each of ``winner_models`` must be a model
-    with scores."""
+    with scores, and each score of a language in a direction must include
+    chrF, the metric models are ranked by."""
     for i, model in enumerate(winner_models or []):
         if model not in data.scores:
             raise ValueError(f"winner_models[{i}] is {model!r}, a model with no scores")
+    for model, per_direction in data.scores.items():
+        for direction, per_lang in per_direction.items():
+            for lang, metrics in per_lang.items():
+                if "chrf" not in metrics:
+                    raise ValueError(f"model {model!r} has {direction} scores for {lang} but no "
+                                     f"chrf, the metric models are ranked by")
     data.validate_consistency()
     report = {"mean_table.md": mean_table_markdown(data)}
-    for direction in (XX_TO_ENG, ENG_TO_XX):
+    for direction in DIRECTIONS:
         if any(direction in d for d in data.scores.values()):
             report[f"per_language_{direction}.md"] = per_language_table_markdown(data, direction)
     if data.covers_both_directions():

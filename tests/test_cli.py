@@ -271,6 +271,29 @@ class TestInstructCommand:
         assert not (out / "instructions.jsonl").exists()
         assert not (out / "packed.jsonl").exists()
 
+    def test_empty_example_after_placed_ones_fails_before_output(self, tmp_path, capsys):
+        parallel = tmp_path / "pairs.jsonl"
+        corpus.write_pairs_jsonl([], parallel)
+        # Whitespace-only turns encode to no word, and the template adds none.
+        conversational = tmp_path / "convo.jsonl"
+        instruct.write_instructions_jsonl([
+            instruct.InstructionExample("creative", [instruct.Turn("user", question),
+                                                     instruct.Turn("assistant", reply)])
+            for question, reply in (("hi", "there"), ("hi", "there there"), (" ", " "))],
+            conversational)
+        vocab, template = tmp_path / "vocab.json", tmp_path / "template.json"
+        vocab.write_text('{"hi": 0, "there": 1}')
+        template.write_text('{"user_prefix": "", "user_suffix": "", '
+                            '"assistant_prefix": "", "assistant_suffix": ""}')
+        config = write_yaml(tmp_path / "c.yaml", {
+            "parallel": str(parallel), "conversational": str(conversational),
+            "tokenizer_vocab": str(vocab), "template": str(template)})
+        out = tmp_path / "out"
+        assert main(["instruct", "--config", config, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "document 'ex2' is empty after tokenization", "type": "ValueError"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("sizes, message", [
         ({"max_len": 500}, "tokens_per_batch must be divisible by max_len"),
         ({"max_len": 0}, "max_len must be >= 1"),
@@ -534,6 +557,10 @@ BAD_CONFIGS = [
     ("report", {"winner_models": ["m", None]}, "winner_models[1] must be a string"),
     ("report", {"tables": [{"path": 1, "direction": "xx-eng", "metric": "chrf"}]},
      "tables[0].path must be a string"),
+    ("report", {"tables": [{"path": "t.csv", "direction": "sideways", "metric": "chrf"}]},
+     "tables[0].direction must be xx-eng or eng-xx, got 'sideways'"),
+    ("report", {"tables": [{"path": "t.csv", "direction": "xx-eng", "metric": "ter"}]},
+     "tables[0].metric must be chrf, bleu, cer or wer, got 'ter'"),
     ("report", {"runs": [{"model": "m", "suite": "s.csv", "run_log": "l.jsonl", "log": "x"}]},
      "runs[0].log is not a known key; did you mean run_log?"),
     ("loss", {"pairs": "logps.jsonl", "alpha": 1.0},
@@ -718,7 +745,7 @@ def inputs(tmp_path, suite_csv):
     """A valid input file of each kind, by name; ``missing`` names none."""
     paths = {name: tmp_path / f"{name}.{ext}" for name, ext in (
         ("docs", "jsonl"), ("pairs", "jsonl"), ("logps", "jsonl"), ("vocab", "json"),
-        ("bad_log", "jsonl"), ("missing", "jsonl"))}
+        ("bad_log", "jsonl"), ("bleu", "csv"), ("missing", "jsonl"))}
     corpus.write_documents_jsonl([make_document("lug", "omwana agenda mu kibuga", "web")],
                                  paths["docs"])
     corpus.write_pairs_jsonl([ParallelPair("lug", "eng", f"gamba {i}", f"say {i}")
@@ -727,6 +754,7 @@ def inputs(tmp_path, suite_csv):
                            paths["logps"])
     paths["vocab"].write_text('{"say": 0}')  # lacks every word of the prompt
     paths["bad_log"].write_text('{"type": "record"}\n')
+    paths["bleu"].write_text("lang,language,m\naaa,Aaa,12.5\n")
     eval_out = tmp_path / "eval"
     assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
                  "--directions", "aaa-eng,eng-aaa", "--out", str(eval_out)]) == 0
@@ -778,6 +806,9 @@ BAD_INPUTS = {
                                "missing.jsonl"),
     "report-malformed-run-log": ("report", {"runs": [{**RUN, "run_log": "{bad_log}"}]},
                                  "not a recognized run log"),
+    "report-table-without-chrf": ("report", {"tables": [
+        {"path": "{bleu}", "direction": "eng-xx", "metric": "bleu"}]},
+        "model 'm' has eng-xx scores for aaa but no chrf"),
     "report-unknown-winner": ("report", {"winner_models": ["gpt-4o", "nobody"]},
                               "winner_models[1] is 'nobody', a model with no scores"),
     "loss-missing-pairs": ("loss", {"pairs": "{missing}"}, "missing.jsonl"),

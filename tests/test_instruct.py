@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from oracles import brute_pack, brute_write_packed_jsonl
 from savanna.corpus import ParallelPair
 from savanna.instruct import (
     ByteTokenizer,
+    ChatExample,
     ChatTemplate,
     InstructionExample,
     PreferencePair,
@@ -108,6 +111,19 @@ class TestRenderChat:
         masked = [t for t, m in zip(chat.token_ids, chat.loss_mask) if m == 1]
         expected = "".join(t.text for t in ex.turns if t.role == "assistant")
         assert tok.decode(masked) == expected
+
+    def test_loss_mask_is_derived_and_read_only(self):
+        chat = render_chat(convo("q", "answer"), ByteTokenizer(), TEMPLATE)
+        [(_turn, start, end)] = chat.boundaries
+        tail = len(chat.token_ids) - end
+        assert chat.loss_mask == [0] * start + [1] * (end - start) + [0] * tail
+        with pytest.raises(AttributeError):
+            chat.loss_mask = [1] * len(chat.token_ids)
+
+    @pytest.mark.parametrize("boundary", [(1, 2, 4), (1, -1, 2), (1, 2, 1)])
+    def test_boundary_outside_tokens_rejected(self, boundary):
+        with pytest.raises(ValueError, match="lies outside the 3 tokens"):
+            ChatExample(token_ids=[1, 2, 3], boundaries=[(1, 0, 1), boundary])
 
     def test_template_from_file_missing_key(self, tmp_path):
         path = tmp_path / "tmpl.json"
@@ -272,9 +288,73 @@ class TestPacking:
             ids.append(-2)
         assert [seq.token_ids for seq in seqs] == packed
 
+    @staticmethod
+    @st.composite
+    def chunk_counts(draw):
+        """(max_len, stream lengths) whose streams split into 1, 2, 3, 2^k or
+        2^k + 1 chunks in all, so the tree of free capacity doubles up to
+        seven times."""
+        max_len = draw(st.sampled_from([1, 2, 7, 512]))
+        count = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65]))
+        lengths, chunks = [], 0
+        while chunks < count:
+            k = draw(st.integers(1, count - chunks))  # this stream's chunks
+            lengths.append((k - 1) * max_len + draw(st.integers(1, max_len)))
+            chunks += k
+        return max_len, lengths
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunk_counts())
+    def test_one_pass_generator_matches_first_fit_oracle(self, case):
+        max_len, lengths = case
+        streams = self.streams(lengths)
+        assert self.packed_rows((stream for stream in streams), max_len) == \
+            brute_pack(streams, max_len)
+
+    def test_earlier_streams_are_not_kept_alive(self):
+        class Stream(list):  # a list cannot be weakly referenced; a subclass can
+            pass
+
+        refs = []
+
+        def make(k):
+            stream = Stream(range(4 + k % 5 * 4))  # shorter than, equal to and split by max_len
+            refs.append(weakref.ref(stream))
+            return f"doc{k}", stream
+
+        def streams():
+            for k in range(20):
+                assert not refs or refs[-1]() is None, f"stream {k - 1} is alive at stream {k}"
+                yield make(k)  # the generator's frame keeps no reference
+
+        seqs = pack(streams(), max_len=8)
+        assert len(refs) == 20 and refs[-1]() is None
+        assert sum(len(seq.token_ids) for seq in seqs) == sum(4 + k % 5 * 4 for k in range(20))
+
+    def test_peak_memory_is_about_the_packed_tokens(self):
+        rng = random.Random(3)
+
+        def streams():
+            for k in range(2000):
+                yield f"doc{k}", list(rng.randbytes(rng.randint(20, 1200)))
+
+        tracemalloc.start()
+        try:
+            seqs = pack(streams(), max_len=512)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(seqs) > 1000
+        # All the streams held at once, besides the sequences, would make it 2x.
+        assert peak < 1.25 * held
+
     def test_empty_doc_rejected(self):
         with pytest.raises(ValueError):
             pack([("empty", [])])
+        # Also when it arrives after streams that are already placed.
+        streams = (stream for stream in self.streams([5, 600, 0, 9]))
+        with pytest.raises(ValueError, match="document 'doc2' is empty after tokenization"):
+            pack(streams, max_len=512)
 
     def test_batch_spec(self):
         assert batch_spec(32768, 512) == 64
