@@ -1,20 +1,11 @@
 """Walk through the translation metrics on a handful of Luganda examples.
 
 Shows sentence-level chrF/BLEU/CER/WER, how normalization affects scoring,
-and the difference between mean-of-sentences and pooled corpus aggregation.
+the per-order n-gram counts behind a chrF score, and how eval turns
+sentence scores into one score per direction.
 """
 
-from savanna.metrics import (
-    aggregate,
-    bleu,
-    bleu_statistics,
-    cer,
-    chrf,
-    chrf_statistics,
-    corpus_bleu,
-    corpus_chrf,
-    wer,
-)
+from savanna.metrics import aggregate, bleu, cer, chrf, chrf_statistics, wer
 from savanna.textnorm import metric_profile, normalize
 
 
@@ -40,17 +31,18 @@ def main():
     print(f"  normalized:     {normalize(raw_hyp, profile)!r}")
     print(f"  chrF vs {raw_ref!r}: {chrf(normalize(raw_hyp, profile), raw_ref):.4f}")
 
-    # mean of sentence scores (what eval reports) vs scores of pooled counts
-    scored = [(h, r) for h, r in pairs if h]
-    print("\nmean of sentences vs pooled corpus")
-    mean_chrf = aggregate([chrf(h, r) for h, r in scored])
-    pooled_chrf = corpus_chrf(chrf_statistics(h, r) for h, r in scored)
-    print(f"  chrF mean of sentences: {mean_chrf:.4f}")
-    print(f"  chrF pooled corpus:     {pooled_chrf:.4f}")
-    mean_bleu = aggregate([bleu(h, r) for h, r in scored])
-    pooled_bleu = corpus_bleu(bleu_statistics(h, r) for h, r in scored)
-    print(f"  BLEU mean of sentences: {mean_bleu:.3f}")
-    print(f"  BLEU pooled corpus:     {pooled_bleu:.3f}")
+    # chrF counts character n-grams of orders 1-6, spaces left out
+    hyp, ref = pairs[1]
+    stats = chrf_statistics(hyp, ref)
+    print(f"\nchrF n-gram counts for {hyp!r}")
+    print(f"{'order':>7} {'matched':>8} {'hyp':>5} {'ref':>5}")
+    for n, (m, h, r) in enumerate(zip(stats.matched, stats.hyp_total, stats.ref_total), start=1):
+        print(f"{n:>7} {m:>8} {h:>5} {r:>5}")
+
+    # a direction's score is the mean of its sentence scores, as eval reports it
+    print("\ndirection score: mean of sentence scores")
+    print(f"  chrF: {aggregate([chrf(h, r) for h, r in pairs]):.4f}")
+    print(f"  BLEU: {aggregate([bleu(h, r) for h, r in pairs]):.3f}")
 
 
 if __name__ == "__main__":

@@ -4,15 +4,17 @@ All scoring functions expect inputs already normalized with the metric
 profile from :mod:`savanna.textnorm`.  The configuration is fixed, as in
 the published tables: chrF over character orders 1-6 with beta=2 (Popović
 2015), add-one smoothed sentence BLEU-4, and a direction's score is the
-mean of its sentence scores (sacreBLEU conventions, Post 2018).  chrF and
-BLEU also have a sufficient-statistics form, which ``corpus_chrf`` and
-``corpus_bleu`` pool into one corpus score.
+mean of its sentence scores (sacreBLEU conventions, Post 2018).
 
-chrF and BLEU count the n-grams of every order in one pass per side, as
-sacreBLEU does.  CER and WER use the bit-parallel Levenshtein distance of
-Myers 1999 ("A fast bit-vector algorithm for approximate string matching
-based on dynamic programming") in Hyyrö's global-distance form, so the
-elements it compares must be hashable.
+chrF and BLEU count one n-gram order at a time.  Each side is a sequence
+of strings: chrF's characters, or BLEU's tokens each with a trailing space.
+An order's grams are the previous order's grams concatenated with the next
+element, so every gram is a string whose hash Python caches, and the
+counting runs in C.  Tokens hold no whitespace, so the trailing space keeps
+concatenated token grams apart.  CER and WER use the bit-parallel
+Levenshtein distance of Myers 1999 ("A fast bit-vector algorithm for
+approximate string matching based on dynamic programming") in Hyyrö's
+global-distance form, so the elements it compares must be hashable.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import add
+from typing import Sequence
 
 CHRF_ORDER = 6
 CHRF_BETA = 2.0
@@ -35,12 +38,6 @@ class ChrfStatistics:
     hyp_total: list[int]
     ref_total: list[int]
 
-    def add(self, other: "ChrfStatistics") -> None:
-        for i in range(len(self.matched)):
-            self.matched[i] += other.matched[i]
-            self.hyp_total[i] += other.hyp_total[i]
-            self.ref_total[i] += other.ref_total[i]
-
 
 @dataclass
 class BleuStatistics:
@@ -51,13 +48,6 @@ class BleuStatistics:
     hyp_len: int
     ref_len: int
 
-    def add(self, other: "BleuStatistics") -> None:
-        for i in range(len(self.clipped)):
-            self.clipped[i] += other.clipped[i]
-            self.totals[i] += other.totals[i]
-        self.hyp_len += other.hyp_len
-        self.ref_len += other.ref_len
-
 
 @dataclass
 class SentenceScores:
@@ -67,22 +57,35 @@ class SentenceScores:
     wer: float
 
 
-def _ngram_counts(seq: Sequence, max_n: int) -> Counter:
-    """Every n-gram of orders 1..max_n, keyed by the gram, whose length is its order."""
-    return Counter([seq[i : i + n] for n in range(1, max_n + 1) for i in range(len(seq) - n + 1)])
+def _matches_and_totals(hyp: Sequence[str], ref: Sequence[str],
+                        max_n: int) -> tuple[list[int], list[int], list[int]]:
+    """Per-order clipped matches and hypothesis/reference n-gram totals.
 
-
-def _matches_and_totals(hyp: Sequence, ref: Sequence, max_n: int) -> tuple[list[int], list[int], list[int]]:
-    """Per-order clipped matches and hypothesis/reference n-gram totals."""
-    ref_counts = _ngram_counts(ref, max_n)
-    matched = [0] * max_n
-    for gram, count in _ngram_counts(hyp, max_n).items():
-        ref_count = ref_counts.get(gram)
-        if ref_count:
-            matched[len(gram) - 1] += min(count, ref_count)
-    hyp_total = [max(0, len(hyp) - n + 1) for n in range(1, max_n + 1)]
-    ref_total = [max(0, len(ref) - n + 1) for n in range(1, max_n + 1)]
+    The elements must be strings that no concatenation of others can equal
+    (single characters, or tokens ending in a separator they never hold).
+    """
+    matched, hyp_total, ref_total = [], [], []
+    hyp_grams, ref_grams = hyp, ref
+    for n in range(1, max_n + 1):
+        if n > 1:
+            hyp_grams = list(map(add, hyp_grams, hyp[n - 1:]))
+            ref_grams = list(map(add, ref_grams, ref[n - 1:]))
+        ref_count_of = Counter(ref_grams).get
+        order_matched = 0
+        for gram, count in Counter(hyp_grams).items():
+            ref_count = ref_count_of(gram)
+            if ref_count:
+                # a conditional, not min(): the builtin call costs more than the comparison
+                order_matched += count if count < ref_count else ref_count
+        matched.append(order_matched)
+        hyp_total.append(len(hyp_grams))
+        ref_total.append(len(ref_grams))
     return matched, hyp_total, ref_total
+
+
+def _bleu_tokens(text: str) -> list[str]:
+    """Whitespace tokens, each with a trailing space so that their concatenations stay apart."""
+    return [token + " " for token in text.split()]
 
 
 def chrf_statistics(hypothesis: str, reference: str) -> ChrfStatistics:
@@ -116,22 +119,22 @@ def chrf(hypothesis: str, reference: str) -> float:
 
 
 def bleu_statistics(hypothesis: str, reference: str) -> BleuStatistics:
-    hyp_tokens = tuple(hypothesis.split())
-    ref_tokens = tuple(reference.split())
+    hyp_tokens = _bleu_tokens(hypothesis)
+    ref_tokens = _bleu_tokens(reference)
     clipped, totals, _ = _matches_and_totals(hyp_tokens, ref_tokens, BLEU_ORDER)
     return BleuStatistics(clipped, totals, len(hyp_tokens), len(ref_tokens))
 
 
-def bleu_from_statistics(stats: BleuStatistics, smooth: bool) -> float:
-    """BLEU in [0, 100]; ``smooth`` adds one to the counts of orders 2 and up."""
+def bleu_from_statistics(stats: BleuStatistics) -> float:
+    """BLEU in [0, 100], adding one to the counts of orders 2 and up."""
     if stats.hyp_len == 0:
         return 0.0
     log_sum = 0.0
     for n, (clipped, total) in enumerate(zip(stats.clipped, stats.totals), start=1):
-        if smooth and n >= 2:
+        if n >= 2:
             p = (clipped + 1) / (total + 1)
         else:
-            p = clipped / total if total > 0 else 0.0
+            p = clipped / total  # the unigram total is hyp_len, so not 0
         if p == 0.0:
             return 0.0
         log_sum += math.log(p)
@@ -142,7 +145,7 @@ def bleu_from_statistics(stats: BleuStatistics, smooth: bool) -> float:
 
 def bleu(hypothesis: str, reference: str) -> float:
     """Sentence BLEU in [0, 100], add-one smoothed."""
-    return bleu_from_statistics(bleu_statistics(hypothesis, reference), smooth=True)
+    return bleu_from_statistics(bleu_statistics(hypothesis, reference))
 
 
 def edit_distance(a: Sequence, b: Sequence) -> int:
@@ -194,30 +197,6 @@ def wer(hypothesis: str, reference: str) -> float:
     if not ref_tokens:
         raise ValueError("undefined denominator: reference has no tokens")
     return edit_distance(hypothesis.split(), ref_tokens) / len(ref_tokens)
-
-
-def corpus_chrf(stats: Iterable[ChrfStatistics]) -> float:
-    pooled = None
-    for s in stats:
-        if pooled is None:
-            pooled = ChrfStatistics(list(s.matched), list(s.hyp_total), list(s.ref_total))
-        else:
-            pooled.add(s)
-    if pooled is None:
-        raise ValueError("cannot aggregate an empty list")
-    return chrf_from_statistics(pooled)
-
-
-def corpus_bleu(stats: Iterable[BleuStatistics]) -> float:
-    pooled = None
-    for s in stats:
-        if pooled is None:
-            pooled = BleuStatistics(list(s.clipped), list(s.totals), s.hyp_len, s.ref_len)
-        else:
-            pooled.add(s)
-    if pooled is None:
-        raise ValueError("cannot aggregate an empty list")
-    return bleu_from_statistics(pooled, smooth=False)
 
 
 def aggregate(values: Sequence[float]) -> float:

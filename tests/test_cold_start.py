@@ -1,4 +1,5 @@
-"""The HTTP stack is imported only by a live endpoint or back-translation.
+"""The HTTP stack is imported only by a live endpoint or back-translation,
+and no offline command imports numpy.
 
 Each test runs a fresh interpreter, because the test process itself has
 long since imported ``requests``.
@@ -54,6 +55,9 @@ commands = [
 for argv in commands:
     assert main(argv) == 0, argv
 assert sys.modules["requests"] is None
+# Scoring (eval, eval --rescore, report) stays stdlib-only: importing numpy
+# alone adds about 12 MB of resident memory to a process that scores.
+assert "numpy" not in sys.modules, "an offline command imported numpy"
 
 try:
     evalharness.HttpCompletionClient(evalharness.ModelEndpoint(name="m", base_url="http://m"))

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_bleu, brute_chrf, brute_edit_distance, brute_ngram_statistics
 from savanna.metrics import (
+    _bleu_tokens,
     _matches_and_totals,
     aggregate,
     bleu,
@@ -14,8 +14,6 @@ from savanna.metrics import (
     cer,
     chrf,
     chrf_statistics,
-    corpus_bleu,
-    corpus_chrf,
     edit_distance,
     wer,
 )
@@ -100,17 +98,25 @@ class TestChrf:
     # periodic, so clipping changes the matches at every order
     @example(hyp="aɛ\u0301ŋ\U0001F600" * 6, ref="aɛ\u0301ŋ\U0001F600" * 3)
     def test_matches_oracle_at_every_order(self, max_n, hyp, ref):
-        """The one-pass counter on characters, as chrF calls it."""
+        """The per-order counter on characters, as chrF calls it."""
         assert _matches_and_totals(hyp, ref, max_n) == \
             brute_ngram_statistics(list(hyp), list(ref), max_n)
 
-    def test_statistics_exact_on_eval_like_pairs(self):
-        for hyp, ref in eval_like_pairs(seed=3, count=60, words_per_pair=25):
+    @staticmethod
+    def assert_statistics_exact(pairs):
+        for hyp, ref in pairs:
             hyp_chars = [c for c in hyp if not c.isspace()]
             ref_chars = [c for c in ref if not c.isspace()]
             stats = chrf_statistics(hyp, ref)
             assert (stats.matched, stats.hyp_total, stats.ref_total) == \
                 brute_ngram_statistics(hyp_chars, ref_chars, 6)
+
+    def test_statistics_exact_on_eval_like_pairs(self):
+        self.assert_statistics_exact(eval_like_pairs(seed=3, count=60, words_per_pair=25))
+
+    def test_statistics_exact_on_document_pairs(self):
+        """Units of 120 words (about 950 characters), longer than a document eval unit."""
+        self.assert_statistics_exact(eval_like_pairs(seed=6, count=8, words_per_pair=120))
 
 
 class TestBleu:
@@ -152,16 +158,30 @@ class TestBleu:
     @given(hyp=unicode_tokens, ref=unicode_tokens)
     @example(hyp=["a", "ɛ", "ŋɔ"] * 6, ref=["a", "ɛ", "ŋɔ"] * 3)
     def test_matches_oracle_at_every_order(self, max_n, hyp, ref):
-        """The one-pass counter on token tuples, as BLEU calls it."""
-        assert _matches_and_totals(tuple(hyp), tuple(ref), max_n) == \
-            brute_ngram_statistics(hyp, ref, max_n)
+        """The per-order counter on tokens, encoded as BLEU encodes them."""
+        assert _matches_and_totals(_bleu_tokens(" ".join(hyp)), _bleu_tokens(" ".join(ref)),
+                                   max_n) == brute_ngram_statistics(hyp, ref, max_n)
 
-    def test_statistics_exact_on_eval_like_pairs(self):
-        for hyp, ref in eval_like_pairs(seed=4, count=60, words_per_pair=25):
+    def test_token_grams_do_not_collide(self):
+        """Token pairs that concatenate to the same string are different bigrams."""
+        assert _matches_and_totals(_bleu_tokens("ab c"), _bleu_tokens("a bc"), 2)[0] == [0, 0]
+        self.assert_statistics_exact([("ab c", "a bc"), ("x ab c y", "x a bc y"),
+                                      ("ab c ab c", "abc a bc")])
+
+    @staticmethod
+    def assert_statistics_exact(pairs):
+        for hyp, ref in pairs:
             stats = bleu_statistics(hyp, ref)
             clipped, totals, _ = brute_ngram_statistics(hyp.split(), ref.split(), 4)
             assert (stats.clipped, stats.totals) == (clipped, totals)
             assert (stats.hyp_len, stats.ref_len) == (len(hyp.split()), len(ref.split()))
+
+    def test_statistics_exact_on_eval_like_pairs(self):
+        self.assert_statistics_exact(eval_like_pairs(seed=4, count=60, words_per_pair=25))
+
+    def test_statistics_exact_on_document_pairs(self):
+        """Units of 120 words (about 950 characters), longer than a document eval unit."""
+        self.assert_statistics_exact(eval_like_pairs(seed=7, count=8, words_per_pair=120))
 
 
 class TestErrorRates:
@@ -236,25 +256,6 @@ class TestAggregate:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             aggregate([])
-
-    def test_corpus_bleu_pooled(self):
-        pairs = [("the cat sat on the mat", "the cat sat on a mat"),
-                 ("a quick brown fox", "the quick brown fox jumps")]
-        stats = [bleu_statistics(h, r) for h, r in pairs]
-        pooled = corpus_bleu(stats)
-        # pooled-count oracle, written out longhand
-        clipped = [sum(s.clipped[n] for s in stats) for n in range(4)]
-        totals = [sum(s.totals[n] for s in stats) for n in range(4)]
-        hyp_len = sum(s.hyp_len for s in stats)
-        ref_len = sum(s.ref_len for s in stats)
-        logp = sum(math.log(c / t) for c, t in zip(clipped, totals))
-        expected = 100.0 * math.exp(logp / 4) * math.exp(min(0.0, 1 - ref_len / hyp_len))
-        assert pooled == pytest.approx(expected, abs=1e-12)
-
-    def test_corpus_chrf(self):
-        stats = [chrf_statistics("abcd", "abce"), chrf_statistics("xyz", "xyz")]
-        pooled = corpus_chrf(stats)
-        assert 0.0 < pooled < 1.0
 
     def test_published_mean_chrf_column(self):
         """Mean of the per-language chrF column for the strongest model."""
