@@ -25,7 +25,7 @@ from savanna.leaderboard import (
 def main():
     suite = synthetic_suite(languages=("aaa", "bbb"), seed=0)
     suite.validate(full=True)
-    print(f"suite: {len(suite.items)} items, {suite.evaluation_points} evaluation points")
+    print(f"suite: {len(suite.items)} items in {', '.join(sorted(suite.languages))}")
 
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "run_log.jsonl"

@@ -12,7 +12,6 @@ from savanna.instruct import (
     make_translation_instruction,
     pack,
     render_chat,
-    synth_glitch_pair,
 )
 
 
@@ -50,13 +49,6 @@ def main():
         spans = ", ".join(f"{doc}[{end - start}]" for doc, start, end in seq.segment_spans)
         print(f"  seq {i}: {len(seq.token_ids):>3} tokens <- {spans}")
     print(f"  sequences per 32768-token batch: {batch_spec(32768, 512)}")
-
-    # synthetic preference pair exhibiting a repetition loop
-    glitch = synth_glitch_pair("Describe Kampala.",
-                               "Kampala is the capital. It sits on several hills.")
-    print("\nglitch preference pair")
-    print("  chosen:  ", glitch.chosen)
-    print("  rejected:", glitch.rejected[:70] + "...")
 
 
 if __name__ == "__main__":

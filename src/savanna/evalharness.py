@@ -80,14 +80,6 @@ class EvalSuite:
                     raise ValueError(f"item {(item.category_id, item.sent_index)} "
                                      f"missing translations for {missing}")
 
-    @property
-    def reference_count(self) -> int:
-        return len(self.items) * len(self.languages)
-
-    @property
-    def evaluation_points(self) -> int:
-        return 2 * self.reference_count
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         for item in sorted(self.items, key=lambda i: (i.category_id, i.sent_index)):
@@ -153,22 +145,6 @@ def synthetic_suite(languages: Iterable[str] = ("aaa", "bbb", "ccc"), seed: int 
 # --- Endpoints and clients ----------------------------------------------------
 
 
-@dataclass
-class ModelEndpoint:
-    name: str
-    base_url: str
-    model: str = ""
-    auth_env: str = "SAVANNA_API_TOKEN"
-    timeout: float = 60.0
-    retries: int = 2
-
-    def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if not self.model:
-            self.model = self.name
-
-
 class CompletionClient(Protocol):
     def complete(self, messages: list[dict], temperature: float = 0.0) -> str: ...
 
@@ -177,32 +153,38 @@ class TransportError(Exception):
     pass
 
 
+API_TOKEN_ENV = "SAVANNA_API_TOKEN"
+
+
 class HttpCompletionClient:
     """Chat-completions wire protocol:
-    ``POST {"model", "messages", "temperature"}`` with bearer-token auth;
-    the reply's first choice's message content is returned."""
+    ``POST {"model", "messages", "temperature"}`` to ``base_url``, with a
+    bearer token from ``API_TOKEN_ENV`` when it is set; the reply's first
+    choice's message content is returned.  A request is tried ``retries + 1``
+    times."""
 
-    def __init__(self, endpoint: ModelEndpoint, session: requests.Session | None = None,
-                 backoff: float = 0.5):
-        self.endpoint = endpoint
+    def __init__(self, base_url: str, model: str, timeout: float = 60.0, retries: int = 2,
+                 session: requests.Session | None = None, backoff: float = 0.5):
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
+        self.base_url, self.model, self.timeout = base_url, model, timeout
+        self.attempts = retries + 1
         self.backoff = backoff
         self._session = session if session is not None else jsonio.http_session()
 
     def complete(self, messages: list[dict], temperature: float = 0.0) -> str:
-        payload = {"model": self.endpoint.model, "messages": messages,
-                   "temperature": temperature}
+        payload = {"model": self.model, "messages": messages, "temperature": temperature}
         headers = {}
-        token = os.environ.get(self.endpoint.auth_env)
+        token = os.environ.get(API_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        attempts = self.endpoint.retries + 1
         try:
             return jsonio.post_json(
-                self._session, self.endpoint.base_url, payload, attempts=attempts,
-                backoff=self.backoff, timeout=self.endpoint.timeout, headers=headers,
+                self._session, self.base_url, payload, attempts=self.attempts,
+                backoff=self.backoff, timeout=self.timeout, headers=headers,
                 reply=lambda body: body["choices"][0]["message"]["content"])
         except Exception as exc:
-            raise TransportError(f"request failed after {attempts} attempts: {exc}") from exc
+            raise TransportError(f"request failed after {self.attempts} attempts: {exc}") from exc
 
 
 class ReferenceEchoClient:

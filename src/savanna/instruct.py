@@ -4,11 +4,12 @@ Conversations are built as alternating user/assistant turns; rendering
 produces token ids with a response-only loss mask (1 exactly on assistant
 message bodies).  Tokenization is pluggable via :class:`TokenizerPort`:
 the byte tokenizer by default, or a word-level one read from a vocabulary
-file.  Repetition-loop preference pairs stand in for glitching outputs.
+file.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import string
@@ -28,8 +29,6 @@ CATEGORIES = (
     "creative",
     "cultural_explanation",
 )
-
-DEFECTS = ("factuality", "glitching", "other")
 
 
 @dataclass
@@ -61,22 +60,6 @@ def validate_alternation(turns: list[Turn]) -> None:
             raise ValueError(f"turn {i} has empty text")
     if turns[-1].role != "assistant":
         raise ValueError("conversation must end with an assistant turn")
-
-
-@dataclass
-class PreferencePair:
-    prompt: str
-    chosen: str
-    rejected: str
-    defect: str = "other"
-
-    def __post_init__(self) -> None:
-        if self.defect not in DEFECTS:
-            raise ValueError(f"unknown defect: {self.defect!r}")
-        if not self.prompt or not self.chosen or not self.rejected:
-            raise ValueError("prompt, chosen and rejected must be non-empty")
-        if self.chosen == self.rejected:
-            raise ValueError("chosen and rejected must differ")
 
 
 @dataclass
@@ -241,16 +224,13 @@ def render_chat(example: InstructionExample, tokenizer: TokenizerPort,
 # --- Translation instructions and ASR noise ----------------------------------
 
 
-_LANGUAGE_NAMES: dict[str, str] | None = None
+@functools.cache
+def _language_names() -> dict[str, str]:
+    return json.loads(resources.files("savanna.data").joinpath("languages.json").read_text())
 
 
 def language_name(code: str) -> str:
-    global _LANGUAGE_NAMES
-    if _LANGUAGE_NAMES is None:
-        _LANGUAGE_NAMES = json.loads(
-            resources.files("savanna.data").joinpath("languages.json").read_text()
-        )
-    return _LANGUAGE_NAMES.get(code, code)
+    return _language_names().get(code, code)
 
 
 TRANSLATION_PROMPT = (
@@ -407,23 +387,6 @@ def write_packed_jsonl(sequences: Iterable[PackedSequence], path: str | Path,
 
     return jsonio.write_jsonl_lines(path, map(line, sequences),
                                     header=encode({"version": PACKED_FORMAT_VERSION, "max_len": max_len}))
-
-
-# --- Synthetic preference pairs ------------------------------------------------
-
-
-def synth_glitch_pair(prompt: str, chosen: str, phrase: str = "wammanga ",
-                      repeats: int = 8) -> PreferencePair:
-    """Rejected response degenerates into a repetition loop.
-
-    The repeated phrase is padded to at least 8 characters and repeated at
-    least 5 times, matching the loop pathology of glitching outputs.
-    """
-    if len(phrase) < 8:
-        phrase = (phrase + " ") * (8 // max(len(phrase), 1) + 1)
-    repeats = max(repeats, 5)
-    rejected = chosen.split(".")[0] + ". " + phrase * repeats
-    return PreferencePair(prompt=prompt, chosen=chosen, rejected=rejected, defect="glitching")
 
 
 # --- Dataset assembly and JSONL I/O --------------------------------------------

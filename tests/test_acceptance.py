@@ -254,10 +254,8 @@ def test_criterion_7_live_model_scores(capsys):
         pytest.skip("live endpoint not configured")
     suite = evalharness.load_suite(suite_path)
     suite.validate(full=True)
-    endpoint = evalharness.ModelEndpoint(
-        name=os.environ.get("SAVANNA_LIVE_MODEL", "sunflower-32b"),
-        base_url=endpoint_url)
-    client = evalharness.HttpCompletionClient(endpoint)
+    client = evalharness.HttpCompletionClient(
+        endpoint_url, os.environ.get("SAVANNA_LIVE_MODEL", "sunflower-32b"))
     report = evalharness.run_translation_eval(suite, client, [("lug", "eng")], max_parallel=4)
     chrf = report.directions[0].aggregates.chrf
     ok = not report.invalid and abs(chrf - 0.596) <= 0.02

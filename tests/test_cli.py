@@ -3,13 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 import yaml
 from helpers import read_packed_jsonl, save_suite, write_pair_logps_jsonl
 
-from savanna import corpus, evalharness, instruct, preference_loss
+from savanna import corpus, evalharness, instruct, jsonio, preference_loss
 from savanna.cli import CONFIG_KEYS, _locked_output_dir, main
 from savanna.corpus import ParallelPair, make_document
 
@@ -406,6 +407,32 @@ class TestEvalCommand:
         err = json.loads(capsys.readouterr().err)
         assert "endpoint" in err["error"]
 
+    def test_granularity_flag_checked_as_config_key(self, tmp_path, suite_csv, capsys):
+        out = tmp_path / "o"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng", "--granularity", "paragraph",
+                     "--out", str(out)]) == 1
+        assert_config_error(capsys, out, "granularity must be sentence or document, "
+                                         "got 'paragraph'")
+
+    @pytest.mark.parametrize("config, model", [
+        ({}, "http://llm"), ({"model": "sunflower"}, "sunflower"),
+    ], ids=["default", "set"])
+    def test_model_reaches_request(self, tmp_path, suite_csv, monkeypatch, config, model):
+        sent = []
+
+        class Session:  # replies "x" to every request
+            def post(self, url, json=None, headers=None, timeout=None):
+                sent.append((url, json["model"]))
+                body = {"choices": [{"message": {"content": "x"}}]}
+                return types.SimpleNamespace(raise_for_status=lambda: None, json=lambda: body)
+
+        monkeypatch.setattr(jsonio, "http_session", Session)
+        path = write_yaml(tmp_path / "c.yaml", config)
+        assert main(["eval", "--config", path, "--suite", suite_csv, "--endpoint", "http://llm",
+                     "--directions", "aaa-eng", "--out", str(tmp_path / "o")]) == 0
+        assert sent == [("http://llm", model)] * 100
+
 
 class TestReportCommand:
     def test_published_reference_report(self, tmp_path):
@@ -549,7 +576,10 @@ BAD_CONFIGS = [
     ("eval", {"suite": "suite.csv", "endpoint": "stub:echo", "directions": ""},
      "directions must name at least one src-tgt pair"),
     ("eval", {"suite": "suite.csv", "endpoint": "stub:echo", "directions": "aaa-eng",
-              "granularity": "paragraph"}, "granularity must be sentence or document"),
+              "granularity": "paragraph"},
+     "granularity must be sentence or document, got 'paragraph'"),
+    ("eval", {"suite": "suite.csv", "endpoint": "http://llm", "directions": "aaa-eng",
+              "model_name": "sunflower"}, "model_name is not a known key; did you mean model?"),
     ("report", {"run": []}, "run is not a known key; did you mean runs?"),
     ("report", {"tables": {"path": "t.csv"}}, "tables must be a list"),
     ("report", {"runs": [{"model": "m", "suite": "suite.csv"}]}, "runs[0].run_log is required"),
@@ -611,7 +641,7 @@ class TestConfigResolution:
         assert resolved == {
             "suite": suite_csv, "rescore": None, "endpoint": "stub:echo", "directions": "aaa-eng",
             "granularity": "sentence", "full_suite": True, "max_parallel": 1, "temperature": 0.0,
-            "model_name": "stub:echo", "model": "", "timeout": 60.0, "retries": 2,
+            "model": "stub:echo", "timeout": 60.0, "retries": 2,
             "seed": 0, "out": str(out),
         }
 

@@ -60,7 +60,7 @@ assert sys.modules["requests"] is None
 assert "numpy" not in sys.modules, "an offline command imported numpy"
 
 try:
-    evalharness.HttpCompletionClient(evalharness.ModelEndpoint(name="m", base_url="http://m"))
+    evalharness.HttpCompletionClient("http://m", "m")
 except ImportError:
     pass
 else:
@@ -92,7 +92,6 @@ def test_offline_commands_run_without_requests(tmp_path):
 
 
 def test_http_clients_import_requests_on_construction(tmp_path):
-    for client in ('evalharness.HttpCompletionClient('
-                   'evalharness.ModelEndpoint(name="m", base_url="http://m"))',
+    for client in ('evalharness.HttpCompletionClient("http://m", "m")',
                    'corpus.HttpMtClient("http://mt")'):
         run(LAZY.format(client=client), tmp_path)

@@ -14,7 +14,6 @@ from savanna.instruct import (
     ChatExample,
     ChatTemplate,
     InstructionExample,
-    PreferencePair,
     Turn,
     VocabFileTokenizer,
     asr_noise,
@@ -26,7 +25,6 @@ from savanna.instruct import (
     pack,
     read_instructions_jsonl,
     render_chat,
-    synth_glitch_pair,
     write_instructions_jsonl,
     write_packed_jsonl,
 )
@@ -422,22 +420,6 @@ class TestPacking:
         path.write_text('{"version": 99, "max_len": 512}\n')
         with pytest.raises(ValueError, match="version"):
             read_packed_jsonl(path)
-
-
-class TestPreferencePairs:
-    def test_glitch_pair_detected_by_loop_check(self):
-        pair = synth_glitch_pair("q", "A normal answer. It has two sentences.")
-        assert pair.defect == "glitching"
-        assert pair.rejected == "A normal answer. " + "wammanga " * 8
-        assert "wammanga" not in pair.chosen
-        # A phrase under 8 characters is padded to "ok ok ok ok ok " and
-        # repeated at least 5 times.
-        short = synth_glitch_pair("q", "A normal answer.", phrase="ok", repeats=2)
-        assert short.rejected == "A normal answer. " + "ok " * 5 * 5
-
-    def test_identical_chosen_rejected_invalid(self):
-        with pytest.raises(ValueError):
-            PreferencePair("p", "same", "same")
 
 
 class TestDatasetAssembly:

@@ -6,7 +6,7 @@ import requests
 
 from savanna import jsonio
 from savanna.corpus import HttpMtClient, MtClientError
-from savanna.evalharness import HttpCompletionClient, ModelEndpoint, TransportError
+from savanna.evalharness import HttpCompletionClient, TransportError
 
 
 class FakeResponse:
@@ -159,14 +159,14 @@ class TestHttpMtClient:
 
 
 class TestHttpCompletionClient:
-    def endpoint(self, retries=2):
-        return ModelEndpoint(name="m", base_url="http://llm", model="sunflower",
-                             timeout=7.0, retries=retries)
+    def client(self, session, retries=2, **kwargs):
+        return HttpCompletionClient("http://llm", "sunflower", timeout=7.0, retries=retries,
+                                    session=session, **kwargs)
 
     def test_success_after_transient_failures(self, sleeps, monkeypatch):
         monkeypatch.delenv("SAVANNA_API_TOKEN", raising=False)
         session = FakeSession([requests.Timeout("slow"), completion("hello")])
-        client = HttpCompletionClient(self.endpoint(), session=session, backoff=0.1)
+        client = self.client(session, backoff=0.1)
         messages = [{"role": "user", "content": "hi"}]
         assert client.complete(messages, temperature=0.3) == "hello"
         assert session.calls[0]["json"] == {"model": "sunflower", "messages": messages,
@@ -177,7 +177,7 @@ class TestHttpCompletionClient:
     @pytest.mark.parametrize("retries", [0, 2])
     def test_gives_up_after_retries_plus_one(self, sleeps, retries):
         session = FakeSession([FakeResponse({}, status=502)] * (retries + 2))
-        client = HttpCompletionClient(self.endpoint(retries), session=session)
+        client = self.client(session, retries)
         with pytest.raises(TransportError,
                            match=rf"^request failed after {retries + 1} attempts: 502 Server Error$"):
             client.complete([{"role": "user", "content": "hi"}])
@@ -187,7 +187,7 @@ class TestHttpCompletionClient:
     def test_bearer_header_only_with_token(self, monkeypatch):
         monkeypatch.delenv("SAVANNA_API_TOKEN", raising=False)
         session = FakeSession([completion("a"), completion("b")])
-        client = HttpCompletionClient(self.endpoint(), session=session)
+        client = self.client(session)
         client.complete([{"role": "user", "content": "hi"}])
         monkeypatch.setenv("SAVANNA_API_TOKEN", "s3cret")
         client.complete([{"role": "user", "content": "hi"}])
