@@ -91,8 +91,9 @@ NUMBER = (int, float)
 # Each command's keys besides ``seed`` and ``out``: key -> (type, default).  A
 # list[str] key holds a list whose every element must be a string, a
 # tuple[dict, dict] key a list of two mappings, and a Literal key one of its
-# values.  A callable default is computed from the keys before it; such a key
-# may be null, like one whose default is None.
+# values.  A callable default is computed from the keys before it, and a null
+# value of such a key takes the computed default.  A key whose default is None
+# may be null.
 CONFIG_KEYS = {
     "corpus": {"inputs": (list[str], REQUIRED), "bible": (tuple[dict, dict], None),
                "backtranslate": (dict, None), "source_weights": (dict, {}),
@@ -159,13 +160,13 @@ def _resolved(given, keys: dict, where: str = "") -> dict:
                 f"; did you mean {match}?" for match in close))
     resolved = {}
     for key, (kind, default) in keys.items():
-        if key not in given:
+        if key not in given or given[key] is None and callable(default):
             if default is REQUIRED:
                 raise CliError(f"{where}{key} is required")
             resolved[key] = default(resolved) if callable(default) else copy.copy(default)
             continue
         value = resolved[key] = given[key]
-        if value is None and (default is None or callable(default)):
+        if value is None and default is None:
             continue
         _check_type(value, kind, f"{where}{key}")
         if key in ENTRY_KEYS:

@@ -15,6 +15,14 @@ concatenated token grams apart.  CER and WER use the bit-parallel
 Levenshtein distance of Myers 1999 ("A fast bit-vector algorithm for
 approximate string matching based on dynamic programming") in Hyyrö's
 global-distance form, so the elements it compares must be hashable.
+
+Every metric first trims the common prefix and suffix of its two sides, as
+diff algorithms do (Myers 1986), and adds back what the trimmed part would
+have counted, so the results are exact.  Edit distance is unchanged by a
+shared affix.  chrF and BLEU keep ``max_n - 1`` shared elements next to the
+middle: each trimmed gram then lies wholly inside the shared affix, so it
+appears at the same place on both sides and adds one match and one gram to
+each side's total, at every order.
 """
 
 from __future__ import annotations
@@ -57,13 +65,55 @@ class SentenceScores:
     wer: float
 
 
+def _common_affixes(a: Sequence, b: Sequence) -> tuple[int, int]:
+    """Lengths ``(p, s)`` of the longest common prefix of ``a`` and ``b`` and
+    of the longest common suffix of what follows it, so that
+    ``p + s <= min(len(a), len(b))``.
+
+    Each run is found by bisecting on slice equality, so the comparisons run
+    in C and a long shared run costs a few slices, not a loop per element.
+    """
+    la, lb = len(a), len(b)
+    n = la if la < lb else lb
+    p = 0
+    if n and a[0] == b[0]:
+        p, hi = 1, n + 1  # a[:p] == b[:p], and the common prefix is shorter than hi
+        while hi - p > 1:
+            mid = (p + hi) // 2
+            if a[p:mid] == b[p:mid]:
+                p = mid
+            else:
+                hi = mid
+    n -= p
+    s = 0
+    if n and a[la - 1] == b[lb - 1]:
+        s, hi = 1, n + 1  # the same, counted from the ends
+        while hi - s > 1:
+            mid = (s + hi) // 2
+            if a[la - mid:la - s] == b[lb - mid:lb - s]:
+                s = mid
+            else:
+                hi = mid
+    return p, s
+
+
 def _matches_and_totals(hyp: Sequence[str], ref: Sequence[str],
                         max_n: int) -> tuple[list[int], list[int], list[int]]:
     """Per-order clipped matches and hypothesis/reference n-gram totals.
 
     The elements must be strings that no concatenation of others can equal
     (single characters, or tokens ending in a separator they never hold).
+    Only the middles between the shared affixes, less ``max_n - 1`` elements
+    of context on each side, are counted; each of the ``k`` trimmed grams per
+    order is a match on both sides.
     """
+    p, s = _common_affixes(hyp, ref)
+    p = p - max_n + 1 if p >= max_n else 0
+    s = s - max_n + 1 if s >= max_n else 0
+    k = p + s
+    if k:
+        hyp = hyp[p:len(hyp) - s]
+        ref = ref[p:len(ref) - s]
     matched, hyp_total, ref_total = [], [], []
     hyp_grams, ref_grams = hyp, ref
     for n in range(1, max_n + 1):
@@ -77,9 +127,9 @@ def _matches_and_totals(hyp: Sequence[str], ref: Sequence[str],
             if ref_count:
                 # a conditional, not min(): the builtin call costs more than the comparison
                 order_matched += count if count < ref_count else ref_count
-        matched.append(order_matched)
-        hyp_total.append(len(hyp_grams))
-        ref_total.append(len(ref_grams))
+        matched.append(order_matched + k)
+        hyp_total.append(len(hyp_grams) + k)
+        ref_total.append(len(ref_grams) + k)
     return matched, hyp_total, ref_total
 
 
@@ -155,7 +205,15 @@ def edit_distance(a: Sequence, b: Sequence) -> int:
     symbol marks its positions in the shorter sequence, and each element of
     the longer one updates the vertical +1/-1 delta vectors of the whole
     column at once.  ``score`` follows the last row of the DP matrix.
+
+    The common prefix and suffix are trimmed first: an optimal alignment
+    matches them element for element (Myers 1986), so only the differing
+    middles reach the recurrence.
     """
+    p, s = _common_affixes(a, b)
+    if p or s:
+        a = a[p:len(a) - s]
+        b = b[p:len(b) - s]
     if len(a) < len(b):
         a, b = b, a
     if not b:

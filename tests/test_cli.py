@@ -416,8 +416,8 @@ class TestEvalCommand:
                                          "got 'paragraph'")
 
     @pytest.mark.parametrize("config, model", [
-        ({}, "http://llm"), ({"model": "sunflower"}, "sunflower"),
-    ], ids=["default", "set"])
+        ({}, "http://llm"), ({"model": "sunflower"}, "sunflower"), ({"model": None}, "http://llm"),
+    ], ids=["default", "set", "null"])
     def test_model_reaches_request(self, tmp_path, suite_csv, monkeypatch, config, model):
         sent = []
 
@@ -644,6 +644,13 @@ class TestConfigResolution:
             "model": "stub:echo", "timeout": 60.0, "retries": 2,
             "seed": 0, "out": str(out),
         }
+
+    def test_null_takes_computed_default(self, tmp_path):
+        path = write_yaml(tmp_path / "c.yaml", {"use_published_reference": None})
+        out = tmp_path / "out"
+        assert main(["report", "--config", path, "--out", str(out)]) == 0
+        resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())
+        assert resolved["use_published_reference"] is True
 
     def test_empty_backtranslate_mapping_is_checked(self, tmp_path, capsys):
         # As a BAD_CONFIGS entry its id would clash with the existing

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import brute_bleu, brute_chrf, brute_edit_distance, brute_ngram_statistics
 from savanna.metrics import (
     _bleu_tokens,
+    _common_affixes,
     _matches_and_totals,
     aggregate,
     bleu,
@@ -32,6 +33,107 @@ unicode_text = lengths.flatmap(
 unicode_tokens = lengths.flatmap(
     lambda n: st.lists(st.sampled_from(["a", "ɛ", "ŋɔ", "a\u0301", "\U0001F600", "b"]),
                        min_size=n, max_size=n))
+
+
+@st.composite
+def near_copies(draw, elements):
+    """(hypothesis, reference): a reference over ``elements`` and a copy of it
+    with 0-3 insertions, deletions or substitutions, in either order.  Few
+    symbols, so the two sides share long prefixes and suffixes."""
+    ref = draw(st.lists(st.sampled_from(elements), max_size=60))
+    hyp = list(ref)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(hyp)))
+        edit = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if edit == "insert":
+            hyp.insert(i, draw(st.sampled_from(elements)))
+        elif i < len(hyp):
+            if edit == "delete":
+                del hyp[i]
+            else:
+                hyp[i] = draw(st.sampled_from(elements))
+    return (ref, hyp) if draw(st.booleans()) else (hyp, ref)
+
+
+near_char_pairs = near_copies(["a", "b", "\u0301"])
+near_token_pairs = near_copies(["a", "ɛ", "ŋɔ"])
+
+# Sides whose shared prefix and suffix the trimming must get right: identical
+# sides, sides that differ at either end, one side a prefix or a suffix of the
+# other, periodic sides whose prefix and suffix could overlap, middles shorter
+# than the order, and empty sides.
+AFFIX_CASES = [
+    ("abcabc", "abcabc"), ("xab", "yab"), ("abx", "aby"), ("ab", "cd"),
+    ("abc", "abcab"), ("cab", "abcab"), ("abcab", "ab"),
+    ("aaaa", "aaaaaa"), ("abab", "ababab"), ("ababab", "abab"), ("aaaaaaa", "aaaaaaaa"),
+    ("abcdefXghijkl", "abcdefYghijkl"), ("abcdefghijkl", "abcdefXghijkl"),
+    ("abcdefgh", "abcdeXfgh"), ("aaaaaaabaaaaaaa", "aaaaaaaaaaaaaa"),
+    ("", ""), ("", "abc"), ("abc", ""),
+]
+
+
+def assert_common_affixes(a, b):
+    """The prefix and suffix are shared, longest, and do not overlap."""
+    p, s = _common_affixes(a, b)
+    shorter = min(len(a), len(b))
+    assert p + s <= shorter
+    assert a[:p] == b[:p] and a[len(a) - s:] == b[len(b) - s:]
+    assert p == shorter or a[p] != b[p]
+    assert p + s == shorter or a[len(a) - s - 1] != b[len(b) - s - 1]
+
+
+class TestCommonAffixes:
+    @pytest.mark.parametrize("a, b", AFFIX_CASES)
+    def test_cases(self, a, b):
+        assert_common_affixes(a, b)
+        assert_common_affixes(list(a), list(b))
+
+    @given(near_char_pairs)
+    def test_near_copies(self, pair):
+        hyp, ref = pair
+        assert_common_affixes(hyp, ref)
+        assert_common_affixes("".join(hyp), "".join(ref))
+
+
+class TestTrimmedCounting:
+    """The counter and the edit distance against the oracles on sides that
+    share most of their text, where the common-affix trimming does most."""
+
+    @pytest.mark.parametrize("max_n", range(1, 7))
+    @given(pair=near_char_pairs)
+    def test_ngram_statistics_on_characters(self, max_n, pair):
+        hyp, ref = pair
+        assert _matches_and_totals("".join(hyp), "".join(ref), max_n) == \
+            brute_ngram_statistics(hyp, ref, max_n)
+
+    @pytest.mark.parametrize("max_n", range(1, 7))
+    @given(pair=near_token_pairs)
+    def test_ngram_statistics_on_tokens(self, max_n, pair):
+        hyp, ref = pair
+        assert _matches_and_totals(_bleu_tokens(" ".join(hyp)), _bleu_tokens(" ".join(ref)),
+                                   max_n) == brute_ngram_statistics(hyp, ref, max_n)
+
+    @given(near_char_pairs)
+    def test_edit_distance_on_strings(self, pair):
+        hyp, ref = "".join(pair[0]), "".join(pair[1])
+        assert edit_distance(hyp, ref) == brute_edit_distance(hyp, ref)
+
+    @given(near_token_pairs)
+    def test_edit_distance_on_tokens(self, pair):
+        assert edit_distance(*pair) == brute_edit_distance(*pair)
+
+    @pytest.mark.parametrize("hyp, ref", AFFIX_CASES)
+    def test_cases(self, hyp, ref):
+        for max_n in range(1, 7):
+            expected = brute_ngram_statistics(list(hyp), list(ref), max_n)
+            assert _matches_and_totals(hyp, ref, max_n) == expected
+            assert _matches_and_totals(_bleu_tokens(" ".join(hyp)), _bleu_tokens(" ".join(ref)),
+                                       max_n) == expected
+        assert edit_distance(hyp, ref) == brute_edit_distance(hyp, ref)
+        assert edit_distance(list(hyp), list(ref)) == brute_edit_distance(hyp, ref)
+        assert chrf(hyp, ref) == pytest.approx(brute_chrf(hyp, ref), abs=1e-12)
+        assert bleu(" ".join(hyp), " ".join(ref)) == \
+            pytest.approx(brute_bleu(" ".join(hyp), " ".join(ref)), abs=1e-9)
 
 
 def eval_like_pairs(seed: int, count: int, words_per_pair: int):
