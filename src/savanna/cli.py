@@ -330,10 +330,20 @@ def cmd_report(config: dict) -> typing.Callable[[Path], None]:
     for table in config["tables"]:
         leaderboard.load_score_csv(data, Path(table["path"]),
                                    table["direction"], table["metric"])
+    first = {}  # each setting the runs must share: (model of the first run, its value)
     for entry in config["runs"]:
-        suite = evalharness.load_suite(entry["suite"])
-        leaderboard.add_run_report(data, entry["model"],
-                                   evalharness.rescore_run_log(entry["run_log"], suite))
+        model = entry["model"]
+        scored = evalharness.rescore_run_log(entry["run_log"],
+                                             evalharness.load_suite(entry["suite"]))
+        if scored.invalid:
+            raise CliError(f"run of {model} invalid: "
+                           f"{scored.total_failed}/{scored.total_items} items failed")
+        for key in ("granularity", "prompt_hash"):
+            other, value = first.setdefault(key, (model, getattr(scored, key)))
+            if getattr(scored, key) != value:
+                raise CliError(f"runs disagree on {key}: {other} has {value}, "
+                               f"{model} has {getattr(scored, key)}")
+        leaderboard.add_run_report(data, model, scored)
 
     report = leaderboard.make_leaderboard(data, config["winner_models"])
 

@@ -18,10 +18,7 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol
-
-if TYPE_CHECKING:
-    import requests
+from typing import Callable, Iterable, Iterator, Protocol
 
 from . import jsonio
 from .textnorm import clean_document, corpus_profile
@@ -296,17 +293,14 @@ class HttpMtClient:
     back-translated documents record as their client, is the URL.
     """
 
-    def __init__(self, base_url: str, timeout: float = 30.0,
-                 session: requests.Session | None = None, backoff: float = 0.5):
+    def __init__(self, base_url: str, timeout: float = 30.0, backoff: float = 0.5):
         self.base_url = self.name = base_url
-        self.timeout = timeout
-        self.backoff = backoff
-        self._session = session if session is not None else jsonio.http_session()
+        self.timeout, self.backoff = timeout, backoff
 
     def translate(self, text: str, source: str, target: str) -> str:
         payload = {"text": text, "source": source, "target": target}
         try:
-            return jsonio.post_json(self._session, self.base_url, payload, attempts=3,
+            return jsonio.post_json(self.base_url, payload, attempts=3,
                                     backoff=self.backoff, timeout=self.timeout,
                                     reply=lambda body: body["translation"])
         except Exception as exc:  # transport or schema failure

@@ -19,10 +19,7 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol
-
-if TYPE_CHECKING:
-    import requests
+from typing import Iterable, Protocol
 
 from . import jsonio, metrics
 from .instruct import TRANSLATION_PROMPT as DEFAULT_PROMPT_TEMPLATE
@@ -164,25 +161,20 @@ class HttpCompletionClient:
     times."""
 
     def __init__(self, base_url: str, model: str, timeout: float = 60.0, retries: int = 2,
-                 session: requests.Session | None = None, backoff: float = 0.5):
+                 backoff: float = 0.5):
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.base_url, self.model, self.timeout = base_url, model, timeout
-        self.attempts = retries + 1
-        self.backoff = backoff
-        self._session = session if session is not None else jsonio.http_session()
+        self.attempts, self.backoff = retries + 1, backoff
 
     def complete(self, messages: list[dict], temperature: float = 0.0) -> str:
         payload = {"model": self.model, "messages": messages, "temperature": temperature}
-        headers = {}
         token = os.environ.get(API_TOKEN_ENV)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
+        headers = {"Authorization": f"Bearer {token}"} if token else {}
         try:
-            return jsonio.post_json(
-                self._session, self.base_url, payload, attempts=self.attempts,
-                backoff=self.backoff, timeout=self.timeout, headers=headers,
-                reply=lambda body: body["choices"][0]["message"]["content"])
+            return jsonio.post_json(self.base_url, payload, attempts=self.attempts,
+                                    backoff=self.backoff, timeout=self.timeout, headers=headers,
+                                    reply=lambda body: body["choices"][0]["message"]["content"])
         except Exception as exc:
             raise TransportError(f"request failed after {self.attempts} attempts: {exc}") from exc
 

@@ -7,8 +7,8 @@ or ``Infinity``: writing either raises ValueError, and so does reading one,
 or a number literal such as ``1e999`` that overflows to infinity.
 A failed write leaves the target file as it was.
 
-This is also the one place ``requests`` is imported, inside
-:func:`http_session`: only a live endpoint or back-translation pays for
+HTTP goes through the standard library's ``urllib.request``, imported
+inside :func:`post_json`: only a live endpoint or back-translation pays for
 the HTTP stack, and every offline command runs without it.
 """
 
@@ -155,14 +155,7 @@ def write_json(path: str | Path, obj: Any) -> None:
     write_text(path, dumps(obj))
 
 
-def http_session():
-    """A new ``requests.Session``; ``requests`` is imported on the first call."""
-    import requests
-
-    return requests.Session()
-
-
-def post_json(session, url: str, payload: Any, *, attempts: int, backoff: float,
+def post_json(url: str, payload: Any, *, attempts: int, backoff: float,
               timeout: float, reply: Callable[[Any], Any],
               headers: dict | None = None) -> Any:
     """POST ``payload`` as JSON and return ``reply(decoded response body)``.
@@ -171,12 +164,21 @@ def post_json(session, url: str, payload: Any, *, attempts: int, backoff: float,
     retried, up to ``attempts`` tries in all, sleeping ``backoff * 2**i``
     after the i-th failed try.  The last try's error is re-raised.
     """
+    # Imported here, not with the module: urllib.request brings http.client,
+    # ssl and email, about 31 modules that no offline command needs.
+    import urllib.request
+
+    request = urllib.request.Request(url, json.dumps(payload, allow_nan=False).encode())
+    # Unredirected, or urllib would copy a bearer token to any host a 30x names.
+    for name, value in {"Content-Type": "application/json", **(headers or {})}.items():
+        request.add_unredirected_header(name, value)
     for attempt in range(attempts):
         try:
-            resp = session.post(url, json=payload, headers=headers, timeout=timeout)
-            resp.raise_for_status()
-            return reply(resp.json())
-        except Exception:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                return reply(json.loads(resp.read()))
+        except Exception as exc:
+            if isinstance(exc, urllib.request.HTTPError):
+                exc.close()  # an HTTPError is the failed reply, and holds it open
             if attempt == attempts - 1:
                 raise
             time.sleep(backoff * (2 ** attempt))

@@ -1,4 +1,5 @@
-"""Fixtures' writers, stand-in clients and the packed-file validator.
+"""Fixtures' writers, stand-in clients, a scripted loopback HTTP server and
+the packed-file validator.
 
 The commands never write an eval suite or log-probability pairs and never
 read ``packed.jsonl`` back, so these live with the tests, not the package.
@@ -6,9 +7,17 @@ read ``packed.jsonl`` back, so these live with the tests, not the package.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import json
+import socket
+import sys
+import threading
+from dataclasses import dataclass, field
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
+
 
 from savanna import jsonio
 from savanna.evalharness import CompletionClient, EvalSuite, TransportError
@@ -56,6 +65,14 @@ class FlakyClient:
         return self.inner.complete(messages, temperature)
 
 
+def examples(scale: float) -> int:
+    """A property test's own Hypothesis budget: ``scale`` times the active
+    profile's ``max_examples``, so that a larger profile raises it too."""
+    from hypothesis import settings
+
+    return round(scale * settings.default.max_examples)
+
+
 def write_pair_logps_jsonl(pairs: Iterable[PairLogps], path: str | Path) -> int:
     return jsonio.write_jsonl(path, (p.__dict__ for p in pairs))
 
@@ -80,3 +97,82 @@ def read_packed_jsonl(path: str | Path) -> tuple[list[PackedSequence], int]:
             raise ValueError(f"{path}: sequence {index}: attention_segments disagree with segment_spans")
         sequences.append(seq)
     return sequences, header["max_len"]
+
+
+@dataclass
+class Reply:
+    """One scripted HTTP reply: ``body`` is sent as is when it is bytes, as
+    JSON otherwise, after waiting ``delay`` seconds."""
+    status: int = 200
+    body: Any = None
+    headers: dict = field(default_factory=dict)
+    delay: float = 0.0
+
+
+class _Handler(BaseHTTPRequestHandler):
+    wbufsize = -1  # status line, headers and body leave in one write, at flush
+
+    def do_POST(self):
+        server = self.server
+        length = self.headers["Content-Length"]
+        body = json.loads(self.rfile.read(int(length))) if length else None
+        with server.lock:
+            server.requests.append({"path": self.path, "headers": self.headers, "body": body})
+            reply = server.script.pop(0) if server.script else Reply(500, b"script exhausted")
+        server.released.wait(reply.delay)
+        data = reply.body if isinstance(reply.body, bytes) else json.dumps(reply.body).encode()
+        self.send_response(reply.status)
+        for name, value in reply.headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.wfile.flush()
+
+    do_GET = do_POST  # a followed redirect arrives as a GET without a body
+
+    def log_message(self, format, *args):
+        pass
+
+
+class ScriptedServer(ThreadingHTTPServer):
+    """A loopback HTTP server that answers the n-th request with ``script[n]``
+    (a 500 once the script runs out) and records each request's ``path``,
+    ``headers`` and decoded JSON ``body`` (None for a GET) in ``requests``."""
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _Handler)
+        self.script: list[Reply] = []
+        self.requests: list[dict] = []
+        self.lock = threading.Lock()
+        self.released = threading.Event()  # ends every delayed reply's wait
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+
+    def handle_error(self, request, client_address):
+        # A client that timed out has hung up before its reply was written.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+
+@contextlib.contextmanager
+def serving():
+    """A running :class:`ScriptedServer`, shut down on exit."""
+    server = ScriptedServer()
+    # A short poll interval, so that shutdown returns at once.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.released.set()
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def closed_port_url() -> str:
+    """The URL of a loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{sock.getsockname()[1]}"

@@ -3,12 +3,11 @@ import os
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
 import yaml
-from helpers import read_packed_jsonl, save_suite, write_pair_logps_jsonl
+from helpers import Reply, read_packed_jsonl, save_suite, write_pair_logps_jsonl
 
 from savanna import corpus, evalharness, instruct, jsonio, preference_loss
 from savanna.cli import CONFIG_KEYS, _locked_output_dir, main
@@ -415,23 +414,18 @@ class TestEvalCommand:
         assert_config_error(capsys, out, "granularity must be sentence or document, "
                                          "got 'paragraph'")
 
+    # A model of None stands for the endpoint's URL.
     @pytest.mark.parametrize("config, model", [
-        ({}, "http://llm"), ({"model": "sunflower"}, "sunflower"), ({"model": None}, "http://llm"),
+        ({}, None), ({"model": "sunflower"}, "sunflower"), ({"model": None}, None),
     ], ids=["default", "set", "null"])
-    def test_model_reaches_request(self, tmp_path, suite_csv, monkeypatch, config, model):
-        sent = []
-
-        class Session:  # replies "x" to every request
-            def post(self, url, json=None, headers=None, timeout=None):
-                sent.append((url, json["model"]))
-                body = {"choices": [{"message": {"content": "x"}}]}
-                return types.SimpleNamespace(raise_for_status=lambda: None, json=lambda: body)
-
-        monkeypatch.setattr(jsonio, "http_session", Session)
+    def test_model_reaches_request(self, tmp_path, suite_csv, http_server, config, model):
+        http_server.script = [Reply(body={"choices": [{"message": {"content": "x"}}]})] * 100
         path = write_yaml(tmp_path / "c.yaml", config)
-        assert main(["eval", "--config", path, "--suite", suite_csv, "--endpoint", "http://llm",
-                     "--directions", "aaa-eng", "--out", str(tmp_path / "o")]) == 0
-        assert sent == [("http://llm", model)] * 100
+        assert main(["eval", "--config", path, "--suite", suite_csv,
+                     "--endpoint", http_server.url + "/v1", "--directions", "aaa-eng",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert ([(r["path"], r["body"]["model"]) for r in http_server.requests]
+                == [("/v1", model or http_server.url + "/v1")] * 100)
 
 
 class TestReportCommand:
@@ -460,6 +454,53 @@ class TestReportCommand:
                       "run_log": str(eval_out / "run_log.jsonl")}],
         })
         assert main(["report", "--config", config, "--out", str(out)]) == 0
+
+    def test_invalid_run_refused(self, tmp_path, suite_csv, capsys):
+        eval_out = tmp_path / "eval"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng,eng-aaa", "--out", str(eval_out)]) == 0
+        header, *records = jsonio.read_jsonl(eval_out / "run_log.jsonl")
+        for record in records[::2]:
+            record["status"] = "error"
+        half_failed = tmp_path / "half_failed.jsonl"
+        jsonio.write_jsonl(half_failed, records, header=header)
+        config = write_yaml(tmp_path / "c.yaml", {"use_published_reference": False, "runs": [
+            {"model": "half", "suite": suite_csv, "run_log": str(half_failed)}]})
+        out = tmp_path / "report"
+        assert main(["report", "--config", config, "--out", str(out)]) == 1
+        assert_config_error(capsys, out, "run of half invalid: 100/200 items failed")
+
+    def test_runs_of_other_granularity_refused(self, tmp_path, suite_csv, capsys):
+        runs = []
+        for granularity in ("sentence", "document"):
+            eval_out = tmp_path / granularity
+            assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                         "--directions", "aaa-eng", "--granularity", granularity,
+                         "--out", str(eval_out)]) == 0
+            runs.append({"model": f"echo-{granularity[0]}", "suite": suite_csv,
+                         "run_log": str(eval_out / "run_log.jsonl")})
+        config = write_yaml(tmp_path / "c.yaml", {"use_published_reference": False, "runs": runs})
+        out = tmp_path / "report"
+        assert main(["report", "--config", config, "--out", str(out)]) == 1
+        assert_config_error(capsys, out, "runs disagree on granularity: "
+                                         "echo-s has sentence, echo-d has document")
+
+    def test_runs_of_other_prompt_refused(self, tmp_path, suite_csv, capsys):
+        eval_out = tmp_path / "eval"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng", "--out", str(eval_out)]) == 0
+        header, *records = jsonio.read_jsonl(eval_out / "run_log.jsonl")
+        hashes = [evalharness._prompt_hash(header["prompt_template"])]
+        header["prompt_template"] += "\n"
+        hashes.append(evalharness._prompt_hash(header["prompt_template"]))
+        jsonio.write_jsonl(tmp_path / "other.jsonl", records, header=header)
+        config = write_yaml(tmp_path / "c.yaml", {"use_published_reference": False, "runs": [
+            {"model": "a", "suite": suite_csv, "run_log": str(eval_out / "run_log.jsonl")},
+            {"model": "b", "suite": suite_csv, "run_log": str(tmp_path / "other.jsonl")}]})
+        out = tmp_path / "report"
+        assert main(["report", "--config", config, "--out", str(out)]) == 1
+        assert_config_error(capsys, out, f"runs disagree on prompt_hash: "
+                                         f"a has {hashes[0]}, b has {hashes[1]}")
 
     def test_run_log_report(self, tmp_path, suite_csv):
         out = tmp_path / "report"

@@ -5,7 +5,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import read_packed_jsonl
+from helpers import examples, read_packed_jsonl
 from oracles import brute_asr_noise, brute_pack, brute_write_packed_jsonl
 
 from savanna.corpus import ParallelPair
@@ -99,7 +99,7 @@ class TestRenderChat:
         masked = [t for t, m in zip(chat.token_ids, chat.loss_mask) if m == 1]
         assert tok.decode(masked) == "general reply"
 
-    @settings(max_examples=100)
+    @settings(max_examples=examples(1))
     @given(st.lists(st.text(alphabet="abcdef ", min_size=1).filter(str.strip),
                     min_size=2, max_size=6).map(lambda xs: xs[: len(xs) // 2 * 2]))
     def test_mask_duality_property(self, texts):
@@ -139,7 +139,7 @@ class TestRenderChat:
 
 
 class TestTokenizers:
-    @settings(max_examples=150)
+    @settings(max_examples=examples(1.5))
     @given(st.text(max_size=60))
     def test_byte_roundtrip(self, text):
         tok = ByteTokenizer()
@@ -270,7 +270,7 @@ class TestPacking:
         return [{"token_ids": s.token_ids, "segment_spans": s.segment_spans,
                  "attention_segments": s.attention_segments} for s in pack(streams, max_len)]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(3), deadline=None)
     @given(st.sampled_from([1, 2, 3, 7, 512]).flatmap(lambda m: st.tuples(
         st.just(m),
         # Chunks shorter than, equal to and split from documents longer
@@ -329,7 +329,7 @@ class TestPacking:
             chunks += k
         return max_len, lengths
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(3), deadline=None)
     @given(chunk_counts())
     def test_one_pass_generator_matches_first_fit_oracle(self, case):
         max_len, lengths = case
@@ -409,7 +409,7 @@ class TestPacking:
     pooled_ids = st.lists(st.sampled_from([0, 1, 9, 10, 255, 256, 65535, 65536, 70000, 10**9]),
                           min_size=1, max_size=40)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(3), deadline=None)
     @given(st.sampled_from([1, 2, 3, 7, 512]).flatmap(lambda m: st.tuples(
         st.just(m),
         st.lists(st.tuples(TestPacking.doc_ids, st.one_of(

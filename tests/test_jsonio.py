@@ -1,40 +1,13 @@
 import math
 import re
+import urllib.error
 
 import pytest
-import requests
+from helpers import Reply, closed_port_url, serving
 
 from savanna import jsonio
 from savanna.corpus import HttpMtClient, MtClientError
 from savanna.evalharness import HttpCompletionClient, TransportError
-
-
-class FakeResponse:
-    def __init__(self, body, status=200):
-        self.body = body
-        self.status = status
-
-    def raise_for_status(self):
-        if self.status >= 400:
-            raise requests.HTTPError(f"{self.status} Server Error")
-
-    def json(self):
-        return self.body
-
-
-class FakeSession:
-    """Plays back one outcome per POST: a response, or an exception to raise."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
 
 
 @pytest.fixture
@@ -45,7 +18,7 @@ def sleeps(monkeypatch):
 
 
 def completion(text):
-    return FakeResponse({"choices": [{"message": {"content": text}}]})
+    return Reply(body={"choices": [{"message": {"content": text}}]})
 
 
 class TestFiles:
@@ -135,61 +108,145 @@ class TestFiles:
             jsonio.read_json(path)
 
 
+class TestPostJson:
+    def post(self, url, attempts=3, **kwargs):
+        return jsonio.post_json(url, {"q": "é"}, attempts=attempts, backoff=0.0, timeout=0.2,
+                                reply=lambda body: body["a"], **kwargs)
+
+    def test_sends_json_with_headers(self, http_server):
+        http_server.script = [Reply(body={"a": "ŋ"})]
+        assert self.post(http_server.url + "/v1/x", headers={"X-Key": "k"}) == "ŋ"
+        [request] = http_server.requests
+        assert request["path"] == "/v1/x" and request["body"] == {"q": "é"}
+        assert request["headers"]["Content-Type"] == "application/json"
+        assert request["headers"]["X-Key"] == "k"
+
+    def test_rejects_non_finite_payload_before_sending(self, http_server):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            jsonio.post_json(http_server.url, {"t": math.nan}, attempts=3, backoff=0.0,
+                             timeout=0.2, reply=lambda body: body)
+        assert http_server.requests == []
+
+    @pytest.mark.parametrize("first", [
+        Reply(500), Reply(429, body={}, headers={"Retry-After": "0"}), Reply(body=b"<html>"),
+        Reply(body={"b": 1}),
+    ], ids=["500", "429", "not-json", "no-key"])
+    def test_retries_any_failure(self, http_server, sleeps, first):
+        http_server.script = [first, Reply(body={"a": "ok"})]
+        assert self.post(http_server.url) == "ok"
+        assert len(http_server.requests) == 2 and sleeps == [0.0]
+
+    @pytest.mark.parametrize("reply, error", [
+        (Reply(503), r"^HTTP Error 503: Service Unavailable$"),
+        (Reply(body=b"<html>"), r"^Expecting value: line 1 column 1 \(char 0\)$"),
+        (Reply(body={"b": 1}), r"^'a'$"),
+        (Reply(body={"a": "late"}, delay=1.0), r"^timed out$"),
+    ], ids=["503", "not-json", "no-key", "slow"])
+    def test_last_error_is_raised(self, http_server, sleeps, reply, error):
+        http_server.script = [reply] * 2
+        with pytest.raises(Exception, match=error):
+            self.post(http_server.url, attempts=2)
+        assert len(http_server.requests) == 2 and len(sleeps) == 1
+
+    @pytest.mark.parametrize("status", [301, 302, 303])
+    def test_redirect_carries_no_headers(self, http_server, status):
+        with serving() as other:
+            other.script = [Reply(body={"a": "moved"})]
+            http_server.script = [Reply(status, headers={"Location": other.url + "/moved"})]
+            assert self.post(http_server.url, headers={"Authorization": "Bearer k"}) == "moved"
+        assert http_server.requests[0]["headers"]["Authorization"] == "Bearer k"
+        [moved] = other.requests
+        assert moved["path"] == "/moved" and moved["body"] is None
+        assert "Authorization" not in moved["headers"]
+        assert "Content-Type" not in moved["headers"]
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_redirect_keeping_the_method_is_a_failure(self, http_server, sleeps, status):
+        with serving() as other:
+            http_server.script = [Reply(status, headers={"Location": other.url})] * 2
+            with pytest.raises(urllib.error.HTTPError, match=f"^HTTP Error {status}: "):
+                self.post(http_server.url, attempts=2)
+        assert len(http_server.requests) == 2 and other.requests == []
+
+    def test_failed_reply_is_closed(self, http_server, sleeps):
+        # An HTTPError holds its reply's socket open until it is closed.
+        http_server.script = [Reply(500)]
+        with pytest.raises(urllib.error.HTTPError) as failed:
+            self.post(http_server.url, attempts=1)
+        assert failed.value.closed
+
+
 class TestHttpMtClient:
-    def test_success_after_transient_failures(self, sleeps):
-        session = FakeSession([requests.ConnectionError("refused"),
-                               FakeResponse({}, status=503),
-                               FakeResponse({"translation": "omwana"})])
-        client = HttpMtClient("http://mt", session=session, backoff=0.25, timeout=5.0)
+    def test_success_after_transient_failures(self, http_server, sleeps):
+        http_server.script = [Reply(500), Reply(503), Reply(body={"translation": "omwana"})]
+        client = HttpMtClient(http_server.url, backoff=0.25, timeout=0.2)
         assert client.translate("child", "eng", "lug") == "omwana"
-        assert len(session.calls) == 3
-        assert session.calls[0]["json"] == {"text": "child", "source": "eng", "target": "lug"}
-        assert session.calls[0]["timeout"] == 5.0
+        assert len(http_server.requests) == 3
+        assert http_server.requests[0]["body"] == {"text": "child", "source": "eng", "target": "lug"}
         assert sleeps == [0.25, 0.5]
 
-    def test_gives_up_after_three_attempts(self, sleeps):
-        session = FakeSession([FakeResponse({}, status=500)] * 2 + [FakeResponse({"wrong": 1})]
-                              + [FakeResponse({"translation": "never reached"})])
-        client = HttpMtClient("http://mt", session=session)
+    def test_timeout_is_retried(self, http_server, sleeps):
+        http_server.script = [Reply(body={"translation": "late"}, delay=1.0),
+                              Reply(body={"translation": "omwana"})]
+        client = HttpMtClient(http_server.url, timeout=0.2)
+        assert client.translate("child", "eng", "lug") == "omwana"
+        assert len(http_server.requests) == 2 and sleeps == [0.5]
+
+    def test_gives_up_after_three_attempts(self, http_server, sleeps):
+        http_server.script = [Reply(500)] * 2 + [Reply(body={"wrong": 1}),
+                                                 Reply(body={"translation": "never reached"})]
+        client = HttpMtClient(http_server.url, timeout=0.2)
         with pytest.raises(MtClientError,
                            match=r"^translation failed after 3 attempts: 'translation'$"):
             client.translate("child", "eng", "lug")
-        assert len(session.calls) == 3
+        assert len(http_server.requests) == 3
+        assert len(sleeps) == 2
+
+    def test_connection_refused(self, sleeps):
+        client = HttpMtClient(closed_port_url(), timeout=0.2)
+        with pytest.raises(MtClientError, match=r"^translation failed after 3 attempts: "
+                                                r"<urlopen error \[Errno \d+\] Connection refused>$"):
+            client.translate("child", "eng", "lug")
         assert len(sleeps) == 2
 
 
 class TestHttpCompletionClient:
-    def client(self, session, retries=2, **kwargs):
-        return HttpCompletionClient("http://llm", "sunflower", timeout=7.0, retries=retries,
-                                    session=session, **kwargs)
+    def client(self, url, retries=2, **kwargs):
+        return HttpCompletionClient(url, "sunflower", timeout=0.2, retries=retries, **kwargs)
 
-    def test_success_after_transient_failures(self, sleeps, monkeypatch):
+    def test_success_after_transient_failures(self, http_server, sleeps, monkeypatch):
         monkeypatch.delenv("SAVANNA_API_TOKEN", raising=False)
-        session = FakeSession([requests.Timeout("slow"), completion("hello")])
-        client = self.client(session, backoff=0.1)
+        http_server.script = [Reply(429, body={}, headers={"Retry-After": "1"}), completion("hello")]
+        client = self.client(http_server.url, backoff=0.1)
         messages = [{"role": "user", "content": "hi"}]
         assert client.complete(messages, temperature=0.3) == "hello"
-        assert session.calls[0]["json"] == {"model": "sunflower", "messages": messages,
-                                            "temperature": 0.3}
-        assert session.calls[0]["timeout"] == 7.0
-        assert len(session.calls) == 2 and sleeps == [0.1]
+        assert http_server.requests[0]["body"] == {"model": "sunflower", "messages": messages,
+                                                   "temperature": 0.3}
+        assert len(http_server.requests) == 2 and sleeps == [0.1]
+
+    def test_timeout_is_retried(self, http_server, sleeps):
+        http_server.script = [Reply(body={}, delay=1.0), completion("hello")]
+        client = self.client(http_server.url)
+        assert client.complete([{"role": "user", "content": "hi"}]) == "hello"
+        assert len(http_server.requests) == 2 and sleeps == [0.5]
 
     @pytest.mark.parametrize("retries", [0, 2])
-    def test_gives_up_after_retries_plus_one(self, sleeps, retries):
-        session = FakeSession([FakeResponse({}, status=502)] * (retries + 2))
-        client = self.client(session, retries)
-        with pytest.raises(TransportError,
-                           match=rf"^request failed after {retries + 1} attempts: 502 Server Error$"):
+    def test_gives_up_after_retries_plus_one(self, http_server, sleeps, retries):
+        http_server.script = [Reply(502)] * (retries + 2)
+        client = self.client(http_server.url, retries)
+        with pytest.raises(TransportError, match=rf"^request failed after {retries + 1} attempts: "
+                                                 r"HTTP Error 502: Bad Gateway$"):
             client.complete([{"role": "user", "content": "hi"}])
-        assert len(session.calls) == retries + 1
+        assert len(http_server.requests) == retries + 1
         assert len(sleeps) == retries
 
-    def test_bearer_header_only_with_token(self, monkeypatch):
+    def test_bearer_header_only_with_token(self, http_server, monkeypatch):
         monkeypatch.delenv("SAVANNA_API_TOKEN", raising=False)
-        session = FakeSession([completion("a"), completion("b")])
-        client = self.client(session)
+        http_server.script = [completion("a"), completion("b")]
+        client = self.client(http_server.url)
         client.complete([{"role": "user", "content": "hi"}])
         monkeypatch.setenv("SAVANNA_API_TOKEN", "s3cret")
         client.complete([{"role": "user", "content": "hi"}])
-        assert session.calls[0]["headers"] == {}
-        assert session.calls[1]["headers"] == {"Authorization": "Bearer s3cret"}
+        first, second = (r["headers"] for r in http_server.requests)
+        assert "Authorization" not in first
+        assert second["Authorization"] == "Bearer s3cret"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import examples
 from oracles import brute_bleu, brute_chrf, brute_edit_distance, brute_ngram_statistics
 from savanna.metrics import (
     _bleu_tokens,
@@ -179,23 +180,23 @@ class TestChrf:
     def test_spaces_excluded_from_ngrams(self):
         assert chrf("ab cd", "abcd") == 1.0
 
-    @settings(max_examples=300)
+    @settings(max_examples=examples(3))
     @given(metric_text, metric_text)
     def test_matches_oracle(self, hyp, ref):
         assert chrf(hyp, ref) == pytest.approx(brute_chrf(hyp, ref), abs=1e-9)
 
-    @settings(max_examples=200)
+    @settings(max_examples=examples(2))
     @given(metric_text, metric_text)
     def test_range(self, hyp, ref):
         assert 0.0 <= chrf(hyp, ref) <= 1.0
 
-    @settings(max_examples=150)
+    @settings(max_examples=examples(1.5))
     @given(unicode_text, unicode_text)
     def test_matches_oracle_on_unicode(self, hyp, ref):
         assert chrf(hyp, ref) == pytest.approx(brute_chrf(hyp, ref), abs=1e-9)
 
     @pytest.mark.parametrize("max_n", range(1, 9))
-    @settings(max_examples=60)
+    @settings(max_examples=examples(0.6))
     @given(hyp=unicode_text, ref=unicode_text)
     # periodic, so clipping changes the matches at every order
     @example(hyp="aɛ\u0301ŋ\U0001F600" * 6, ref="aɛ\u0301ŋ\U0001F600" * 3)
@@ -232,14 +233,14 @@ class TestBleu:
     def test_empty_hypothesis(self):
         assert bleu("", "the cat") == 0.0
 
-    @settings(max_examples=300)
+    @settings(max_examples=examples(3))
     @given(metric_text, metric_text)
     def test_matches_oracle(self, hyp, ref):
         got = bleu(hyp, ref)
         assert got == pytest.approx(brute_bleu(hyp, ref), abs=1e-9)
         assert 0.0 <= got <= 100.0
 
-    @settings(max_examples=150)
+    @settings(max_examples=examples(1.5))
     @given(metric_text.filter(lambda t: t.split()), metric_text)
     def test_monotone_degradation(self, ref, hyp):
         """Appending a non-matching token never increases clipped counts."""
@@ -250,13 +251,13 @@ class TestBleu:
         assert all(a - b <= ta - tb for a, b, ta, tb in
                    zip(after.clipped, before.clipped, after.totals, before.totals))
 
-    @settings(max_examples=150)
+    @settings(max_examples=examples(1.5))
     @given(unicode_text, unicode_text)
     def test_matches_oracle_on_unicode(self, hyp, ref):
         assert bleu(hyp, ref) == pytest.approx(brute_bleu(hyp, ref), abs=1e-9)
 
     @pytest.mark.parametrize("max_n", range(1, 9))
-    @settings(max_examples=60)
+    @settings(max_examples=examples(0.6))
     @given(hyp=unicode_tokens, ref=unicode_tokens)
     @example(hyp=["a", "ɛ", "ŋɔ"] * 6, ref=["a", "ɛ", "ŋɔ"] * 3)
     def test_matches_oracle_at_every_order(self, max_n, hyp, ref):
@@ -313,22 +314,22 @@ class TestErrorRates:
         with pytest.raises(ValueError, match="undefined denominator"):
             wer("a b", "   ")
 
-    @settings(max_examples=300)
+    @settings(max_examples=examples(3))
     @given(st.text(alphabet="abcd ", max_size=40), st.text(alphabet="abcd ", max_size=40))
     def test_edit_distance_matches_oracle(self, a, b):
         assert edit_distance(a, b) == brute_edit_distance(a, b)
 
-    @settings(max_examples=150)
+    @settings(max_examples=examples(1.5))
     @given(unicode_text, unicode_text)
     def test_edit_distance_matches_oracle_on_unicode(self, a, b):
         assert edit_distance(a, b) == brute_edit_distance(a, b)
 
-    @settings(max_examples=150)
+    @settings(max_examples=examples(1.5))
     @given(unicode_tokens, unicode_tokens)
     def test_edit_distance_matches_oracle_on_tokens(self, a, b):
         assert edit_distance(a, b) == brute_edit_distance(a, b)
 
-    @settings(max_examples=150)
+    @settings(max_examples=examples(1.5))
     @given(unicode_text, unicode_text)
     def test_edit_distance_symmetric(self, a, b):
         assert edit_distance(a, b) == edit_distance(b, a)
