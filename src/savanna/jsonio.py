@@ -162,10 +162,12 @@ def post_json(url: str, payload: Any, *, attempts: int, backoff: float,
 
     Any failure (transport, HTTP status, or a body ``reply`` cannot read) is
     retried, up to ``attempts`` tries in all, sleeping ``backoff * 2**i``
-    after the i-th failed try.  The last try's error is re-raised.
+    after the i-th failed try.  The last try's error is re-raised; an HTTP
+    status error's text ends with the first 200 bytes of the reply body.
     """
     # Imported here, not with the module: urllib.request brings http.client,
     # ssl and email, about 31 modules that no offline command needs.
+    import http.client
     import urllib.request
 
     request = urllib.request.Request(url, json.dumps(payload, allow_nan=False).encode())
@@ -178,7 +180,11 @@ def post_json(url: str, payload: Any, *, attempts: int, backoff: float,
                 return reply(json.loads(resp.read()))
         except Exception as exc:
             if isinstance(exc, urllib.request.HTTPError):
-                exc.close()  # an HTTPError is the failed reply, and holds it open
+                # The error is the failed reply, and holds it open.  The start
+                # of its body, if it can be read, ends the error's text.
+                with contextlib.suppress(OSError, ValueError, http.client.HTTPException), exc:
+                    if head := exc.read(200):
+                        exc.msg = f"{exc.msg}: {head.decode('utf-8', errors='replace')}"
             if attempt == attempts - 1:
                 raise
             time.sleep(backoff * (2 ** attempt))

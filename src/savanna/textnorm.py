@@ -15,10 +15,10 @@ under either profile.
 
 from __future__ import annotations
 
-import difflib
 import itertools
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 
 # Cc characters that act as whitespace.  They are kept through control
@@ -30,11 +30,12 @@ _CONTROL_CATEGORIES = frozenset({"Cc", "Cf"})
 _CONTROL_OR_PUNCTUATION_CATEGORIES = _CONTROL_CATEGORIES | {"Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po"}
 
 _PAGE_NUMBER_RE = re.compile(r"^\s*(page\s+)?\d{1,4}\s*$", re.IGNORECASE)
+_DIGITS_RE = re.compile(r"\d+")
 
 # Recurring-line artifact detection (running titles, page headers).
 _RECUR_MIN_COUNT = 3
 _RECUR_SIMILARITY = 0.8
-_RECUR_PREFIX_LEN = 10
+_RECUR_LIVE_PAGES = 2
 
 
 @dataclass(frozen=True)
@@ -87,38 +88,36 @@ def normalize(text: str, profile: NormProfile) -> str:
 
 
 def _count_controls(line: str) -> int:
-    """Number of Cc/Cf characters in ``line``, whitespace controls included.
-
-    A printable line has none; otherwise each distinct character is
-    classified once and the controls among them are counted in C.
-    """
+    """Number of characters of ``line`` that ``normalize`` deletes as
+    controls: Cc/Cf, whitespace controls aside.  A printable line has none;
+    otherwise each distinct character is classified once."""
     if line.isprintable():
         return 0
-    return sum(line.count(ch) for ch in set(line) if unicodedata.category(ch) in _CONTROL_CATEGORIES)
+    return sum(line.count(ch) for ch in set(line)
+               if ch not in _WHITESPACE_CONTROLS and unicodedata.category(ch) in _CONTROL_CATEGORIES)
 
 
 class _Family:
-    """A family of similar lines: its representative (the first member's
-    folded text) and the member indices.  The representative's per-character
-    position masks and a ``SequenceMatcher`` holding it as ``b`` are built
-    when a line is first compared with it."""
+    """Similar page-edge lines: the representative (the first member's
+    key), the member indices and the page of the latest member.  The
+    representative's position masks are built at its first comparison."""
 
-    __slots__ = ("rep", "members", "_masks", "_matcher")
+    __slots__ = ("rep", "members", "page", "_masks")
 
     def __init__(self, rep: str) -> None:
         self.rep = rep
         self.members: list[int] = []
+        self.page = 0
         self._masks: dict[str, int] | None = None
-        self._matcher: difflib.SequenceMatcher | None = None
 
-    def _lcs(self, folded: str) -> int:
-        """Length of the longest common subsequence of ``folded`` and the
+    def _lcs(self, key: str) -> int:
+        """Length of the longest common subsequence of ``key`` and the
         representative, by the bit-vector recurrence of Allison & Dix 1986
-        (Hyyrö 2004).  After each character of ``folded``, bit j of ``v``
-        is 0 exactly where the LCS of the text read so far with
-        ``rep[:j + 1]`` is one longer than with ``rep[:j]``, so the LCS is
-        the number of 0 bits in the low ``len(rep)`` bits.  Carries out of
-        the top bit only set bits above them, which are masked off."""
+        (Hyyrö 2004).  After each character of ``key``, bit j of ``v`` is 0
+        exactly where the LCS of the text read so far with ``rep[:j + 1]``
+        is one longer than with ``rep[:j]``, so the LCS is the number of 0
+        bits in the low ``len(rep)`` bits.  Carries out of the top bit only
+        set bits above them, which are masked off."""
         masks = self._masks
         if masks is None:
             masks = self._masks = {}
@@ -128,80 +127,79 @@ class _Family:
                 bit <<= 1
         mask = (1 << len(self.rep)) - 1
         v = mask
-        for ch in folded:
+        for ch in key:
             u = v & masks.get(ch, 0)
             v = (v + u) | (v - u)
         return len(self.rep) - (v & mask).bit_count()
 
-    def admits(self, folded: str) -> bool:
-        """``SequenceMatcher(None, folded, rep).ratio() >= 0.8``.
-
-        The argument order matters: autojunk applies to ``b`` and ties
-        break asymmetrically.  ``ratio`` is ``2·M/(la+lb)``, where ``M`` is
-        the size of the matching blocks.  Those blocks, autojunk or not,
-        form a common subsequence of the two lines, so ``M <= LCS`` and
-        ``2·LCS/(la+lb)``, computed by the same float expression, bounds
-        ``ratio`` from above.  The LCS is at most the length of the
-        shorter line, so the length bound, from the lengths alone, is tried
-        first; then the LCS bound, O(len(folded)) big-int steps over
-        ``len(rep)`` bits; and ``ratio`` only for the lines both bounds
-        pass.  A line is rejected by a bound only if ``ratio`` would reject
-        it too, so the answer is exactly ``ratio``'s.  The LCS is also at
-        most the overlap of the two character multisets, so it implies
-        ``quick_ratio``'s bound, which is not tried.
-        """
-        la, lb = len(folded), len(self.rep)
+    def admits(self, key: str) -> bool:
+        """``2·LCS(key, rep)/(la+lb) >= 0.8``, tried first on the shorter
+        length, which bounds the LCS."""
+        la, lb = len(key), len(self.rep)
         if 2.0 * min(la, lb) / (la + lb) < _RECUR_SIMILARITY:
             return False
-        if 2.0 * self._lcs(folded) / (la + lb) < _RECUR_SIMILARITY:
-            return False
-        matcher = self._matcher
-        if matcher is None:
-            matcher = self._matcher = difflib.SequenceMatcher(None, "", self.rep)
-        matcher.set_seq1(folded)
-        return matcher.ratio() >= _RECUR_SIMILARITY
+        return 2.0 * self._lcs(key) / (la + lb) >= _RECUR_SIMILARITY
 
 
 def _recurring_line_indices(lines: list[str]) -> set[int]:
-    """Indices of lines belonging to families recurring >= 3 times.
+    """Indices of recurring lines: running heads and footers.
 
-    Lines are grouped by a short casefolded prefix, then fuzzy-matched
-    against one representative per family (``difflib`` ``ratio`` >= 0.8); a
-    line joins the first family, in creation order, whose representative
-    admits it, or founds a new one.
+    A line's key is its whitespace-collapsed, casefolded text with each run
+    of decimal digits replaced by ``0``; lines with blank keys are ignored.
 
-    Cost: each line is compared with the representatives of its bucket;
-    those of incompatible length cost one division, the rest a bit-vector
-    LCS bound before any ``ratio``, and ``ratio`` runs only where that
-    bound passes.  The bound leaves the result exactly as ``ratio`` alone
-    gives it, and cuts the per-comparison cost, but not the number of
-    comparisons: the work still grows with the lines that share a prefix
-    times the families in that bucket.
+    * Exact: every line whose key occurs at least 3 times is recurring.
+    * Fuzzy, at page edges: a line holding a form feed starts a new page,
+      and a page-number line ends the current page and belongs to no page.
+      A page's edges are its first and its last non-blank line.  In
+      document order, each edge line joins the first family, in creation
+      order, that is live and whose representative key ``r`` satisfies
+      ``2·LCS(key, r)/(len key + len r) >= 0.8``; otherwise it founds a new
+      family.  A family is live while its latest member is on the current
+      page or one of the two pages before it, so that heads on every page
+      or on every other page (recto and verso) stay in reach.  Every member
+      of a family with at least 3 members is recurring.
+
+    Cost: linear.  A live family's latest member is one of the edges of
+    the last three pages, so an edge line meets at most five families.
     """
-    buckets: dict[str, list[_Family]] = {}
+    keys = [_DIGITS_RE.sub("0", " ".join(line.split()).casefold()) for line in lines]
+    counts = Counter(keys)
+    recurring = {idx for idx, key in enumerate(keys) if key and counts[key] >= _RECUR_MIN_COUNT}
+    pages: list[list[int]] = [[]]  # the non-blank lines of each page
     for idx, line in enumerate(lines):
-        collapsed = " ".join(line.split())
-        if not collapsed:
-            continue
-        folded = collapsed.casefold()
-        bucket = buckets.setdefault(folded[:_RECUR_PREFIX_LEN], [])
-        family = next((f for f in bucket if f.admits(folded)), None)
-        if family is None:
-            family = _Family(folded)
-            bucket.append(family)
-        family.members.append(idx)
-    return {idx for bucket in buckets.values() for family in bucket
-            if len(family.members) >= _RECUR_MIN_COUNT for idx in family.members}
+        page_number = _PAGE_NUMBER_RE.match(line)
+        if page_number or "\x0c" in line:
+            pages.append([])
+        if keys[idx] and not page_number:
+            pages[-1].append(idx)
+    pages = [page for page in pages if page]
+    if len(pages) < 2:  # one page has at most two edges, too few for a family
+        return recurring
+    families: list[_Family] = []
+    live: list[_Family] = []
+    for number, page in enumerate(pages):
+        live = [family for family in live if family.page >= number - _RECUR_LIVE_PAGES]
+        for idx in page if len(page) < 3 else (page[0], page[-1]):
+            family = next((f for f in live if f.admits(keys[idx])), None)
+            if family is None:
+                family = _Family(keys[idx])
+                families.append(family)
+                live.append(family)
+            family.members.append(idx)
+            family.page = number
+    recurring.update(idx for family in families
+                     if len(family.members) >= _RECUR_MIN_COUNT for idx in family.members)
+    return recurring
 
 
 def clean_document(raw: str, profile: NormProfile) -> tuple[str, CleanReport]:
     """Drop digitization artifacts and normalize the remaining lines.
 
     Artifact heuristics: bare page numbers (``^\\s*(page\\s+)?\\d{1,4}\\s*$``,
-    case-insensitive) and line families recurring at least three times with
-    at least 80% character overlap.  Line/paragraph structure is preserved:
-    each surviving line is normalized individually and blank-line runs are
-    collapsed to single paragraph breaks.
+    case-insensitive) and the recurring lines (running heads and footers)
+    that ``_recurring_line_indices`` finds.  Line/paragraph structure is
+    preserved: each surviving line is normalized individually and
+    blank-line runs are collapsed to single paragraph breaks.
     """
     report = CleanReport(chars_in=len(raw))
     if not raw:

@@ -4,18 +4,17 @@ These deliberately avoid sharing code with the package: n-grams are
 enumerated into plain dicts, edit distance uses a full Wagner-Fischer
 matrix and the longest common subsequence a full DP matrix, the F-score
 arithmetic is written out longhand, text normalization runs its five
-steps separately, repeated to a fixed point,
-first-fit packing scans every open sequence for each chunk, the packed
-file is written by the JSON encoder, one int at a time, and ASR noise
-classifies each character as it reaches it.
+steps separately, repeated to a fixed point, each recurring-line page
+edge scans every family ever made, first-fit packing scans every open
+sequence for each chunk, the packed file is written by the JSON encoder,
+one int at a time, and ASR noise classifies each character as it
+reaches it.
 """
 
 from __future__ import annotations
 
-import difflib
 import json
 import math
-import re
 import string
 import unicodedata
 
@@ -152,26 +151,73 @@ def brute_normalize(text: str, profile) -> str:
     return current
 
 
-_PAGE_NUMBER_RE = re.compile(r"^\s*(page\s+)?\d{1,4}\s*$", re.IGNORECASE)
+def _is_page_number(line: str) -> bool:
+    """A bare page number: optionally ``page`` in any case and whitespace,
+    then 1 to 4 decimal digits, with whitespace around."""
+    rest = line.strip()
+    if rest[:4].lower() == "page" and rest[4:5].isspace():
+        rest = rest[4:].lstrip()
+    return 1 <= len(rest) <= 4 and all(ch.isdecimal() for ch in rest)
+
+
+def _line_key(line: str) -> str:
+    """Whitespace runs become one space and the ends lose theirs, the text
+    is casefolded, and each run of decimal digits becomes ``0``."""
+    collapsed = ""
+    gap = False
+    for ch in line:
+        if ch.isspace():
+            gap = True
+        else:
+            collapsed += (" " if gap and collapsed else "") + ch
+            gap = False
+    key = ""
+    in_digits = False
+    for ch in collapsed.casefold():
+        if not ch.isdecimal():
+            key += ch
+        elif not in_digits:
+            key += "0"
+        in_digits = ch.isdecimal()
+    return key
 
 
 def _brute_recurring_line_indices(lines: list[str]) -> set[int]:
-    families: dict[str, list[tuple[str, list[int]]]] = {}
+    """Lines whose key occurs 3 or more times, and the members of every
+    family of 3 or more page-edge lines.  Each line is first given the
+    number of its page; each edge line then scans every family ever made,
+    live or not, and joins the first live one within similarity 0.8."""
+    keys = [_line_key(line) for line in lines]
+    recurring = {idx for idx, key in enumerate(keys) if key and keys.count(key) >= 3}
+    page_of = {}
+    page = 0
     for idx, line in enumerate(lines):
-        collapsed = " ".join(line.split())
-        if not collapsed:
+        if _is_page_number(line):
+            page += 1
             continue
-        folded = collapsed.casefold()
-        bucket = families.setdefault(folded[:10], [])
-        for rep, members in bucket:
-            matcher = difflib.SequenceMatcher(None, folded, rep)
-            if matcher.real_quick_ratio() >= 0.8 and matcher.ratio() >= 0.8:
-                members.append(idx)
+        if "\x0c" in line:
+            page += 1
+        if keys[idx]:
+            page_of[idx] = page
+    edges = []  # (line, number of its page among the pages with lines)
+    for number, page in enumerate(sorted(set(page_of.values()))):
+        on_page = [idx for idx in page_of if page_of[idx] == page]
+        edges += [(idx, number) for idx in on_page if idx in (min(on_page), max(on_page))]
+    families = []  # [representative key, members, page number of the latest member]
+    for idx, number in edges:
+        key = keys[idx]
+        for family in families:
+            rep = family[0]
+            if number - family[2] <= 2 and 2.0 * brute_lcs(key, rep) / (len(key) + len(rep)) >= 0.8:
+                family[1].append(idx)
+                family[2] = number
                 break
         else:
-            bucket.append((folded, [idx]))
-    return {idx for bucket in families.values() for _rep, members in bucket
-            if len(members) >= 3 for idx in members}
+            families.append([key, [idx], number])
+    for _rep, members, _number in families:
+        if len(members) >= 3:
+            recurring.update(members)
+    return recurring
 
 
 def brute_clean_document(raw: str, profile) -> tuple[str, dict]:
@@ -185,12 +231,12 @@ def brute_clean_document(raw: str, profile) -> tuple[str, dict]:
     recurring = _brute_recurring_line_indices(lines)
     kept = []
     for idx, line in enumerate(lines):
-        if line.strip() and (_PAGE_NUMBER_RE.match(line) or idx in recurring):
+        if line.strip() and (_is_page_number(line) or idx in recurring):
             report["artifacts_removed"] += 1
             continue
         report["control_removed"] += sum(
             1 for ch in line if unicodedata.category(ch) in ("Cc", "Cf") and ch not in _WHITESPACE_CONTROLS
-        ) + sum(1 for ch in line if ch in _WHITESPACE_CONTROLS)
+        )
         kept.append(brute_normalize(line, profile))
     paragraphs: list[str] = []
     blank = True

@@ -1,6 +1,8 @@
+import io
 import math
 import re
 import urllib.error
+import urllib.request
 
 import pytest
 from helpers import Reply, closed_port_url, serving
@@ -137,16 +139,34 @@ class TestPostJson:
         assert len(http_server.requests) == 2 and sleeps == [0.0]
 
     @pytest.mark.parametrize("reply, error", [
-        (Reply(503), r"^HTTP Error 503: Service Unavailable$"),
+        (Reply(503, body={"error": "model not loaded"}),
+         r'^HTTP Error 503: Service Unavailable: \{"error": "model not loaded"\}$'),
+        (Reply(503, body=b""), r"^HTTP Error 503: Service Unavailable$"),
+        # The first 200 bytes end inside an "é", which decodes to U+FFFD.
+        (Reply(503, body=b"a" + "é".encode() * 150),
+         "^HTTP Error 503: Service Unavailable: a" + "é" * 99 + "\ufffd$"),
         (Reply(body=b"<html>"), r"^Expecting value: line 1 column 1 \(char 0\)$"),
         (Reply(body={"b": 1}), r"^'a'$"),
         (Reply(body={"a": "late"}, delay=1.0), r"^timed out$"),
-    ], ids=["503", "not-json", "no-key", "slow"])
+    ], ids=["503", "503-empty", "503-long", "not-json", "no-key", "slow"])
     def test_last_error_is_raised(self, http_server, sleeps, reply, error):
         http_server.script = [reply] * 2
         with pytest.raises(Exception, match=error):
             self.post(http_server.url, attempts=2)
         assert len(http_server.requests) == 2 and len(sleeps) == 1
+
+    def test_unreadable_error_body_leaves_the_error_text(self, monkeypatch, sleeps):
+        class Unreadable(io.BytesIO):
+            def read(self, *args):
+                raise ConnectionResetError("reset while reading")
+
+        def urlopen(request, timeout):
+            raise urllib.error.HTTPError(request.full_url, 503, "Service Unavailable", {}, Unreadable())
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        with pytest.raises(urllib.error.HTTPError, match=r"^HTTP Error 503: Service Unavailable$") as raised:
+            self.post("http://127.0.0.1:9/", attempts=2)
+        assert raised.value.fp.closed and len(sleeps) == 1
 
     @pytest.mark.parametrize("status", [301, 302, 303])
     def test_redirect_carries_no_headers(self, http_server, status):
@@ -232,10 +252,10 @@ class TestHttpCompletionClient:
 
     @pytest.mark.parametrize("retries", [0, 2])
     def test_gives_up_after_retries_plus_one(self, http_server, sleeps, retries):
-        http_server.script = [Reply(502)] * (retries + 2)
+        http_server.script = [Reply(502, body={"error": "overloaded"})] * (retries + 2)
         client = self.client(http_server.url, retries)
         with pytest.raises(TransportError, match=rf"^request failed after {retries + 1} attempts: "
-                                                 r"HTTP Error 502: Bad Gateway$"):
+                                                 r'HTTP Error 502: Bad Gateway: \{"error": "overloaded"\}$'):
             client.complete([{"role": "user", "content": "hi"}])
         assert len(http_server.requests) == retries + 1
         assert len(sleeps) == retries
