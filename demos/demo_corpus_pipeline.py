@@ -16,7 +16,7 @@ from savanna.corpus import (
     dedup,
     make_document,
 )
-from savanna.textnorm import clean_document, corpus_profile
+from savanna.textnorm import clean_document
 
 
 def main():
@@ -31,9 +31,9 @@ def main():
         "omukyala yafumba akawunga n'enva",
         "EKITABO KY'OLUGANDA - 15",
     ])
-    text, report = clean_document(raw, corpus_profile())
+    text, report = clean_document(raw)
     print("cleaning")
-    print(f"  {report.chars_in} chars in, {report.chars_out} out, "
+    print(f"  {len(raw)} chars in, {len(text)} out, "
           f"{report.artifacts_removed} artifact lines removed")
     print("  kept:", text.replace("\n", " / "))
 

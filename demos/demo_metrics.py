@@ -1,11 +1,10 @@
 """Walk through the translation metrics on a handful of Luganda examples.
 
 Shows sentence-level chrF/BLEU/CER/WER, how normalization affects scoring,
-the per-order n-gram counts behind a chrF score, and how eval turns
-sentence scores into one score per direction.
+and how eval turns sentence scores into one score per direction.
 """
 
-from savanna.metrics import aggregate, bleu, cer, chrf, chrf_statistics, wer
+from savanna.metrics import aggregate, bleu, cer, chrf, wer
 from savanna.textnorm import metric_profile, normalize
 
 
@@ -30,14 +29,6 @@ def main():
     print(f"  raw hypothesis: {raw_hyp!r}")
     print(f"  normalized:     {normalize(raw_hyp, profile)!r}")
     print(f"  chrF vs {raw_ref!r}: {chrf(normalize(raw_hyp, profile), raw_ref):.4f}")
-
-    # chrF counts character n-grams of orders 1-6, spaces left out
-    hyp, ref = pairs[1]
-    stats = chrf_statistics(hyp, ref)
-    print(f"\nchrF n-gram counts for {hyp!r}")
-    print(f"{'order':>7} {'matched':>8} {'hyp':>5} {'ref':>5}")
-    for n, (m, h, r) in enumerate(zip(stats.matched, stats.hyp_total, stats.ref_total), start=1):
-        print(f"{n:>7} {m:>8} {h:>5} {r:>5}")
 
     # a direction's score is the mean of its sentence scores, as eval reports it
     print("\ndirection score: mean of sentence scores")

@@ -16,8 +16,8 @@ import argparse
 import contextlib
 import copy
 import difflib
-import functools
 import json
+import math
 import os
 import sys
 import typing
@@ -124,7 +124,7 @@ ENTRY_KEYS = {
                "metric": (typing.Literal[leaderboard.METRICS], REQUIRED)},
 }
 
-TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a number", bool: "true or false",
+TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a finite number", bool: "true or false",
               list: "a list", dict: "a mapping", (str, list): "a string or a list"}
 
 
@@ -143,8 +143,10 @@ def _check_type(value, kind, name: str) -> None:
         if not (isinstance(value, list) and len(value) == len(typing.get_args(kind))
                 and all(map(isinstance, value, typing.get_args(kind)))):
             raise CliError(f"{name} must list two editions, {{lang, path}} each, the source first")
-    # isinstance(True, int) holds, but true is not a number here.
-    elif not isinstance(value, kind) or isinstance(value, bool) and kind in (int, NUMBER):
+    # isinstance(True, int) holds, but true is not a number here, and nor
+    # are YAML's .nan and .inf, which no output file could hold.
+    elif (not isinstance(value, kind) or isinstance(value, bool) and kind in (int, NUMBER)
+          or isinstance(value, float) and not math.isfinite(value)):
         raise CliError(f"{name} must be {TYPE_NAMES[kind]}")
 
 
@@ -212,14 +214,11 @@ def cmd_corpus(config: dict) -> typing.Callable[[Path], None]:
     chars_in = sum(len(d.text) for d in docs)
     cleaned, clean_stats = corpus_mod.clean_documents(docs)
     deduped = list(corpus_mod.dedup(cleaned))
-    sample = functools.partial(corpus_mod.assemble_pretraining, deduped, spec, config["seed"],
-                               sample_size=config["sample_size"])
-    # Without back-translation the sample waits for no endpoint, so it is drawn now.
-    drawn = None if bt else sample()
     english = [d for d in deduped if d.lang == "eng"]
-    if bt:  # the weights, with the synthetic_bt buckets back-translation can add
-        spec.bucket_weights({(d.source, d.lang) for d in deduped}
-                            | {("synthetic_bt", t) for t in bt["targets"] if english})
+    buckets = {(d.source, d.lang) for d in deduped}
+    if bt and english:  # the synthetic_bt buckets back-translation adds
+        buckets |= {("synthetic_bt", target) for target in bt["targets"]}
+    spec.bucket_weights(buckets)  # all zero fails here, before the output directory is made
 
     def run(out: Path) -> None:
         errors = []
@@ -228,7 +227,8 @@ def cmd_corpus(config: dict) -> typing.Callable[[Path], None]:
                 result = corpus_mod.backtranslate(english, target, client)
                 deduped.extend(result.documents)
                 errors.extend(result.errors)
-        sampled, manifest = drawn or sample()
+        sampled, manifest = corpus_mod.assemble_pretraining(
+            deduped, spec, config["seed"], sample_size=config["sample_size"])
 
         corpus_mod.write_documents_jsonl(sampled, out / "documents.jsonl")
         if bible is not None:

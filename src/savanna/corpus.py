@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol
 
 from . import jsonio
-from .textnorm import clean_document, corpus_profile
+from .textnorm import clean_document
 
 Source = str
 _SOURCES = {
@@ -140,13 +140,12 @@ def _content_key(text: str) -> str:
 
 
 def clean_documents(docs: Iterable[CorpusDocument]) -> tuple[list[CorpusDocument], dict]:
-    """Each document's text cleaned with ``textnorm.corpus_profile``, the
+    """Each document's text cleaned by ``textnorm.clean_document``, the
     documents left empty dropped, and the cleaning counts summed over all."""
-    profile = corpus_profile()
     cleaned = []
     stats = {"control_removed": 0, "artifacts_removed": 0}
     for doc in docs:
-        text, report = clean_document(doc.text, profile)
+        text, report = clean_document(doc.text)
         stats["control_removed"] += report.control_removed
         stats["artifacts_removed"] += report.artifacts_removed
         if text:

@@ -24,7 +24,7 @@ from typing import Iterable, Protocol
 from . import jsonio, metrics
 from .instruct import TRANSLATION_PROMPT as DEFAULT_PROMPT_TEMPLATE
 from .instruct import translation_prompt
-from .textnorm import NormProfile, metric_profile, normalize
+from .textnorm import metric_profile, normalize
 
 N_CATEGORIES = 20
 SENTENCES_PER_CATEGORY = 5
@@ -303,12 +303,12 @@ def _prompt_hash(template: str) -> str:
     return hashlib.sha256(template.encode("utf-8")).hexdigest()[:16]
 
 
-def _score_unit(record: dict, reference: str,
-                profile: NormProfile) -> metrics.SentenceScores | None:
+def _score_unit(record: dict, reference: str) -> metrics.SentenceScores | None:
     """Scores of one persisted request/response against its reference; None
     for a failed request or a reference that normalizes to nothing."""
     if record["status"] != "ok":
         return None
+    profile = metric_profile()
     hyp = normalize(postprocess_hypothesis(record["response"]), profile)
     ref = normalize(reference, profile)
     if not ref:
@@ -331,13 +331,9 @@ def _build_report(scores: dict[str, metrics.SentenceScores | None], suite: EvalS
         scored = [scores.get(unit["id"]) for unit in units]
         per_sentence = [unit_scores for unit_scores in scored if unit_scores is not None]
         aggregates = None
-        if per_sentence:
-            aggregates = metrics.SentenceScores(
-                chrf=metrics.aggregate([s.chrf for s in per_sentence]),
-                bleu=metrics.aggregate([s.bleu for s in per_sentence]),
-                cer=metrics.aggregate([s.cer for s in per_sentence]),
-                wer=metrics.aggregate([s.wer for s in per_sentence]),
-            )
+        if per_sentence:  # each metric's mean over its column, in unit order
+            aggregates = metrics.SentenceScores(*map(metrics.aggregate, zip(
+                *(vars(unit_scores).values() for unit_scores in per_sentence))))
         failed = len(scored) - len(per_sentence)
         results.append(DirectionResult(direction, per_sentence, aggregates, failed))
     return EvalRunReport(results, granularity, prompt_template, suite.content_hash())
@@ -403,7 +399,6 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
             "status": status,
         }
 
-    profile = metric_profile()
     records = []
     scores: dict[str, metrics.SentenceScores | None] = {}
     scoring_error = None
@@ -414,7 +409,7 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
             records.append(record)
             if scoring_error is None:
                 try:
-                    scores[unit["id"]] = _score_unit(record, unit["reference"], profile)
+                    scores[unit["id"]] = _score_unit(record, unit["reference"])
                 except Exception as exc:  # the run log is still written in full
                     scoring_error = exc
 
@@ -448,9 +443,8 @@ def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport
     check_directions(suite, list(dict.fromkeys(directions)))
     granularity = header["granularity"]
     unit_lists = [_units(suite, direction, granularity) for direction in directions]
-    profile = metric_profile()
     by_id = {r["id"]: r for r in records}
-    scores = {unit["id"]: _score_unit(by_id[unit["id"]], unit["reference"], profile)
+    scores = {unit["id"]: _score_unit(by_id[unit["id"]], unit["reference"])
               for units in unit_lists for unit in units if unit["id"] in by_id}
     return _build_report(scores, suite, directions, unit_lists, granularity,
                          header["prompt_template"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -83,7 +84,8 @@ class LeaderboardData:
 def load_score_csv(data: LeaderboardData, path: Path | resources.abc.Traversable,
                    direction: str, metric: str) -> None:
     """Load a per-language score table (columns: lang, language, one column
-    per model) into ``data``.  Every row must have as many cells as the header."""
+    per model) into ``data``.  Every row must have as many cells as the
+    header, and every score must be a finite number."""
     with path.open(encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -97,7 +99,9 @@ def load_score_csv(data: LeaderboardData, path: Path | resources.abc.Traversable
                 lang, lang_name = row[0], row[1]
                 data.language_names[lang] = lang_name
                 for model, value in zip(models, row[2:]):
-                    data.add_score(model, direction, lang, metric, float(value))
+                    if not math.isfinite(score := float(value)):
+                        raise ValueError(f"score of {model} for {lang} is {value!r}, not finite")
+                    data.add_score(model, direction, lang, metric, score)
             except ValueError as exc:
                 raise ValueError(f"score file {path}, line {reader.line_num}: {exc}") from exc
 

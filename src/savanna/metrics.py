@@ -39,25 +39,6 @@ BLEU_ORDER = 4
 
 
 @dataclass
-class ChrfStatistics:
-    """Per-order (matched, hypothesis total, reference total) counts."""
-
-    matched: list[int]
-    hyp_total: list[int]
-    ref_total: list[int]
-
-
-@dataclass
-class BleuStatistics:
-    """Clipped match and total counts per order, plus lengths."""
-
-    clipped: list[int]
-    totals: list[int]
-    hyp_len: int
-    ref_len: int
-
-
-@dataclass
 class SentenceScores:
     chrf: float
     bleu: float
@@ -138,23 +119,20 @@ def _bleu_tokens(text: str) -> list[str]:
     return [token + " " for token in text.split()]
 
 
-def chrf_statistics(hypothesis: str, reference: str) -> ChrfStatistics:
+def chrf(hypothesis: str, reference: str) -> float:
+    """Character n-gram F-score in [0, 1]; 1 when both sides are empty, 0 when one is."""
     # spaces never participate in n-grams
-    hyp_chars = "".join(hypothesis.split())
-    ref_chars = "".join(reference.split())
-    return ChrfStatistics(*_matches_and_totals(hyp_chars, ref_chars, CHRF_ORDER))
-
-
-def chrf_from_statistics(stats: ChrfStatistics) -> float:
+    matched, hyp_total, ref_total = _matches_and_totals(
+        "".join(hypothesis.split()), "".join(reference.split()), CHRF_ORDER)
     precisions, recalls = [], []
-    for m, h, r in zip(stats.matched, stats.hyp_total, stats.ref_total):
+    for m, h, r in zip(matched, hyp_total, ref_total):
         if r == 0:
             continue  # orders with no reference n-grams are skipped
         precisions.append(m / h if h > 0 else 0.0)
         recalls.append(m / r)
     if not precisions:
         # No reference n-grams at any order: both sides empty scores 1.
-        return 1.0 if sum(stats.hyp_total) == 0 else 0.0
+        return 1.0 if sum(hyp_total) == 0 else 0.0
     p = sum(precisions) / len(precisions)
     r = sum(recalls) / len(recalls)
     if p + r == 0.0:
@@ -163,39 +141,25 @@ def chrf_from_statistics(stats: ChrfStatistics) -> float:
     return (1 + b2) * p * r / (b2 * p + r)
 
 
-def chrf(hypothesis: str, reference: str) -> float:
-    """Character n-gram F-score in [0, 1]; 1 when both sides are empty, 0 when one is."""
-    return chrf_from_statistics(chrf_statistics(hypothesis, reference))
-
-
-def bleu_statistics(hypothesis: str, reference: str) -> BleuStatistics:
+def bleu(hypothesis: str, reference: str) -> float:
+    """Sentence BLEU in [0, 100], adding one to the counts of orders 2 and up."""
     hyp_tokens = _bleu_tokens(hypothesis)
+    if not hyp_tokens:
+        return 0.0
     ref_tokens = _bleu_tokens(reference)
     clipped, totals, _ = _matches_and_totals(hyp_tokens, ref_tokens, BLEU_ORDER)
-    return BleuStatistics(clipped, totals, len(hyp_tokens), len(ref_tokens))
-
-
-def bleu_from_statistics(stats: BleuStatistics) -> float:
-    """BLEU in [0, 100], adding one to the counts of orders 2 and up."""
-    if stats.hyp_len == 0:
-        return 0.0
     log_sum = 0.0
-    for n, (clipped, total) in enumerate(zip(stats.clipped, stats.totals), start=1):
+    for n, (matches, total) in enumerate(zip(clipped, totals), start=1):
         if n >= 2:
-            p = (clipped + 1) / (total + 1)
+            p = (matches + 1) / (total + 1)
         else:
-            p = clipped / total  # the unigram total is hyp_len, so not 0
+            p = matches / total  # the unigram total is the hypothesis length, so not 0
         if p == 0.0:
             return 0.0
         log_sum += math.log(p)
-    geo_mean = math.exp(log_sum / len(stats.clipped))
-    bp = math.exp(min(0.0, 1.0 - stats.ref_len / stats.hyp_len))
+    geo_mean = math.exp(log_sum / BLEU_ORDER)
+    bp = math.exp(min(0.0, 1.0 - len(ref_tokens) / len(hyp_tokens)))
     return 100.0 * geo_mean * bp
-
-
-def bleu(hypothesis: str, reference: str) -> float:
-    """Sentence BLEU in [0, 100], add-one smoothed."""
-    return bleu_from_statistics(bleu_statistics(hypothesis, reference))
 
 
 def edit_distance(a: Sequence, b: Sequence) -> int:

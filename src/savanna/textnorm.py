@@ -5,7 +5,7 @@ Two fixed profiles are used throughout the toolkit:
 * ``metric_profile()`` -- aggressive normalization applied before scoring
   (lowercase, punctuation stripped).
 * ``corpus_profile()`` -- conservative cleanup for pretraining text
-  (case and punctuation preserved).
+  (case and punctuation preserved); ``clean_document`` always uses it.
 
 Both apply NFC, remove control and format characters (categories Cc/Cf)
 except whitespace controls, and collapse whitespace runs to single spaces.
@@ -46,8 +46,6 @@ class NormProfile:
 
 @dataclass
 class CleanReport:
-    chars_in: int = 0
-    chars_out: int = 0
     control_removed: int = 0
     artifacts_removed: int = 0
 
@@ -141,8 +139,9 @@ class _Family:
         return 2.0 * self._lcs(key) / (la + lb) >= _RECUR_SIMILARITY
 
 
-def _recurring_line_indices(lines: list[str]) -> set[int]:
-    """Indices of recurring lines: running heads and footers.
+def _artifact_line_indices(lines: list[str]) -> set[int]:
+    """Indices of artifact lines: bare page numbers (``_PAGE_NUMBER_RE``)
+    and recurring lines, which are running heads and footers.
 
     A line's key is its whitespace-collapsed, casefolded text with each run
     of decimal digits replaced by ``0``; lines with blank keys are ignored.
@@ -164,17 +163,19 @@ def _recurring_line_indices(lines: list[str]) -> set[int]:
     """
     keys = [_DIGITS_RE.sub("0", " ".join(line.split()).casefold()) for line in lines]
     counts = Counter(keys)
-    recurring = {idx for idx, key in enumerate(keys) if key and counts[key] >= _RECUR_MIN_COUNT}
+    artifacts = {idx for idx, key in enumerate(keys) if key and counts[key] >= _RECUR_MIN_COUNT}
     pages: list[list[int]] = [[]]  # the non-blank lines of each page
     for idx, line in enumerate(lines):
         page_number = _PAGE_NUMBER_RE.match(line)
         if page_number or "\x0c" in line:
             pages.append([])
-        if keys[idx] and not page_number:
+        if page_number:
+            artifacts.add(idx)
+        elif keys[idx]:
             pages[-1].append(idx)
     pages = [page for page in pages if page]
     if len(pages) < 2:  # one page has at most two edges, too few for a family
-        return recurring
+        return artifacts
     families: list[_Family] = []
     live: list[_Family] = []
     for number, page in enumerate(pages):
@@ -187,30 +188,28 @@ def _recurring_line_indices(lines: list[str]) -> set[int]:
                 live.append(family)
             family.members.append(idx)
             family.page = number
-    recurring.update(idx for family in families
+    artifacts.update(idx for family in families
                      if len(family.members) >= _RECUR_MIN_COUNT for idx in family.members)
-    return recurring
+    return artifacts
 
 
-def clean_document(raw: str, profile: NormProfile) -> tuple[str, CleanReport]:
-    """Drop digitization artifacts and normalize the remaining lines.
-
-    Artifact heuristics: bare page numbers (``^\\s*(page\\s+)?\\d{1,4}\\s*$``,
-    case-insensitive) and the recurring lines (running heads and footers)
-    that ``_recurring_line_indices`` finds.  Line/paragraph structure is
-    preserved: each surviving line is normalized individually and
+def clean_document(raw: str) -> tuple[str, CleanReport]:
+    """Drop the artifact lines that ``_artifact_line_indices`` finds and
+    normalize the rest with the corpus profile.  Line/paragraph structure
+    is preserved: each surviving line is normalized individually and
     blank-line runs are collapsed to single paragraph breaks.
     """
-    report = CleanReport(chars_in=len(raw))
+    report = CleanReport()
     if not raw:
         return "", report
 
     lines = raw.split("\n")
-    recurring = _recurring_line_indices(lines)
+    artifacts = _artifact_line_indices(lines)
+    profile = corpus_profile()
 
     kept: list[str] = []
     for idx, line in enumerate(lines):
-        if line.strip() and (_PAGE_NUMBER_RE.match(line) or idx in recurring):
+        if idx in artifacts:
             report.artifacts_removed += 1
             continue
         report.control_removed += _count_controls(line)
@@ -219,5 +218,4 @@ def clean_document(raw: str, profile: NormProfile) -> tuple[str, CleanReport]:
     # Blank-line runs become single paragraph breaks; leading and trailing
     # blanks go.
     text = "\n\n".join("\n".join(run) for nonblank, run in itertools.groupby(kept, bool) if nonblank)
-    report.chars_out = len(text)
     return text, report

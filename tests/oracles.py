@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import string
+import types
 import unicodedata
 
 
@@ -182,8 +183,9 @@ def _line_key(line: str) -> str:
     return key
 
 
-def _brute_recurring_line_indices(lines: list[str]) -> set[int]:
-    """Lines whose key occurs 3 or more times, and the members of every
+def _brute_artifact_line_indices(lines: list[str]) -> set[int]:
+    """The non-blank lines that are page numbers or recurring.  A line
+    recurs when its key occurs 3 or more times or it is a member of a
     family of 3 or more page-edge lines.  Each line is first given the
     number of its page; each edge line then scans every family ever made,
     live or not, and joins the first live one within similarity 0.8."""
@@ -217,27 +219,32 @@ def _brute_recurring_line_indices(lines: list[str]) -> set[int]:
     for _rep, members, _number in families:
         if len(members) >= 3:
             recurring.update(members)
-    return recurring
+    return {idx for idx, line in enumerate(lines)
+            if line.strip() and (_is_page_number(line) or idx in recurring)}
 
 
-def brute_clean_document(raw: str, profile) -> tuple[str, dict]:
-    """Artifact lines dropped, each other line normalized, blank-line runs
-    collapsed by an explicit state machine.  The report is a plain dict with
-    ``CleanReport``'s fields."""
-    report = {"chars_in": len(raw), "chars_out": 0, "control_removed": 0, "artifacts_removed": 0}
+# The corpus profile's settings, as ``brute_normalize`` reads them.
+_CORPUS_PROFILE = types.SimpleNamespace(lowercase=False, strip_punctuation=False)
+
+
+def brute_clean_document(raw: str) -> tuple[str, dict]:
+    """Artifact lines dropped, each other line normalized with the corpus
+    profile, blank-line runs collapsed by an explicit state machine.  The
+    report is a plain dict with ``CleanReport``'s fields."""
+    report = {"control_removed": 0, "artifacts_removed": 0}
     if not raw:
         return "", report
     lines = raw.split("\n")
-    recurring = _brute_recurring_line_indices(lines)
+    artifacts = _brute_artifact_line_indices(lines)
     kept = []
     for idx, line in enumerate(lines):
-        if line.strip() and (_is_page_number(line) or idx in recurring):
+        if idx in artifacts:
             report["artifacts_removed"] += 1
             continue
         report["control_removed"] += sum(
             1 for ch in line if unicodedata.category(ch) in ("Cc", "Cf") and ch not in _WHITESPACE_CONTROLS
         )
-        kept.append(brute_normalize(line, profile))
+        kept.append(brute_normalize(line, _CORPUS_PROFILE))
     paragraphs: list[str] = []
     blank = True
     for line in kept:
@@ -249,9 +256,7 @@ def brute_clean_document(raw: str, profile) -> tuple[str, dict]:
             blank = False
         else:
             blank = True
-    text = "\n\n".join(paragraphs)
-    report["chars_out"] = len(text)
-    return text, report
+    return "\n\n".join(paragraphs), report
 
 
 def brute_pack(token_streams, max_len):

@@ -29,7 +29,7 @@ from savanna.leaderboard import (
     winner_counts,
 )
 from savanna.preference_loss import LossParams, PairLogps, dpo_loss, irpo_loss, loss_gradients
-from savanna.textnorm import clean_document, corpus_profile
+from savanna.textnorm import clean_document
 
 
 def report_line(capsys, number, label, ok, detail=""):
@@ -226,10 +226,9 @@ def test_criterion_6_dedup_idempotence_and_reduction(capsys):
     chars_in = sum(len(t) for t in texts)
     ok &= chars_in == 996000
 
-    profile = corpus_profile()
     cleaned = []
     for doc in fixture:
-        text, _ = clean_document(doc.text, profile)
+        text, _ = clean_document(doc.text)
         ok &= text == doc.text  # fixture is pre-normalized: cleaning is identity
         cleaned.append(doc)
     survivors = list(dedup(cleaned))

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -597,7 +599,7 @@ BAD_CONFIGS = [
      "max_lne is not a known key; did you mean max_len?"),
     ("instruct", {"parallel": "pairs.jsonl", "max_len": "512"}, "max_len must be an integer"),
     ("instruct", {"parallel": "pairs.jsonl", "noisy_fraction": None},
-     "noisy_fraction must be a number"),
+     "noisy_fraction must be a finite number"),
     ("instruct", {"max_len": 128}, "parallel is required"),
     ("eval", {"suite": "suite.csv", "endpiont": "stub:echo"},
      "endpiont is not a known key; did you mean endpoint?"),
@@ -621,6 +623,11 @@ BAD_CONFIGS = [
      "granularity must be sentence or document, got 'paragraph'"),
     ("eval", {"suite": "suite.csv", "endpoint": "http://llm", "directions": "aaa-eng",
               "model_name": "sunflower"}, "model_name is not a known key; did you mean model?"),
+    # YAML's .nan and .inf are floats, but no output file could hold them.
+    ("eval", {"suite": "suite.csv", "endpoint": "stub:echo", "directions": "aaa-eng",
+              "temperature": float("nan")}, "temperature must be a finite number"),
+    ("eval", {"suite": "suite.csv", "endpoint": "http://llm", "directions": "aaa-eng",
+              "timeout": float("-inf")}, "timeout must be a finite number"),
     ("report", {"run": []}, "run is not a known key; did you mean runs?"),
     ("report", {"tables": {"path": "t.csv"}}, "tables must be a list"),
     ("report", {"runs": [{"model": "m", "suite": "suite.csv"}]}, "runs[0].run_log is required"),
@@ -636,7 +643,9 @@ BAD_CONFIGS = [
      "runs[0].log is not a known key; did you mean run_log?"),
     ("loss", {"pairs": "logps.jsonl", "alpha": 1.0},
      "alpha is not a known key; did you mean alpha_rpo?"),
-    ("loss", {"pairs": "logps.jsonl", "beta": True}, "beta must be a number"),
+    ("loss", {"pairs": "logps.jsonl", "beta": True}, "beta must be a finite number"),
+    ("loss", {"pairs": "logps.jsonl", "alpha_rpo": float("inf")},
+     "alpha_rpo must be a finite number"),
     ("loss", {"beta": 0.1}, "pairs is required"),
 ]
 
@@ -818,6 +827,10 @@ class TestAtomicOutputs:
         assert not (out / ".savanna.lock").exists()
 
 
+# Score-table cells that float() parses but that are not finite scores.
+NON_FINITE_CELLS = ("nan", "inf", "-inf", "Infinity")
+
+
 @pytest.fixture()
 def inputs(tmp_path, suite_csv):
     """A valid input file of each kind, by name; ``missing`` names none."""
@@ -833,6 +846,9 @@ def inputs(tmp_path, suite_csv):
     paths["vocab"].write_text('{"say": 0}')  # lacks every word of the prompt
     paths["bad_log"].write_text('{"type": "record"}\n')
     paths["bleu"].write_text("lang,language,m\naaa,Aaa,12.5\n")
+    for cell in NON_FINITE_CELLS:
+        paths[cell] = tmp_path / f"{cell}.csv"
+        paths[cell].write_text(f"lang,language,m\naaa,Aaa,{cell}\n")
     eval_out = tmp_path / "eval"
     assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
                  "--directions", "aaa-eng,eng-aaa", "--out", str(eval_out)]) == 0
@@ -887,6 +903,10 @@ BAD_INPUTS = {
     "report-table-without-chrf": ("report", {"tables": [
         {"path": "{bleu}", "direction": "eng-xx", "metric": "bleu"}]},
         "model 'm' has eng-xx scores for aaa but no chrf"),
+    **{f"report-{cell}-score": ("report", {"tables": [
+        {"path": f"{{{cell}}}", "direction": "xx-eng", "metric": "chrf"}]},
+        f"{cell}.csv, line 2: score of m for aaa is '{cell}', not finite")
+       for cell in NON_FINITE_CELLS},
     "report-unknown-winner": ("report", {"winner_models": ["gpt-4o", "nobody"]},
                               "winner_models[1] is 'nobody', a model with no scores"),
     "loss-missing-pairs": ("loss", {"pairs": "{missing}"}, "missing.jsonl"),
@@ -958,6 +978,48 @@ def test_zero_weight_mixture_fails_before_backtranslation(tmp_path, capsys, monk
     assert json.loads(capsys.readouterr().err) == {"error": "all bucket weights are zero",
                                                    "type": "ValueError"}
     assert not out.exists()
+
+
+def test_zero_weight_mixture_fails_before_output(tmp_path, capsys):
+    docs = tmp_path / "lug.jsonl"
+    corpus.write_documents_jsonl([make_document("lug", "omwana agenda mu kibuga", "web")], docs)
+    path = write_yaml(tmp_path / "c.yaml", {"inputs": [str(docs)], "lang_weights": {"lug": 0}})
+    out = tmp_path / "out"
+    assert main(["corpus", "--config", path, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "all bucket weights are zero",
+                                                   "type": "ValueError"}
+    assert not out.exists()
+
+
+# SHA-256 of documents.jsonl and manifest.json of the run below, by seed,
+# recorded when a run without back-translation drew its sample before the
+# output directory was locked.
+CORPUS_DIGESTS = {
+    0: ("adc1165ed0752fcd078c46849528a7c4d744fda9b4bc9dfe51b583c49f19abbc",
+        "a20266e1a6b8dfd03d1fa51120ce8d2213a70ea7a59e283bbc8be1e51ecade60"),
+    3: ("61b878c72ddccb77d18a6c8848e3979d43e9b33c979c1d305734af0a798c1e2f",
+        "3fad4efdb56b225985f5abd70b7aca4bb17a0d3eed83c55778efbbff80e91c4d"),
+}
+
+
+@pytest.mark.parametrize("seed", CORPUS_DIGESTS)
+def test_corpus_sample_is_unchanged(tmp_path, seed):
+    rng = random.Random(11)
+    words = ["omwana", "agenda", "mu", "kibuga", "ekinene", "nnyo", "the", "child", "goes", "town"]
+    buckets = [("lug", "web"), ("lug", "book_ocr"), ("ach", "web"), ("eng", "web")]
+    docs = []
+    for i in range(60):
+        lang, source = rng.choice(buckets)
+        body = " ".join(rng.choice(words) for _ in range(rng.randint(3, 12)))
+        docs.append(make_document(lang, f"{body}\n{i % 7}\ndone", source))  # a page number
+    corpus.write_documents_jsonl(docs + docs[:10], tmp_path / "docs.jsonl")  # 10 duplicates
+    path = write_yaml(tmp_path / "c.yaml", {
+        "inputs": [str(tmp_path / "docs.jsonl")], "sample_size": 25, "seed": seed,
+        "source_weights": {"book_ocr": 2.0}, "lang_weights": {"ach": 0.5}})
+    out = tmp_path / "out"
+    assert main(["corpus", "--config", path, "--out", str(out)]) == 0
+    assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                 for name in ("documents.jsonl", "manifest.json")) == CORPUS_DIGESTS[seed]
 
 
 def test_readme_config_table_names_every_key():

@@ -12,10 +12,8 @@ from savanna.metrics import (
     _matches_and_totals,
     aggregate,
     bleu,
-    bleu_statistics,
     cer,
     chrf,
-    chrf_statistics,
     edit_distance,
     wer,
 )
@@ -210,8 +208,7 @@ class TestChrf:
         for hyp, ref in pairs:
             hyp_chars = [c for c in hyp if not c.isspace()]
             ref_chars = [c for c in ref if not c.isspace()]
-            stats = chrf_statistics(hyp, ref)
-            assert (stats.matched, stats.hyp_total, stats.ref_total) == \
+            assert _matches_and_totals("".join(hyp_chars), "".join(ref_chars), 6) == \
                 brute_ngram_statistics(hyp_chars, ref_chars, 6)
 
     def test_statistics_exact_on_eval_like_pairs(self):
@@ -227,8 +224,9 @@ class TestBleu:
         assert bleu("the cat sat", "the cat sat") == 100.0
 
     def test_clipped_unigram(self):
-        stats = bleu_statistics("the the the the", "the cat")
-        assert (stats.clipped[0], stats.totals[0]) == (1, 4)
+        clipped, totals, _ = _matches_and_totals(_bleu_tokens("the the the the"),
+                                                 _bleu_tokens("the cat"), 4)
+        assert (clipped[0], totals[0]) == (1, 4)
 
     def test_empty_hypothesis(self):
         assert bleu("", "the cat") == 0.0
@@ -244,12 +242,14 @@ class TestBleu:
     @given(metric_text.filter(lambda t: t.split()), metric_text)
     def test_monotone_degradation(self, ref, hyp):
         """Appending a non-matching token never increases clipped counts."""
-        before = bleu_statistics(hyp, ref)
-        after = bleu_statistics((hyp + " zzz").strip(), ref)
-        assert all(a >= b for a, b in zip(after.clipped, before.clipped))
+        before_clipped, before_totals, _ = _matches_and_totals(
+            _bleu_tokens(hyp), _bleu_tokens(ref), 4)
+        after_clipped, after_totals, _ = _matches_and_totals(
+            _bleu_tokens((hyp + " zzz").strip()), _bleu_tokens(ref), 4)
+        assert all(a >= b for a, b in zip(after_clipped, before_clipped))
         # clipped counts never grow faster than totals
         assert all(a - b <= ta - tb for a, b, ta, tb in
-                   zip(after.clipped, before.clipped, after.totals, before.totals))
+                   zip(after_clipped, before_clipped, after_totals, before_totals))
 
     @settings(max_examples=examples(1.5))
     @given(unicode_text, unicode_text)
@@ -274,10 +274,8 @@ class TestBleu:
     @staticmethod
     def assert_statistics_exact(pairs):
         for hyp, ref in pairs:
-            stats = bleu_statistics(hyp, ref)
-            clipped, totals, _ = brute_ngram_statistics(hyp.split(), ref.split(), 4)
-            assert (stats.clipped, stats.totals) == (clipped, totals)
-            assert (stats.hyp_len, stats.ref_len) == (len(hyp.split()), len(ref.split()))
+            assert _matches_and_totals(_bleu_tokens(hyp), _bleu_tokens(ref), 4) == \
+                brute_ngram_statistics(hyp.split(), ref.split(), 4)
 
     def test_statistics_exact_on_eval_like_pairs(self):
         self.assert_statistics_exact(eval_like_pairs(seed=4, count=60, words_per_pair=25))
