@@ -144,10 +144,18 @@ def _check_type(value, kind, name: str) -> None:
                 and all(map(isinstance, value, typing.get_args(kind)))):
             raise CliError(f"{name} must list two editions, {{lang, path}} each, the source first")
     # isinstance(True, int) holds, but true is not a number here, and nor
-    # are YAML's .nan and .inf, which no output file could hold.
+    # are YAML's .nan and .inf, which no output file could hold, or an
+    # integer too large for a float.
     elif (not isinstance(value, kind) or isinstance(value, bool) and kind in (int, NUMBER)
-          or isinstance(value, float) and not math.isfinite(value)):
+          or kind is NUMBER and not _is_finite(value)):
         raise CliError(f"{name} must be {TYPE_NAMES[kind]}")
+
+
+def _is_finite(number: int | float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int that no float can hold
+        return False
 
 
 def _resolved(given, keys: dict, where: str = "") -> dict:

@@ -301,9 +301,18 @@ class HttpMtClient:
         try:
             return jsonio.post_json(self.base_url, payload, attempts=3,
                                     backoff=self.backoff, timeout=self.timeout,
-                                    reply=lambda body: body["translation"])
+                                    reply=_reply_translation)
         except Exception as exc:  # transport or schema failure
             raise MtClientError(f"translation failed after 3 attempts: {exc}") from exc
+
+
+def _reply_translation(body) -> str:
+    """The ``translation`` of an MT reply; a reply without one, or whose
+    translation is not a non-empty string, raises."""
+    translation = body["translation"]
+    if not isinstance(translation, str) or not translation:
+        raise ValueError("reply translation is empty or not a string")
+    return translation
 
 
 class StubMtClient:
@@ -393,7 +402,8 @@ def assemble_pretraining(docs: Iterable[CorpusDocument], spec: MixtureSpec, seed
 
     Deterministic for a fixed seed.  Returns the sampled documents and a
     manifest of per-bucket document and character counts.  With
-    ``sample_size=None`` the weights act as include/exclude filters.
+    ``sample_size=None``, or one above the number of documents, every
+    document of a bucket of nonzero weight is kept.
     """
     check_count("sample_size", sample_size)
     buckets: dict[tuple[str, str], list[CorpusDocument]] = {}
@@ -402,21 +412,20 @@ def assemble_pretraining(docs: Iterable[CorpusDocument], spec: MixtureSpec, seed
 
     weights = spec.bucket_weights(buckets)
     keys = sorted(buckets)
-    if sample_size is None:
-        chosen = {key: list(buckets[key]) if weights[key] > 0 else [] for key in keys}
-    else:
-        capacities = {key: len(buckets[key]) for key in keys}
-        alloc = _allocate(sample_size, weights, capacities)
-        chosen = {}
-        for key in keys:
-            n = alloc.get(key, 0)
-            bucket = buckets[key]
-            if n >= len(bucket):
-                chosen[key] = list(bucket)
-            else:
-                rng = random.Random(f"{seed}:{key[0]}:{key[1]}")
-                idx = sorted(rng.sample(range(len(bucket)), n))
-                chosen[key] = [bucket[i] for i in idx]
+    capacities = {key: len(buckets[key]) for key in keys}
+    total = sum(capacities.values())
+    alloc = _allocate(total if sample_size is None else min(sample_size, total),
+                      weights, capacities)
+    chosen = {}
+    for key in keys:
+        n = alloc[key]
+        bucket = buckets[key]
+        if n >= len(bucket):
+            chosen[key] = list(bucket)
+        else:
+            rng = random.Random(f"{seed}:{key[0]}:{key[1]}")
+            idx = sorted(rng.sample(range(len(bucket)), n))
+            chosen[key] = [bucket[i] for i in idx]
 
     output: list[CorpusDocument] = []
     manifest: dict = {"seed": seed, "buckets": {}}
@@ -443,7 +452,7 @@ def write_documents_jsonl(docs: Iterable[CorpusDocument], path: str | Path) -> i
 
 
 def read_documents_jsonl(path: str | Path) -> list[CorpusDocument]:
-    return [CorpusDocument(**obj) for obj in jsonio.read_jsonl(path)]
+    return jsonio.read_jsonl(path, lambda obj: CorpusDocument(**obj))
 
 
 def write_pairs_jsonl(pairs: Iterable[ParallelPair], path: str | Path) -> int:
@@ -451,4 +460,4 @@ def write_pairs_jsonl(pairs: Iterable[ParallelPair], path: str | Path) -> int:
 
 
 def read_pairs_jsonl(path: str | Path) -> list[ParallelPair]:
-    return [ParallelPair(**obj) for obj in jsonio.read_jsonl(path)]
+    return jsonio.read_jsonl(path, lambda obj: ParallelPair(**obj))

@@ -174,9 +174,18 @@ class HttpCompletionClient:
         try:
             return jsonio.post_json(self.base_url, payload, attempts=self.attempts,
                                     backoff=self.backoff, timeout=self.timeout, headers=headers,
-                                    reply=lambda body: body["choices"][0]["message"]["content"])
+                                    reply=_reply_content)
         except Exception as exc:
             raise TransportError(f"request failed after {self.attempts} attempts: {exc}") from exc
+
+
+def _reply_content(body) -> str:
+    """The first choice's message content of a chat-completions reply; a
+    reply without one, or whose content is not a string, raises."""
+    content = body["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise ValueError(f"reply content is {type(content).__name__}, not a string")
+    return content
 
 
 class ReferenceEchoClient:
@@ -308,6 +317,9 @@ def _score_unit(record: dict, reference: str) -> metrics.SentenceScores | None:
     for a failed request or a reference that normalizes to nothing."""
     if record["status"] != "ok":
         return None
+    if not isinstance(record["response"], str):
+        raise ValueError(f"run log record {record['id']}: status ok, "
+                         "but its response is not a string")
     profile = metric_profile()
     hyp = normalize(postprocess_hypothesis(record["response"]), profile)
     ref = normalize(reference, profile)
@@ -431,9 +443,20 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
                          DEFAULT_PROMPT_TEMPLATE)
 
 
+def _run_log_line(line):
+    """One line of a run log, checked to be an object.  A line with a
+    ``type`` is a header; any other is a record, which must carry a string
+    ``id`` and a ``status``."""
+    if not isinstance(line, dict):
+        raise ValueError(f"run log line is {type(line).__name__}, not an object")
+    if "type" not in line and not (isinstance(line.get("id"), str) and "status" in line):
+        raise ValueError("run log record lacks a string id or a status")
+    return line
+
+
 def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport:
     """Re-score a persisted run log offline; reproduces the original report."""
-    header, *records = jsonio.read_jsonl(run_log_path) or [{}]
+    header, *records = jsonio.read_jsonl(run_log_path, _run_log_line) or [{}]
     if header.get("type") != "header" or header.get("version") != RUN_LOG_VERSION:
         raise ValueError("not a recognized run log")
     if header["suite_hash"] != suite.content_hash():

@@ -458,8 +458,7 @@ def write_instructions_jsonl(examples: Iterable[InstructionExample], path: str |
 
 
 def read_instructions_jsonl(path: str | Path) -> list[InstructionExample]:
-    return [InstructionExample(category=obj["category"],
-                               turns=[Turn(t["role"], t["text"]) for t in obj["turns"]],
-                               langs_involved=set(obj.get("langs_involved", [])))
-            for obj in jsonio.read_jsonl(path)]
+    return jsonio.read_jsonl(path, lambda obj: InstructionExample(
+        category=obj["category"], turns=[Turn(t["role"], t["text"]) for t in obj["turns"]],
+        langs_involved=set(obj.get("langs_involved", []))))
 

@@ -110,19 +110,22 @@ def _first_rejected(text: str) -> int:
     return 0
 
 
-def read_jsonl(path: str | Path) -> list:
-    """Every non-blank line of a JSONL file, decoded; a header line, if the
-    format has one, is the first element.  A line that is not strict JSON,
-    or holds a number that overflows to infinity, raises ValueError naming
-    the file and line."""
+def read_jsonl(path: str | Path, record: Callable[[Any], Any] | None = None) -> list:
+    """Every non-blank line of a JSONL file, decoded and passed through
+    ``record`` when it is given; a header line, if the format has one, is
+    the first element.  A line that is not strict JSON, holds a number that
+    overflows to infinity, or makes ``record`` raise a TypeError, KeyError
+    or ValueError raises ValueError naming the file and line."""
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if line.strip():
                 try:
-                    records.append(_decoder(line)(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                    obj = _decoder(line)(line)
+                    records.append(obj if record is None else record(obj))
+                except (TypeError, KeyError, ValueError) as exc:
+                    detail = f"no {exc} key" if isinstance(exc, KeyError) else exc
+                    raise ValueError(f"{path}:{lineno}: {detail}") from None
     return records
 
 

@@ -134,4 +134,4 @@ def audit_pairs(pairs: Iterable[PairLogps], params: LossParams = LossParams()) -
 
 
 def read_pair_logps_jsonl(path: str | Path) -> list[PairLogps]:
-    return [PairLogps(**obj) for obj in jsonio.read_jsonl(path)]
+    return jsonio.read_jsonl(path, lambda obj: PairLogps(**obj))

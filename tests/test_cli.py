@@ -156,6 +156,23 @@ class TestCorpusCommand:
         assert "bible" not in json.loads((out / "manifest.json").read_text())
         assert not (out / "pairs.jsonl").exists()
 
+    def test_empty_translation_is_a_failed_request(self, tmp_path, http_server, monkeypatch):
+        monkeypatch.setattr(jsonio.time, "sleep", lambda seconds: None)
+        docs = [make_document("eng", f"the child goes to town {i}", "web") for i in range(5)]
+        corpus.write_documents_jsonl(docs, tmp_path / "eng.jsonl")
+        reply = [Reply(body={"translation": "omwana agenda mu kibuga"})]
+        http_server.script = reply + [Reply(body={"translation": ""})] * 3 + reply * 3
+        config = write_yaml(tmp_path / "c.yaml", {
+            "inputs": [str(tmp_path / "eng.jsonl")],
+            "backtranslate": {"endpoint": http_server.url, "targets": ["lug"]}})
+        out = tmp_path / "out"
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["backtranslation_errors"] == [{
+            "source_doc_id": docs[1].id, "target": "lug",
+            "error": "translation failed after 3 attempts: reply translation is empty or not a string"}]
+        assert manifest["buckets"]["synthetic_bt/lug"]["docs_out"] == 4
+
     def test_bad_bible_tsv_fails_before_writing(self, tmp_path, capsys):
         config = self.bible_config(tmp_path, [
             ("lug", "gen\t1\t1\tMu kusooka\ngen\t1\tbibiri\tEnsi\n"),
@@ -428,6 +445,26 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "o")]) == 0
         assert ([(r["path"], r["body"]["model"]) for r in http_server.requests]
                 == [("/v1", model or http_server.url + "/v1")] * 100)
+
+    def test_null_reply_is_a_failed_unit(self, tmp_path, suite_csv, http_server, monkeypatch):
+        monkeypatch.setattr(jsonio.time, "sleep", lambda seconds: None)
+        reply = [Reply(body={"choices": [{"message": {"content": "x"}}]})]
+        null = [Reply(body={"choices": [{"message": {"content": None}}]})]
+        http_server.script = reply * 10 + null * 3 + reply * 89  # the 11th unit's three tries
+        out = tmp_path / "o"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", http_server.url,
+                     "--directions", "aaa-eng", "--out", str(out)]) == 0
+        assert len(http_server.requests) == 102
+        report = json.loads((out / "report.json").read_text())
+        assert (report["total_items"], report["total_failed"], report["invalid"]) == (100, 1, False)
+        _header, *records = jsonio.read_jsonl(out / "run_log.jsonl")
+        assert [(r["id"], r["response"]) for r in records if r["status"] != "ok"] == [
+            ("aaa-eng:3:0", "request failed after 3 attempts: reply content is NoneType, "
+                            "not a string")]
+        rescored = tmp_path / "rescored"
+        assert main(["eval", "--suite", suite_csv, "--rescore", str(out / "run_log.jsonl"),
+                     "--out", str(rescored)]) == 0
+        assert (rescored / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 class TestReportCommand:
@@ -710,6 +747,15 @@ class TestConfigResolution:
         assert main(["corpus", "--config", path, "--out", str(out)]) == 1
         assert_config_error(capsys, out, "backtranslate.endpoint is required")
 
+    # As BAD_CONFIGS entries their ids would clash with the existing loss-beta
+    # entry and rename that test.
+    @pytest.mark.parametrize("beta", [float("nan"), 10 ** 400], ids=["nan", "401-digits"])
+    def test_beta_no_float_holds_fails_before_output(self, tmp_path, capsys, beta):
+        path = write_yaml(tmp_path / "c.yaml", {"pairs": "logps.jsonl", "beta": beta})
+        out = tmp_path / "out"
+        assert main(["loss", "--config", path, "--out", str(out)]) == 1
+        assert_config_error(capsys, out, "beta must be a finite number")
+
     def test_bad_mixture_weight_fails_before_output(self, tmp_path, capsys):
         path = write_yaml(tmp_path / "c.yaml", {"inputs": [], "source_weights": {"web": "x"}})
         out = tmp_path / "out"
@@ -831,9 +877,37 @@ class TestAtomicOutputs:
 NON_FINITE_CELLS = ("nan", "inf", "-inf", "Infinity")
 
 
+def _lines(*objs):
+    return "".join(json.dumps(obj) + "\n" for obj in objs)
+
+
+DOC = make_document("lug", "omwana agenda mu kibuga", "web").__dict__
+PAIR = ParallelPair("lug", "eng", "gamba", "say").__dict__
+LOGPS = {"policy_chosen": [-0.5], "policy_rejected": [-2.0],
+         "ref_chosen": [-0.5], "ref_rejected": [-2.0]}
+CHAT = {"category": "creative", "turns": [{"role": "user", "text": "Wandiikira oluyimba"},
+                                          {"role": "assistant", "text": "Omwana agenda"}]}
+RUN_LOG_HEADER = {"type": "header", "version": evalharness.RUN_LOG_VERSION}
+# JSONL input files that are strict JSON but do not hold the records their
+# command reads, by name.
+MALFORMED = {
+    "doc_extra_key": _lines(DOC, {**DOC, "x": 1}),
+    "doc_list": _lines(DOC, [1, 2]),
+    "doc_int_text": _lines(DOC, {"id": "a", "lang": "lug", "text": 5, "source": "web"}),
+    "pair_extra_key": _lines(PAIR, {**PAIR, "x": 1}),
+    "chat_without_category": _lines(CHAT, {"turns": CHAT["turns"]}),
+    "logps_without_field": _lines(LOGPS, {k: v for k, v in LOGPS.items() if k != "ref_rejected"}),
+    "log_list_header": _lines([1]),
+    "log_list_record": _lines(RUN_LOG_HEADER, [1]),
+    "log_record_without_id": _lines(RUN_LOG_HEADER, {"status": "ok", "response": "x"}),
+}
+
+
 @pytest.fixture()
 def inputs(tmp_path, suite_csv):
-    """A valid input file of each kind, by name; ``missing`` names none."""
+    """A valid input file of each kind, by name; ``missing`` names none.
+    Each ``MALFORMED`` file, and ``null_response``, a run log with a record
+    whose response is null, are invalid."""
     paths = {name: tmp_path / f"{name}.{ext}" for name, ext in (
         ("docs", "jsonl"), ("pairs", "jsonl"), ("logps", "jsonl"), ("vocab", "json"),
         ("bad_log", "jsonl"), ("bleu", "csv"), ("missing", "jsonl"))}
@@ -849,9 +923,16 @@ def inputs(tmp_path, suite_csv):
     for cell in NON_FINITE_CELLS:
         paths[cell] = tmp_path / f"{cell}.csv"
         paths[cell].write_text(f"lang,language,m\naaa,Aaa,{cell}\n")
+    for name, text in MALFORMED.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(text, encoding="utf-8")
     eval_out = tmp_path / "eval"
     assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
                  "--directions", "aaa-eng,eng-aaa", "--out", str(eval_out)]) == 0
+    header, record, *records = jsonio.read_jsonl(eval_out / "run_log.jsonl")
+    paths["null_response"] = tmp_path / "null_response.jsonl"
+    jsonio.write_jsonl(paths["null_response"], [{**record, "response": None}, *records],
+                       header=header)
     return {**{name: str(path) for name, path in paths.items()}, "suite": suite_csv,
             "run_log": str(eval_out / "run_log.jsonl")}
 
@@ -910,6 +991,32 @@ BAD_INPUTS = {
     "report-unknown-winner": ("report", {"winner_models": ["gpt-4o", "nobody"]},
                               "winner_models[1] is 'nobody', a model with no scores"),
     "loss-missing-pairs": ("loss", {"pairs": "{missing}"}, "missing.jsonl"),
+    # A record that fails to build names its file and line.  A TypeError's
+    # text differs between Python versions, so only the place is checked.
+    "corpus-document-extra-key": ("corpus", {"inputs": ["{doc_extra_key}"]},
+                                  "doc_extra_key.jsonl:2: "),
+    "corpus-document-not-object": ("corpus", {"inputs": ["{doc_list}"]}, "doc_list.jsonl:2: "),
+    "corpus-document-text-not-string": ("corpus", {"inputs": ["{doc_int_text}"]},
+                                        "doc_int_text.jsonl:2: object of type 'int' has no len()"),
+    "instruct-pair-extra-key": ("instruct", {"parallel": "{pair_extra_key}"},
+                                "pair_extra_key.jsonl:2: "),
+    "instruct-conversational-without-category": (
+        "instruct", {"parallel": "{pairs}", "conversational": "{chat_without_category}"},
+        "chat_without_category.jsonl:2: no 'category' key"),
+    "loss-pair-without-field": ("loss", {"pairs": "{logps_without_field}"},
+                                "logps_without_field.jsonl:2: "),
+    "eval-run-log-header-not-object": ("eval", {"suite": "{suite}", "rescore": "{log_list_header}"},
+                                       "log_list_header.jsonl:1: run log line is list, "
+                                       "not an object"),
+    "eval-run-log-record-not-object": ("eval", {"suite": "{suite}", "rescore": "{log_list_record}"},
+                                       "log_list_record.jsonl:2: run log line is list, "
+                                       "not an object"),
+    "eval-run-log-record-without-id": (
+        "eval", {"suite": "{suite}", "rescore": "{log_record_without_id}"},
+        "log_record_without_id.jsonl:2: run log record lacks a string id or a status"),
+    "eval-run-log-null-response": ("eval", {"suite": "{suite}", "rescore": "{null_response}"},
+                                   "run log record aaa-eng:1:0: status ok, "
+                                   "but its response is not a string"),
 }
 
 
@@ -1020,6 +1127,23 @@ def test_corpus_sample_is_unchanged(tmp_path, seed):
     assert main(["corpus", "--config", path, "--out", str(out)]) == 0
     assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                  for name in ("documents.jsonl", "manifest.json")) == CORPUS_DIGESTS[seed]
+
+
+def test_sample_size_above_the_corpus_keeps_every_document(tmp_path):
+    buckets = [("lug", "web"), ("lug", "book_ocr"), ("ach", "web"), ("eng", "dictionary")]
+    docs = [make_document(lang, f"ekigambo {i} mu lukalala", source)
+            for i, (lang, source) in enumerate(buckets * 5)]
+    corpus.write_documents_jsonl(docs, tmp_path / "docs.jsonl")
+    runs = []
+    for sample_size in (None, len(docs) + 1, 10 ** 400):
+        path = write_yaml(tmp_path / "c.yaml", {
+            "inputs": [str(tmp_path / "docs.jsonl")], "sample_size": sample_size,
+            "source_weights": {"book_ocr": 0}, "lang_weights": {"ach": 0.5}})
+        out = tmp_path / f"out{len(runs)}"
+        assert main(["corpus", "--config", path, "--out", str(out)]) == 0
+        runs.append(outputs(out))
+    assert runs[0] == runs[1] == runs[2]
+    assert json.loads(runs[0]["manifest.json"])["total_docs"] == 15
 
 
 def test_readme_config_table_names_every_key():
