@@ -370,8 +370,10 @@ def cmd_loss(config: dict) -> typing.Callable[[Path], None]:
         beta=config["beta"],
         alpha_rpo=config["alpha_rpo"],
     )
-    pairs = preference_loss.read_pair_logps_jsonl(config["pairs"])
-    audit = preference_loss.audit_pairs(pairs, params)
+    # The pairs stream from the file, so one is held at a time; the audit
+    # still reads every line, a malformed one too, before the lock.
+    audit = preference_loss.audit_pairs(
+        preference_loss.read_pair_logps_jsonl(config["pairs"]), params)
 
     def run(out: Path) -> None:
         jsonio.write_json(out / "loss_audit.json", audit)
@@ -401,7 +403,7 @@ COMMANDS = {
     "instruct": (cmd_instruct, "build instruction data, render and pack"),
     "eval": (cmd_eval, "run translation evaluation"),
     "report": (cmd_report, "leaderboards and chart CSVs"),
-    "loss": (cmd_loss, "audit DPO/IRPO losses from a JSONL file"),
+    "loss": (cmd_loss, "audit DPO/IRPO losses, streaming a JSONL file"),
 }
 
 
@@ -421,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--directions", help="comma-separated src-tgt pairs")
     p_eval.add_argument("--granularity", help="sentence or document")
     p_eval.add_argument("--rescore", help="re-score a persisted run log offline")
-    p_loss.add_argument("--pairs", help="PairLogps JSONL path")
+    p_loss.add_argument("--pairs", help="PairLogps JSONL path, read one line at a time")
     return parser
 
 

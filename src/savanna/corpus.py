@@ -57,6 +57,9 @@ class CorpusDocument:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("id", "lang", "text"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
         if self.source not in _SOURCES:
             raise ValueError(f"unknown source: {self.source!r}")
         if not self.text:

@@ -443,22 +443,52 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
                          DEFAULT_PROMPT_TEMPLATE)
 
 
-def _run_log_line(line):
-    """One line of a run log, checked to be an object.  A line with a
-    ``type`` is a header; any other is a record, which must carry a string
-    ``id`` and a ``status``."""
-    if not isinstance(line, dict):
-        raise ValueError(f"run log line is {type(line).__name__}, not an object")
-    if "type" not in line and not (isinstance(line.get("id"), str) and "status" in line):
-        raise ValueError("run log record lacks a string id or a status")
-    return line
+# The header keys that rescoring reads.
+_HEADER_KEYS = ("suite_hash", "directions", "granularity", "prompt_template")
+
+
+def _read_run_log(run_log_path: str | Path) -> list[dict]:
+    """The header and records of a run log, each line checked to be an
+    object.  The first line must be a header of this version holding every
+    key in ``_HEADER_KEYS``; each later line a record (no ``type``) with a
+    ``status`` and a string ``id`` that no earlier record has.  Only a log
+    whose header repeats a direction, written before repeated directions
+    were rejected, holds each of that direction's records more than once.
+    A line that breaks this raises ValueError naming the file and line."""
+    ids: set[str] | None = None  # the records' ids, once the header is read
+    distinct = True  # whether each record's id must differ from earlier ones
+
+    def line(obj):
+        nonlocal ids, distinct
+        if not isinstance(obj, dict):
+            raise ValueError(f"run log line is {type(obj).__name__}, not an object")
+        if ids is None:
+            if obj.get("type") != "header" or obj.get("version") != RUN_LOG_VERSION:
+                raise ValueError("not a recognized run log")
+            if missing := [key for key in _HEADER_KEYS if key not in obj]:
+                raise ValueError(f"run log header lacks {', '.join(missing)}")
+            directions = [tuple(d) for d in obj["directions"]]
+            distinct = len(set(directions)) == len(directions)
+            ids = set()
+        elif "type" in obj:
+            raise ValueError("a second run log header, as if two logs were joined")
+        elif not (isinstance(obj.get("id"), str) and "status" in obj):
+            raise ValueError("run log record lacks a string id or a status")
+        elif distinct and obj["id"] in ids:
+            raise ValueError(f"unit id {obj['id']!r} repeats an earlier record")
+        else:
+            ids.add(obj["id"])
+        return obj
+
+    lines = jsonio.read_jsonl(run_log_path, line)
+    if not lines:
+        raise ValueError(f"{run_log_path}: not a recognized run log: it is empty")
+    return lines
 
 
 def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport:
     """Re-score a persisted run log offline; reproduces the original report."""
-    header, *records = jsonio.read_jsonl(run_log_path, _run_log_line) or [{}]
-    if header.get("type") != "header" or header.get("version") != RUN_LOG_VERSION:
-        raise ValueError("not a recognized run log")
+    header, *records = _read_run_log(run_log_path)
     if header["suite_hash"] != suite.content_hash():
         raise ValueError("run log was produced from a different suite")
     directions = [tuple(d) for d in header["directions"]]

@@ -21,7 +21,7 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, NoReturn
+from typing import Any, Callable, Iterable, Iterator, NoReturn
 
 
 def jsonl_encoder(sort_keys: bool = False) -> Callable[[Any], str]:
@@ -110,23 +110,28 @@ def _first_rejected(text: str) -> int:
     return 0
 
 
-def read_jsonl(path: str | Path, record: Callable[[Any], Any] | None = None) -> list:
-    """Every non-blank line of a JSONL file, decoded and passed through
-    ``record`` when it is given; a header line, if the format has one, is
-    the first element.  A line that is not strict JSON, holds a number that
-    overflows to infinity, or makes ``record`` raise a TypeError, KeyError
-    or ValueError raises ValueError naming the file and line."""
-    records = []
+def iter_jsonl(path: str | Path, record: Callable[[Any], Any] | None = None) -> Iterator:
+    """Each non-blank line of a JSONL file, decoded and passed through
+    ``record`` when it is given, read as the caller asks for it; a header
+    line, if the format has one, comes first.  A line that is not strict
+    JSON, holds a number that overflows to infinity, or makes ``record``
+    raise a TypeError, KeyError or ValueError raises ValueError naming the
+    file and line."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if line.strip():
                 try:
                     obj = _decoder(line)(line)
-                    records.append(obj if record is None else record(obj))
+                    obj = obj if record is None else record(obj)
                 except (TypeError, KeyError, ValueError) as exc:
                     detail = f"no {exc} key" if isinstance(exc, KeyError) else exc
                     raise ValueError(f"{path}:{lineno}: {detail}") from None
-    return records
+                yield obj
+
+
+def read_jsonl(path: str | Path, record: Callable[[Any], Any] | None = None) -> list:
+    """Every record of :func:`iter_jsonl`, in a list."""
+    return list(iter_jsonl(path, record))
 
 
 def read_json(path: str | Path) -> Any:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import jsonio
 
@@ -133,5 +133,9 @@ def audit_pairs(pairs: Iterable[PairLogps], params: LossParams = LossParams()) -
     }
 
 
-def read_pair_logps_jsonl(path: str | Path) -> list[PairLogps]:
-    return jsonio.read_jsonl(path, lambda obj: PairLogps(**obj))
+def read_pair_logps_jsonl(path: str | Path) -> Iterator[PairLogps]:
+    """The pairs of a JSONL file, read one line at a time as they are asked
+    for, so a consumer such as :func:`audit_pairs` holds one pair at once.
+    A malformed line raises ValueError naming the file and line when the
+    reading reaches it."""
+    yield from jsonio.iter_jsonl(path, lambda obj: PairLogps(**obj))

@@ -13,6 +13,7 @@ import json
 import socket
 import sys
 import threading
+from array import array
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -78,16 +79,16 @@ def write_pair_logps_jsonl(pairs: Iterable[PairLogps], path: str | Path) -> int:
 
 
 def read_packed_jsonl(path: str | Path) -> tuple[list[PackedSequence], int]:
-    """Packed sequences and ``max_len`` from a file ``write_packed_jsonl``
-    wrote.  Raises ValueError on an unknown version, on spans that do not
-    tile their sequence, and on ``attention_segments`` that disagree with
-    the spans."""
+    """Packed sequences, their ids in an ``array('I')`` as ``pack`` stores
+    them, and ``max_len`` from a file ``write_packed_jsonl`` wrote.  Raises
+    ValueError on an unknown version, on spans that do not tile their
+    sequence, and on ``attention_segments`` that disagree with the spans."""
     header, *rows = jsonio.read_jsonl(path) or [{}]
     if header.get("version") != PACKED_FORMAT_VERSION:
         raise ValueError(f"unsupported packed format version: {header.get('version')}")
     sequences = []
     for index, obj in enumerate(rows):
-        seq = PackedSequence(token_ids=obj["token_ids"],
+        seq = PackedSequence(token_ids=array("I", obj["token_ids"]),
                              segment_spans=[tuple(s) for s in obj["segment_spans"]])
         ends = [0] + [end for _doc_id, _start, end in seq.segment_spans]
         if ([start for _doc_id, start, _end in seq.segment_spans] != ends[:-1]

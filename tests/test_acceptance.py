@@ -161,7 +161,7 @@ def test_criterion_5_packing_and_masking(capsys):
         ok &= len(seq.token_ids) <= 512
         ok &= len(seq.attention_segments) == len(seq.token_ids)
         for seg, (doc_id, start, end) in enumerate(seq.segment_spans):
-            span = seq.token_ids[start:end]
+            span = list(seq.token_ids[start:end])
             ok &= span == list(range(span[0], span[0] + len(span)))  # contiguous chunk
             ok &= seq.attention_segments[start:end] == [seg] * (end - start)
             by_doc[doc_id].append(span)

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -598,6 +599,25 @@ class TestLossCommand:
         assert err == {"error": f"{path}:2: NaN is not valid JSON", "type": "ValueError"}
         assert not (out / "loss_audit.json").exists()
 
+    def test_peak_memory_does_not_grow_with_the_pairs(self, tmp_path, capsys):
+        # Pairs of 100 tokens a side, each float its own object once parsed.
+        line = json.dumps({name: [-0.25 - k / 8] * 100 for k, name in enumerate(
+            ("policy_chosen", "policy_rejected", "ref_chosen", "ref_rejected"))}) + "\n"
+        peaks = {}
+        for n in (200, 2000):
+            path = tmp_path / f"pairs{n}.jsonl"
+            path.write_text(line * n, encoding="utf-8")
+            tracemalloc.start()
+            try:
+                assert main(["loss", "--pairs", str(path), "--out", str(tmp_path / f"o{n}")]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        parsed = 2000 * 400 * (sys.getsizeof(0.25) + 8)  # every float and a pointer to it
+        assert peaks[2000] < parsed / 4
+        # What grows is the audit's row of 4 numbers per pair, not its 400 floats.
+        assert peaks[2000] - peaks[200] < parsed / 10
+
     def test_missing_pairs_file(self, tmp_path, capsys):
         assert main(["loss", "--pairs", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -887,16 +907,24 @@ LOGPS = {"policy_chosen": [-0.5], "policy_rejected": [-2.0],
          "ref_chosen": [-0.5], "ref_rejected": [-2.0]}
 CHAT = {"category": "creative", "turns": [{"role": "user", "text": "Wandiikira oluyimba"},
                                           {"role": "assistant", "text": "Omwana agenda"}]}
-RUN_LOG_HEADER = {"type": "header", "version": evalharness.RUN_LOG_VERSION}
+# A header with every key rescoring reads, so that a record after it is checked.
+RUN_LOG_HEADER = {"type": "header", "version": evalharness.RUN_LOG_VERSION, "suite_hash": "",
+                  "directions": [], "granularity": "sentence", "prompt_template": ""}
+RUN_LOG_HEADER_KEYS = ("suite_hash", "directions", "granularity", "prompt_template")
 # JSONL input files that are strict JSON but do not hold the records their
 # command reads, by name.
 MALFORMED = {
     "doc_extra_key": _lines(DOC, {**DOC, "x": 1}),
     "doc_list": _lines(DOC, [1, 2]),
     "doc_int_text": _lines(DOC, {"id": "a", "lang": "lug", "text": 5, "source": "web"}),
+    "doc_int_text_counted": _lines(DOC, {"id": "a", "lang": "lug", "text": 5, "source": "web",
+                                         "char_count": 1}),
+    "doc_int_lang": _lines(DOC, {"id": "a", "lang": 7, "text": "x", "source": "web"}),
     "pair_extra_key": _lines(PAIR, {**PAIR, "x": 1}),
     "chat_without_category": _lines(CHAT, {"turns": CHAT["turns"]}),
     "logps_without_field": _lines(LOGPS, {k: v for k, v in LOGPS.items() if k != "ref_rejected"}),
+    # The last line cut short, as a killed writer leaves it.
+    "logps_last_line_cut": _lines(LOGPS, LOGPS, LOGPS) + '{"policy_chosen": [-0.5',
     "log_list_header": _lines([1]),
     "log_list_record": _lines(RUN_LOG_HEADER, [1]),
     "log_record_without_id": _lines(RUN_LOG_HEADER, {"status": "ok", "response": "x"}),
@@ -918,6 +946,8 @@ def inputs(tmp_path, suite_csv):
     write_pair_logps_jsonl([preference_loss.PairLogps([-0.5], [-2.0], [-0.5], [-2.0])],
                            paths["logps"])
     paths["vocab"].write_text('{"say": 0}')  # lacks every word of the prompt
+    paths["wide_vocab"] = tmp_path / "wide_vocab.json"
+    paths["wide_vocab"].write_text('{"say": 0, "gamba": 4294967296}')  # 2**32 needs 5 bytes
     paths["bad_log"].write_text('{"type": "record"}\n')
     paths["bleu"].write_text("lang,language,m\naaa,Aaa,12.5\n")
     for cell in NON_FINITE_CELLS:
@@ -933,6 +963,18 @@ def inputs(tmp_path, suite_csv):
     paths["null_response"] = tmp_path / "null_response.jsonl"
     jsonio.write_jsonl(paths["null_response"], [{**record, "response": None}, *records],
                        header=header)
+    # The header is line 1 and the 200 records lines 2-201 of each log below.
+    assert len(records) == 199
+    bad_logs = {f"log_without_{key}": _lines({k: v for k, v in header.items() if k != key},
+                                             record, *records)
+                for key in RUN_LOG_HEADER_KEYS}
+    bad_logs["joined_logs"] = (eval_out / "run_log.jsonl").read_text(encoding="utf-8") * 2
+    # The first unit again, failed, as appended records could repeat it.
+    bad_logs["repeated_unit"] = _lines(header, record, *records,
+                                       {**record, "status": "error", "response": "timed out"})
+    for name, text in bad_logs.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(text, encoding="utf-8")
     return {**{name: str(path) for name, path in paths.items()}, "suite": suite_csv,
             "run_log": str(eval_out / "run_log.jsonl")}
 
@@ -997,7 +1039,16 @@ BAD_INPUTS = {
                                   "doc_extra_key.jsonl:2: "),
     "corpus-document-not-object": ("corpus", {"inputs": ["{doc_list}"]}, "doc_list.jsonl:2: "),
     "corpus-document-text-not-string": ("corpus", {"inputs": ["{doc_int_text}"]},
-                                        "doc_int_text.jsonl:2: object of type 'int' has no len()"),
+                                        "doc_int_text.jsonl:2: text must be a string"),
+    "corpus-document-text-not-string-with-count": (
+        "corpus", {"inputs": ["{doc_int_text_counted}"]},
+        "doc_int_text_counted.jsonl:2: text must be a string"),
+    "corpus-document-lang-not-string": ("corpus", {"inputs": ["{doc_int_lang}"]},
+                                        "doc_int_lang.jsonl:2: lang must be a string"),
+    "instruct-vocab-id-too-wide": ("instruct", {"parallel": "{pairs}",
+                                                "tokenizer_vocab": "{wide_vocab}"},
+                                   "vocabulary id of token 'gamba' must be an int in [0, 2**32), "
+                                   "got 4294967296"),
     "instruct-pair-extra-key": ("instruct", {"parallel": "{pair_extra_key}"},
                                 "pair_extra_key.jsonl:2: "),
     "instruct-conversational-without-category": (
@@ -1005,6 +1056,8 @@ BAD_INPUTS = {
         "chat_without_category.jsonl:2: no 'category' key"),
     "loss-pair-without-field": ("loss", {"pairs": "{logps_without_field}"},
                                 "logps_without_field.jsonl:2: "),
+    "loss-last-line-cut": ("loss", {"pairs": "{logps_last_line_cut}"},
+                           "logps_last_line_cut.jsonl:4: "),
     "eval-run-log-header-not-object": ("eval", {"suite": "{suite}", "rescore": "{log_list_header}"},
                                        "log_list_header.jsonl:1: run log line is list, "
                                        "not an object"),
@@ -1017,6 +1070,18 @@ BAD_INPUTS = {
     "eval-run-log-null-response": ("eval", {"suite": "{suite}", "rescore": "{null_response}"},
                                    "run log record aaa-eng:1:0: status ok, "
                                    "but its response is not a string"),
+    # Each run log below fails alike when eval rescores it and when report reads it.
+    **{f"{command}-{case}": (command, config, message)
+       for case, log, message in [
+           *[(f"run-log-without-{key}", f"log_without_{key}",
+              f"log_without_{key}.jsonl:1: run log header lacks {key}")
+             for key in RUN_LOG_HEADER_KEYS],
+           ("run-logs-joined", "joined_logs",
+            "joined_logs.jsonl:202: a second run log header"),
+           ("run-log-repeated-unit", "repeated_unit",
+            "repeated_unit.jsonl:202: unit id 'aaa-eng:1:0' repeats an earlier record")]
+       for command, config in [("eval", {"suite": "{suite}", "rescore": f"{{{log}}}"}),
+                               ("report", {"runs": [{**RUN, "run_log": f"{{{log}}}"}]})]},
 }
 
 

@@ -77,6 +77,13 @@ class TestDocumentModel:
         with pytest.raises(ValueError):
             CorpusDocument(id="x", lang="lug", text="", source="web")
 
+    @pytest.mark.parametrize("field", ["id", "lang", "text"])
+    def test_text_fields_must_be_strings(self, field):
+        given = {"id": "x", "lang": "lug", "text": "t", field: 5}
+        # A char_count given with the text does not skip the check.
+        with pytest.raises(ValueError, match=f"^{field} must be a string$"):
+            CorpusDocument(**given, source="web", char_count=1)
+
     def test_char_count_autofilled(self):
         d = doc("abcde")
         assert d.char_count == 5

@@ -145,6 +145,12 @@ class TestTokenizers:
         tok = ByteTokenizer()
         assert tok.decode(tok.encode(text)) == text
 
+    def test_both_decode_packed_ids(self):
+        byte, vocab = ByteTokenizer(), VocabFileTokenizer({"omwana": 0, "agenda": 1})
+        for tok, text in ((byte, "Ŋ omwana"), (vocab, "agenda omwana")):
+            [seq] = pack([("doc", tok.encode(text))])
+            assert tok.decode(seq.token_ids) == text
+
     def test_vocab_file_tokenizer(self, tmp_path):
         path = tmp_path / "vocab.json"
         path.write_text('{"omwana": 0, "agenda": 1}')
@@ -160,6 +166,7 @@ class TestTokenizers:
         ({"e": 2.0}, "e"),
         ({"f": -1}, "f"),
         ({"g": None}, "g"),
+        ({"h": 2 ** 32}, "h"),
     ])
     def test_vocab_ids_must_be_distinct_non_negative_ints(self, vocab, token):
         with pytest.raises(ValueError, match=f"token '{token}'"):
@@ -258,7 +265,7 @@ class TestPacking:
         for seq in seqs:
             assert len(seq.attention_segments) == len(seq.token_ids)
             for i, (doc_id, start, end) in enumerate(seq.segment_spans):
-                span = seq.token_ids[start:end]
+                span = list(seq.token_ids[start:end])
                 assert span == list(range(span[0], span[0] + len(span)))
                 by_doc[doc_id].extend(span)
                 assert seq.attention_segments[start:end] == [i] * (end - start)
@@ -267,7 +274,7 @@ class TestPacking:
 
     @staticmethod
     def packed_rows(streams, max_len):
-        return [{"token_ids": s.token_ids, "segment_spans": s.segment_spans,
+        return [{"token_ids": list(s.token_ids), "segment_spans": s.segment_spans,
                  "attention_segments": s.attention_segments} for s in pack(streams, max_len)]
 
     @settings(max_examples=examples(3), deadline=None)
@@ -312,7 +319,7 @@ class TestPacking:
         for _doc_id, ids in streams:
             ids[0] = -1
             ids.append(-2)
-        assert [seq.token_ids for seq in seqs] == packed
+        assert [list(seq.token_ids) for seq in seqs] == packed
 
     @staticmethod
     @st.composite
@@ -373,6 +380,40 @@ class TestPacking:
         assert len(seqs) > 1000
         # All the streams held at once, besides the sequences, would make it 2x.
         assert peak < 1.25 * held
+
+    def test_ids_take_four_bytes_each(self):
+        seqs = pack(self.streams([300, 300, 2 ** 10]), max_len=512)
+        assert all(seq.token_ids.itemsize == 4 for seq in seqs)
+        assert [list(seq.token_ids) for seq in seqs] == [
+            list(range(300)), list(range(300)), list(range(512)), list(range(512, 1024))]
+
+    def test_a_million_tokens_trace_about_four_bytes_each(self):
+        # Byte ids are cached small ints, so a list of them would cost 8
+        # bytes a token in pointers alone.
+        rng = random.Random(3)
+
+        def streams():
+            for k in range(1640):
+                yield f"doc{k}", list(rng.randbytes(rng.randint(20, 1200)))
+
+        tracemalloc.start()
+        try:
+            seqs = pack(streams(), max_len=512)
+            _held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tokens = sum(len(seq.token_ids) for seq in seqs)
+        assert 950_000 < tokens < 1_050_000
+        assert peak < 5.5 * tokens
+
+    @pytest.mark.parametrize("bad", [2 ** 32, -1, 1.5, "7"])
+    def test_id_that_does_not_fit_names_its_document(self, bad):
+        # In a whole stream, and in a chunk split from a longer one.
+        for streams in ([("a", [1, 2]), ("b", [3, bad, 4])],
+                        [("a", [1, 2]), ("b", [3] * 9 + [bad])]):
+            with pytest.raises(ValueError, match=f"document 'b' has token id {bad!r}, "
+                                                 r"not an int in \[0, 2\*\*32\)"):
+                pack(streams, max_len=4)
 
     def test_empty_doc_rejected(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,17 @@ class TestFiles:
         path.write_text('{"a": [1e-999, 1.5e308], "s": "1e999"}', encoding="utf-8")
         assert jsonio.read_json(path) == {"a": [0.0, 1.5e308], "s": "1e999"}
 
+    def test_iter_jsonl_reads_a_line_when_asked(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": 2}\n{"a": \n', encoding="utf-8")
+        records = jsonio.iter_jsonl(path, lambda obj: obj["a"])
+        # The records before the bad line come out before its error.
+        assert next(records) == 1 and next(records) == 2
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: Expecting value"):
+            next(records)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: no 'b' key$"):
+            list(jsonio.iter_jsonl(path, lambda obj: obj["b"]))
+
     def test_read_syntax_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n{"a": \n', encoding="utf-8")

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import write_pair_logps_jsonl
+from helpers import examples, write_pair_logps_jsonl
 
 from savanna.preference_loss import (
     LossParams,
@@ -106,13 +106,13 @@ class TestLossValues:
         loss = dpo_loss(flipped, params)
         assert math.isfinite(loss) and loss == pytest.approx(2e6, rel=1e-9)
 
-    @settings(max_examples=200)
+    @settings(max_examples=examples(2))  # 200 at the default profile
     @given(random_pair())
     def test_dpo_positive_and_finite(self, p):
         loss = dpo_loss(p)
         assert math.isfinite(loss) and loss > 0
 
-    @settings(max_examples=200)
+    @settings(max_examples=examples(2))  # 200 at the default profile
     @given(random_pair())
     def test_irpo_at_least_dpo(self, p):
         assert irpo_loss(p) >= dpo_loss(p)
@@ -187,4 +187,4 @@ class TestAuditAndIo:
         pairs = [equal_ratio_pair(), PairLogps([-0.25], [-4.0], [-1.0], [-1.0])]
         path = tmp_path / "pairs.jsonl"
         assert write_pair_logps_jsonl(pairs, path) == 2
-        assert read_pair_logps_jsonl(path) == pairs
+        assert list(read_pair_logps_jsonl(path)) == pairs
