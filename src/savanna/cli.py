@@ -265,29 +265,35 @@ def cmd_instruct(config: dict) -> typing.Callable[[Path], None]:
         template = instruct.ChatTemplate.from_file(config["template"])
     else:
         template = instruct.ChatTemplate("<user>", "</user>", "<assistant>", "</assistant>")
-    pairs = corpus_mod.read_pairs_jsonl(config["parallel"])
-    conversational = []
+    conversational = ()
     if config["conversational"]:
         conversational = instruct.read_instructions_jsonl(config["conversational"])
-    examples, counts = instruct.build_instruction_dataset(
-        pairs, conversational,
+    examples = instruct.build_instruction_dataset(
+        corpus_mod.read_pairs_jsonl(config["parallel"]), conversational,
         n_translation=config["n_translation"],
         n_conversational=config["n_conversational"],
         noisy_fraction=config["noisy_fraction"],
         rng_seed=config["seed"],
     )
-    # Each example is rendered as pack reaches it, so its tokens are freed
-    # once they are copied into their sequences.
-    streams = ((f"ex{i}", instruct.render_chat(example, tokenizer, template).token_ids)
-               for i, example in enumerate(examples))
-    packed = instruct.pack(streams, max_len=max_len)
+    # One lazy chain: each input line is read and checked, and each example
+    # built, encoded as its line, counted and rendered as pack reaches it.
+    # Only the lines and the packed sequences are held.
+    lines: list[str] = []
+    counts = dict.fromkeys(instruct.CATEGORIES, 0)
+
+    def streams():
+        for i, example in enumerate(examples):
+            lines.append(instruct.instruction_line(example))
+            counts[example.category] += 1
+            yield f"ex{i}", instruct.render_chat(example, tokenizer, template).token_ids
+    packed = instruct.pack(streams(), max_len=max_len)
 
     def run(out: Path) -> None:
-        instruct.write_instructions_jsonl(examples, out / "instructions.jsonl")
+        jsonio.write_jsonl_lines(out / "instructions.jsonl", lines)
         instruct.write_packed_jsonl(packed, out / "packed.jsonl", max_len=max_len)
         jsonio.write_json(out / "manifest.json", {
             "category_counts": counts,
-            "examples": len(examples),
+            "examples": len(lines),
             "packed_sequences": len(packed),
             "sequences_per_batch": sequences_per_batch,
         })

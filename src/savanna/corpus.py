@@ -104,6 +104,13 @@ class ParallelPair:
     doc_id: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("src_lang", "tgt_lang", "src_text", "tgt_text"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        if self.origin not in _SOURCES:
+            raise ValueError(f"unknown origin: {self.origin!r}")
+        if not (self.doc_id is None or isinstance(self.doc_id, str)):
+            raise ValueError("doc_id must be a string or null")
         if self.src_lang == self.tgt_lang:
             raise ValueError("src_lang must differ from tgt_lang")
         if not self.src_text or not self.tgt_text:
@@ -462,5 +469,6 @@ def write_pairs_jsonl(pairs: Iterable[ParallelPair], path: str | Path) -> int:
     return jsonio.write_jsonl(path, (pair.__dict__ for pair in pairs), sort_keys=True)
 
 
-def read_pairs_jsonl(path: str | Path) -> list[ParallelPair]:
-    return jsonio.read_jsonl(path, lambda obj: ParallelPair(**obj))
+def read_pairs_jsonl(path: str | Path) -> Iterator[ParallelPair]:
+    """Each pair of a JSONL file, read as the caller asks for it."""
+    yield from jsonio.iter_jsonl(path, lambda obj: ParallelPair(**obj))

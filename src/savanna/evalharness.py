@@ -450,7 +450,9 @@ _HEADER_KEYS = ("suite_hash", "directions", "granularity", "prompt_template")
 def _read_run_log(run_log_path: str | Path) -> list[dict]:
     """The header and records of a run log, each line checked to be an
     object.  The first line must be a header of this version holding every
-    key in ``_HEADER_KEYS``; each later line a record (no ``type``) with a
+    key in ``_HEADER_KEYS``: ``suite_hash`` and ``prompt_template`` strings,
+    a ``granularity`` of ``GRANULARITIES`` and ``directions`` a list of
+    two-string lists.  Each later line a record (no ``type``) with a
     ``status`` and a string ``id`` that no earlier record has.  Only a log
     whose header repeats a direction, written before repeated directions
     were rejected, holds each of that direction's records more than once.
@@ -467,6 +469,17 @@ def _read_run_log(run_log_path: str | Path) -> list[dict]:
                 raise ValueError("not a recognized run log")
             if missing := [key for key in _HEADER_KEYS if key not in obj]:
                 raise ValueError(f"run log header lacks {', '.join(missing)}")
+            for key in ("suite_hash", "prompt_template"):
+                if not isinstance(obj[key], str):
+                    raise ValueError(f"run log header {key} must be a string, got {obj[key]!r}")
+            if obj["granularity"] not in GRANULARITIES:
+                raise ValueError(f"run log header granularity must be one of "
+                                 f"{', '.join(GRANULARITIES)}, got {obj['granularity']!r}")
+            if not (isinstance(obj["directions"], list) and all(
+                    isinstance(d, list) and len(d) == 2 and all(isinstance(x, str) for x in d)
+                    for d in obj["directions"])):
+                raise ValueError(f"run log header directions must be a list of [src, tgt] "
+                                 f"string pairs, got {obj['directions']!r}")
             directions = [tuple(d) for d in obj["directions"]]
             distinct = len(set(directions)) == len(directions)
             ids = set()

@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Iterator, Protocol
 
 from . import jsonio
 from .corpus import ParallelPair, check_count
@@ -430,50 +430,52 @@ def write_packed_jsonl(sequences: Iterable[PackedSequence], path: str | Path,
 # --- Dataset assembly and JSONL I/O --------------------------------------------
 
 
-def category_counts(examples: Iterable[InstructionExample]) -> dict[str, int]:
-    counts = {c: 0 for c in CATEGORIES}
-    for ex in examples:
-        counts[ex.category] += 1
-    return counts
-
-
-def build_instruction_dataset(pairs: list[ParallelPair],
-                              conversational: list[InstructionExample],
+def build_instruction_dataset(pairs: Iterable[ParallelPair],
+                              conversational: Iterable[InstructionExample],
                               n_translation: int = 2347,
                               n_conversational: int = 726,
                               noisy_fraction: float = 0.2,
                               rng_seed: int = 0,
-                              ) -> tuple[list[InstructionExample], dict[str, int]]:
-    """Mix translation instructions with conversational examples.
+                              ) -> Iterator[InstructionExample]:
+    """Translation instructions, then conversational examples, one at a time.
 
-    Counts are capped by the available inputs; a configurable fraction of
-    translation tasks simulates noisy (ASR-like) source text.  Returns the
-    examples and per-category counts.  Counts must be >= 0 and
-    ``noisy_fraction`` in [0, 1].
+    Every pair is read and the first ``n_translation`` become translation
+    instructions; a configurable fraction of them simulates noisy
+    (ASR-like) source text.  Every conversational example is then read and
+    the first ``n_conversational`` are yielded.  Both inputs are read once,
+    as the caller asks for examples, so each may be a generator and none is
+    held.  Counts must be >= 0 and ``noisy_fraction`` in [0, 1]; the first
+    request for an example checks them.
     """
     check_count("n_translation", n_translation)
     check_count("n_conversational", n_conversational)
     if not 0 <= noisy_fraction <= 1:
         raise ValueError(f"noisy_fraction must be in [0, 1], got {noisy_fraction!r}")
     rng = random.Random(rng_seed)
-    examples: list[InstructionExample] = []
-    for i, pair in enumerate(pairs[:n_translation]):
-        noisy = rng.random() < noisy_fraction
-        examples.append(make_translation_instruction(pair, noisy=noisy, rng_seed=rng_seed + i))
-    examples.extend(conversational[:n_conversational])
-    return examples, category_counts(examples)
+    for i, pair in enumerate(pairs):
+        if i < n_translation:
+            noisy = rng.random() < noisy_fraction
+            yield make_translation_instruction(pair, noisy=noisy, rng_seed=rng_seed + i)
+    for i, example in enumerate(conversational):
+        if i < n_conversational:
+            yield example
 
 
-def write_instructions_jsonl(examples: Iterable[InstructionExample], path: str | Path) -> int:
-    return jsonio.write_jsonl(path, ({
-        "category": ex.category,
-        "turns": [{"role": t.role, "text": t.text} for t in ex.turns],
-        "langs_involved": sorted(ex.langs_involved),
-    } for ex in examples))
+_encode_line = jsonio.jsonl_encoder()
 
 
-def read_instructions_jsonl(path: str | Path) -> list[InstructionExample]:
-    return jsonio.read_jsonl(path, lambda obj: InstructionExample(
+def instruction_line(example: InstructionExample) -> str:
+    """The ``instructions.jsonl`` line of ``example``, which
+    :func:`read_instructions_jsonl` reads back."""
+    return _encode_line({
+        "category": example.category,
+        "turns": [{"role": t.role, "text": t.text} for t in example.turns],
+        "langs_involved": sorted(example.langs_involved),
+    })
+
+
+def read_instructions_jsonl(path: str | Path) -> Iterator[InstructionExample]:
+    """Each example of a JSONL file, read as the caller asks for it."""
+    yield from jsonio.iter_jsonl(path, lambda obj: InstructionExample(
         category=obj["category"], turns=[Turn(t["role"], t["text"]) for t in obj["turns"]],
         langs_involved=set(obj.get("langs_involved", []))))
-

@@ -168,7 +168,9 @@ def edit_distance(a: Sequence, b: Sequence) -> int:
     Myers' bit-vector recurrence in Hyyrö's global form: one Python int per
     symbol marks its positions in the shorter sequence, and each element of
     the longer one updates the vertical +1/-1 delta vectors of the whole
-    column at once.  ``score`` follows the last row of the DP matrix.
+    column at once.  Row 0 of the DP matrix is ``j``, so the distance is
+    the last column's row-0 value, ``len(a)``, plus its +1 deltas less its
+    -1 deltas.
 
     The common prefix and suffix are trimmed first: an optimal alignment
     matches them element for element (Myers 1986), so only the differing
@@ -188,22 +190,17 @@ def edit_distance(a: Sequence, b: Sequence) -> int:
         peq[y] = peq.get(y, 0) | bit
         bit <<= 1
     mask = bit - 1
-    last = bit >> 1
-    pv, mv, score = mask, 0, len(b)
+    pv, mv = mask, 0
     for x in a:
         eq = peq.get(x, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (mask ^ (xh | pv))
         mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
         ph = (ph << 1) | 1  # row 0 of the matrix grows by 1 per column
         pv = ((mh << 1) | (mask ^ (xv | ph))) & mask
         mv = ph & xv
-    return score
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
 def cer(hypothesis: str, reference: str) -> float:

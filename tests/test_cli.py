@@ -13,7 +13,7 @@ import yaml
 from helpers import Reply, read_packed_jsonl, save_suite, write_pair_logps_jsonl
 
 from savanna import corpus, evalharness, instruct, jsonio, preference_loss
-from savanna.cli import CONFIG_KEYS, _locked_output_dir, main
+from savanna.cli import CONFIG_KEYS, _locked_output_dir, cmd_instruct, main
 from savanna.corpus import ParallelPair, make_document
 
 
@@ -257,11 +257,74 @@ class TestInstructCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["category_counts"]["translation"] == 8
         assert manifest["sequences_per_batch"] == 8
-        examples = instruct.read_instructions_jsonl(out / "instructions.jsonl")
+        examples = list(instruct.read_instructions_jsonl(out / "instructions.jsonl"))
         assert len(examples) == 8
         packed, max_len = read_packed_jsonl(out / "packed.jsonl")
         assert max_len == 128
         assert all(len(s.token_ids) <= 128 for s in packed)
+
+    @staticmethod
+    def conversations(tmp_path, n):
+        path = tmp_path / "convo.jsonl"
+        jsonio.write_jsonl_lines(path, [
+            instruct.instruction_line(instruct.InstructionExample("creative", [
+                instruct.Turn("user", f"q{i}"), instruct.Turn("assistant", f"a{i}")]))
+            for i in range(n)])
+        return path
+
+    @staticmethod
+    def pairs_config(tmp_path, name, n_pairs, n_translation):
+        pairs = [ParallelPair("lug", "eng", f"omwana agenda mu kibuga {i}. " * 3,
+                              f"the child goes to town {i}. " * 3) for i in range(n_pairs)]
+        parallel = tmp_path / f"{name}.jsonl"
+        corpus.write_pairs_jsonl(pairs, parallel)
+        return {**{key: default for key, (_kind, default) in CONFIG_KEYS["instruct"].items()},
+                "parallel": str(parallel), "n_translation": n_translation, "seed": 3}
+
+    def test_manifest_counts_every_category(self, tmp_path):
+        parallel = tmp_path / "pairs.jsonl"
+        corpus.write_pairs_jsonl([ParallelPair("lug", "eng", "gamba", "say")] * 3, parallel)
+        conversational = self.conversations(tmp_path, 4)
+        config = write_yaml(tmp_path / "c.yaml", {
+            "parallel": str(parallel), "conversational": str(conversational),
+            "n_translation": 2, "n_conversational": 3})
+        out = tmp_path / "out"
+        assert main(["instruct", "--config", config, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["category_counts"] == {**dict.fromkeys(instruct.CATEGORIES, 0),
+                                               "translation": 2, "creative": 3}
+        assert manifest["examples"] == 5
+
+    def test_pairs_beyond_n_translation_change_no_output(self, tmp_path):
+        conversational = self.conversations(tmp_path, 3)
+        written = {}
+        for name, n_pairs in (("cut", 40), ("long", 400)):
+            config = {**self.pairs_config(tmp_path, name, n_pairs, 40),
+                      "conversational": str(conversational), "max_len": 128}
+            out = tmp_path / f"out_{name}"
+            assert main(["instruct", "--config", write_yaml(tmp_path / f"{name}.yaml", config),
+                         "--out", str(out)]) == 0
+            written[name] = {file: (out / file).read_bytes() for file in (
+                "instructions.jsonl", "packed.jsonl", "manifest.json")}
+        assert written["long"] == written["cut"]
+        assert written["cut"]["instructions.jsonl"].count(b"\n") == 43
+
+    def test_peak_memory_does_not_grow_with_the_pairs(self, tmp_path):
+        # The check phase reads every pair but holds only the lines and
+        # packed ids of the first n_translation.
+        instruct.language_name("eng")  # the language table, loaded once
+        peaks = {}
+        for n_pairs in (200, 2000):
+            config = self.pairs_config(tmp_path, f"pairs{n_pairs}", n_pairs, 200)
+            tracemalloc.start()
+            try:
+                run = cmd_instruct(config)
+                peaks[n_pairs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert callable(run)
+        # Holding the 2,000 pairs would add well over the whole 200-pair peak.
+        assert peaks[2000] - peaks[200] < peaks[200] / 10
 
     def test_bad_template_fails_cleanly(self, tmp_path, capsys):
         parallel = tmp_path / "pairs.jsonl"
@@ -296,11 +359,10 @@ class TestInstructCommand:
         corpus.write_pairs_jsonl([], parallel)
         # Whitespace-only turns encode to no word, and the template adds none.
         conversational = tmp_path / "convo.jsonl"
-        instruct.write_instructions_jsonl([
+        jsonio.write_jsonl_lines(conversational, (instruct.instruction_line(
             instruct.InstructionExample("creative", [instruct.Turn("user", question),
-                                                     instruct.Turn("assistant", reply)])
-            for question, reply in (("hi", "there"), ("hi", "there there"), (" ", " "))],
-            conversational)
+                                                     instruct.Turn("assistant", reply)]))
+            for question, reply in (("hi", "there"), ("hi", "there there"), (" ", " "))))
         vocab, template = tmp_path / "vocab.json", tmp_path / "template.json"
         vocab.write_text('{"hi": 0, "there": 1}')
         template.write_text('{"user_prefix": "", "user_suffix": "", '
@@ -911,6 +973,14 @@ CHAT = {"category": "creative", "turns": [{"role": "user", "text": "Wandiikira o
 RUN_LOG_HEADER = {"type": "header", "version": evalharness.RUN_LOG_VERSION, "suite_hash": "",
                   "directions": [], "granularity": "sentence", "prompt_template": ""}
 RUN_LOG_HEADER_KEYS = ("suite_hash", "directions", "granularity", "prompt_template")
+# A header value of the wrong kind for each key, and the end of its error.
+BAD_HEADER_VALUES = {
+    "suite_hash": (5, "suite_hash must be a string, got 5"),
+    "prompt_template": (5, "prompt_template must be a string, got 5"),
+    "granularity": ("page", "granularity must be one of sentence, document, got 'page'"),
+    "directions": ([["aaa"]], "directions must be a list of [src, tgt] string pairs, "
+                              "got [['aaa']]"),
+}
 # JSONL input files that are strict JSON but do not hold the records their
 # command reads, by name.
 MALFORMED = {
@@ -921,6 +991,12 @@ MALFORMED = {
                                          "char_count": 1}),
     "doc_int_lang": _lines(DOC, {"id": "a", "lang": 7, "text": "x", "source": "web"}),
     "pair_extra_key": _lines(PAIR, {**PAIR, "x": 1}),
+    "pair_int_src_text": _lines(PAIR, {**PAIR, "src_text": 5}),
+    "pair_unknown_origin": _lines(PAIR, {**PAIR, "origin": "nonsense"}),
+    "pair_int_doc_id": _lines(PAIR, {**PAIR, "doc_id": 7}),
+    # Malformed after the records that become examples, when a row takes one.
+    "pair_late_int_tgt_lang": _lines(PAIR, PAIR, PAIR, {**PAIR, "tgt_lang": 1}),
+    "chat_late_without_category": _lines(CHAT, CHAT, {"turns": CHAT["turns"]}),
     "chat_without_category": _lines(CHAT, {"turns": CHAT["turns"]}),
     "logps_without_field": _lines(LOGPS, {k: v for k, v in LOGPS.items() if k != "ref_rejected"}),
     # The last line cut short, as a killed writer leaves it.
@@ -968,6 +1044,8 @@ def inputs(tmp_path, suite_csv):
     bad_logs = {f"log_without_{key}": _lines({k: v for k, v in header.items() if k != key},
                                              record, *records)
                 for key in RUN_LOG_HEADER_KEYS}
+    bad_logs.update((f"log_bad_{key}", _lines({**header, key: value}, record, *records))
+                    for key, (value, _message) in BAD_HEADER_VALUES.items())
     bad_logs["joined_logs"] = (eval_out / "run_log.jsonl").read_text(encoding="utf-8") * 2
     # The first unit again, failed, as appended records could repeat it.
     bad_logs["repeated_unit"] = _lines(header, record, *records,
@@ -1054,6 +1132,19 @@ BAD_INPUTS = {
     "instruct-conversational-without-category": (
         "instruct", {"parallel": "{pairs}", "conversational": "{chat_without_category}"},
         "chat_without_category.jsonl:2: no 'category' key"),
+    "instruct-pair-src-text-not-string": ("instruct", {"parallel": "{pair_int_src_text}"},
+                                          "pair_int_src_text.jsonl:2: src_text must be a string"),
+    "instruct-pair-unknown-origin": ("instruct", {"parallel": "{pair_unknown_origin}"},
+                                     "pair_unknown_origin.jsonl:2: unknown origin: 'nonsense'"),
+    "instruct-pair-doc-id-not-string": ("instruct", {"parallel": "{pair_int_doc_id}"},
+                                        "pair_int_doc_id.jsonl:2: doc_id must be a string or null"),
+    "instruct-pair-after-n-translation": (
+        "instruct", {"parallel": "{pair_late_int_tgt_lang}", "n_translation": 1},
+        "pair_late_int_tgt_lang.jsonl:4: tgt_lang must be a string"),
+    "instruct-conversational-after-n-conversational": (
+        "instruct", {"parallel": "{pairs}", "conversational": "{chat_late_without_category}",
+                     "n_conversational": 1},
+        "chat_late_without_category.jsonl:3: no 'category' key"),
     "loss-pair-without-field": ("loss", {"pairs": "{logps_without_field}"},
                                 "logps_without_field.jsonl:2: "),
     "loss-last-line-cut": ("loss", {"pairs": "{logps_last_line_cut}"},
@@ -1076,6 +1167,9 @@ BAD_INPUTS = {
            *[(f"run-log-without-{key}", f"log_without_{key}",
               f"log_without_{key}.jsonl:1: run log header lacks {key}")
              for key in RUN_LOG_HEADER_KEYS],
+           *[(f"run-log-bad-{key}", f"log_bad_{key}",
+              f"log_bad_{key}.jsonl:1: run log header {message}")
+             for key, (_value, message) in BAD_HEADER_VALUES.items()],
            ("run-logs-joined", "joined_logs",
             "joined_logs.jsonl:202: a second run log header"),
            ("run-log-repeated-unit", "repeated_unit",

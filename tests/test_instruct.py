@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import examples, read_packed_jsonl
 from oracles import brute_asr_noise, brute_pack, brute_write_packed_jsonl
 
+from savanna import jsonio
 from savanna.corpus import ParallelPair
 from savanna.instruct import (
     ByteTokenizer,
@@ -19,13 +20,12 @@ from savanna.instruct import (
     asr_noise,
     batch_spec,
     build_instruction_dataset,
-    category_counts,
+    instruction_line,
     language_name,
     make_translation_instruction,
     pack,
     read_instructions_jsonl,
     render_chat,
-    write_instructions_jsonl,
     write_packed_jsonl,
 )
 
@@ -501,17 +501,37 @@ class TestDatasetAssembly:
     def test_counts_and_caps(self):
         pairs = [ParallelPair("lug", "eng", f"src {i}", f"tgt {i}") for i in range(10)]
         conv = [convo(f"q{i}", f"a{i}") for i in range(4)]
-        examples, counts = build_instruction_dataset(pairs, conv,
-                                                     n_translation=6, n_conversational=3)
-        assert counts["translation"] == 6
-        assert counts["question_answering"] == 3
-        assert len(examples) == 9
+        examples = list(build_instruction_dataset(pairs, conv,
+                                                  n_translation=6, n_conversational=3))
+        assert [ex.category for ex in examples] == ["translation"] * 6 + ["question_answering"] * 3
+        assert [ex.turns[1].text for ex in examples[:6]] == [f"tgt {i}" for i in range(6)]
+        assert examples[6:] == conv[:3]
+
+    def test_reads_every_input_lazily(self):
+        # Each input is a generator read once, to its end, though only the
+        # first n of each become examples, one as each is asked for.
+        read = []
+
+        def stream(items):
+            for item in items:
+                read.append(item)
+                yield item
+
+        pairs = [ParallelPair("lug", "eng", f"s{i}", f"t{i}") for i in range(5)]
+        conv = [convo(f"q{i}", f"a{i}") for i in range(3)]
+        examples = build_instruction_dataset(stream(pairs), stream(conv),
+                                             n_translation=2, n_conversational=1)
+        assert read == []
+        assert next(examples).turns[1].text == "t0"
+        assert read == pairs[:1]
+        assert len(list(examples)) == 2
+        assert read == [*pairs, *conv]
 
     def test_noisy_fraction_applied(self):
         pairs = [ParallelPair("lug", "eng", f"clean source {i}", f"tgt {i}")
                  for i in range(200)]
-        examples, _ = build_instruction_dataset(pairs, [], n_translation=200,
-                                                noisy_fraction=1.0, rng_seed=1)
+        examples = build_instruction_dataset(pairs, [], n_translation=200,
+                                             noisy_fraction=1.0, rng_seed=1)
         changed = sum(1 for ex, p in zip(examples, pairs)
                       if p.src_text not in ex.turns[0].text)
         assert changed > 150  # nearly all sources perturbed at rate 1.0
@@ -527,33 +547,35 @@ class TestDatasetAssembly:
         # A negative count once sliced items off the end of the inputs.
         pairs = [ParallelPair("lug", "eng", f"s{i}", f"t{i}") for i in range(3)]
         with pytest.raises(ValueError, match=message):
-            build_instruction_dataset(pairs, [convo("q", "a")], **kwargs)
+            next(build_instruction_dataset(pairs, [convo("q", "a")], **kwargs))
 
     def test_zero_counts_allowed(self):
         pairs = [ParallelPair("lug", "eng", "s", "t")]
-        examples, _ = build_instruction_dataset(pairs, [convo("q", "a")], n_translation=0,
-                                                n_conversational=0, noisy_fraction=0)
-        assert examples == []
+        examples = build_instruction_dataset(pairs, [convo("q", "a")], n_translation=0,
+                                             n_conversational=0, noisy_fraction=0)
+        assert list(examples) == []
 
     def test_deterministic(self):
         pairs = [ParallelPair("lug", "eng", f"s{i}", f"t{i}") for i in range(30)]
-        a, _ = build_instruction_dataset(pairs, [], n_translation=30, rng_seed=7)
-        b, _ = build_instruction_dataset(pairs, [], n_translation=30, rng_seed=7)
+        a = build_instruction_dataset(pairs, [], n_translation=30, rng_seed=7)
+        b = build_instruction_dataset(pairs, [], n_translation=30, rng_seed=7)
         assert [ex.turns[0].text for ex in a] == [ex.turns[0].text for ex in b]
-
-    def test_category_counts_cover_all(self):
-        counts = category_counts([])
-        assert set(counts) == {"translation", "question_answering",
-                               "summarization_correction", "creative",
-                               "cultural_explanation"}
 
     def test_instructions_jsonl_roundtrip(self, tmp_path):
         examples = [convo("q", "a"), make_translation_instruction(
             ParallelPair("lug", "eng", "omwana", "child"))]
         path = tmp_path / "inst.jsonl"
-        write_instructions_jsonl(examples, path)
-        loaded = read_instructions_jsonl(path)
+        jsonio.write_jsonl_lines(path, map(instruction_line, examples))
+        loaded = list(read_instructions_jsonl(path))
         assert len(loaded) == 2
         assert loaded[0].turns[0].text == "q"
         assert loaded[1].category == "translation"
         assert loaded[1].langs_involved == {"lug", "eng"}
+
+    def test_instruction_line_is_the_encoders_text(self):
+        example = make_translation_instruction(ParallelPair("lug", "eng", "omwana", "child"))
+        assert instruction_line(example) == jsonio.jsonl_encoder()({
+            "category": "translation",
+            "turns": [{"role": "user", "text": example.turns[0].text},
+                      {"role": "assistant", "text": "child"}],
+            "langs_involved": ["eng", "lug"]})
