@@ -1,23 +1,17 @@
 """Command-line entry point wiring the toolkit into reproducible pipelines.
 
-Subcommands: ``corpus``, ``instruct``, ``eval``, ``report``, ``loss``.
-:func:`resolve_config` builds each run's config from ``CONFIG_KEYS``, the
-YAML file (``--config``) and the flags.  Each ``cmd_*`` function reads and
-checks every input, then returns the step that runs once the output
-directory is locked: endpoint requests and writes.  The lock holds the
-run's PID, so a lock left by a killed run can be broken.  Every resolved
-key is written to ``resolved_config.yaml``, which ``--config`` takes back.
-Secrets are read from environment variables only (``SAVANNA_API_TOKEN``).
-"""
+Each ``cmd_*`` function reads and checks every input, then returns the step
+that runs once the output directory is locked: endpoint requests and
+writes.  The lock holds the run's PID, so a lock left by a killed run can
+be broken.  Every resolved key is written to ``resolved_config.yaml``,
+which ``--config`` takes back.  Secrets are read from environment variables
+only (``SAVANNA_API_TOKEN``)."""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
-import difflib
 import json
-import math
 import os
 import sys
 import typing
@@ -27,6 +21,7 @@ import yaml
 
 from . import corpus as corpus_mod
 from . import evalharness, instruct, jsonio, leaderboard, preference_loss
+from .jsonio import NUMBER, REQUIRED
 
 
 class CliError(Exception):
@@ -85,15 +80,7 @@ def _locked_output_dir(out: Path):
         lock.unlink(missing_ok=True)
 
 
-REQUIRED = object()  # the default of a key that has none
-NUMBER = (int, float)
-
-# Each command's keys besides ``seed`` and ``out``: key -> (type, default).  A
-# list[str] key holds a list whose every element must be a string, a
-# tuple[dict, dict] key a list of two mappings, and a Literal key one of its
-# values.  A callable default is computed from the keys before it, and a null
-# value of such a key takes the computed default.  A key whose default is None
-# may be null.
+# Each command's key table (see jsonio.resolved) besides ``seed`` and ``out``.
 CONFIG_KEYS = {
     "corpus": {"inputs": (list[str], REQUIRED), "bible": (tuple[dict, dict], None),
                "backtranslate": (dict, None), "source_weights": (dict, {}),
@@ -124,68 +111,6 @@ ENTRY_KEYS = {
                "metric": (typing.Literal[leaderboard.METRICS], REQUIRED)},
 }
 
-TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a finite number", bool: "true or false",
-              list: "a list", dict: "a mapping", (str, list): "a string or a list"}
-
-
-def _check_type(value, kind, name: str) -> None:
-    """Raise unless ``value`` is of ``kind``; errors name an element of a
-    list by its index, such as ``inputs[0]``."""
-    if typing.get_origin(kind) is list:
-        _check_type(value, list, name)
-        for i, element in enumerate(value):
-            _check_type(element, typing.get_args(kind)[0], f"{name}[{i}]")
-    elif typing.get_origin(kind) is typing.Literal:  # a closed set of strings
-        *others, last = typing.get_args(kind)
-        if value not in typing.get_args(kind):
-            raise CliError(f"{name} must be {', '.join(others)} or {last}, got {value!r}")
-    elif typing.get_origin(kind) is tuple:  # bible, the one such key
-        if not (isinstance(value, list) and len(value) == len(typing.get_args(kind))
-                and all(map(isinstance, value, typing.get_args(kind)))):
-            raise CliError(f"{name} must list two editions, {{lang, path}} each, the source first")
-    # isinstance(True, int) holds, but true is not a number here, and nor
-    # are YAML's .nan and .inf, which no output file could hold, or an
-    # integer too large for a float.
-    elif (not isinstance(value, kind) or isinstance(value, bool) and kind in (int, NUMBER)
-          or kind is NUMBER and not _is_finite(value)):
-        raise CliError(f"{name} must be {TYPE_NAMES[kind]}")
-
-
-def _is_finite(number: int | float) -> bool:
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # an int that no float can hold
-        return False
-
-
-def _resolved(given, keys: dict, where: str = "") -> dict:
-    """``given``, and each entry of an ``ENTRY_KEYS`` key in it, checked against
-    their keys, with defaults filled in.  Errors name a key after ``where``."""
-    if not isinstance(given, dict):
-        raise CliError(f"{where.rstrip('.') or 'the config'} must be a mapping")
-    for key in given:
-        if key not in keys:
-            close = difflib.get_close_matches(str(key), keys, n=1)
-            raise CliError(f"{where}{key} is not a known key" + "".join(
-                f"; did you mean {match}?" for match in close))
-    resolved = {}
-    for key, (kind, default) in keys.items():
-        if key not in given or given[key] is None and callable(default):
-            if default is REQUIRED:
-                raise CliError(f"{where}{key} is required")
-            resolved[key] = default(resolved) if callable(default) else copy.copy(default)
-            continue
-        value = resolved[key] = given[key]
-        if value is None and default is None:
-            continue
-        _check_type(value, kind, f"{where}{key}")
-        if key in ENTRY_KEYS:
-            entries = {"": value} if isinstance(value, dict) else {
-                f"[{i}]": entry for i, entry in enumerate(value)}
-            for index, entry in entries.items():
-                _resolved(entry, ENTRY_KEYS[key], f"{where}{key}{index}.")
-    return resolved
-
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """The YAML file of ``--config`` with each flag set over the key of its
@@ -197,11 +122,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
                 given = yaml.safe_load(f) or {}
             except yaml.YAMLError as exc:
                 raise CliError(f"{args.config} is not valid YAML: {exc}") from None
-    if isinstance(given, dict):
-        given.update((key, value) for key, value in vars(args).items()
-                     if key not in ("command", "config") and value is not None)
-    return _resolved(given, {"seed": (int, 0), "out": (str, f"{args.command}_out"),
-                             **CONFIG_KEYS[args.command]})
+    if not isinstance(given, dict):
+        raise CliError("the config must be a mapping")
+    given.update((key, value) for key, value in vars(args).items()
+                 if key not in ("command", "config") and value is not None)
+    try:
+        return jsonio.resolved(given, {"seed": (int, 0), "out": (str, f"{args.command}_out"),
+                                       **CONFIG_KEYS[args.command]}, entries=ENTRY_KEYS)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def cmd_corpus(config: dict) -> typing.Callable[[Path], None]:

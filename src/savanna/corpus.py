@@ -18,22 +18,14 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Literal, Protocol
 
 from . import jsonio
+from .jsonio import REQUIRED
 from .textnorm import clean_document
 
-Source = str
-_SOURCES = {
-    "web",
-    "book_ocr",
-    "radio_transcript",
-    "dictionary",
-    "community",
-    "parallel",
-    "bible",
-    "synthetic_bt",
-}
+Source = Literal["web", "book_ocr", "radio_transcript", "dictionary", "community", "parallel",
+                 "bible", "synthetic_bt"]
 
 _PARAGRAPH_SPLIT = re.compile(r"\n\s*\n")
 
@@ -57,11 +49,6 @@ class CorpusDocument:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("id", "lang", "text"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string")
-        if self.source not in _SOURCES:
-            raise ValueError(f"unknown source: {self.source!r}")
         if not self.text:
             raise ValueError("document text must be non-empty")
         if self.char_count == 0:
@@ -104,13 +91,6 @@ class ParallelPair:
     doc_id: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("src_lang", "tgt_lang", "src_text", "tgt_text"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string")
-        if self.origin not in _SOURCES:
-            raise ValueError(f"unknown origin: {self.origin!r}")
-        if not (self.doc_id is None or isinstance(self.doc_id, str)):
-            raise ValueError("doc_id must be a string or null")
         if self.src_lang == self.tgt_lang:
             raise ValueError("src_lang must differ from tgt_lang")
         if not self.src_text or not self.tgt_text:
@@ -456,13 +436,22 @@ def assemble_pretraining(docs: Iterable[CorpusDocument], spec: MixtureSpec, seed
 
 # --- JSONL I/O ---------------------------------------------------------------
 
+# The key tables (see jsonio.resolved) of a document line and a pair line.
+DOCUMENT_KEYS = {"id": (str, REQUIRED), "lang": (str, REQUIRED), "text": (str, REQUIRED),
+                 "source": (Source, REQUIRED), "license_note": (str, ""), "char_count": (int, 0),
+                 "provenance": (dict, {})}
+PAIR_KEYS = {"src_lang": (str, REQUIRED), "tgt_lang": (str, REQUIRED),
+             "src_text": (str, REQUIRED), "tgt_text": (str, REQUIRED),
+             "origin": (Source, "parallel"), "doc_id": (str, None)}
+
 
 def write_documents_jsonl(docs: Iterable[CorpusDocument], path: str | Path) -> int:
     return jsonio.write_jsonl(path, (doc.__dict__ for doc in docs), sort_keys=True)
 
 
 def read_documents_jsonl(path: str | Path) -> list[CorpusDocument]:
-    return jsonio.read_jsonl(path, lambda obj: CorpusDocument(**obj))
+    return jsonio.read_jsonl(path, lambda obj: CorpusDocument(
+        **jsonio.resolved(obj, DOCUMENT_KEYS)))
 
 
 def write_pairs_jsonl(pairs: Iterable[ParallelPair], path: str | Path) -> int:
@@ -471,4 +460,5 @@ def write_pairs_jsonl(pairs: Iterable[ParallelPair], path: str | Path) -> int:
 
 def read_pairs_jsonl(path: str | Path) -> Iterator[ParallelPair]:
     """Each pair of a JSONL file, read as the caller asks for it."""
-    yield from jsonio.iter_jsonl(path, lambda obj: ParallelPair(**obj))
+    yield from jsonio.iter_jsonl(path, lambda obj: ParallelPair(
+        **jsonio.resolved(obj, PAIR_KEYS)))

@@ -19,11 +19,12 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Literal, Protocol
 
 from . import jsonio, metrics
 from .instruct import TRANSLATION_PROMPT as DEFAULT_PROMPT_TEMPLATE
 from .instruct import translation_prompt
+from .jsonio import NUMBER, REQUIRED
 from .textnorm import metric_profile, normalize
 
 N_CATEGORIES = 20
@@ -317,9 +318,6 @@ def _score_unit(record: dict, reference: str) -> metrics.SentenceScores | None:
     for a failed request or a reference that normalizes to nothing."""
     if record["status"] != "ok":
         return None
-    if not isinstance(record["response"], str):
-        raise ValueError(f"run log record {record['id']}: status ok, "
-                         "but its response is not a string")
     profile = metric_profile()
     hyp = normalize(postprocess_hypothesis(record["response"]), profile)
     ref = normalize(reference, profile)
@@ -443,55 +441,45 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
                          DEFAULT_PROMPT_TEMPLATE)
 
 
-# The header keys that rescoring reads.
-_HEADER_KEYS = ("suite_hash", "directions", "granularity", "prompt_template")
+# The key tables (see jsonio.resolved) of a run log's header and records.
+# Rescoring reads neither prompt_hash nor temperature, which old logs may lack.
+RUN_LOG_HEADER_KEYS = {
+    "type": (str, REQUIRED), "version": (int, REQUIRED), "prompt_template": (str, REQUIRED),
+    "granularity": (Literal[GRANULARITIES], REQUIRED), "suite_hash": (str, REQUIRED),
+    "directions": (list[tuple[str, str]], REQUIRED), "prompt_hash": (str, None),
+    "temperature": (NUMBER, None)}
+RUN_LOG_RECORD_KEYS = {
+    "id": (str, REQUIRED), "direction": (tuple[str, str], None), "prompt": (str, None),
+    "response": (str, REQUIRED), "latency_ms": (NUMBER, None),
+    "status": (Literal["ok", "error"], REQUIRED)}
 
 
 def _read_run_log(run_log_path: str | Path) -> list[dict]:
-    """The header and records of a run log, each line checked to be an
-    object.  The first line must be a header of this version holding every
-    key in ``_HEADER_KEYS``: ``suite_hash`` and ``prompt_template`` strings,
-    a ``granularity`` of ``GRANULARITIES`` and ``directions`` a list of
-    two-string lists.  Each later line a record (no ``type``) with a
-    ``status`` and a string ``id`` that no earlier record has.  Only a log
-    whose header repeats a direction, written before repeated directions
-    were rejected, holds each of that direction's records more than once.
-    A line that breaks this raises ValueError naming the file and line."""
+    """The header and records of a run log.  The first line must be a
+    header of this version, and no later line a header.  A record's id may
+    repeat an earlier one's only in a log whose header repeats a direction,
+    written before repeated directions were rejected.  A line that breaks
+    this or its key table raises ValueError naming the file and line."""
     ids: set[str] | None = None  # the records' ids, once the header is read
     distinct = True  # whether each record's id must differ from earlier ones
 
     def line(obj):
         nonlocal ids, distinct
-        if not isinstance(obj, dict):
-            raise ValueError(f"run log line is {type(obj).__name__}, not an object")
         if ids is None:
-            if obj.get("type") != "header" or obj.get("version") != RUN_LOG_VERSION:
+            if not (isinstance(obj, dict) and obj.get("type") == "header"
+                    and obj.get("version") == RUN_LOG_VERSION):
                 raise ValueError("not a recognized run log")
-            if missing := [key for key in _HEADER_KEYS if key not in obj]:
-                raise ValueError(f"run log header lacks {', '.join(missing)}")
-            for key in ("suite_hash", "prompt_template"):
-                if not isinstance(obj[key], str):
-                    raise ValueError(f"run log header {key} must be a string, got {obj[key]!r}")
-            if obj["granularity"] not in GRANULARITIES:
-                raise ValueError(f"run log header granularity must be one of "
-                                 f"{', '.join(GRANULARITIES)}, got {obj['granularity']!r}")
-            if not (isinstance(obj["directions"], list) and all(
-                    isinstance(d, list) and len(d) == 2 and all(isinstance(x, str) for x in d)
-                    for d in obj["directions"])):
-                raise ValueError(f"run log header directions must be a list of [src, tgt] "
-                                 f"string pairs, got {obj['directions']!r}")
-            directions = [tuple(d) for d in obj["directions"]]
-            distinct = len(set(directions)) == len(directions)
+            header = jsonio.resolved(obj, RUN_LOG_HEADER_KEYS)
+            distinct = len(set(map(tuple, header["directions"]))) == len(header["directions"])
             ids = set()
-        elif "type" in obj:
+            return header
+        if isinstance(obj, dict) and "type" in obj:
             raise ValueError("a second run log header, as if two logs were joined")
-        elif not (isinstance(obj.get("id"), str) and "status" in obj):
-            raise ValueError("run log record lacks a string id or a status")
-        elif distinct and obj["id"] in ids:
-            raise ValueError(f"unit id {obj['id']!r} repeats an earlier record")
-        else:
-            ids.add(obj["id"])
-        return obj
+        record = jsonio.resolved(obj, RUN_LOG_RECORD_KEYS)
+        if distinct and record["id"] in ids:
+            raise ValueError(f"unit id {record['id']!r} repeats an earlier record")
+        ids.add(record["id"])
+        return record
 
     lines = jsonio.read_jsonl(run_log_path, line)
     if not lines:

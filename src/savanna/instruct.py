@@ -18,10 +18,11 @@ from array import array
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, Literal, Protocol
 
 from . import jsonio
 from .corpus import ParallelPair, check_count
+from .jsonio import REQUIRED
 
 CATEGORIES = (
     "translation",
@@ -140,8 +141,7 @@ class VocabFileTokenizer:
     """
 
     def __init__(self, vocab: dict[str, int]):
-        if not isinstance(vocab, dict):
-            raise ValueError(f"vocabulary must be a {{token: id}} object, got {type(vocab).__name__}")
+        jsonio.check_type(vocab, dict, "vocabulary")
         self._token_to_id = dict(vocab)
         self._id_to_token: dict[int, str] = {}
         for token, i in self._token_to_id.items():
@@ -174,32 +174,17 @@ class VocabFileTokenizer:
 
 @dataclass
 class ChatTemplate:
-    """Control strings delimiting each role's message.
-
-    All four delimiters must be strings (empty strings are allowed, as in
-    the zero-overhead toy template used in tests).
-    """
+    """Control strings delimiting each role's message; an empty one adds
+    no token, as in the zero-overhead toy template used in tests."""
 
     user_prefix: str
     user_suffix: str
     assistant_prefix: str
     assistant_suffix: str
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, str):
-                raise ValueError(f"chat template role delimiter {f.name} must be a string, "
-                                 f"got {value!r}")
-
     @classmethod
     def from_file(cls, path: str | Path) -> "ChatTemplate":
-        data = jsonio.read_json(path)
-        names = [f.name for f in fields(cls)]
-        missing = [k for k in names if k not in data]
-        if missing:
-            raise ValueError(f"chat template missing role delimiters: {missing}")
-        return cls(**{k: data[k] for k in names})
+        return cls(**jsonio.read_json(path, lambda obj: jsonio.resolved(obj, TEMPLATE_KEYS)))
 
 
 def render_chat(example: InstructionExample, tokenizer: TokenizerPort,
@@ -474,8 +459,20 @@ def instruction_line(example: InstructionExample) -> str:
     })
 
 
+# The key tables (see jsonio.resolved) of a chat template file, of an
+# instructions.jsonl line and of its turns.
+TEMPLATE_KEYS = {f.name: (str, REQUIRED) for f in fields(ChatTemplate)}
+INSTRUCTION_KEYS = {"category": (Literal[CATEGORIES], REQUIRED), "turns": (list, REQUIRED),
+                    "langs_involved": (list[str], [])}
+TURN_KEYS = {"role": (Literal["user", "assistant"], REQUIRED), "text": (str, REQUIRED)}
+
+
+def _example(obj) -> InstructionExample:
+    line = jsonio.resolved(obj, INSTRUCTION_KEYS, entries={"turns": TURN_KEYS})
+    return InstructionExample(line["category"], [Turn(**turn) for turn in line["turns"]],
+                              set(line["langs_involved"]))
+
+
 def read_instructions_jsonl(path: str | Path) -> Iterator[InstructionExample]:
     """Each example of a JSONL file, read as the caller asks for it."""
-    yield from jsonio.iter_jsonl(path, lambda obj: InstructionExample(
-        category=obj["category"], turns=[Turn(t["role"], t["text"]) for t in obj["turns"]],
-        langs_involved=set(obj.get("langs_involved", []))))
+    yield from jsonio.iter_jsonl(path, _example)

@@ -5,7 +5,8 @@ line first.  JSON documents (reports, manifests, audits) are canonical:
 sorted keys and one-space indent.  Both are strict JSON, so never ``NaN``
 or ``Infinity``: writing either raises ValueError, and so does reading one,
 or a number literal such as ``1e999`` that overflows to infinity.
-A failed write leaves the target file as it was.
+A failed write leaves the target file as it was.  Each record read, like
+each CLI config, is checked against its key table by :func:`resolved`.
 
 HTTP goes through the standard library's ``urllib.request``, imported
 inside :func:`post_json`: only a live endpoint or back-translation pays for
@@ -15,11 +16,13 @@ the HTTP stack, and every offline command runs without it.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import json
 import math
 import os
 import re
 import time
+import typing
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NoReturn
 
@@ -134,18 +137,104 @@ def read_jsonl(path: str | Path, record: Callable[[Any], Any] | None = None) -> 
     return list(iter_jsonl(path, record))
 
 
-def read_json(path: str | Path) -> Any:
-    """The decoded JSON document in ``path``.  Text that is not strict JSON,
-    or holds a number that overflows to infinity, raises ValueError naming
-    the file and line."""
+def read_json(path: str | Path, record: Callable[[Any], Any] | None = None) -> Any:
+    """The decoded JSON document in ``path``, passed through ``record`` when
+    it is given.  A ValueError for text that is not strict JSON, or holds a
+    number that overflows to infinity, names the file and line; one of
+    ``record``, the file."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return _decoder(text)(text)
+        obj = _decoder(text)(text)
     except ValueError as exc:
         # A rejected value has no position: it is the first one outside a string.
         at = exc.pos if isinstance(exc, json.JSONDecodeError) else _first_rejected(text)
         lineno = text.count("\n", 0, at) + 1
         raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return obj if record is None else record(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+REQUIRED = object()  # the default of a key that has none
+NUMBER = (int, float)
+
+# The end of the error of a value not of each kind but list[...] and Literal.
+TYPE_NAMES = {str: "a string", int: "an integer", NUMBER: "a finite number", bool: "true or false",
+              list: "a list", dict: "a mapping", (str, list): "a string or a list",
+              tuple[str, str]: "a list of two strings",
+              tuple[dict, dict]: "a list of two editions, {lang, path} each, the source first"}
+
+
+def check_type(value, kind, name: str) -> None:
+    """Raise a ValueError unless ``value`` is of ``kind`` (see :func:`resolved`);
+    it names an element of a list by its index, such as ``inputs[0]``."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is list:
+        check_type(value, list, name)
+        for i, item in enumerate(value):
+            if type(item) is not args[0]:  # as in resolved
+                check_type(item, args[0], f"{name}[{i}]")
+    elif origin is typing.Literal:  # a closed set of strings
+        if value not in args:
+            *others, last = args
+            raise ValueError(f"{name} must be {', '.join(others)} or {last}, got {value!r}")
+    elif origin is tuple:
+        if not (isinstance(value, list) and len(value) == len(args)
+                and all(map(isinstance, value, args))):
+            raise ValueError(f"{name} must be {TYPE_NAMES[kind]}")
+    # isinstance(True, int) holds, but true is not a number here, and nor
+    # are YAML's .nan and .inf, which no output file could hold, or an
+    # integer too large for a float.
+    elif (not isinstance(value, kind) or isinstance(value, bool) and kind in (int, NUMBER)
+          or kind is NUMBER and not _is_finite(value)):
+        raise ValueError(f"{name} must be {TYPE_NAMES[kind]}")
+
+
+def _is_finite(number: int | float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int that no float can hold
+        return False
+
+
+def resolved(given, keys: dict, where: str = "", entries: dict | None = None) -> dict:
+    """``given`` checked against the key table ``keys``, with defaults filled
+    in, and each mapping of a key of ``entries``, alone or in a list,
+    against that key's table.  A ValueError names the key after ``where``.
+
+    A key table maps each key to ``(kind, default)``.  A kind is a type,
+    ``NUMBER``, ``(str, list)``, ``list[kind]``, ``tuple[kind, kind]`` (a
+    list of two) or a ``Literal``.  A callable default is computed from the
+    keys before it, and also taken by a null value.  A key whose default is
+    None may be null."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{where.rstrip('.') or 'the record'} must be a mapping")
+    if not given.keys() <= keys.keys():
+        key = next(key for key in given if key not in keys)
+        close = difflib.get_close_matches(str(key), keys, n=1)
+        raise ValueError(f"{where}{key} is not a known key" + "".join(
+            f"; did you mean {match}?" for match in close))
+    out = {}
+    for key, (kind, default) in keys.items():
+        value = given.get(key)
+        # A value of its exact type, or one of a Literal's values, passes
+        # without check_type, which costs far more.
+        if type(value) is not kind:
+            if value is None and (key not in given or callable(default)):
+                if default is REQUIRED:
+                    raise ValueError(f"{where}{key} is required")
+                value = (default(out) if callable(default) else
+                         default.copy() if isinstance(default, (dict, list)) else default)
+            elif not (value is None and default is None
+                      or value in getattr(kind, "__args__", ())):
+                check_type(value, kind, f"{where}{key}")
+        out[key] = value
+        if entries and value is not None and key in entries:
+            many = isinstance(value, list)
+            for i, entry in enumerate(value if many else [value]):
+                resolved(entry, entries[key], f"{where}{key}{f'[{i}]' if many else ''}.", entries)
+    return out
 
 
 def dumps(obj: Any) -> str:

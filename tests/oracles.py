@@ -7,8 +7,8 @@ arithmetic is written out longhand, text normalization runs its five
 steps separately, repeated to a fixed point, each recurring-line page
 edge scans every family ever made, first-fit packing scans every open
 sequence for each chunk, the packed file is written by the JSON encoder,
-one int at a time, and ASR noise classifies each character as it
-reaches it.
+one int at a time, ASR noise classifies each character as it
+reaches it, and a key table's kinds are tested one element at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import math
 import string
 import types
+import typing
 import unicodedata
 
 
@@ -318,3 +319,55 @@ def brute_asr_noise(text, rate, rng):
         else:
             out.append(ch)
     return "".join(out)
+
+
+# The smallest int that float() rounds to infinity: half an ulp above the
+# largest float.
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+def _brute_check_type(value, kind) -> bool:
+    """Whether ``value`` is of ``kind``, a kind of a key table, tested with
+    explicit loops.  A ``dict`` kind is an entry table, whose keys are all
+    required, as in every entry table of the package."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            return False
+        for key in value:
+            if key not in kind:
+                return False
+        for key, (entry_kind, _default) in kind.items():
+            if key not in value or not _brute_check_type(value[key], entry_kind):
+                return False
+        return True
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is list:
+        if not isinstance(value, list):
+            return False
+        for element in value:
+            if not _brute_check_type(element, args[0]):
+                return False
+        return True
+    if origin is typing.Literal:
+        for choice in args:
+            if isinstance(value, str) and value == choice:
+                return True
+        return False
+    if origin is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            return False
+        for element, element_kind in zip(value, args):
+            if not isinstance(element, element_kind):
+                return False
+        return True
+    if kind == (int, float):  # a finite number, and never true or false
+        if isinstance(value, bool):
+            return False
+        if isinstance(value, int):
+            return -_FLOAT_OVERFLOW < value < _FLOAT_OVERFLOW
+        return isinstance(value, float) and value == value and abs(value) != math.inf
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind == (str, list):
+        return isinstance(value, str) or isinstance(value, list)
+    return isinstance(value, kind)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -975,11 +976,10 @@ RUN_LOG_HEADER = {"type": "header", "version": evalharness.RUN_LOG_VERSION, "sui
 RUN_LOG_HEADER_KEYS = ("suite_hash", "directions", "granularity", "prompt_template")
 # A header value of the wrong kind for each key, and the end of its error.
 BAD_HEADER_VALUES = {
-    "suite_hash": (5, "suite_hash must be a string, got 5"),
-    "prompt_template": (5, "prompt_template must be a string, got 5"),
-    "granularity": ("page", "granularity must be one of sentence, document, got 'page'"),
-    "directions": ([["aaa"]], "directions must be a list of [src, tgt] string pairs, "
-                              "got [['aaa']]"),
+    "suite_hash": (5, "suite_hash must be a string"),
+    "prompt_template": (5, "prompt_template must be a string"),
+    "granularity": ("page", "granularity must be sentence or document, got 'page'"),
+    "directions": ([["aaa"]], "directions[0] must be a list of two strings"),
 }
 # JSONL input files that are strict JSON but do not hold the records their
 # command reads, by name.
@@ -990,6 +990,10 @@ MALFORMED = {
     "doc_int_text_counted": _lines(DOC, {"id": "a", "lang": "lug", "text": 5, "source": "web",
                                          "char_count": 1}),
     "doc_int_lang": _lines(DOC, {"id": "a", "lang": 7, "text": "x", "source": "web"}),
+    "doc_int_provenance": _lines(DOC, {**DOC, "provenance": 5}),
+    "doc_int_license_note": _lines(DOC, {**DOC, "license_note": 5}),
+    "doc_str_char_count": _lines(DOC, {**DOC, "char_count": "many"}),
+    "doc_bt_int_provenance": _lines(DOC, {**DOC, "source": "synthetic_bt", "provenance": 5}),
     "pair_extra_key": _lines(PAIR, {**PAIR, "x": 1}),
     "pair_int_src_text": _lines(PAIR, {**PAIR, "src_text": 5}),
     "pair_unknown_origin": _lines(PAIR, {**PAIR, "origin": "nonsense"}),
@@ -998,7 +1002,15 @@ MALFORMED = {
     "pair_late_int_tgt_lang": _lines(PAIR, PAIR, PAIR, {**PAIR, "tgt_lang": 1}),
     "chat_late_without_category": _lines(CHAT, CHAT, {"turns": CHAT["turns"]}),
     "chat_without_category": _lines(CHAT, {"turns": CHAT["turns"]}),
+    "chat_int_text": _lines(CHAT, {**CHAT, "turns": [{"role": "user", "text": 5},
+                                                     CHAT["turns"][1]]}),
+    "chat_string_turn": _lines(CHAT, {**CHAT, "turns": ["hello", CHAT["turns"][1]]}),
+    "chat_turn_extra_key": _lines(CHAT, {**CHAT, "turns": [{**CHAT["turns"][0], "x": 1},
+                                                           CHAT["turns"][1]]}),
+    "chat_int_langs": _lines(CHAT, {**CHAT, "langs_involved": 5}),
+    "chat_int_turns": _lines(CHAT, {**CHAT, "turns": 5}),
     "logps_without_field": _lines(LOGPS, {k: v for k, v in LOGPS.items() if k != "ref_rejected"}),
+    "logps_int_field": _lines(LOGPS, {**LOGPS, "policy_chosen": 5}),
     # The last line cut short, as a killed writer leaves it.
     "logps_last_line_cut": _lines(LOGPS, LOGPS, LOGPS) + '{"policy_chosen": [-0.5',
     "log_list_header": _lines([1]),
@@ -1111,11 +1123,11 @@ BAD_INPUTS = {
     "report-unknown-winner": ("report", {"winner_models": ["gpt-4o", "nobody"]},
                               "winner_models[1] is 'nobody', a model with no scores"),
     "loss-missing-pairs": ("loss", {"pairs": "{missing}"}, "missing.jsonl"),
-    # A record that fails to build names its file and line.  A TypeError's
-    # text differs between Python versions, so only the place is checked.
+    # A record that fails its key table names its file and line.
     "corpus-document-extra-key": ("corpus", {"inputs": ["{doc_extra_key}"]},
-                                  "doc_extra_key.jsonl:2: "),
-    "corpus-document-not-object": ("corpus", {"inputs": ["{doc_list}"]}, "doc_list.jsonl:2: "),
+                                  "doc_extra_key.jsonl:2: x is not a known key"),
+    "corpus-document-not-object": ("corpus", {"inputs": ["{doc_list}"]},
+                                   "doc_list.jsonl:2: the record must be a mapping"),
     "corpus-document-text-not-string": ("corpus", {"inputs": ["{doc_int_text}"]},
                                         "doc_int_text.jsonl:2: text must be a string"),
     "corpus-document-text-not-string-with-count": (
@@ -1123,52 +1135,73 @@ BAD_INPUTS = {
         "doc_int_text_counted.jsonl:2: text must be a string"),
     "corpus-document-lang-not-string": ("corpus", {"inputs": ["{doc_int_lang}"]},
                                         "doc_int_lang.jsonl:2: lang must be a string"),
+    "corpus-document-provenance-not-mapping": (
+        "corpus", {"inputs": ["{doc_int_provenance}"]},
+        "doc_int_provenance.jsonl:2: provenance must be a mapping"),
+    "corpus-document-license-note-not-string": (
+        "corpus", {"inputs": ["{doc_int_license_note}"]},
+        "doc_int_license_note.jsonl:2: license_note must be a string"),
+    "corpus-document-char-count-not-int": (
+        "corpus", {"inputs": ["{doc_str_char_count}"]},
+        "doc_str_char_count.jsonl:2: char_count must be an integer"),
+    "corpus-synthetic-bt-provenance-not-mapping": (
+        "corpus", {"inputs": ["{doc_bt_int_provenance}"]},
+        "doc_bt_int_provenance.jsonl:2: provenance must be a mapping"),
     "instruct-vocab-id-too-wide": ("instruct", {"parallel": "{pairs}",
                                                 "tokenizer_vocab": "{wide_vocab}"},
                                    "vocabulary id of token 'gamba' must be an int in [0, 2**32), "
                                    "got 4294967296"),
     "instruct-pair-extra-key": ("instruct", {"parallel": "{pair_extra_key}"},
-                                "pair_extra_key.jsonl:2: "),
+                                "pair_extra_key.jsonl:2: x is not a known key"),
     "instruct-conversational-without-category": (
         "instruct", {"parallel": "{pairs}", "conversational": "{chat_without_category}"},
-        "chat_without_category.jsonl:2: no 'category' key"),
+        "chat_without_category.jsonl:2: category is required"),
+    **{f"instruct-conversational-{case}": (
+        "instruct", {"parallel": "{pairs}", "conversational": f"{{{name}}}"},
+        f"{name}.jsonl:2: {message}") for case, name, message in [
+            ("turn-text-not-string", "chat_int_text", "turns[0].text must be a string"),
+            ("turn-not-object", "chat_string_turn", "turns[0] must be a mapping"),
+            ("turn-extra-key", "chat_turn_extra_key", "turns[0].x is not a known key"),
+            ("langs-not-list", "chat_int_langs", "langs_involved must be a list"),
+            ("turns-not-list", "chat_int_turns", "turns must be a list")]},
     "instruct-pair-src-text-not-string": ("instruct", {"parallel": "{pair_int_src_text}"},
                                           "pair_int_src_text.jsonl:2: src_text must be a string"),
     "instruct-pair-unknown-origin": ("instruct", {"parallel": "{pair_unknown_origin}"},
-                                     "pair_unknown_origin.jsonl:2: unknown origin: 'nonsense'"),
+                                     "pair_unknown_origin.jsonl:2: origin must be web, book_ocr, "
+                                     "radio_transcript, dictionary, community, parallel, bible "
+                                     "or synthetic_bt, got 'nonsense'"),
     "instruct-pair-doc-id-not-string": ("instruct", {"parallel": "{pair_int_doc_id}"},
-                                        "pair_int_doc_id.jsonl:2: doc_id must be a string or null"),
+                                        "pair_int_doc_id.jsonl:2: doc_id must be a string"),
     "instruct-pair-after-n-translation": (
         "instruct", {"parallel": "{pair_late_int_tgt_lang}", "n_translation": 1},
         "pair_late_int_tgt_lang.jsonl:4: tgt_lang must be a string"),
     "instruct-conversational-after-n-conversational": (
         "instruct", {"parallel": "{pairs}", "conversational": "{chat_late_without_category}",
                      "n_conversational": 1},
-        "chat_late_without_category.jsonl:3: no 'category' key"),
+        "chat_late_without_category.jsonl:3: category is required"),
     "loss-pair-without-field": ("loss", {"pairs": "{logps_without_field}"},
-                                "logps_without_field.jsonl:2: "),
+                                "logps_without_field.jsonl:2: ref_rejected is required"),
+    "loss-pair-field-not-list": ("loss", {"pairs": "{logps_int_field}"},
+                                 "logps_int_field.jsonl:2: policy_chosen must be a list"),
     "loss-last-line-cut": ("loss", {"pairs": "{logps_last_line_cut}"},
                            "logps_last_line_cut.jsonl:4: "),
     "eval-run-log-header-not-object": ("eval", {"suite": "{suite}", "rescore": "{log_list_header}"},
-                                       "log_list_header.jsonl:1: run log line is list, "
-                                       "not an object"),
+                                       "log_list_header.jsonl:1: not a recognized run log"),
     "eval-run-log-record-not-object": ("eval", {"suite": "{suite}", "rescore": "{log_list_record}"},
-                                       "log_list_record.jsonl:2: run log line is list, "
-                                       "not an object"),
+                                       "log_list_record.jsonl:2: the record must be a mapping"),
     "eval-run-log-record-without-id": (
         "eval", {"suite": "{suite}", "rescore": "{log_record_without_id}"},
-        "log_record_without_id.jsonl:2: run log record lacks a string id or a status"),
+        "log_record_without_id.jsonl:2: id is required"),
     "eval-run-log-null-response": ("eval", {"suite": "{suite}", "rescore": "{null_response}"},
-                                   "run log record aaa-eng:1:0: status ok, "
-                                   "but its response is not a string"),
+                                   "null_response.jsonl:2: response must be a string"),
     # Each run log below fails alike when eval rescores it and when report reads it.
     **{f"{command}-{case}": (command, config, message)
        for case, log, message in [
            *[(f"run-log-without-{key}", f"log_without_{key}",
-              f"log_without_{key}.jsonl:1: run log header lacks {key}")
+              f"log_without_{key}.jsonl:1: {key} is required")
              for key in RUN_LOG_HEADER_KEYS],
            *[(f"run-log-bad-{key}", f"log_bad_{key}",
-              f"log_bad_{key}.jsonl:1: run log header {message}")
+              f"log_bad_{key}.jsonl:1: {message}")
              for key, (_value, message) in BAD_HEADER_VALUES.items()],
            ("run-logs-joined", "joined_logs",
             "joined_logs.jsonl:202: a second run log header"),
@@ -1305,11 +1338,50 @@ def test_sample_size_above_the_corpus_keeps_every_document(tmp_path):
     assert json.loads(runs[0]["manifest.json"])["total_docs"] == 15
 
 
-def test_readme_config_table_names_every_key():
+def readme_table(heading):
+    """The keys of each row of the first table under ``heading`` in the
+    README, by its first cell, each with its row's default cell."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    table = readme.split("### Config keys", 1)[1].split("\n\n|", 1)[1].split("\n\n", 1)[0]
+    table = readme.split(heading, 1)[1].split("\n\n|", 1)[1].split("\n\n", 1)[0]
     documented = {}
     for row in table.splitlines()[2:]:
-        command, keys = (cell.strip() for cell in row.split("|")[1:3])
-        documented.setdefault(command, set()).update(re.findall(r"`([^`]+)`", keys))
-    assert documented == {command: set(keys) for command, keys in CONFIG_KEYS.items()}
+        name, keys, _kind, default = (cell.strip() for cell in row.split("|")[1:5])
+        documented.setdefault(name, {}).update(
+            (key, default) for key in re.findall(r"`([^`]+)`", keys))
+    return documented
+
+
+def test_readme_config_table_names_every_key():
+    documented = readme_table("### Config keys")
+    assert {command: set(keys) for command, keys in documented.items()} == {
+        command: set(keys) for command, keys in CONFIG_KEYS.items()}
+
+
+RECORD_KEYS = {"document": corpus.DOCUMENT_KEYS, "pair": corpus.PAIR_KEYS,
+               "instruction": instruct.INSTRUCTION_KEYS, "turn": instruct.TURN_KEYS,
+               "log-prob pair": preference_loss.PAIR_LOGPS_KEYS,
+               "chat template": instruct.TEMPLATE_KEYS,
+               "run-log header": evalharness.RUN_LOG_HEADER_KEYS,
+               "run-log record": evalharness.RUN_LOG_RECORD_KEYS}
+
+
+def test_readme_record_table_names_every_key():
+    documented = readme_table("### Record keys")
+    assert {record: {key: default == "required" for key, default in keys.items()}
+            for record, keys in documented.items()} == {
+        record: {key: default is jsonio.REQUIRED for key, (_kind, default) in keys.items()}
+        for record, keys in RECORD_KEYS.items()}
+
+
+@pytest.mark.parametrize("cls, keys", [
+    (corpus.CorpusDocument, corpus.DOCUMENT_KEYS), (ParallelPair, corpus.PAIR_KEYS),
+    (preference_loss.PairLogps, preference_loss.PAIR_LOGPS_KEYS),
+    (instruct.ChatTemplate, instruct.TEMPLATE_KEYS), (instruct.Turn, instruct.TURN_KEYS)])
+def test_record_keys_are_the_fields_of_their_class(cls, keys):
+    """A key table and the class its records build name the same fields,
+    with the same defaults."""
+    fields = dataclasses.fields(cls)
+    assert [f.name for f in fields] == list(keys)
+    for f in fields:
+        default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+        assert keys[f.name][1] == (jsonio.REQUIRED if default is dataclasses.MISSING else default)

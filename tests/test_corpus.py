@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 
@@ -77,12 +79,17 @@ class TestDocumentModel:
         with pytest.raises(ValueError):
             CorpusDocument(id="x", lang="lug", text="", source="web")
 
+    # Only a document read from a file is outside data, so the reader checks
+    # the types of its fields, not the class, which the package builds too.
     @pytest.mark.parametrize("field", ["id", "lang", "text"])
-    def test_text_fields_must_be_strings(self, field):
-        given = {"id": "x", "lang": "lug", "text": "t", field: 5}
+    def test_text_fields_must_be_strings(self, tmp_path, field):
+        path = tmp_path / "docs.jsonl"
         # A char_count given with the text does not skip the check.
-        with pytest.raises(ValueError, match=f"^{field} must be a string$"):
-            CorpusDocument(**given, source="web", char_count=1)
+        path.write_text(json.dumps({"id": "x", "lang": "lug", "text": "t", field: 5,
+                                    "source": "web", "char_count": 1}) + "\n")
+        message = f"^{re.escape(str(path))}:1: {field} must be a string$"
+        with pytest.raises(ValueError, match=message):
+            read_documents_jsonl(path)
 
     def test_char_count_autofilled(self):
         d = doc("abcde")

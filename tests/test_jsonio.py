@@ -1,15 +1,28 @@
 import io
 import math
 import re
+import typing
 import urllib.error
 import urllib.request
 
 import pytest
-from helpers import Reply, closed_port_url, serving
+from helpers import Reply, closed_port_url, examples, serving
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import _brute_check_type
 
 from savanna import jsonio
-from savanna.corpus import HttpMtClient, MtClientError
-from savanna.evalharness import HttpCompletionClient, TransportError
+from savanna.cli import CONFIG_KEYS, ENTRY_KEYS
+from savanna.corpus import DOCUMENT_KEYS, PAIR_KEYS, HttpMtClient, MtClientError
+from savanna.evalharness import (
+    RUN_LOG_HEADER_KEYS,
+    RUN_LOG_RECORD_KEYS,
+    HttpCompletionClient,
+    TransportError,
+)
+from savanna.instruct import INSTRUCTION_KEYS, TEMPLATE_KEYS, TURN_KEYS
+from savanna.jsonio import REQUIRED
+from savanna.preference_loss import PAIR_LOGPS_KEYS
 
 
 @pytest.fixture
@@ -119,6 +132,109 @@ class TestFiles:
         path.write_text('{\n "a": 1,\n}', encoding="utf-8")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: Expecting property name"):
             jsonio.read_json(path)
+
+
+# Every kind of every key table, and each key that has an entry table,
+# with its kind and that table.
+TABLES = [*CONFIG_KEYS.values(), DOCUMENT_KEYS, PAIR_KEYS, INSTRUCTION_KEYS, TURN_KEYS,
+          TEMPLATE_KEYS, PAIR_LOGPS_KEYS, RUN_LOG_HEADER_KEYS, RUN_LOG_RECORD_KEYS,
+          *ENTRY_KEYS.values()]
+KINDS = list(dict.fromkeys(kind for table in TABLES for kind, _default in table.values()))
+ENTRY_KINDS = [(CONFIG_KEYS[command][key][0], key, table)
+               for command in ("corpus", "report") for key, table in ENTRY_KEYS.items()
+               if key in CONFIG_KEYS[command]] + [(list, "turns", TURN_KEYS)]
+leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+          | st.sampled_from([2 ** 1024, -(2 ** 1024), 10 ** 400, 2 ** 1023, "x"]))
+json_values = st.recursive(leaves, lambda children: st.lists(children, max_size=3)
+                           | st.dictionaries(st.text(max_size=2), children, max_size=3),
+                           max_leaves=8)
+
+
+def like(kind):
+    """JSON values of ``kind``, or close to it."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is list:
+        return st.lists(like(args[0]), max_size=3)
+    if origin is tuple:
+        return st.tuples(*map(like, args)).map(list)
+    if origin is typing.Literal:
+        return st.sampled_from(args)
+    plain = {str: st.text(max_size=3), dict: st.dictionaries(st.text(max_size=2), leaves)}
+    return plain.get(kind, st.nothing()) | leaves | json_values
+
+
+def entries_like(table):
+    """Mappings with every key of ``table``, or some of them and an unknown
+    one, of values of their kinds or close to them."""
+    values = {key: like(kind) for key, (kind, _default) in table.items()}
+    return (st.fixed_dictionaries(values)
+            | st.fixed_dictionaries({}, optional={**values, "x": leaves}))
+
+
+def accepts(check) -> bool:
+    try:
+        check()
+    except ValueError:
+        return False
+    return True
+
+
+class TestKeyChecker:
+    def test_every_kind_is_drawn(self):
+        assert {str, int, jsonio.NUMBER, bool, list, dict, (str, list)} <= set(KINDS)
+        assert len(KINDS) > 12  # list[str], Literals and two-tuples besides
+        # The oracle takes an entry table's keys to be required.
+        assert all(default is REQUIRED for _kind, _key, table in ENTRY_KINDS
+                   for _kind, default in table.values())
+
+    @settings(max_examples=examples(4))
+    @given(data=st.data(), kind=st.sampled_from(KINDS))
+    def test_checker_accepts_what_the_oracle_accepts(self, data, kind):
+        value = data.draw(like(kind) | json_values)
+        expected = _brute_check_type(value, kind)
+        assert accepts(lambda: jsonio.check_type(value, kind, "k")) is expected
+        # resolved skips check_type for a value of the exact type or of a Literal.
+        assert accepts(lambda: jsonio.resolved({"k": value}, {"k": (kind, REQUIRED)})) is expected
+
+    @settings(max_examples=examples(2))
+    @given(data=st.data(), entry=st.sampled_from(ENTRY_KINDS))
+    def test_entries_checked_against_their_table(self, data, entry):
+        kind, key, table = entry
+        mappings = entries_like(table)
+        value = data.draw(mappings | st.lists(mappings, min_size=2, max_size=2) | json_values)
+        expected = _brute_check_type(value, kind) and all(
+            _brute_check_type(entry, table)
+            for entry in ([value] if isinstance(value, dict) else value))
+        assert accepts(lambda: jsonio.resolved({key: value}, {key: (kind, REQUIRED)},
+                                               entries={key: table})) is expected
+
+    @pytest.mark.parametrize("value, kind, expected", [
+        (True, int, False), (True, jsonio.NUMBER, False), (False, bool, True), (1, bool, False),
+        (math.nan, jsonio.NUMBER, False), (math.inf, jsonio.NUMBER, False),
+        (-math.inf, jsonio.NUMBER, False), (2 ** 1024, jsonio.NUMBER, False),
+        (2 ** 1024, int, True), (2 ** 1023, jsonio.NUMBER, True), (1.5, int, False),
+        ([], tuple[str, str], False), (["a", 5], tuple[str, str], False),
+        (["a", True], list[str], False), ("web", DOCUMENT_KEYS["source"][0], True),
+        ("Web", DOCUMENT_KEYS["source"][0], False),
+    ])
+    def test_edge_values(self, value, kind, expected):
+        assert _brute_check_type(value, kind) is expected
+        assert accepts(lambda: jsonio.check_type(value, kind, "k")) is expected
+        assert accepts(lambda: jsonio.resolved({"k": value}, {"k": (kind, REQUIRED)})) is expected
+
+    def test_defaults_and_nulls(self):
+        keys = {"a": (str, REQUIRED), "b": (list, []), "c": (int, None),
+                "d": (str, lambda out: out["a"] + "!")}
+        first = jsonio.resolved({"a": "x"}, keys)
+        assert first == {"a": "x", "b": [], "c": None, "d": "x!"}
+        first["b"].append(1)  # a mutable default is copied for each record
+        assert jsonio.resolved({"a": "x", "c": None, "d": None}, keys)["b"] == []
+        for given, message in [({}, "a is required"), ({"a": None}, "a must be a string"),
+                               ({"a": "x", "b": None}, "b must be a list"),
+                               ({"a": "x", "bb": 1}, "bb is not a known key; did you mean b?"),
+                               ([], "the record must be a mapping")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                jsonio.resolved(given, keys)
 
 
 class TestPostJson:
