@@ -1,14 +1,13 @@
 """Run the corpus pipeline end to end on in-memory toy data.
 
 Clean OCR artifacts, dedup at document and paragraph granularity, align two
-Bible editions into parallel pairs, back-translate with the stub MT client,
-and assemble a weighted pretraining mixture.
+Bible editions into parallel pairs, back-translate with a stand-in MT
+client, and assemble a weighted pretraining mixture.
 """
 
 from savanna.corpus import (
     BibleEdition,
     MixtureSpec,
-    StubMtClient,
     VerseRef,
     align_bibles,
     assemble_pretraining,
@@ -17,6 +16,14 @@ from savanna.corpus import (
     make_document,
 )
 from savanna.textnorm import clean_document
+
+
+class TaggingMtClient:
+    """Stand-in MT client: the "translation" is the source text tagged."""
+    name = "tagging"
+
+    def translate(self, text: str, source: str, target: str) -> str:
+        return f"[{source}->{target}] {text}"
 
 
 def main():
@@ -67,9 +74,9 @@ def main():
     for pair in result.pairs:
         print(f"  {pair.doc_id}: {pair.src_text[:40]}... -> {pair.tgt_text[:40]}...")
 
-    # 4. back-translation via the stub client (a live HttpMtClient drops in here)
+    # 4. back-translation via the stand-in client (a live HttpMtClient drops in here)
     english = [make_document("eng", "The farmers planted maize before the rains.", "web")]
-    bt = backtranslate(english, "lug", StubMtClient())
+    bt = backtranslate(english, "lug", TaggingMtClient())
     print("\nback-translation")
     for doc in bt.documents:
         print(f"  synthetic [{doc.lang}] {doc.text!r} from {doc.provenance['source_doc_id']}")

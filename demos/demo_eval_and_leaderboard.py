@@ -1,18 +1,22 @@
 """Evaluate against the echo stub, rescore offline, and build leaderboards.
 
-Runs the synthetic 20x5 suite through the reference-echo client (a live
-HttpCompletionClient drops in the same way), shows the persisted run log,
-and renders the published reference leaderboard with winner counts.
+Writes a synthetic 20x5 suite as CSV, loads it, runs it through the
+reference-echo client (a live HttpCompletionClient drops in the same way),
+shows the persisted run log, and renders the published reference
+leaderboard with winner counts.
 """
 
+import csv
 import tempfile
 from pathlib import Path
 
 from savanna.evalharness import (
+    N_CATEGORIES,
+    SENTENCES_PER_CATEGORY,
     ReferenceEchoClient,
+    load_suite,
     rescore_run_log,
     run_translation_eval,
-    synthetic_suite,
 )
 from savanna.leaderboard import (
     XX_TO_ENG,
@@ -22,12 +26,26 @@ from savanna.leaderboard import (
 )
 
 
-def main():
-    suite = synthetic_suite(languages=("aaa", "bbb"), seed=0)
-    suite.validate(full=True)
-    print(f"suite: {len(suite.items)} items in {', '.join(sorted(suite.languages))}")
+def write_suite(path: Path, languages: tuple[str, ...]) -> None:
+    """A suite of synthetic sentences, one per cell of the 20x5 grid, in the
+    CSV layout that load_suite reads."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["category_id", "sent_index", "english", *languages])
+        for cat in range(1, N_CATEGORIES + 1):
+            for idx in range(SENTENCES_PER_CATEGORY):
+                english = f"category {cat} sentence {idx}: the market by the river"
+                writer.writerow([cat, idx, english, *(f"{lang} c{cat} s{idx} akatale ku mugga"
+                                                      for lang in languages)])
 
+
+def main():
     with tempfile.TemporaryDirectory() as tmp:
+        write_suite(Path(tmp) / "suite.csv", ("aaa", "bbb"))
+        suite = load_suite(Path(tmp) / "suite.csv")
+        suite.validate(full=True)
+        print(f"suite: {len(suite.items)} items in {', '.join(sorted(suite.languages))}")
+
         log = Path(tmp) / "run_log.jsonl"
         report = run_translation_eval(
             suite, ReferenceEchoClient(suite),

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Literal, Protocol
+from typing import Iterable, Iterator, Literal, Protocol
 
 from . import jsonio
 from .jsonio import REQUIRED
@@ -53,6 +53,8 @@ class CorpusDocument:
             raise ValueError("document text must be non-empty")
         if self.char_count == 0:
             self.char_count = len(self.text)
+        elif self.char_count != len(self.text):
+            raise ValueError("char_count must be 0 or the length of text")
         if self.source == "synthetic_bt" and "source_doc_id" not in self.provenance:
             raise ValueError("synthetic_bt documents must carry MT provenance")
 
@@ -106,16 +108,20 @@ class MixtureSpec:
         for name, weights in (("source_weights", self.source_weights),
                               ("lang_weights", self.lang_weights)):
             for key, weight in weights.items():
-                if (isinstance(weight, bool) or not isinstance(weight, (int, float))
-                        or not 0 <= weight < math.inf):
+                if not jsonio.is_number(weight) or weight < 0:
                     raise ValueError(f"{name}.{key} must be a finite number >= 0, "
                                      f"got {weight!r}")
 
     def bucket_weights(self, keys: Iterable[tuple[str, str]]) -> dict[tuple[str, str], float]:
         """The weight of each ``(source, lang)`` bucket of ``keys``.  Raises a
-        ValueError when there are buckets and every one weighs zero."""
+        ValueError when a weight is too large for a float, or when there are
+        buckets and every one weighs zero."""
         weights = {key: self.source_weights.get(key[0], 1.0) * self.lang_weights.get(key[1], 1.0)
                    for key in keys}
+        for (source, lang), weight in weights.items():
+            if not jsonio.is_number(weight):
+                raise ValueError(f"the weight of bucket {source}/{lang}, source_weights.{source} "
+                                 f"times lang_weights.{lang}, is too large for a float")
         if weights and not any(weights.values()):
             raise ValueError("all bucket weights are zero")
         return weights
@@ -305,17 +311,6 @@ def _reply_translation(body) -> str:
     return translation
 
 
-class StubMtClient:
-    """Deterministic in-process client for tests and demos."""
-
-    def __init__(self, fn: Callable[[str, str, str], str] | None = None, name: str = "stub"):
-        self.name = name
-        self._fn = fn or (lambda text, source, target: f"TT:{text}")
-
-    def translate(self, text: str, source: str, target: str) -> str:
-        return self._fn(text, source, target)
-
-
 @dataclass
 class BackTranslationResult:
     documents: list[CorpusDocument]
@@ -365,8 +360,13 @@ def _allocate(sample_size: int, weights: dict, capacities: dict) -> dict:
     alloc = {k: 0 for k in weights}
     active = {k for k, w in weights.items() if w > 0 and capacities[k] > 0}
     while remaining > 0 and active:
-        total_w = sum(weights[k] for k in active)
-        exact = {k: remaining * weights[k] / total_w for k in active}
+        # When the largest weight is 2**900 or more, the weights are scaled
+        # by a power of two, which is exact and leaves each quotient as it
+        # was, so that neither their sum nor remaining * weight overflows.
+        shift = max(0, math.frexp(max(weights[k] for k in active))[1] - 900)
+        scaled = {k: math.ldexp(weights[k], -shift) if shift else weights[k] for k in active}
+        total_w = sum(scaled.values())
+        exact = {k: remaining * scaled[k] / total_w for k in active}
         floors = {k: min(int(exact[k]), capacities[k] - alloc[k]) for k in active}
         assigned = sum(floors.values())
         for k in active:

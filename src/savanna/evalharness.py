@@ -15,11 +15,10 @@ import hashlib
 import itertools
 import json
 import os
-import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Literal, Protocol
+from typing import Literal, Protocol
 
 from . import jsonio, metrics
 from .instruct import TRANSLATION_PROMPT as DEFAULT_PROMPT_TEMPLATE
@@ -121,25 +120,6 @@ def load_suite(path: str | Path) -> EvalSuite:
     return EvalSuite(items=items, languages=set(lang_cols))
 
 
-def synthetic_suite(languages: Iterable[str] = ("aaa", "bbb", "ccc"), seed: int = 0) -> EvalSuite:
-    """Miniature suite with the real dataset's shape (20 x 5 grid) and
-    deterministic synthetic text; useful for tests and demos."""
-    rng = random.Random(seed)
-    languages = list(languages)
-    words = ["akello", "mukasa", "okonkwo", "wairimu", "nabirye", "otim",
-             "market", "river", "harvest", "village", "school", "clinic"]
-    items = []
-    for cat in range(1, N_CATEGORIES + 1):
-        for idx in range(SENTENCES_PER_CATEGORY):
-            english = f"category {cat} sentence {idx} " + " ".join(rng.choices(words, k=6))
-            translations = {
-                lang: f"{lang} c{cat} s{idx} " + " ".join(rng.choices(words, k=6))
-                for lang in languages
-            }
-            items.append(EvalItem(cat, idx, english, translations))
-    return EvalSuite(items=items, languages=set(languages))
-
-
 # --- Endpoints and clients ----------------------------------------------------
 
 
@@ -165,6 +145,8 @@ class HttpCompletionClient:
                  backoff: float = 0.5):
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        if timeout <= 0:
+            raise ValueError("timeout must be > 0")
         self.base_url, self.model, self.timeout = base_url, model, timeout
         self.attempts, self.backoff = retries + 1, backoff
 
@@ -355,8 +337,7 @@ def check_directions(suite: EvalSuite, directions: list[tuple[str, str]],
     ``directions`` over ``suite`` with ``max_parallel`` workers: each
     direction has eng on exactly one side and a language the suite has, no
     direction is repeated, and ``max_parallel`` is an integer >= 1."""
-    if (isinstance(max_parallel, bool) or not isinstance(max_parallel, int)
-            or max_parallel < 1):
+    if not jsonio.is_number(max_parallel, int) or max_parallel < 1:
         raise ValueError(f"max_parallel must be an integer >= 1, got {max_parallel!r}")
     seen = set()
     for src, tgt in directions:

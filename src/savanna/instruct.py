@@ -145,7 +145,7 @@ class VocabFileTokenizer:
         self._token_to_id = dict(vocab)
         self._id_to_token: dict[int, str] = {}
         for token, i in self._token_to_id.items():
-            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < ID_LIMIT:
+            if not jsonio.is_number(i, int) or not 0 <= i < ID_LIMIT:
                 raise ValueError(f"vocabulary id of token {token!r} must be an int in "
                                  f"[0, 2**32), got {i!r}")
             if i in self._id_to_token:

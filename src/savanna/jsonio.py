@@ -183,17 +183,19 @@ def check_type(value, kind, name: str) -> None:
         if not (isinstance(value, list) and len(value) == len(args)
                 and all(map(isinstance, value, args))):
             raise ValueError(f"{name} must be {TYPE_NAMES[kind]}")
-    # isinstance(True, int) holds, but true is not a number here, and nor
-    # are YAML's .nan and .inf, which no output file could hold, or an
-    # integer too large for a float.
-    elif (not isinstance(value, kind) or isinstance(value, bool) and kind in (int, NUMBER)
-          or kind is NUMBER and not _is_finite(value)):
+    elif not (is_number(value, kind) if kind in (int, NUMBER) else isinstance(value, kind)):
         raise ValueError(f"{name} must be {TYPE_NAMES[kind]}")
 
 
-def _is_finite(number: int | float) -> bool:
+def is_number(value, kind=NUMBER) -> bool:
+    """Whether ``value`` is a number of ``kind``, ``int`` or ``NUMBER``: the
+    package's one rule for numbers.  isinstance(True, int) holds, but true
+    is not a number here.  Nor, as a ``NUMBER``, are YAML's .nan and .inf,
+    which no output file could hold, or an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
     try:
-        return math.isfinite(number)
+        return kind is int or math.isfinite(value)
     except OverflowError:  # an int that no float can hold
         return False
 

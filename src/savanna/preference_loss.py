@@ -27,8 +27,16 @@ class PairLogps:
             values = getattr(self, name)
             if len(values) < 1:
                 raise ValueError(f"{name} must have at least one entry")
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{name} contains a non-finite log-probability")
+            # A list of finite floats, as JSON writers leave log-probabilities,
+            # passes in two C-level passes (its sum is finite if and only if
+            # every entry is, unless the sum overflows).  Any other list is
+            # checked entry by entry by jsonio's rule for numbers, which names
+            # the first entry that fails it.
+            if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
+                for i, value in enumerate(values):
+                    if not jsonio.is_number(value):
+                        raise ValueError(f"{name} contains a non-finite log-probability: "
+                                         f"{name}[{i}] is not a finite number")
             if max(values) > 0:
                 raise ValueError(f"{name} contains a positive log-probability")
         if len(self.policy_chosen) != len(self.ref_chosen):
@@ -38,7 +46,8 @@ class PairLogps:
 
 
 # The key table (see jsonio.resolved) of a PairLogps line.  PairLogps checks
-# each list's log-probabilities in one pass, far cheaper than one per element.
+# each list's log-probabilities in C-level passes, far cheaper than one
+# check per element.
 PAIR_LOGPS_KEYS = {f.name: (list, jsonio.REQUIRED) for f in fields(PairLogps)}
 
 

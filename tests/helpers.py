@@ -1,5 +1,5 @@
-"""Fixtures' writers, stand-in clients, a scripted loopback HTTP server and
-the packed-file validator.
+"""Fixtures' writers, a synthetic eval suite, stand-in clients, a scripted
+loopback HTTP server and the packed-file validator.
 
 The commands never write an eval suite or log-probability pairs and never
 read ``packed.jsonl`` back, so these live with the tests, not the package.
@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import random
 import socket
 import sys
 import threading
@@ -17,13 +18,32 @@ from array import array
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Iterable
-
+from typing import Any, Callable, Iterable
 
 from savanna import jsonio
-from savanna.evalharness import CompletionClient, EvalSuite, TransportError
+from savanna.evalharness import (N_CATEGORIES, SENTENCES_PER_CATEGORY, CompletionClient, EvalItem,
+                                 EvalSuite, TransportError)
 from savanna.instruct import PACKED_FORMAT_VERSION, PackedSequence
 from savanna.preference_loss import PairLogps
+
+
+def synthetic_suite(languages: Iterable[str] = ("aaa", "bbb", "ccc"), seed: int = 0) -> EvalSuite:
+    """Miniature suite with the real dataset's shape (20 x 5 grid) and
+    deterministic synthetic text."""
+    rng = random.Random(seed)
+    languages = list(languages)
+    words = ["akello", "mukasa", "okonkwo", "wairimu", "nabirye", "otim",
+             "market", "river", "harvest", "village", "school", "clinic"]
+    items = []
+    for cat in range(1, N_CATEGORIES + 1):
+        for idx in range(SENTENCES_PER_CATEGORY):
+            english = f"category {cat} sentence {idx} " + " ".join(rng.choices(words, k=6))
+            translations = {
+                lang: f"{lang} c{cat} s{idx} " + " ".join(rng.choices(words, k=6))
+                for lang in languages
+            }
+            items.append(EvalItem(cat, idx, english, translations))
+    return EvalSuite(items=items, languages=set(languages))
 
 
 def save_suite(suite: EvalSuite, path: str | Path) -> None:
@@ -64,6 +84,18 @@ class FlakyClient:
         if call in self.fail_on:
             raise TransportError(f"injected failure on call {call}")
         return self.inner.complete(messages, temperature)
+
+
+class StubMtClient:
+    """Deterministic in-process MT client: ``fn(text, source, target)``, by
+    default ``TT:`` before the text."""
+
+    def __init__(self, fn: Callable[[str, str, str], str] | None = None, name: str = "stub"):
+        self.name = name
+        self._fn = fn or (lambda text, source, target: f"TT:{text}")
+
+    def translate(self, text: str, source: str, target: str) -> str:
+        return self._fn(text, source, target)
 
 
 def examples(scale: float) -> int:

@@ -8,7 +8,8 @@ steps separately, repeated to a fixed point, each recurring-line page
 edge scans every family ever made, first-fit packing scans every open
 sequence for each chunk, the packed file is written by the JSON encoder,
 one int at a time, ASR noise classifies each character as it
-reaches it, and a key table's kinds are tested one element at a time.
+reaches it, a key table's kinds are tested one element at a time, and a
+mixture sample is allocated in plain float arithmetic.
 """
 
 from __future__ import annotations
@@ -371,3 +372,31 @@ def _brute_check_type(value, kind) -> bool:
     if kind == (str, list):
         return isinstance(value, str) or isinstance(value, list)
     return isinstance(value, kind)
+
+
+def float_allocate(sample_size, weights, capacities):
+    """Largest-remainder allocation of ``sample_size`` across buckets in
+    plain float arithmetic, which overflows, or divides by an infinite sum,
+    for weights near the largest float: the reference that
+    ``corpus._allocate`` must match wherever this does not overflow."""
+    remaining = sample_size
+    alloc = {k: 0 for k in weights}
+    active = {k for k, w in weights.items() if w > 0 and capacities[k] > 0}
+    while remaining > 0 and active:
+        total_w = sum(weights[k] for k in active)
+        exact = {k: remaining * weights[k] / total_w for k in active}
+        floors = {k: min(int(exact[k]), capacities[k] - alloc[k]) for k in active}
+        assigned = sum(floors.values())
+        for k in active:
+            alloc[k] += floors[k]
+        leftover = remaining - assigned
+        order = sorted(active, key=lambda k: (-(exact[k] - int(exact[k])), k))
+        for k in order:
+            if leftover == 0:
+                break
+            if alloc[k] < capacities[k]:
+                alloc[k] += 1
+                leftover -= 1
+        remaining = leftover
+        active = {k for k in active if alloc[k] < capacities[k]}
+    return alloc

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from helpers import synthetic_suite
 from oracles import brute_bleu, brute_chrf, brute_edit_distance
 from savanna import evalharness, metrics
 from savanna.corpus import dedup, make_document
@@ -90,7 +91,7 @@ def test_criterion_2_published_table_reconstruction(capsys):
 
 def test_criterion_3_end_to_end_echo_run(capsys, tmp_path):
     started = time.monotonic()
-    suite = evalharness.synthetic_suite(languages=("aaa", "bbb", "ccc"), seed=0)
+    suite = synthetic_suite(languages=("aaa", "bbb", "ccc"), seed=0)
     suite.validate(full=True)
     directions = [(lang, "eng") for lang in ("aaa", "bbb", "ccc")]
     directions += [("eng", lang) for lang in ("aaa", "bbb", "ccc")]

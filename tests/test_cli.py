@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 import yaml
-from helpers import Reply, read_packed_jsonl, save_suite, write_pair_logps_jsonl
+from helpers import (Reply, StubMtClient, read_packed_jsonl, save_suite, synthetic_suite,
+                     write_pair_logps_jsonl)
 
 from savanna import corpus, evalharness, instruct, jsonio, preference_loss
 from savanna.cli import CONFIG_KEYS, _locked_output_dir, cmd_instruct, main
@@ -25,7 +26,7 @@ def write_yaml(path, payload):
 
 @pytest.fixture()
 def suite_csv(tmp_path):
-    suite = evalharness.synthetic_suite(languages=("aaa", "bbb"), seed=5)
+    suite = synthetic_suite(languages=("aaa", "bbb"), seed=5)
     path = tmp_path / "suite.csv"
     save_suite(suite, path)
     return str(path)
@@ -421,7 +422,7 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("granularity, units", [("sentence", 99), ("document", 19)])
     def test_partial_suite_leaves_out_units_without_text(self, tmp_path, granularity, units):
-        suite = evalharness.synthetic_suite(languages=("aaa", "bbb"), seed=5)
+        suite = synthetic_suite(languages=("aaa", "bbb"), seed=5)
         del suite.items[37].translations["aaa"]  # saved as an empty cell
         path = tmp_path / "suite.csv"
         save_suite(suite, path)
@@ -994,6 +995,8 @@ MALFORMED = {
     "doc_int_license_note": _lines(DOC, {**DOC, "license_note": 5}),
     "doc_str_char_count": _lines(DOC, {**DOC, "char_count": "many"}),
     "doc_bt_int_provenance": _lines(DOC, {**DOC, "source": "synthetic_bt", "provenance": 5}),
+    "doc_wrong_char_count": _lines(DOC, {"id": "a", "lang": "lug", "text": "Omwana omuto",
+                                         "source": "web", "char_count": 99}),
     "pair_extra_key": _lines(PAIR, {**PAIR, "x": 1}),
     "pair_int_src_text": _lines(PAIR, {**PAIR, "src_text": 5}),
     "pair_unknown_origin": _lines(PAIR, {**PAIR, "origin": "nonsense"}),
@@ -1011,6 +1014,9 @@ MALFORMED = {
     "chat_int_turns": _lines(CHAT, {**CHAT, "turns": 5}),
     "logps_without_field": _lines(LOGPS, {k: v for k, v in LOGPS.items() if k != "ref_rejected"}),
     "logps_int_field": _lines(LOGPS, {**LOGPS, "policy_chosen": 5}),
+    # 401 nines, which no float holds; false, which is no number; a string.
+    **{f"logps_{name}_entry": _lines(LOGPS, {**LOGPS, "policy_chosen": [value]})
+       for name, value in [("huge", -(10 ** 401 - 1)), ("false", False), ("string", "a")]},
     # The last line cut short, as a killed writer leaves it.
     "logps_last_line_cut": _lines(LOGPS, LOGPS, LOGPS) + '{"policy_chosen": [-0.5',
     "log_list_header": _lines([1]),
@@ -1107,6 +1113,19 @@ BAD_INPUTS = {
                                    "language 'ccc' not in suite"),
     "eval-max-parallel-0": ("eval", {**EVAL, "max_parallel": 0},
                             "max_parallel must be an integer >= 1, got 0"),
+    # One try per unit, so that a run that does start fails fast.
+    **{f"eval-timeout-{name}": ("eval", {**EVAL, "endpoint": "http://localhost:9/v1",
+                                         "timeout": timeout, "retries": 0},
+                                "timeout must be > 0")
+       for name, timeout in [("0", 0), ("negative", -1)]},
+    "corpus-weight-too-large-for-a-float": (
+        "corpus", {"inputs": ["{docs}"], "source_weights": {"web": 10 ** 401 - 1}},
+        "source_weights.web must be a finite number >= 0, got 9999"),
+    "corpus-bucket-weight-too-large-for-a-float": (
+        "corpus", {"inputs": ["{docs}"], "source_weights": {"web": 1e308},
+                   "lang_weights": {"lug": 1e308}, "sample_size": 1},
+        "the weight of bucket web/lug, source_weights.web times lang_weights.lug, "
+        "is too large for a float"),
     "report-missing-table": ("report", {"tables": [
         {"path": "{missing}", "direction": "xx-eng", "metric": "chrf"}]}, "missing.jsonl"),
     "report-missing-run-log": ("report", {"runs": [{**RUN, "run_log": "{missing}"}]},
@@ -1144,6 +1163,9 @@ BAD_INPUTS = {
     "corpus-document-char-count-not-int": (
         "corpus", {"inputs": ["{doc_str_char_count}"]},
         "doc_str_char_count.jsonl:2: char_count must be an integer"),
+    "corpus-document-char-count-not-text-length": (
+        "corpus", {"inputs": ["{doc_wrong_char_count}"]},
+        "doc_wrong_char_count.jsonl:2: char_count must be 0 or the length of text"),
     "corpus-synthetic-bt-provenance-not-mapping": (
         "corpus", {"inputs": ["{doc_bt_int_provenance}"]},
         "doc_bt_int_provenance.jsonl:2: provenance must be a mapping"),
@@ -1183,6 +1205,10 @@ BAD_INPUTS = {
                                 "logps_without_field.jsonl:2: ref_rejected is required"),
     "loss-pair-field-not-list": ("loss", {"pairs": "{logps_int_field}"},
                                  "logps_int_field.jsonl:2: policy_chosen must be a list"),
+    **{f"loss-pair-{name}-entry": (
+        "loss", {"pairs": f"{{logps_{name}_entry}}"},
+        f"logps_{name}_entry.jsonl:2: policy_chosen contains a non-finite log-probability: "
+        "policy_chosen[0] is not a finite number") for name in ("huge", "false", "string")},
     "loss-last-line-cut": ("loss", {"pairs": "{logps_last_line_cut}"},
                            "logps_last_line_cut.jsonl:4: "),
     "eval-run-log-header-not-object": ("eval", {"suite": "{suite}", "rescore": "{log_list_header}"},
@@ -1266,7 +1292,7 @@ def test_zero_weight_mixture_fails_before_backtranslation(tmp_path, capsys, monk
     def translate(text, source, target):
         raise AssertionError("back-translation started")
 
-    monkeypatch.setattr(corpus, "HttpMtClient", lambda endpoint: corpus.StubMtClient(translate))
+    monkeypatch.setattr(corpus, "HttpMtClient", lambda endpoint: StubMtClient(translate))
     docs = tmp_path / "eng.jsonl"
     corpus.write_documents_jsonl([make_document("eng", "the child goes to town", "web")], docs)
     path = write_yaml(tmp_path / "c.yaml", {
@@ -1288,6 +1314,30 @@ def test_zero_weight_mixture_fails_before_output(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err) == {"error": "all bucket weights are zero",
                                                    "type": "ValueError"}
     assert not out.exists()
+
+
+def test_weights_near_the_float_limit_allocate_as_scaled(tmp_path):
+    """Weights whose products with the sample size overflow a float draw
+    the sample that the same weights scaled by a power of two draw, and
+    the manifest records them as given."""
+    docs = tmp_path / "docs.jsonl"
+    corpus.write_documents_jsonl([make_document("lug", f"{source} ekigambo {i}", source)
+                                  for source in ("web", "book_ocr") for i in range(30)], docs)
+    runs = {}
+    for name, weights, sample_size in [("one", {"web": 1e307}, None),
+                                       ("huge", {"web": 1.5e308, "book_ocr": 5e307}, 20),
+                                       ("small", {"web": 3, "book_ocr": 1}, 20)]:
+        path = write_yaml(tmp_path / f"{name}.yaml", {
+            "inputs": [str(docs)], "sample_size": sample_size, "source_weights": weights})
+        assert main(["corpus", "--config", path, "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        runs[name] = ((tmp_path / name / "documents.jsonl").read_bytes(),
+                      {key: (bucket["weight"], bucket["docs_out"])
+                       for key, bucket in manifest["buckets"].items()})
+    assert runs["one"][1] == {"web/lug": (1e307, 30), "book_ocr/lug": (1.0, 30)}
+    assert runs["huge"][0] == runs["small"][0]
+    assert runs["huge"][1] == {"web/lug": (1.5e308, 15), "book_ocr/lug": (5e307, 5)}
+    assert runs["small"][1] == {"web/lug": (3.0, 15), "book_ocr/lug": (1.0, 5)}
 
 
 # SHA-256 of documents.jsonl and manifest.json of the run below, by seed,

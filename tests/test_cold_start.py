@@ -9,10 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from helpers import save_suite, write_pair_logps_jsonl
+from helpers import save_suite, synthetic_suite, write_pair_logps_jsonl
 
 import savanna
-from savanna import corpus, evalharness, preference_loss
+from savanna import corpus, preference_loss
 
 SRC = str(Path(savanna.__file__).resolve().parents[1])
 
@@ -69,7 +69,7 @@ def write_inputs(cwd):
         "bible:\n- {lang: lug, path: lug.tsv}\n- {lang: eng, path: eng.tsv}\n")
     (cwd / "instruct.yaml").write_text(
         "parallel: corpus_out/pairs.jsonl\nmax_len: 128\ntokens_per_batch: 1024\n")
-    save_suite(evalharness.synthetic_suite(languages=("lug",), seed=5), cwd / "suite.csv")
+    save_suite(synthetic_suite(languages=("lug",), seed=5), cwd / "suite.csv")
     (cwd / "report.yaml").write_text(
         "use_published_reference: false\n"
         "runs:\n- {model: echo, suite: suite.csv, run_log: eval_out/run_log.jsonl}\n")

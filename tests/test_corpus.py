@@ -1,17 +1,23 @@
 import json
+import math
 import random
 import re
+import sys
 
 import pytest
+from helpers import StubMtClient, examples
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import float_allocate
 
 from savanna.corpus import (
+    _allocate,
     AlignmentResult,
     BibleEdition,
     CorpusDocument,
     MixtureSpec,
     MtClientError,
     ParallelPair,
-    StubMtClient,
     VerseRef,
     align_bibles,
     assemble_pretraining,
@@ -94,6 +100,14 @@ class TestDocumentModel:
     def test_char_count_autofilled(self):
         d = doc("abcde")
         assert d.char_count == 5
+
+    @pytest.mark.parametrize("char_count", [99, 11, -12])
+    def test_char_count_other_than_the_text_length_rejected(self, char_count):
+        with pytest.raises(ValueError, match="^char_count must be 0 or the length of text$"):
+            CorpusDocument(id="x", lang="lug", text="Omwana omuto", source="web",
+                           char_count=char_count)
+        assert CorpusDocument(id="x", lang="lug", text="Omwana omuto", source="web",
+                              char_count=12).char_count == 12
 
     def test_synthetic_bt_requires_provenance(self):
         with pytest.raises(ValueError, match="provenance"):
@@ -249,7 +263,8 @@ class TestAssemblePretraining:
         assert manifest["buckets"]["book_ocr/lug"]["docs_out"] == 10
         assert len(out) == 40
 
-    @pytest.mark.parametrize("weight", [-1.0, True, "2", None, float("nan"), float("inf")])
+    @pytest.mark.parametrize("weight", [-1.0, True, "2", None, float("nan"), float("inf"),
+                                        pytest.param(10 ** 400, id="10**400")])
     @pytest.mark.parametrize("field", ["source_weights", "lang_weights"])
     def test_bad_weight_rejected_on_construction(self, field, weight):
         with pytest.raises(ValueError, match=rf"^{field}\.web must be a finite number >= 0"):
@@ -273,6 +288,41 @@ class TestAssemblePretraining:
         out, manifest = assemble_pretraining(docs, spec, seed=0, sample_size=50)
         assert manifest["buckets"]["web/lug"]["docs_out"] == 5
         assert manifest["buckets"]["book_ocr/lug"]["docs_out"] == 45
+
+    @settings(max_examples=examples(2))
+    @given(buckets=st.dictionaries(
+        st.sampled_from(["web/lug", "book_ocr/lug", "web/ach", "radio_transcript/teo"]),
+        st.tuples(st.floats(0, sys.float_info.max) | st.integers(0, 5), st.integers(0, 6)),
+        min_size=1), sample_size=st.integers(0, 30))
+    def test_allocation_agrees_with_float_arithmetic(self, buckets, sample_size):
+        weights = {key: weight for key, (weight, _capacity) in buckets.items()}
+        capacities = {key: capacity for key, (_weight, capacity) in buckets.items()}
+        alloc = _allocate(sample_size, weights, capacities)
+        # Wherever plain float arithmetic does not overflow, the allocation is its own.
+        if math.isfinite(sum(weights.values()) * max(sample_size, 1)):
+            assert alloc == float_allocate(sample_size, weights, capacities)
+        # Where it does, the allocation still fills the sample within capacity.
+        room = sum(capacities[key] for key, weight in weights.items() if weight > 0)
+        assert sum(alloc.values()) == min(sample_size, room)
+        assert all(0 <= alloc[key] <= capacities[key] and (weights[key] > 0 or not alloc[key])
+                   for key in weights)
+
+    def test_weights_near_the_float_limit_allocate_as_scaled(self):
+        docs = self.make_buckets()
+        huge = MixtureSpec(source_weights={"web": 1.5e308, "book_ocr": 5e307})
+        out, manifest = assemble_pretraining(docs, huge, seed=0, sample_size=40)
+        scaled, expected = assemble_pretraining(
+            docs, MixtureSpec(source_weights={"web": 3.0, "book_ocr": 1.0}), seed=0,
+            sample_size=40)
+        assert out == scaled
+        assert manifest["buckets"]["web/lug"] == {**expected["buckets"]["web/lug"],
+                                                  "weight": 1.5e308}
+
+    def test_bucket_weight_too_large_for_a_float_rejected(self):
+        spec = MixtureSpec(source_weights={"web": 1e308}, lang_weights={"lug": 1e308})
+        with pytest.raises(ValueError, match="^the weight of bucket web/lug, source_weights.web "
+                                             "times lang_weights.lug, is too large for a float$"):
+            assemble_pretraining(self.make_buckets(), spec, seed=0, sample_size=1)
 
 
 class TestParallelPair:

@@ -3,7 +3,7 @@ import threading
 import time
 
 import pytest
-from helpers import ConstantClient, FlakyClient, save_suite
+from helpers import ConstantClient, FlakyClient, save_suite, synthetic_suite
 
 from savanna import metrics
 from savanna.evalharness import (
@@ -16,7 +16,6 @@ from savanna.evalharness import (
     postprocess_hypothesis,
     rescore_run_log,
     run_translation_eval,
-    synthetic_suite,
 )
 from savanna.instruct import translation_prompt
 from savanna.leaderboard import published_reference_data
@@ -79,6 +78,9 @@ class TestEndpointConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="retries must be >= 0"):
             HttpCompletionClient("http://x", "m", retries=-1)
+        for timeout in (0, -1, 0.0):
+            with pytest.raises(ValueError, match="^timeout must be > 0$"):
+                HttpCompletionClient("http://x", "m", timeout=timeout)
 
 
 class TestPostprocess:

@@ -13,16 +13,18 @@ from oracles import _brute_check_type
 
 from savanna import jsonio
 from savanna.cli import CONFIG_KEYS, ENTRY_KEYS
-from savanna.corpus import DOCUMENT_KEYS, PAIR_KEYS, HttpMtClient, MtClientError
+from savanna.corpus import DOCUMENT_KEYS, PAIR_KEYS, HttpMtClient, MixtureSpec, MtClientError
 from savanna.evalharness import (
     RUN_LOG_HEADER_KEYS,
     RUN_LOG_RECORD_KEYS,
+    EvalSuite,
     HttpCompletionClient,
     TransportError,
+    check_directions,
 )
-from savanna.instruct import INSTRUCTION_KEYS, TEMPLATE_KEYS, TURN_KEYS
+from savanna.instruct import INSTRUCTION_KEYS, TEMPLATE_KEYS, TURN_KEYS, VocabFileTokenizer
 from savanna.jsonio import REQUIRED
-from savanna.preference_loss import PAIR_LOGPS_KEYS
+from savanna.preference_loss import PAIR_LOGPS_KEYS, PairLogps
 
 
 @pytest.fixture
@@ -221,6 +223,29 @@ class TestKeyChecker:
         assert _brute_check_type(value, kind) is expected
         assert accepts(lambda: jsonio.check_type(value, kind, "k")) is expected
         assert accepts(lambda: jsonio.resolved({"k": value}, {"k": (kind, REQUIRED)})) is expected
+
+    # Each site that takes a number from outside, by name: the kind of number
+    # it takes, its own range, and a call that takes a value there.
+    NUMBER_SITES = {
+        "mixture weight": (jsonio.NUMBER, lambda v: v >= 0, lambda v: MixtureSpec({"web": v})),
+        "log-probability": (jsonio.NUMBER, lambda v: v <= 0,
+                            lambda v: PairLogps([-0.5, v], [-1.0], [-0.5, -0.5], [-1.0])),
+        "vocabulary id": (int, lambda v: 0 <= v < 2 ** 32,
+                          lambda v: VocabFileTokenizer({"say": v})),
+        "max_parallel": (int, lambda v: v >= 1,
+                         lambda v: check_directions(EvalSuite([], set()), [], v)),
+    }
+
+    @settings(max_examples=examples(2))
+    @given(site=st.sampled_from(sorted(NUMBER_SITES)),
+           value=st.booleans() | st.integers() | st.sampled_from([10 ** 400, -(10 ** 400)])
+           | st.floats() | st.text(max_size=3) | st.none())
+    def test_number_sites_take_what_the_rule_and_their_range_take(self, site, value):
+        """Each site takes a value exactly when it is a number of the site's
+        kind, as the oracle tells it, within the site's range; it refuses
+        any other with a ValueError, never an OverflowError or TypeError."""
+        kind, in_range, take = self.NUMBER_SITES[site]
+        assert accepts(lambda: take(value)) is (_brute_check_type(value, kind) and in_range(value))
 
     def test_defaults_and_nulls(self):
         keys = {"a": (str, REQUIRED), "b": (list, []), "c": (int, None),

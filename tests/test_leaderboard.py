@@ -1,11 +1,10 @@
 import pytest
-from helpers import FlakyClient
+from helpers import FlakyClient, synthetic_suite
 
 from savanna import jsonio
 from savanna.evalharness import (
     ReferenceEchoClient,
     run_translation_eval,
-    synthetic_suite,
 )
 from savanna.leaderboard import (
     ENG_TO_XX,

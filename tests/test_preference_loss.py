@@ -56,6 +56,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="ref_rejected contains a non-finite"):
             PairLogps([-1.0], [-1.0], [-1.0], [-2.0, bad])
 
+    @pytest.mark.parametrize("bad", [False, True, "a", None,
+                                     pytest.param(-(10 ** 400), id="-10**400"),
+                                     pytest.param([-1.0], id="list")])
+    def test_entry_that_is_no_number_named(self, bad):
+        with pytest.raises(ValueError, match=r"^ref_chosen contains a non-finite log-probability: "
+                                             r"ref_chosen\[1\] is not a finite number$"):
+            PairLogps([-1.0, -1.0], [-1.0], [-1.0, bad], [-2.0])
+
+    def test_integer_logps_allowed(self):
+        assert margin(PairLogps([-1, 0], [-2], [-1.0, -1.0], [-2.0])) == 1.0
+
     def test_non_finite_reported_before_positive(self):
         with pytest.raises(ValueError, match="policy_rejected contains a non-finite"):
             PairLogps([-1.0], [0.5, math.nan], [-1.0], [-2.0, -1.0])
