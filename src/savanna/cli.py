@@ -1,11 +1,13 @@
 """Command-line entry point wiring the toolkit into reproducible pipelines.
 
-Each ``cmd_*`` function reads and checks every input, then returns the step
-that runs once the output directory is locked: endpoint requests and
-writes.  The lock holds the run's PID, so a lock left by a killed run can
-be broken.  Every resolved key is written to ``resolved_config.yaml``,
-which ``--config`` takes back.  Secrets are read from environment variables
-only (``SAVANNA_API_TOKEN``)."""
+Each ``cmd_*`` function reads and checks every input and encodes each
+output that needs no endpoint reply, then returns the step that runs once
+the output directory is locked: endpoint requests and streamed writes.
+The step returns the run's outputs, which ``main`` writes, removing each
+other file of the command's ``OUTPUTS``.  The lock holds the run's PID, so
+a lock left by a killed run can be broken.  Every resolved key is written
+to ``resolved_config.yaml``, which ``--config`` takes back.  Secrets are
+read from environment variables only (``SAVANNA_API_TOKEN``)."""
 
 from __future__ import annotations
 
@@ -112,6 +114,20 @@ ENTRY_KEYS = {
 }
 
 
+# Each command's output files besides resolved_config.yaml.  Its run returns
+# the text of each file it produces by name, STREAMED for one a streaming
+# writer has already written, and the error to report once they are written.
+OUTPUTS = {
+    "corpus": ("documents.jsonl", "pairs.jsonl", "manifest.json"),
+    "instruct": ("instructions.jsonl", "packed.jsonl", "manifest.json"),
+    "eval": ("run_log.jsonl", "report.json"),
+    "report": leaderboard.REPORT_FILES,
+    "loss": ("loss_audit.json",),
+}
+STREAMED = None
+Outputs = tuple[dict[str, str | None], str | None]
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """The YAML file of ``--config`` with each flag set over the key of its
     name and the defaults filled in, checked before any output is made."""
@@ -133,7 +149,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise CliError(str(exc)) from None
 
 
-def cmd_corpus(config: dict) -> typing.Callable[[Path], None]:
+def cmd_corpus(config: dict) -> typing.Callable[[Path], Outputs]:
     bible, bt = config["bible"], config["backtranslate"]
     if bible is not None and bible[0]["lang"] == bible[1]["lang"]:
         raise CliError(f"bible editions must be in two languages, not lang "
@@ -157,7 +173,7 @@ def cmd_corpus(config: dict) -> typing.Callable[[Path], None]:
         buckets |= {("synthetic_bt", target) for target in bt["targets"]}
     spec.bucket_weights(buckets)  # all zero fails here, before the output directory is made
 
-    def run(out: Path) -> None:
+    def run(out: Path) -> Outputs:
         errors = []
         if bt:
             for target in bt["targets"]:
@@ -168,22 +184,23 @@ def cmd_corpus(config: dict) -> typing.Callable[[Path], None]:
             deduped, spec, config["seed"], sample_size=config["sample_size"])
 
         corpus_mod.write_documents_jsonl(sampled, out / "documents.jsonl")
+        files = {"documents.jsonl": STREAMED}
         if bible is not None:
+            files["pairs.jsonl"] = STREAMED
             corpus_mod.write_pairs_jsonl(aligned.pairs, out / "pairs.jsonl")
             manifest["bible"] = {"pairs": len(aligned.pairs), "only_in_src": len(aligned.only_in_a),
                                  "only_in_tgt": len(aligned.only_in_b)}
-        else:  # pairs an earlier run left would not match this manifest
-            (out / "pairs.jsonl").unlink(missing_ok=True)
         manifest["chars_in"] = chars_in
         manifest["chars_out"] = sum(d.char_count for d in sampled)
         manifest["reduction_ratio"] = (manifest["chars_out"] / chars_in) if chars_in else 0.0
         manifest["cleaning"] = clean_stats
         manifest["backtranslation_errors"] = errors
-        jsonio.write_json(out / "manifest.json", manifest)
+        files["manifest.json"] = jsonio.dumps(manifest)
+        return files, None
     return run
 
 
-def cmd_instruct(config: dict) -> typing.Callable[[Path], None]:
+def cmd_instruct(config: dict) -> typing.Callable[[Path], Outputs]:
     max_len = config["max_len"]
     sequences_per_batch = instruct.batch_spec(config["tokens_per_batch"], max_len)
     if config["tokenizer_vocab"]:
@@ -216,20 +233,22 @@ def cmd_instruct(config: dict) -> typing.Callable[[Path], None]:
             counts[example.category] += 1
             yield f"ex{i}", instruct.render_chat(example, tokenizer, template).token_ids
     packed = instruct.pack(streams(), max_len=max_len)
+    manifest = jsonio.dumps({
+        "category_counts": counts,
+        "examples": len(lines),
+        "packed_sequences": len(packed),
+        "sequences_per_batch": sequences_per_batch,
+    })
 
-    def run(out: Path) -> None:
+    def run(out: Path) -> Outputs:
         jsonio.write_jsonl_lines(out / "instructions.jsonl", lines)
         instruct.write_packed_jsonl(packed, out / "packed.jsonl", max_len=max_len)
-        jsonio.write_json(out / "manifest.json", {
-            "category_counts": counts,
-            "examples": len(lines),
-            "packed_sequences": len(packed),
-            "sequences_per_batch": sequences_per_batch,
-        })
+        return {"instructions.jsonl": STREAMED, "packed.jsonl": STREAMED,
+                "manifest.json": manifest}, None
     return run
 
 
-def cmd_eval(config: dict) -> typing.Callable[[Path], None]:
+def cmd_eval(config: dict) -> typing.Callable[[Path], Outputs]:
     if not config["rescore"]:
         for key in ("endpoint", "directions"):
             if config[key] is None:
@@ -242,7 +261,10 @@ def cmd_eval(config: dict) -> typing.Callable[[Path], None]:
 
     if config["rescore"]:
         report = evalharness.rescore_run_log(config["rescore"], suite)
-        return lambda out: _write_report(out, report)
+        # The log goes with its report, byte for byte, as what the report scores.
+        with open(config["rescore"], encoding="utf-8", newline="") as f:
+            outputs = _eval_outputs(report, f.read())
+        return lambda out: outputs
     evalharness.check_directions(suite, directions, config["max_parallel"])
     # stub:echo replies with the reference, in process: tests, demos and
     # the offline echo pipeline use it.  Anything else is a live endpoint.
@@ -252,22 +274,23 @@ def cmd_eval(config: dict) -> typing.Callable[[Path], None]:
         client = evalharness.HttpCompletionClient(
             config["endpoint"], config["model"], timeout=config["timeout"],
             retries=config["retries"])
-    return lambda out: _write_report(out, evalharness.run_translation_eval(
+    return lambda out: _eval_outputs(evalharness.run_translation_eval(
         suite, client, directions,
         granularity=config["granularity"],
         run_log_path=out / "run_log.jsonl",
         max_parallel=config["max_parallel"],
         temperature=config["temperature"],
-    ))
+    ), STREAMED)
 
 
-def _write_report(out: Path, report: evalharness.EvalRunReport) -> None:
-    jsonio.write_text(out / "report.json", report.to_json())
-    if report.invalid:
-        raise CliError(f"run invalid: {report.total_failed}/{report.total_items} items failed")
+def _eval_outputs(report: evalharness.EvalRunReport, run_log: str | None) -> Outputs:
+    """An eval run's files; an invalid run's are written, then it fails."""
+    return {"run_log.jsonl": run_log, "report.json": report.to_json()}, (
+        f"run invalid: {report.total_failed}/{report.total_items} items failed"
+        if report.invalid else None)
 
 
-def cmd_report(config: dict) -> typing.Callable[[Path], None]:
+def cmd_report(config: dict) -> typing.Callable[[Path], Outputs]:
     data = (leaderboard.published_reference_data() if config["use_published_reference"]
             else leaderboard.LeaderboardData())
     for table in config["tables"]:
@@ -289,18 +312,10 @@ def cmd_report(config: dict) -> typing.Callable[[Path], None]:
         leaderboard.add_run_report(data, model, scored)
 
     report = leaderboard.make_leaderboard(data, config["winner_models"])
-
-    def run(out: Path) -> None:
-        # A report file this run lacks is removed, so none is left from an earlier run.
-        for name in leaderboard.REPORT_FILES:
-            if name in report:
-                jsonio.write_text(out / name, report[name])
-            else:
-                (out / name).unlink(missing_ok=True)
-    return run
+    return lambda out: (report, None)
 
 
-def cmd_loss(config: dict) -> typing.Callable[[Path], None]:
+def cmd_loss(config: dict) -> typing.Callable[[Path], Outputs]:
     params = preference_loss.LossParams(
         beta=config["beta"],
         alpha_rpo=config["alpha_rpo"],
@@ -309,12 +324,13 @@ def cmd_loss(config: dict) -> typing.Callable[[Path], None]:
     # still reads every line, a malformed one too, before the lock.
     audit = preference_loss.audit_pairs(
         preference_loss.read_pair_logps_jsonl(config["pairs"]), params)
+    text = jsonio.dumps(audit)  # a sum that overflows to infinity fails here
 
-    def run(out: Path) -> None:
-        jsonio.write_json(out / "loss_audit.json", audit)
+    def run(out: Path) -> Outputs:
         print(f"pairs: {len(audit['pairs'])}  "
               f"mean dpo: {audit['mean_dpo_loss']:.6f}  "
               f"mean irpo: {audit['mean_irpo_loss']:.6f}")
+        return {"loss_audit.json": text}, None
     return run
 
 
@@ -370,7 +386,14 @@ def main(argv: list[str] | None = None) -> int:
         out = Path(config["out"])
         with _locked_output_dir(out):
             jsonio.write_text(out / "resolved_config.yaml", yaml.safe_dump(config, sort_keys=True))
-            run(out)
+            files, error = run(out)
+            for name in OUTPUTS[args.command]:  # none is left from an earlier run
+                if name not in files:
+                    (out / name).unlink(missing_ok=True)
+                elif files[name] is not STREAMED:
+                    jsonio.write_text(out / name, files[name])
+        if error:
+            raise CliError(error)
         return 0
     except (CliError, FileNotFoundError, KeyError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)

@@ -114,14 +114,17 @@ class MixtureSpec:
 
     def bucket_weights(self, keys: Iterable[tuple[str, str]]) -> dict[tuple[str, str], float]:
         """The weight of each ``(source, lang)`` bucket of ``keys``.  Raises a
-        ValueError when a weight is too large for a float, or when there are
-        buckets and every one weighs zero."""
-        weights = {key: self.source_weights.get(key[0], 1.0) * self.lang_weights.get(key[1], 1.0)
-                   for key in keys}
-        for (source, lang), weight in weights.items():
-            if not jsonio.is_number(weight):
+        ValueError when a weight is too large for a float, or two nonzero
+        weights multiply to one too small for it, or when there are buckets
+        and every one weighs zero."""
+        weights = {}
+        for source, lang in keys:
+            factors = self.source_weights.get(source, 1.0), self.lang_weights.get(lang, 1.0)
+            weight = weights[source, lang] = factors[0] * factors[1]
+            if not jsonio.is_number(weight) or not weight and all(factors):
                 raise ValueError(f"the weight of bucket {source}/{lang}, source_weights.{source} "
-                                 f"times lang_weights.{lang}, is too large for a float")
+                                 f"times lang_weights.{lang}, is too "
+                                 f"{'small' if weight == 0 else 'large'} for a float")
         if weights and not any(weights.values()):
             raise ValueError("all bucket weights are zero")
         return weights

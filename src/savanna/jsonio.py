@@ -119,17 +119,33 @@ def iter_jsonl(path: str | Path, record: Callable[[Any], Any] | None = None) -> 
     line, if the format has one, comes first.  A line that is not strict
     JSON, holds a number that overflows to infinity, or makes ``record``
     raise a TypeError, KeyError or ValueError raises ValueError naming the
-    file and line."""
+    file and line, and so does a line that is not UTF-8."""
     with open(path, encoding="utf-8") as f:
+        try:
+            for lineno, line in enumerate(f, start=1):
+                if line.strip():
+                    try:
+                        obj = _decoder(line)(line)
+                        obj = obj if record is None else record(obj)
+                    except (TypeError, KeyError, ValueError) as exc:
+                        detail = f"no {exc} key" if isinstance(exc, KeyError) else exc
+                        raise ValueError(f"{path}:{lineno}: {detail}") from None
+                    yield obj
+        except UnicodeDecodeError:
+            _not_utf8(path)
+
+
+def _not_utf8(path: str | Path) -> NoReturn:
+    """Raise a ValueError naming the first line of ``path`` that is not
+    UTF-8.  A reader decodes a file a block at a time, so the line is found
+    by decoding it again a line at a time."""
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            if line.strip():
-                try:
-                    obj = _decoder(line)(line)
-                    obj = obj if record is None else record(obj)
-                except (TypeError, KeyError, ValueError) as exc:
-                    detail = f"no {exc} key" if isinstance(exc, KeyError) else exc
-                    raise ValueError(f"{path}:{lineno}: {detail}") from None
-                yield obj
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    raise ValueError(f"{path}: not UTF-8")  # reached if it changed since it was read
 
 
 def read_jsonl(path: str | Path, record: Callable[[Any], Any] | None = None) -> list:
@@ -141,8 +157,11 @@ def read_json(path: str | Path, record: Callable[[Any], Any] | None = None) -> A
     """The decoded JSON document in ``path``, passed through ``record`` when
     it is given.  A ValueError for text that is not strict JSON, or holds a
     number that overflows to infinity, names the file and line; one of
-    ``record``, the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    ``record``, the file.  So does one for a file that is not UTF-8."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        _not_utf8(path)
     try:
         obj = _decoder(text)(text)
     except ValueError as exc:

@@ -14,8 +14,8 @@ import yaml
 from helpers import (Reply, StubMtClient, read_packed_jsonl, save_suite, synthetic_suite,
                      write_pair_logps_jsonl)
 
-from savanna import corpus, evalharness, instruct, jsonio, preference_loss
-from savanna.cli import CONFIG_KEYS, _locked_output_dir, cmd_instruct, main
+from savanna import corpus, evalharness, instruct, jsonio, leaderboard, preference_loss
+from savanna.cli import CONFIG_KEYS, OUTPUTS, _locked_output_dir, cmd_instruct, main
 from savanna.corpus import ParallelPair, make_document
 
 
@@ -147,17 +147,6 @@ class TestCorpusCommand:
         assert main(["instruct", "--config", instruct_config, "--out", str(instruct_out)]) == 0
         examples = instruct.read_instructions_jsonl(instruct_out / "instructions.jsonl")
         assert [ex.turns[1].text for ex in examples] == ["In the beginning", "And God said"]
-
-    def test_rerun_without_bible_removes_pairs(self, tmp_path):
-        config = self.bible_config(tmp_path, [("lug", "gen\t1\t1\tMu kusooka\n"),
-                                              ("eng", "gen\t1\t1\tIn the beginning\n")])
-        out = tmp_path / "out"
-        assert main(["corpus", "--config", config, "--out", str(out)]) == 0
-        assert (out / "pairs.jsonl").exists()
-        plain = write_yaml(tmp_path / "plain.yaml", {"inputs": []})
-        assert main(["corpus", "--config", plain, "--out", str(out)]) == 0
-        assert "bible" not in json.loads((out / "manifest.json").read_text())
-        assert not (out / "pairs.jsonl").exists()
 
     def test_empty_translation_is_a_failed_request(self, tmp_path, http_server, monkeypatch):
         monkeypatch.setattr(jsonio.time, "sleep", lambda seconds: None)
@@ -531,6 +520,47 @@ class TestEvalCommand:
                      "--out", str(rescored)]) == 0
         assert (rescored / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
+    def test_rescore_copies_its_log_byte_for_byte(self, tmp_path, suite_csv):
+        out = tmp_path / "out"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # Rescored into the directory that holds it, the log stays as it is.
+        assert main(["eval", "--suite", suite_csv, "--rescore", str(out / "run_log.jsonl"),
+                     "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "resolved_config.yaml"} == {
+            name: data for name, data in before.items() if name != "resolved_config.yaml"}
+        # Elsewhere, its copy keeps even line ends that the reader ignores.
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(before["run_log.jsonl"].replace(b"\n", b"\r\n"))
+        rescored = tmp_path / "rescored"
+        assert main(["eval", "--suite", suite_csv, "--rescore", str(crlf),
+                     "--out", str(rescored)]) == 0
+        assert (rescored / "run_log.jsonl").read_bytes() == crlf.read_bytes()
+        assert (rescored / "report.json").read_bytes() == before["report.json"]
+
+    def test_invalid_run_writes_both_files_then_fails(self, tmp_path, suite_csv, capsys,
+                                                     http_server, monkeypatch):
+        monkeypatch.setattr(jsonio.time, "sleep", lambda seconds: None)
+        out = tmp_path / "o"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng", "--out", str(out)]) == 0
+        # The first 80 units are answered; the script then runs out, and
+        # each try of the last 20 fails.
+        http_server.script = [Reply(body={"choices": [{"message": {"content": "x"}}]})] * 80
+        capsys.readouterr()
+        assert main(["eval", "--suite", suite_csv, "--endpoint", http_server.url,
+                     "--directions", "aaa-eng", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "run invalid: 20/100 items failed", "type": "CliError"}
+        report = json.loads((out / "report.json").read_text())
+        assert (report["invalid"], report["total_failed"], report["total_items"]) == (True, 20, 100)
+        _header, *records = jsonio.read_jsonl(out / "run_log.jsonl")
+        assert [r["status"] for r in records] == ["ok"] * 80 + ["error"] * 20
+        assert not (out / ".savanna.lock").exists()
+
 
 class TestReportCommand:
     def test_published_reference_report(self, tmp_path):
@@ -628,16 +658,6 @@ class TestReportCommand:
         assert "| bbb |" in eng_xx and "aaa" not in eng_xx
         assert not (out / "winner_counts.json").exists() and not (out / "chart.csv").exists()
 
-    def test_rerun_leaves_only_this_runs_report(self, tmp_path, suite_csv):
-        out = tmp_path / "report"
-        self.report_of_run(tmp_path, suite_csv, "aaa-eng,eng-aaa,bbb-eng,eng-bbb", out)
-        assert {"per_language_eng-xx.md", "winner_counts.json", "chart.csv"} <= {
-            p.name for p in out.iterdir()}
-        self.report_of_run(tmp_path, suite_csv, "aaa-eng", out)
-        assert sorted(p.name for p in out.iterdir()) == [
-            "mean_table.md", "per_language_xx-eng.md", "resolved_config.yaml"]
-        assert "bbb" not in (out / "per_language_xx-eng.md").read_text()
-
 
 class TestLossCommand:
     def test_audit(self, tmp_path, capsys):
@@ -662,6 +682,19 @@ class TestLossCommand:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": f"{path}:2: NaN is not valid JSON", "type": "ValueError"}
         assert not (out / "loss_audit.json").exists()
+
+    def test_sums_that_overflow_fail_before_output(self, tmp_path, capsys):
+        # Each entry is a finite number; their sums are not.
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps({"policy_chosen": [-1e308, -1e308], "policy_rejected": [-2.0],
+                                    "ref_chosen": [-0.5, -0.5], "ref_rejected": [-2.0]}) + "\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["loss", "--pairs", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["type"] == "ValueError"
+        assert not out.exists()
 
     def test_peak_memory_does_not_grow_with_the_pairs(self, tmp_path, capsys):
         # Pairs of 100 tokens a side, each float its own object once parsed.
@@ -1126,6 +1159,11 @@ BAD_INPUTS = {
                    "lang_weights": {"lug": 1e308}, "sample_size": 1},
         "the weight of bucket web/lug, source_weights.web times lang_weights.lug, "
         "is too large for a float"),
+    "corpus-bucket-weight-too-small-for-a-float": (
+        "corpus", {"inputs": ["{docs}"], "source_weights": {"web": 1e-200},
+                   "lang_weights": {"lug": 1e-200}},
+        "the weight of bucket web/lug, source_weights.web times lang_weights.lug, "
+        "is too small for a float"),
     "report-missing-table": ("report", {"tables": [
         {"path": "{missing}", "direction": "xx-eng", "metric": "chrf"}]}, "missing.jsonl"),
     "report-missing-run-log": ("report", {"runs": [{**RUN, "run_log": "{missing}"}]},
@@ -1273,6 +1311,67 @@ def test_failed_rerun_leaves_earlier_run_untouched(tmp_path, capsys, inputs, com
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.fixture()
+def rerun_inputs(tmp_path, inputs):
+    """``inputs`` with two Bible editions, a second log-prob file, and the
+    logs of echo runs of aaa-eng only and of four directions."""
+    paths = {"lug": tmp_path / "lug.tsv", "eng": tmp_path / "eng.tsv",
+             "logps2": tmp_path / "logps2.jsonl"}
+    paths["lug"].write_text("gen\t1\t1\tMu kusooka\n", encoding="utf-8")
+    paths["eng"].write_text("gen\t1\t1\tIn the beginning\n", encoding="utf-8")
+    write_pair_logps_jsonl([preference_loss.PairLogps([-1.5], [-0.5], [-1.0], [-1.0])] * 2,
+                           paths["logps2"])
+    for name, directions in [("one_way", "aaa-eng"),
+                             ("four_way", "aaa-eng,eng-aaa,bbb-eng,eng-bbb")]:
+        assert main(["eval", "--suite", inputs["suite"], "--endpoint", "stub:echo",
+                     "--directions", directions, "--out", str(tmp_path / name)]) == 0
+        paths[f"{name}_log"] = tmp_path / name / "run_log.jsonl"
+    return {**inputs, **{name: str(path) for name, path in paths.items()}}
+
+
+BIBLE = [{"lang": "lug", "path": "{lug}"}, {"lang": "eng", "path": "{eng}"}]
+REPORT_RUN = {"runs": [{**RUN, "run_log": "{four_way_log}"}], "use_published_reference": False}
+# (command, a config, the files its run writes, another config, the files
+# its run writes), for a rerun into the first run's directory.
+OVERWRITES = {
+    "corpus-bible-then-none": (
+        "corpus", {"inputs": ["{docs}"], "bible": BIBLE},
+        ["documents.jsonl", "manifest.json", "pairs.jsonl"],
+        {"inputs": ["{docs}"], "seed": 1}, ["documents.jsonl", "manifest.json"]),
+    "instruct": ("instruct", {"parallel": "{pairs}"}, OUTPUTS["instruct"],
+                 {"parallel": "{pairs}", "n_translation": 1, "max_len": 64},
+                 OUTPUTS["instruct"]),
+    "eval-echo-then-rescore": ("eval", EVAL, OUTPUTS["eval"],
+                               {"suite": "{suite}", "rescore": "{run_log}"}, OUTPUTS["eval"]),
+    "eval-rescore-then-echo": ("eval", {"suite": "{suite}", "rescore": "{run_log}"},
+                               OUTPUTS["eval"], EVAL, OUTPUTS["eval"]),
+    "report-four-directions-then-one": (
+        "report", REPORT_RUN, leaderboard.REPORT_FILES,
+        {**REPORT_RUN, "runs": [{**RUN, "run_log": "{one_way_log}"}]},
+        ["mean_table.md", "per_language_xx-eng.md"]),
+    "loss": ("loss", {"pairs": "{logps}"}, OUTPUTS["loss"],
+             {"pairs": "{logps2}", "beta": 0.5}, OUTPUTS["loss"]),
+}
+
+
+@pytest.mark.parametrize("command, first, first_files, second, second_files",
+                         OVERWRITES.values(), ids=OVERWRITES)
+def test_rerun_leaves_only_this_runs_files(tmp_path, rerun_inputs, command, first, first_files,
+                                           second, second_files):
+    """A rerun into a directory leaves the files that the same run leaves
+    in a fresh one, and no file of the earlier run."""
+    first, second = (write_yaml(tmp_path / f"{name}.yaml", with_inputs(config, rerun_inputs))
+                     for name, config in zip(("first", "second"), (first, second)))
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main([command, "--config", first, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*first_files, "resolved_config.yaml"])
+    earlier = outputs(out)
+    assert main([command, "--config", second, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*second_files, "resolved_config.yaml"])
+    assert main([command, "--config", second, "--out", str(fresh)]) == 0
+    assert outputs(out) == outputs(fresh) != earlier
+
+
 def test_sample_size_checked_before_backtranslation(tmp_path, capsys, inputs, monkeypatch):
     def backtranslate(*args):
         raise AssertionError("back-translation started")
@@ -1313,6 +1412,19 @@ def test_zero_weight_mixture_fails_before_output(tmp_path, capsys):
     assert main(["corpus", "--config", path, "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "all bucket weights are zero",
                                                    "type": "ValueError"}
+    assert not out.exists()
+
+
+def test_document_not_utf8_names_file_and_line(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_bytes(b'{"id": "a", "lang": "lug", "text": "omwana", "source": "web"}\n'
+                     b'{"id": "b", "lang": "lug", "text": "om\xffwana", "source": "web"}\n')
+    path = write_yaml(tmp_path / "c.yaml", {"inputs": [str(docs)]})
+    out = tmp_path / "out"
+    assert main(["corpus", "--config", path, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": f"{docs}:2: 'utf-8' codec can't decode byte 0xff in position 38: "
+                 "invalid start byte", "type": "ValueError"}
     assert not out.exists()
 
 
@@ -1405,6 +1517,12 @@ def test_readme_config_table_names_every_key():
     documented = readme_table("### Config keys")
     assert {command: set(keys) for command, keys in documented.items()} == {
         command: set(keys) for command, keys in CONFIG_KEYS.items()}
+
+
+def test_readme_outputs_table_names_every_file():
+    documented = readme_table("### Outputs")
+    assert {command: set(files) for command, files in documented.items()} == {
+        command: set(files) for command, files in OUTPUTS.items()}
 
 
 RECORD_KEYS = {"document": corpus.DOCUMENT_KEYS, "pair": corpus.PAIR_KEYS,

@@ -324,6 +324,17 @@ class TestAssemblePretraining:
                                              "times lang_weights.lug, is too large for a float$"):
             assemble_pretraining(self.make_buckets(), spec, seed=0, sample_size=1)
 
+    def test_bucket_weight_too_small_for_a_float_rejected(self):
+        spec = MixtureSpec(source_weights={"book_ocr": 1e-200}, lang_weights={"lug": 1e-200})
+        with pytest.raises(ValueError, match="^the weight of bucket book_ocr/lug, "
+                                             "source_weights.book_ocr times lang_weights.lug, "
+                                             "is too small for a float$"):
+            assemble_pretraining(self.make_buckets(), spec, seed=0, sample_size=1)
+        # A weight of zero times a small one is zero, not too small.
+        spec = MixtureSpec(source_weights={"book_ocr": 0}, lang_weights={"lug": 1e-200})
+        assert spec.bucket_weights([("book_ocr", "lug"), ("web", "eng")]) == {
+            ("book_ocr", "lug"): 0.0, ("web", "eng"): 1.0}
+
 
 class TestParallelPair:
     def test_same_lang_rejected(self):

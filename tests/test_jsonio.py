@@ -125,6 +125,20 @@ class TestFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: no 'b' key$"):
             list(jsonio.iter_jsonl(path, lambda obj: obj["b"]))
 
+    def test_read_of_bytes_not_utf8_names_file_and_line(self, tmp_path):
+        # Far enough into the file that it is not in the first block decoded.
+        lines = [b'{"a": "%d"}\n' % i for i in range(2000)]
+        lines[1499] = b'{"a": "\xff"}\n'
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(b"".join(lines))
+        message = "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1500: {message}$"):
+            jsonio.read_jsonl(path)
+        path = tmp_path / "x.json"
+        path.write_bytes(b'{\n "a": 1,\n "b": "\xff"\n}')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {message}$"):
+            jsonio.read_json(path)
+
     def test_read_syntax_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"a": 1}\n{"a": \n', encoding="utf-8")
