@@ -274,13 +274,20 @@ def cmd_eval(config: dict) -> typing.Callable[[Path], Outputs]:
         client = evalharness.HttpCompletionClient(
             config["endpoint"], config["model"], timeout=config["timeout"],
             retries=config["retries"])
-    return lambda out: _eval_outputs(evalharness.run_translation_eval(
-        suite, client, directions,
-        granularity=config["granularity"],
-        run_log_path=out / "run_log.jsonl",
-        max_parallel=config["max_parallel"],
-        temperature=config["temperature"],
-    ), STREAMED)
+
+    def run(out: Path) -> Outputs:
+        try:
+            report = evalharness.run_translation_eval(
+                suite, client, directions,
+                granularity=config["granularity"],
+                run_log_path=out / "run_log.jsonl",
+                max_parallel=config["max_parallel"],
+                temperature=config["temperature"],
+            )
+        except evalharness.ScoringError as exc:  # the run log is written, with no report
+            return {"run_log.jsonl": STREAMED}, str(exc)
+        return _eval_outputs(report, STREAMED)
+    return run
 
 
 def _eval_outputs(report: evalharness.EvalRunReport, run_log: str | None) -> Outputs:
@@ -322,9 +329,12 @@ def cmd_loss(config: dict) -> typing.Callable[[Path], Outputs]:
     )
     # The pairs stream from the file, so one is held at a time; the audit
     # still reads every line, a malformed one too, before the lock.
-    audit = preference_loss.audit_pairs(
-        preference_loss.read_pair_logps_jsonl(config["pairs"]), params)
-    text = jsonio.dumps(audit)  # a sum that overflows to infinity fails here
+    try:
+        audit = preference_loss.audit_pairs(
+            preference_loss.read_pair_logps_jsonl(config["pairs"]), params)
+    except preference_loss.AuditError as exc:
+        raise ValueError(f"{config['pairs']}: {exc}") from None
+    text = jsonio.dumps(audit)
 
     def run(out: Path) -> Outputs:
         print(f"pairs: {len(audit['pairs'])}  "
@@ -395,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         if error:
             raise CliError(error)
         return 0
-    except (CliError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (CliError, KeyError, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         return 1
 

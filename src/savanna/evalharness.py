@@ -131,6 +131,10 @@ class TransportError(Exception):
     pass
 
 
+class ScoringError(RuntimeError):
+    """Scoring a unit failed; :func:`run_translation_eval` wrote the run log first."""
+
+
 API_TOKEN_ENV = "SAVANNA_API_TOKEN"
 
 
@@ -364,7 +368,8 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
     scores each reply as soon as it and the replies before it are in, while
     later requests are still in flight.  Every request/response is persisted
     to ``run_log_path`` (JSONL with a header line) before the report is
-    returned, and also before an error raised while scoring propagates.
+    returned, and also before a ScoringError, naming the first unit whose
+    scoring raised, propagates.
     Per-item transport failures are excluded from scoring and counted, and a
     failure rate above 10% marks the run invalid.
     """
@@ -392,7 +397,7 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
 
     records = []
     scores: dict[str, metrics.SentenceScores | None] = {}
-    scoring_error = None
+    scoring_error = failed_unit = None
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_parallel) as pool:
         # The loop holds the only reference to the map iterator: an interrupt
         # frees it, which cancels the requests not yet started.
@@ -402,7 +407,7 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
                 try:
                     scores[unit["id"]] = _score_unit(record, unit["reference"])
                 except Exception as exc:  # the run log is still written in full
-                    scoring_error = exc
+                    scoring_error, failed_unit = exc, unit["id"]
 
     if run_log_path is not None:
         jsonio.write_jsonl(run_log_path, records, header={
@@ -416,7 +421,8 @@ def run_translation_eval(suite: EvalSuite, client: CompletionClient,
             "temperature": temperature,
         })
     if scoring_error is not None:
-        raise scoring_error
+        raise ScoringError(f"scoring unit {failed_unit} failed: "
+                           f"{type(scoring_error).__name__}: {scoring_error}") from scoring_error
 
     return _build_report(scores, suite, directions, unit_lists, granularity,
                          DEFAULT_PROMPT_TEMPLATE)

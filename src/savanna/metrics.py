@@ -23,6 +23,17 @@ shared affix.  chrF and BLEU keep ``max_n - 1`` shared elements next to the
 middle: each trimmed gram then lies wholly inside the shared affix, so it
 appears at the same place on both sides and adds one match and one gram to
 each side's total, at every order.
+
+chrF also cuts the inside of every word run the two sides share, keeping
+``CHRF_ORDER - 1`` characters at each end of a run longer than twice that
+and joining what is left.  A removed gram lies wholly inside the run, so
+the same gram goes from both sides, and a gram across a join is made of
+kept characters, so it is the same on both sides.  Each order thus loses
+one gram per removed character from both totals and from the clipped
+matches, and adds them back, so the statistics are exact.  The affix trim
+runs on what is left,
+so a run at an end of both sides keeps context on its inner side only.
+CER, WER and BLEU keep the affix trim only.
 """
 
 from __future__ import annotations
@@ -78,9 +89,53 @@ def _common_affixes(a: Sequence, b: Sequence) -> tuple[int, int]:
     return p, s
 
 
-def _matches_and_totals(hyp: Sequence[str], ref: Sequence[str],
-                        max_n: int) -> tuple[list[int], list[int], list[int]]:
-    """Per-order clipped matches and hypothesis/reference n-gram totals.
+def _shared_runs(a: Sequence[str], b: Sequence[str],
+                 min_chars: int) -> list[tuple[int, int, int]]:
+    """Runs ``a[i:i + n] == b[j:j + n]`` of non-empty words, as ``(i, j, n)``,
+    each joining more than ``min_chars`` characters.  They increase in both
+    ``i`` and ``j``, so no two overlap on either side.
+
+    A greedy scan of ``a``: each word is looked up in ``b`` on the diagonal
+    of the last lookup, where substitutions leave it, else at its first
+    occurrence in ``b`` if that follows the last run.  The run through the
+    two is extended both ways, back to the last run at most, and kept if it
+    is long enough.
+
+    Cost: linear in the words.  A kept run moves the scan past its end, and
+    one that is not kept holds at most ``min_chars`` words, since each word
+    has a character, so a word starts at most ``min_chars + 2`` comparisons.
+    """
+    first = dict(zip(reversed(b), range(len(b) - 1, -1, -1)))  # each word's first position
+    runs = []
+    la, lb = len(a), len(b)
+    i_min = j_min = i = 0  # a[i_min:] and b[j_min:] follow the last run
+    d = 0  # the diagonal of the last lookup, j - i
+    while i < la:
+        word = a[i]
+        if i + d >= lb or b[i + d] != word:
+            j = first.get(word, -1)
+            if j < j_min:
+                i += 1
+                continue
+            d = j - i
+        start, end = i, i + 1
+        while start > i_min and start + d > j_min and a[start - 1] == b[start - 1 + d]:
+            start -= 1
+        while end < la and end + d < lb and a[end] == b[end + d]:
+            end += 1
+        if sum(map(len, a[start:end])) > min_chars:
+            runs.append((start, start + d, end - start))
+            i = i_min = end
+            j_min = end + d
+        else:
+            i += 1
+    return runs
+
+
+def _matches_and_totals(hyp: Sequence[str], ref: Sequence[str], max_n: int,
+                        cut: int = 0) -> tuple[list[int], list[int], list[int]]:
+    """Per-order clipped matches and hypothesis/reference n-gram totals, with
+    ``cut`` grams per order that were removed from both sides as matches.
 
     The elements must be strings that no concatenation of others can equal
     (single characters, or tokens ending in a separator they never hold).
@@ -95,6 +150,7 @@ def _matches_and_totals(hyp: Sequence[str], ref: Sequence[str],
     if k:
         hyp = hyp[p:len(hyp) - s]
         ref = ref[p:len(ref) - s]
+    k += cut
     matched, hyp_total, ref_total = [], [], []
     hyp_grams, ref_grams = hyp, ref
     for n in range(1, max_n + 1):
@@ -114,6 +170,26 @@ def _matches_and_totals(hyp: Sequence[str], ref: Sequence[str],
     return matched, hyp_total, ref_total
 
 
+def _chrf_statistics(hypothesis: str, reference: str) -> tuple[list[int], list[int], list[int]]:
+    """chrF's per-order clipped matches and totals over the characters of
+    both sides, spaces removed.  The inside of each long word run the two
+    share is cut, keeping ``CHRF_ORDER - 1`` characters at each end."""
+    hyp_words, ref_words = hypothesis.split(), reference.split()
+    context = CHRF_ORDER - 1
+    hyp_parts, ref_parts = [], []
+    i0 = j0 = cut = 0
+    for i, j, n in _shared_runs(hyp_words, ref_words, 2 * context):
+        run = "".join(hyp_words[i:i + n])
+        kept = run[:context] + run[-context:]
+        hyp_parts += "".join(hyp_words[i0:i]), kept
+        ref_parts += "".join(ref_words[j0:j]), kept
+        cut += len(run) - 2 * context
+        i0, j0 = i + n, j + n
+    hyp_parts.append("".join(hyp_words[i0:]))
+    ref_parts.append("".join(ref_words[j0:]))
+    return _matches_and_totals("".join(hyp_parts), "".join(ref_parts), CHRF_ORDER, cut)
+
+
 def _bleu_tokens(text: str) -> list[str]:
     """Whitespace tokens, each with a trailing space so that their concatenations stay apart."""
     return [token + " " for token in text.split()]
@@ -121,9 +197,7 @@ def _bleu_tokens(text: str) -> list[str]:
 
 def chrf(hypothesis: str, reference: str) -> float:
     """Character n-gram F-score in [0, 1]; 1 when both sides are empty, 0 when one is."""
-    # spaces never participate in n-grams
-    matched, hyp_total, ref_total = _matches_and_totals(
-        "".join(hypothesis.split()), "".join(reference.split()), CHRF_ORDER)
+    matched, hyp_total, ref_total = _chrf_statistics(hypothesis, reference)
     precisions, recalls = [], []
     for m, h, r in zip(matched, hyp_total, ref_total):
         if r == 0:

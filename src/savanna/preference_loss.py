@@ -127,23 +127,40 @@ def loss_gradients(p: PairLogps, params: LossParams = LossParams(),
     )
 
 
+class AuditError(ValueError):
+    """The pairs given to :func:`audit_pairs` cannot be audited."""
+
+
 def audit_pairs(pairs: Iterable[PairLogps], params: LossParams = LossParams()) -> dict:
-    """Per-pair DPO/IRPO losses and their means, for offline auditing."""
+    """Per-pair DPO/IRPO losses and their means, for offline auditing.
+
+    Raises AuditError when there are no pairs, when a mean overflows, or
+    naming the first pair (from 1) whose row is not finite: its entries
+    are, but a sum of them overflows.
+    """
     rows = []
-    for p in pairs:
-        rows.append({
+    for number, p in enumerate(pairs, start=1):
+        row = {
             "margin": margin(p),
             "nll_chosen": nll_chosen(p),
             "dpo_loss": dpo_loss(p, params),
             "irpo_loss": irpo_loss(p, params),
-        })
+        }
+        if not all(map(math.isfinite, row.values())):
+            bad = ", ".join(key for key, value in row.items() if not math.isfinite(value))
+            raise AuditError(f"pair {number}: {bad} not finite, as a sum of its "
+                             f"log-probabilities overflows")
+        rows.append(row)
     if not rows:
-        raise ValueError("no pairs to audit")
+        raise AuditError("no pairs to audit")
+    mean_irpo_loss = sum(r["irpo_loss"] for r in rows) / len(rows)
+    if not math.isfinite(mean_irpo_loss):  # no loss is negative, so the DPO mean is no larger
+        raise AuditError("the sum of the IRPO losses overflows")
     return {
         "params": {"beta": params.beta, "alpha_rpo": params.alpha_rpo},
         "pairs": rows,
         "mean_dpo_loss": sum(r["dpo_loss"] for r in rows) / len(rows),
-        "mean_irpo_loss": sum(r["irpo_loss"] for r in rows) / len(rows),
+        "mean_irpo_loss": mean_irpo_loss,
     }
 
 

@@ -969,7 +969,8 @@ class TestResolvedConfigRoundTrip:
 
 
 class TestAtomicOutputs:
-    def test_failed_report_write_leaves_old_report(self, tmp_path, suite_csv, monkeypatch):
+    def test_failed_report_write_leaves_old_report(self, tmp_path, suite_csv, monkeypatch,
+                                                   capsys):
         out = tmp_path / "out"
         assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
                      "--directions", "aaa-eng", "--out", str(out)]) == 0
@@ -982,12 +983,49 @@ class TestAtomicOutputs:
             replace(src, dst)
 
         monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
-            main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
-                  "--directions", "aaa-eng,eng-aaa", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng,eng-aaa", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "disk full", "type": "OSError"}
         assert (out / "report.json").read_bytes() == before
         assert not list(out.glob("*.tmp"))
         assert not (out / ".savanna.lock").exists()
+
+    def test_scoring_error_removes_the_earlier_report(self, tmp_path, suite_csv, monkeypatch,
+                                                      capsys):
+        out = tmp_path / "out"
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng", "--out", str(out)]) == 0
+
+        def failing_score(record, reference):
+            raise RuntimeError("scoring broke")
+
+        monkeypatch.setattr(evalharness, "_score_unit", failing_score)
+        capsys.readouterr()
+        assert main(["eval", "--suite", suite_csv, "--endpoint", "stub:echo",
+                     "--directions", "aaa-eng,eng-aaa", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "scoring unit aaa-eng:1:0 failed: RuntimeError: scoring broke",
+            "type": "CliError"}
+        # This run's log, written in full, and no report beside it.
+        assert sorted(p.name for p in out.iterdir()) == ["resolved_config.yaml", "run_log.jsonl"]
+        header, *records = jsonio.read_jsonl(out / "run_log.jsonl")
+        assert header["directions"] == [["aaa", "eng"], ["eng", "aaa"]]
+        assert len(records) == 200
+
+    def test_output_under_a_file_fails_in_one_line(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        config = write_yaml(tmp_path / "c.yaml", {"inputs": []})
+        assert main(["corpus", "--config", config, "--out", str(afile / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["type"] == "NotADirectoryError"
+        assert afile.read_text() == "kept"
 
 
 # Score-table cells that float() parses but that are not finite scores.
@@ -1050,6 +1088,12 @@ MALFORMED = {
     # 401 nines, which no float holds; false, which is no number; a string.
     **{f"logps_{name}_entry": _lines(LOGPS, {**LOGPS, "policy_chosen": [value]})
        for name, value in [("huge", -(10 ** 401 - 1)), ("false", False), ("string", "a")]},
+    # Finite entries whose sums overflow, in the second pair but on line 3.
+    "logps_overflow": _lines(LOGPS) + "\n" + _lines(
+        {**LOGPS, "policy_chosen": [-1e308, -1e308], "ref_chosen": [-0.5, -0.5]}),
+    # Two finite rows whose IRPO losses overflow when summed for their mean.
+    "logps_mean_overflow": _lines(*[{**LOGPS, "policy_chosen": [-1e308],
+                                     "ref_chosen": [-0.5]}] * 2),
     # The last line cut short, as a killed writer leaves it.
     "logps_last_line_cut": _lines(LOGPS, LOGPS, LOGPS) + '{"policy_chosen": [-0.5',
     "log_list_header": _lines([1]),
@@ -1076,6 +1120,8 @@ def inputs(tmp_path, suite_csv):
     paths["wide_vocab"] = tmp_path / "wide_vocab.json"
     paths["wide_vocab"].write_text('{"say": 0, "gamba": 4294967296}')  # 2**32 needs 5 bytes
     paths["bad_log"].write_text('{"type": "record"}\n')
+    paths["adir"] = tmp_path / "adir"
+    paths["adir"].mkdir()
     paths["bleu"].write_text("lang,language,m\naaa,Aaa,12.5\n")
     for cell in NON_FINITE_CELLS:
         paths[cell] = tmp_path / f"{cell}.csv"
@@ -1247,6 +1293,15 @@ BAD_INPUTS = {
         "loss", {"pairs": f"{{logps_{name}_entry}}"},
         f"logps_{name}_entry.jsonl:2: policy_chosen contains a non-finite log-probability: "
         "policy_chosen[0] is not a finite number") for name in ("huge", "false", "string")},
+    "loss-pair-sums-overflow": ("loss", {"pairs": "{logps_overflow}"},
+                                "logps_overflow.jsonl: pair 2: margin, nll_chosen, dpo_loss, "
+                                "irpo_loss not finite, as a sum of its log-probabilities "
+                                "overflows"),
+    "loss-mean-overflows": ("loss", {"pairs": "{logps_mean_overflow}"},
+                            "logps_mean_overflow.jsonl: the sum of the IRPO losses overflows"),
+    # An input path that names a directory fails as an OSError does, in one line.
+    "corpus-input-is-a-directory": ("corpus", {"inputs": ["{adir}"]}, "Is a directory"),
+    "instruct-parallel-is-a-directory": ("instruct", {"parallel": "{adir}"}, "Is a directory"),
     "loss-last-line-cut": ("loss", {"pairs": "{logps_last_line_cut}"},
                            "logps_last_line_cut.jsonl:4: "),
     "eval-run-log-header-not-object": ("eval", {"suite": "{suite}", "rescore": "{log_list_header}"},

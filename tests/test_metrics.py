@@ -8,8 +8,10 @@ from helpers import examples
 from oracles import brute_bleu, brute_chrf, brute_edit_distance, brute_ngram_statistics
 from savanna.metrics import (
     _bleu_tokens,
+    _chrf_statistics,
     _common_affixes,
     _matches_and_totals,
+    _shared_runs,
     aggregate,
     bleu,
     cer,
@@ -35,13 +37,13 @@ unicode_tokens = lengths.flatmap(
 
 
 @st.composite
-def near_copies(draw, elements):
+def near_copies(draw, elements, max_size=60, max_edits=3):
     """(hypothesis, reference): a reference over ``elements`` and a copy of it
-    with 0-3 insertions, deletions or substitutions, in either order.  Few
-    symbols, so the two sides share long prefixes and suffixes."""
-    ref = draw(st.lists(st.sampled_from(elements), max_size=60))
+    with 0 to ``max_edits`` insertions, deletions or substitutions, in either
+    order.  Few symbols, so the two sides share long prefixes and suffixes."""
+    ref = draw(st.lists(st.sampled_from(elements), max_size=max_size))
     hyp = list(ref)
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, max_edits))):
         i = draw(st.integers(0, len(hyp)))
         edit = draw(st.sampled_from(["insert", "delete", "substitute"]))
         if edit == "insert":
@@ -56,6 +58,11 @@ def near_copies(draw, elements):
 
 near_char_pairs = near_copies(["a", "b", "\u0301"])
 near_token_pairs = near_copies(["a", "ɛ", "ŋɔ"])
+# Words of 1-6 characters from a tiny vocabulary: words repeat, so a run can
+# pair with several places on the other side, and runs of two or more words
+# pass the 10 characters that chrF's shared-run trim cuts beyond.
+near_word_pairs = near_copies(["a", "ɛŋ", "bcd", "a\u0301b", "efgh", "ijklm", "ŋɔpqrs"],
+                              max_size=80, max_edits=6)
 
 # Sides whose shared prefix and suffix the trimming must get right: identical
 # sides, sides that differ at either end, one side a prefix or a suffix of the
@@ -135,6 +142,70 @@ class TestTrimmedCounting:
             pytest.approx(brute_bleu(" ".join(hyp), " ".join(ref)), abs=1e-9)
 
 
+def assert_chrf_exact(hyp: str, ref: str):
+    """chrF's per-order statistics equal the oracle's on the characters of
+    the two sides, spaces removed, and so does its score.  Each shared run
+    is equal on both sides, longer than 10 characters, and after the last."""
+    hyp_words, ref_words = hyp.split(), ref.split()
+    i_end = j_end = 0
+    for i, j, n in _shared_runs(hyp_words, ref_words, 10):
+        assert i >= i_end and j >= j_end and n >= 1
+        assert hyp_words[i:i + n] == ref_words[j:j + n]
+        assert len("".join(hyp_words[i:i + n])) > 10
+        i_end, j_end = i + n, j + n
+    hyp_chars = [c for c in hyp if not c.isspace()]
+    ref_chars = [c for c in ref if not c.isspace()]
+    assert _chrf_statistics(hyp, ref) == brute_ngram_statistics(hyp_chars, ref_chars, 6)
+    assert chrf(hyp, ref) == pytest.approx(brute_chrf(hyp, ref), abs=1e-12)
+
+
+# Sides whose shared word runs chrF must cut exactly: runs at the start, at
+# the end and at both; runs adjacent on one side; runs of exactly 10 and 11
+# characters; a run that also occurs elsewhere; one side equal to a run of
+# the other; tabs and newlines between words; empty sides.
+SHARED_RUN_CASES = [
+    ("abcdef ghijkl X mn", "abcdef ghijkl Y op"),
+    ("mn X abcdef ghijkl", "op Y abcdef ghijkl"),
+    ("abcdef ghijkl X mnopqr stuvw", "abcdef ghijkl Y mnopqr stuvw"),
+    ("abcdef ghijkl mnopqr stuvwx", "mnopqr stuvwx Q abcdef ghijkl"),
+    ("abcdef ghijkl mnopqr stuvwx", "abcdef ghijkl Q mnopqr stuvwx"),
+    ("X abcde fghij Y", "Z abcde fghij W"),
+    ("X abcde fghijk Y", "Z abcde fghijk W"),
+    ("X abcdef ghijkl Y", "abcdef ghijkl Z abcdef ghijkl"),
+    ("abcdef ghijkl Z abcdef ghijkl", "X abcdef ghijkl Y"),
+    ("abcdef ghijkl", "Q abcdef ghijkl R"),
+    ("Q abcdef ghijkl R", "abcdef ghijkl"),
+    ("abcdef ghijkl", "abcdef ghijkl"),
+    ("abc\tdefgh\nijklm X\n", "abc defgh ijklm Y"),
+    ("P abc\tdefgh\n\nijklm", "Q abc defgh\tijklm"),
+    ("", ""), ("", "abcdef ghijkl"), ("abcdef ghijkl", ""),
+]
+
+
+class TestSharedRuns:
+    """chrF's cut of the word runs the two sides share, against the oracles."""
+
+    @pytest.mark.parametrize("hyp, ref", SHARED_RUN_CASES)
+    def test_cases(self, hyp, ref):
+        assert_chrf_exact(hyp, ref)
+        assert_chrf_exact(ref, hyp)
+
+    def test_runs_cut_at_more_than_10_characters(self):
+        assert _shared_runs("X abcde fghij Y".split(), "Z abcde fghij W".split(), 10) == []
+        assert _shared_runs("X abcde fghijk Y".split(), "Z abcde fghijk W".split(), 10) == \
+            [(1, 1, 2)]
+
+    def test_runs_found_off_the_diagonal(self):
+        hyp = "abcdef ghijkl mnopqr stuvwx".split()
+        assert _shared_runs(hyp, "Q R abcdef ghijkl S mnopqr stuvwx".split(), 10) == \
+            [(0, 2, 2), (2, 5, 2)]
+        assert _shared_runs(hyp, "mnopqr stuvwx Q abcdef ghijkl".split(), 10) == [(0, 3, 2)]
+
+    @given(near_word_pairs)
+    def test_near_copies(self, pair):
+        assert_chrf_exact(" ".join(pair[0]), " ".join(pair[1]))
+
+
 def eval_like_pairs(seed: int, count: int, words_per_pair: int):
     """(hypothesis, reference) pairs: a reference with ~15% word errors as hypothesis."""
     rng = random.Random(seed)
@@ -206,10 +277,7 @@ class TestChrf:
     @staticmethod
     def assert_statistics_exact(pairs):
         for hyp, ref in pairs:
-            hyp_chars = [c for c in hyp if not c.isspace()]
-            ref_chars = [c for c in ref if not c.isspace()]
-            assert _matches_and_totals("".join(hyp_chars), "".join(ref_chars), 6) == \
-                brute_ngram_statistics(hyp_chars, ref_chars, 6)
+            assert_chrf_exact(hyp, ref)
 
     def test_statistics_exact_on_eval_like_pairs(self):
         self.assert_statistics_exact(eval_like_pairs(seed=3, count=60, words_per_pair=25))
