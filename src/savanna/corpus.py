@@ -287,19 +287,20 @@ class MtClient(Protocol):
 class HttpMtClient:
     """MT service speaking ``POST {"text", "source", "target"}``.
 
-    Retries with exponential backoff, at most 3 attempts.  Its ``name``, which
-    back-translated documents record as their client, is the URL.
+    At most 3 attempts, sleeping 0.5 s after the first failure and 1 s
+    after the second.  Its ``name``, which back-translated documents record
+    as their client, is the URL.
     """
 
-    def __init__(self, base_url: str, timeout: float = 30.0, backoff: float = 0.5):
+    def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = self.name = base_url
-        self.timeout, self.backoff = timeout, backoff
+        self.timeout = timeout
 
     def translate(self, text: str, source: str, target: str) -> str:
         payload = {"text": text, "source": source, "target": target}
         try:
             return jsonio.post_json(self.base_url, payload, attempts=3,
-                                    backoff=self.backoff, timeout=self.timeout,
+                                    backoff=0.5, timeout=self.timeout,
                                     reply=_reply_translation)
         except Exception as exc:  # transport or schema failure
             raise MtClientError(f"translation failed after 3 attempts: {exc}") from exc
@@ -453,8 +454,21 @@ def write_documents_jsonl(docs: Iterable[CorpusDocument], path: str | Path) -> i
 
 
 def read_documents_jsonl(path: str | Path) -> list[CorpusDocument]:
-    return jsonio.read_jsonl(path, lambda obj: CorpusDocument(
-        **jsonio.resolved(obj, DOCUMENT_KEYS)))
+    return jsonio.read_jsonl(path, _document)
+
+
+_encode_strict = jsonio.jsonl_encoder()
+
+
+def _document(obj) -> CorpusDocument:
+    doc = CorpusDocument(**jsonio.resolved(obj, DOCUMENT_KEYS))
+    # provenance is free-form, so no key table checks its numbers; one read
+    # as infinity (from a literal such as 1e999) could not be written back.
+    try:
+        _encode_strict(doc.provenance)
+    except ValueError:
+        raise ValueError("provenance must hold finite numbers only") from None
+    return doc
 
 
 def write_pairs_jsonl(pairs: Iterable[ParallelPair], path: str | Path) -> int:

@@ -145,14 +145,13 @@ class HttpCompletionClient:
     choice's message content is returned.  A request is tried ``retries + 1``
     times."""
 
-    def __init__(self, base_url: str, model: str, timeout: float = 60.0, retries: int = 2,
-                 backoff: float = 0.5):
+    def __init__(self, base_url: str, model: str, timeout: float = 60.0, retries: int = 2):
         if retries < 0:
             raise ValueError("retries must be >= 0")
         if timeout <= 0:
             raise ValueError("timeout must be > 0")
         self.base_url, self.model, self.timeout = base_url, model, timeout
-        self.attempts, self.backoff = retries + 1, backoff
+        self.attempts = retries + 1
 
     def complete(self, messages: list[dict], temperature: float = 0.0) -> str:
         payload = {"model": self.model, "messages": messages, "temperature": temperature}
@@ -160,7 +159,7 @@ class HttpCompletionClient:
         headers = {"Authorization": f"Bearer {token}"} if token else {}
         try:
             return jsonio.post_json(self.base_url, payload, attempts=self.attempts,
-                                    backoff=self.backoff, timeout=self.timeout, headers=headers,
+                                    backoff=0.5, timeout=self.timeout, headers=headers,
                                     reply=_reply_content)
         except Exception as exc:
             raise TransportError(f"request failed after {self.attempts} attempts: {exc}") from exc
@@ -442,28 +441,30 @@ RUN_LOG_RECORD_KEYS = {
 
 
 def _read_run_log(run_log_path: str | Path) -> list[dict]:
-    """The header and records of a run log.  The first line must be a
-    header of this version, and no later line a header.  A record's id may
-    repeat an earlier one's only in a log whose header repeats a direction,
-    written before repeated directions were rejected.  A line that breaks
-    this or its key table raises ValueError naming the file and line."""
+    """The header and records of a run log, as :func:`run_translation_eval`
+    writes it.  The first line must be a header of this version that names
+    no direction twice, no later line a header, and no record an earlier
+    record's unit id.  A line that breaks this or its key table raises
+    ValueError naming the file and line."""
     ids: set[str] | None = None  # the records' ids, once the header is read
-    distinct = True  # whether each record's id must differ from earlier ones
 
     def line(obj):
-        nonlocal ids, distinct
+        nonlocal ids
         if ids is None:
             if not (isinstance(obj, dict) and obj.get("type") == "header"
                     and obj.get("version") == RUN_LOG_VERSION):
                 raise ValueError("not a recognized run log")
             header = jsonio.resolved(obj, RUN_LOG_HEADER_KEYS)
-            distinct = len(set(map(tuple, header["directions"]))) == len(header["directions"])
+            directions = header["directions"]
+            for i, (src, tgt) in enumerate(directions):
+                if [src, tgt] in directions[:i]:
+                    raise ValueError(f"direction {src}-{tgt} is repeated")
             ids = set()
             return header
         if isinstance(obj, dict) and "type" in obj:
             raise ValueError("a second run log header, as if two logs were joined")
         record = jsonio.resolved(obj, RUN_LOG_RECORD_KEYS)
-        if distinct and record["id"] in ids:
+        if record["id"] in ids:
             raise ValueError(f"unit id {record['id']!r} repeats an earlier record")
         ids.add(record["id"])
         return record
@@ -480,8 +481,7 @@ def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport
     if header["suite_hash"] != suite.content_hash():
         raise ValueError("run log was produced from a different suite")
     directions = [tuple(d) for d in header["directions"]]
-    # A log written before repeated directions were rejected may repeat one.
-    check_directions(suite, list(dict.fromkeys(directions)))
+    check_directions(suite, directions)
     granularity = header["granularity"]
     unit_lists = [_units(suite, direction, granularity) for direction in directions]
     by_id = {r["id"]: r for r in records}

@@ -155,7 +155,7 @@ class VocabFileTokenizer:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "VocabFileTokenizer":
-        return cls(jsonio.read_json(path))
+        return jsonio.read_json(path, cls)
 
     def encode(self, text: str) -> list[int]:
         ids = []

@@ -3,10 +3,12 @@
 JSONL files hold one record per line, UTF-8 as is, with an optional header
 line first.  JSON documents (reports, manifests, audits) are canonical:
 sorted keys and one-space indent.  Both are strict JSON, so never ``NaN``
-or ``Infinity``: writing either raises ValueError, and so does reading one,
-or a number literal such as ``1e999`` that overflows to infinity.
-A failed write leaves the target file as it was.  Each record read, like
-each CLI config, is checked against its key table by :func:`resolved`.
+or ``Infinity``: writing either raises ValueError, and so does reading one.
+The decoder refuses only those constants.  RFC 8259 (section 9) leaves a
+number's range to the reader, so a literal such as ``1e999`` decodes to
+infinity, and the key table of the record that holds it refuses it: each
+record read, like each CLI config, is checked against its key table by
+:func:`resolved`.  A failed write leaves the target file as it was.
 
 HTTP goes through the standard library's ``urllib.request``, imported
 inside :func:`post_json`: only a live endpoint or back-translation pays for
@@ -69,63 +71,42 @@ def _replacing(path: str | Path):
         raise
 
 
+class _Constant(ValueError):
+    """The error of a NaN or Infinity constant, which holds no position."""
+
+
 def _reject_constant(name: str) -> NoReturn:
-    raise ValueError(f"{name} is not valid JSON")
-
-
-def _finite_float(literal: str) -> float:
-    value = float(literal)
-    if math.isinf(value):
-        raise ValueError(f"{literal} overflows to infinity")
-    return value
+    raise _Constant(f"{name} is not valid JSON")
 
 
 # One decoder for every read: passing parse_constant to json.loads would
-# build a new decoder per call.  The checking decoder calls back into Python
-# for every float, so it only decodes text that may hold an overflowing one.
+# build a new decoder per call.
 _decode = json.JSONDecoder(parse_constant=_reject_constant).decode
-_decode_checked = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float).decode
 
-# A float literal overflows only if its exponent has 3 or more digits, or if
-# it has 210 or more digits before its point (not looked for: no JSON
-# writer emits those, and such a value still fails on write).  Two patterns
-# that each open with a literal scan faster than one opening with [eE]; a
-# digit-led (\d[eE]...) or single-class ([eE]...) pattern ran 2-23x slower.
-_LOWER_EXPONENT = re.compile(r"e[+-]?\d\d\d").search
-_UPPER_EXPONENT = re.compile(r"E[+-]?\d\d\d").search
+# A JSON string, or (group 1) a constant outside any string.
+_STRING_OR_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|Infinity)')
 
 
-def _decoder(text: str) -> Callable[[str], Any]:
-    return _decode_checked if _LOWER_EXPONENT(text) or _UPPER_EXPONENT(text) else _decode
-
-
-# A JSON string, or (group 1) a constant or number outside any string.
-_STRING_OR_VALUE = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)')
-
-
-def _first_rejected(text: str) -> int:
-    """Offset of the first non-finite constant or overflowing float literal
-    outside a string: the value a rejecting decoder raised on."""
-    for m in _STRING_OR_VALUE.finditer(text):
-        literal = m.group(1)
-        if literal and not literal.lstrip("-").isdigit() and not math.isfinite(float(literal)):
-            return m.start(1)
-    return 0
+def _first_constant(text: str) -> int:
+    """Offset of the first NaN or Infinity constant outside a string: the
+    value the decoder raised on."""
+    return next(m.start(1) for m in _STRING_OR_CONSTANT.finditer(text) if m.group(1))
 
 
 def iter_jsonl(path: str | Path, record: Callable[[Any], Any] | None = None) -> Iterator:
     """Each non-blank line of a JSONL file, decoded and passed through
     ``record`` when it is given, read as the caller asks for it; a header
     line, if the format has one, comes first.  A line that is not strict
-    JSON, holds a number that overflows to infinity, or makes ``record``
-    raise a TypeError, KeyError or ValueError raises ValueError naming the
-    file and line, and so does a line that is not UTF-8."""
+    JSON, so holds ``NaN`` or ``Infinity``, or that makes ``record`` raise a
+    TypeError, KeyError or ValueError raises ValueError naming the file and
+    line, and so does a line that is not UTF-8.  ``record`` checks the range
+    of each number: a literal that overflows decodes to infinity."""
     with open(path, encoding="utf-8") as f:
         try:
             for lineno, line in enumerate(f, start=1):
                 if line.strip():
                     try:
-                        obj = _decoder(line)(line)
+                        obj = _decode(line)
                         obj = obj if record is None else record(obj)
                     except (TypeError, KeyError, ValueError) as exc:
                         detail = f"no {exc} key" if isinstance(exc, KeyError) else exc
@@ -155,23 +136,25 @@ def read_jsonl(path: str | Path, record: Callable[[Any], Any] | None = None) -> 
 
 def read_json(path: str | Path, record: Callable[[Any], Any] | None = None) -> Any:
     """The decoded JSON document in ``path``, passed through ``record`` when
-    it is given.  A ValueError for text that is not strict JSON, or holds a
-    number that overflows to infinity, names the file and line; one of
-    ``record``, the file.  So does one for a file that is not UTF-8."""
+    it is given, which checks the range of each number as in
+    :func:`iter_jsonl`.  A ValueError for text that is not strict JSON, so
+    holds ``NaN`` or ``Infinity``, or is not UTF-8 names the file and line;
+    one that ``record`` raises, or the decoder with no position (an int of
+    too many digits), names the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         _not_utf8(path)
     try:
-        obj = _decoder(text)(text)
-    except ValueError as exc:
-        # A rejected value has no position: it is the first one outside a string.
-        at = exc.pos if isinstance(exc, json.JSONDecodeError) else _first_rejected(text)
-        lineno = text.count("\n", 0, at) + 1
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
-    try:
+        obj = _decode(text)
         return obj if record is None else record(obj)
-    except ValueError as exc:
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc}") from None
+    except _Constant as exc:
+        # A rejected constant has no position: it is the first one outside a string.
+        lineno = text.count("\n", 0, _first_constant(text)) + 1
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    except ValueError as exc:  # of record, or with no position, as of an int of too many digits
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -267,10 +250,6 @@ def write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, replacing the file only once it is complete."""
     with _replacing(path) as f:
         f.write(text)
-
-
-def write_json(path: str | Path, obj: Any) -> None:
-    write_text(path, dumps(obj))
 
 
 def post_json(url: str, payload: Any, *, attempts: int, backoff: float,

@@ -90,8 +90,9 @@ class TestCorpusCommand:
         assert not (out / "manifest.json").exists()
 
     def test_non_finite_provenance_fails_before_manifest(self, tmp_path, capsys):
-        # 1e999 overflows to infinity, so the input is rejected on read,
-        # naming the file and the line, before the output directory is made.
+        # 1e999 is read as infinity, which no output file could hold, so the
+        # input is rejected on read, naming the file, the line and the key,
+        # before the output directory is made.
         lines = [json.dumps(make_document("lug", f"omwana agenda mu kibuga {i}", "web",
                                           provenance={"ocr_score": 0.5}).__dict__)
                  for i in range(6)]
@@ -102,7 +103,8 @@ class TestCorpusCommand:
         out = tmp_path / "out"
         assert main(["corpus", "--config", config, "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": f"{inputs}:4: 1e999 overflows to infinity", "type": "ValueError"}
+        assert err == {"error": f"{inputs}:4: provenance must hold finite numbers only",
+                       "type": "ValueError"}
         assert not out.exists()
 
     def test_non_finite_token_in_input_names_file_and_line(self, tmp_path, capsys):
@@ -1340,6 +1342,63 @@ def test_bad_input_fails_before_output(tmp_path, capsys, inputs, command, config
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert message in json.loads(err)["error"]
+    assert not out.exists()
+
+
+# Each record type that an input file holds: the file, with "@" where a
+# number goes; the command and config that read it; the line of the number;
+# and the start of the error when the number overflows to infinity, which
+# names the key.  A JSON document's key error names the file but no line.
+TEMPLATE = {"user_prefix": "@", "user_suffix": "", "assistant_prefix": "", "assistant_suffix": ""}
+NUMBER_IN_RECORD = {
+    "document": (_lines(DOC, {**DOC, "provenance": {"score": "@"}}), "corpus",
+                 {"inputs": ["{path}"]}, 2, ":2: provenance must hold finite numbers only"),
+    "pair": (_lines(PAIR, {**PAIR, "src_text": "@"}), "instruct", {"parallel": "{path}"},
+             2, ":2: src_text must be a string"),
+    "instruction": (_lines(CHAT, {**CHAT, "langs_involved": ["@"]}), "instruct",
+                    {"parallel": "{pairs}", "conversational": "{path}"},
+                    2, ":2: langs_involved[0] must be a string"),
+    "log-prob pair": (_lines(LOGPS, {**LOGPS, "policy_chosen": ["@"]}), "loss",
+                      {"pairs": "{path}"}, 2, ":2: policy_chosen contains a non-finite "
+                      "log-probability: policy_chosen[0] is not a finite number"),
+    "run-log header": (_lines({**RUN_LOG_HEADER, "temperature": "@"}), "eval",
+                       {"suite": "{suite}", "rescore": "{path}"},
+                       1, ":1: temperature must be a finite number"),
+    "run-log record": (_lines(RUN_LOG_HEADER, {"id": "u", "status": "ok", "response": "x",
+                                               "latency_ms": "@"}), "eval",
+                       {"suite": "{suite}", "rescore": "{path}"},
+                       2, ":2: latency_ms must be a finite number"),
+    "vocabulary": (_lines({"say": "@"}), "instruct",
+                   {"parallel": "{pairs}", "tokenizer_vocab": "{path}"},
+                   1, ": vocabulary id of token 'say' must be an int in [0, 2**32), got "),
+    "chat template": (_lines(TEMPLATE), "instruct", {"parallel": "{pairs}", "template": "{path}"},
+                      1, ": user_prefix must be a string"),
+}
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1E+400", "2.5e0309", "NaN", "Infinity"])
+@pytest.mark.parametrize("record", NUMBER_IN_RECORD)
+def test_number_not_finite_fails_before_output(tmp_path, capsys, suite_csv, record, literal):
+    """A NaN or Infinity constant is refused when the file is decoded,
+    naming the file and line; a literal that overflows to infinity is
+    refused by its record's key table, naming the file, the key and, in a
+    JSONL file, the line.  Either fails before the output directory is made."""
+    text, command, config, line, overflow_error = NUMBER_IN_RECORD[record]
+    path, pairs = tmp_path / "input", tmp_path / "pairs.jsonl"
+    path.write_text(text.replace('"@"', literal), encoding="utf-8")
+    corpus.write_pairs_jsonl([ParallelPair("lug", "eng", "gamba", "say")], pairs)
+    config = with_inputs(config, {"path": path, "pairs": pairs, "suite": suite_csv})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", write_yaml(tmp_path / "c.yaml", config),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    if literal in ("NaN", "Infinity"):
+        assert error == f"{path}:{line}: {literal} is not valid JSON"
+    else:
+        assert error.startswith(f"{path}{overflow_error}")
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import time
 
@@ -210,20 +211,19 @@ class TestTranslationEval:
                                  directions=[("aaa", "eng"), ("eng", "aaa"), ("aaa", "eng")])
         assert prompts == []
 
-    def test_rescore_accepts_a_log_with_a_repeated_direction(self, suite, tmp_path):
-        # Logs written before repeated directions were rejected list the
-        # direction twice and hold each of its records twice.
+    def test_rescore_refuses_a_log_with_a_repeated_direction(self, suite, tmp_path):
+        # No run writes a log that lists a direction twice, as a log joined
+        # from two runs of one direction under one header would.
         log = tmp_path / "run.jsonl"
-        once = run_translation_eval(suite, ReferenceEchoClient(suite),
-                                    directions=[("aaa", "eng")], run_log_path=log)
+        run_translation_eval(suite, ReferenceEchoClient(suite), directions=[("aaa", "eng")],
+                             run_log_path=log)
         header, *records = log.read_text().splitlines()
         header = json.loads(header)
-        header["directions"] *= 2
-        log.write_text("\n".join([json.dumps(header)] + records * 2) + "\n")
-        report = rescore_run_log(log, suite)
-        assert [d.direction for d in report.directions] == [("aaa", "eng")] * 2
-        for d in report.directions:
-            assert d.per_sentence == once.directions[0].per_sentence
+        header["directions"] = [["aaa", "eng"], ["eng", "aaa"], ["aaa", "eng"]]
+        log.write_text("\n".join([json.dumps(header)] + records) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(log))}:1: "
+                                             "direction aaa-eng is repeated$"):
+            rescore_run_log(log, suite)
 
     @pytest.mark.parametrize("max_parallel", [1, 4])
     def test_scoring_overlaps_requests(self, suite, tmp_path, monkeypatch, max_parallel):

@@ -1,9 +1,12 @@
 import io
+import json
 import math
 import re
+import tempfile
 import typing
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 from helpers import Reply, closed_port_url, examples, serving
@@ -13,14 +16,23 @@ from oracles import _brute_check_type
 
 from savanna import jsonio
 from savanna.cli import CONFIG_KEYS, ENTRY_KEYS
-from savanna.corpus import DOCUMENT_KEYS, PAIR_KEYS, HttpMtClient, MixtureSpec, MtClientError
+from savanna.corpus import (
+    DOCUMENT_KEYS,
+    PAIR_KEYS,
+    HttpMtClient,
+    MixtureSpec,
+    MtClientError,
+    read_documents_jsonl,
+)
 from savanna.evalharness import (
     RUN_LOG_HEADER_KEYS,
     RUN_LOG_RECORD_KEYS,
+    RUN_LOG_VERSION,
     EvalSuite,
     HttpCompletionClient,
     TransportError,
     check_directions,
+    rescore_run_log,
 )
 from savanna.instruct import INSTRUCTION_KEYS, TEMPLATE_KEYS, TURN_KEYS, VocabFileTokenizer
 from savanna.jsonio import REQUIRED
@@ -61,10 +73,11 @@ class TestFiles:
             jsonio.write_jsonl(tmp_path / "bad.jsonl", [], header={"score": bad})
 
     def test_write_json_is_strict(self, tmp_path):
-        jsonio.write_json(tmp_path / "ok.json", {"b": 1, "a": "é"})
+        # A JSON document is written as main writes one: its canonical text.
+        jsonio.write_text(tmp_path / "ok.json", jsonio.dumps({"b": 1, "a": "é"}))
         assert (tmp_path / "ok.json").read_text(encoding="utf-8") == '{\n "a": "é",\n "b": 1\n}'
-        with pytest.raises(ValueError):
-            jsonio.write_json(tmp_path / "bad.json", {"cer": math.inf})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            jsonio.write_text(tmp_path / "bad.json", jsonio.dumps({"cer": math.inf}))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.json"]
 
     def test_failed_write_leaves_target_as_it_was(self, tmp_path):
@@ -91,17 +104,34 @@ class TestFiles:
 
     @pytest.mark.parametrize("literal", ["1e999", "-1E+400", "2.5e0309", "1.0e308" + "0" * 3])
     def test_read_rejects_overflowing_numbers(self, tmp_path, literal):
+        # The decoder reads a literal that overflows as an infinity, and the
+        # key table of the record that holds it refuses it, naming the key.
+        infinity = -math.inf if literal.startswith("-") else math.inf
+        numbers = {"a": (jsonio.NUMBER, None), "s": (str, "")}
         path = tmp_path / "x.jsonl"
-        path.write_text('{"a": "1e999"}\n{"a": [1e-999, 1e308]}\n{"a": [0.5, %s]}\n' % literal,
+        path.write_text('{"s": "1e999"}\n{"a": 1e-999}\n{"a": 1e308}\n{"a": %s}\n' % literal,
                         encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "
-                                             f"{re.escape(literal)} overflows to infinity$"):
-            jsonio.read_jsonl(path)
-        path = tmp_path / "x.json"
-        path.write_text('{\n "a": "1e999 \\" 1e999",\n "n": 123456789012345678901234567890,\n'
-                        ' "b": [1e-999, %s]\n}' % literal, encoding="utf-8")
+        assert jsonio.read_jsonl(path)[1:] == [{"a": 0.0}, {"a": 1e308}, {"a": infinity}]
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: "
-                                             f"{re.escape(literal)} overflows to infinity$"):
+                                             "a must be a finite number$"):
+            jsonio.read_jsonl(path, lambda obj: jsonio.resolved(obj, numbers))
+        path = tmp_path / "x.json"
+        path.write_text('{\n "s": "1e999 \\" 1e999",\n "a": %s\n}' % literal, encoding="utf-8")
+        assert jsonio.read_json(path) == {"s": '1e999 " 1e999', "a": infinity}
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: a must be a finite number$"):
+            jsonio.read_json(path, lambda obj: jsonio.resolved(obj, numbers))
+
+    def test_read_error_without_a_position_names_the_true_line_or_the_file(self, tmp_path):
+        # An int of more digits than Python converts (4,300 by default).
+        digits = "1" * 5000
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n{"a": 2}\n{"a": %s}\n' % digits, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: Exceeds the limit"):
+            jsonio.read_jsonl(path)
+        # A JSON document's decoder raises it with no position.
+        path = tmp_path / "x.json"
+        path.write_text('{\n "a": 1,\n "b": %s\n}' % digits, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Exceeds the limit"):
             jsonio.read_json(path)
 
     def test_read_keeps_numbers_that_fit(self, tmp_path):
@@ -187,6 +217,40 @@ def entries_like(table):
             | st.fixed_dictionaries({}, optional={**values, "x": leaves}))
 
 
+def number(value) -> bool:
+    return _brute_check_type(value, jsonio.NUMBER)
+
+
+def integer(value) -> bool:
+    return _brute_check_type(value, int)
+
+
+def read_file(read, *records):
+    """``read`` of a file of ``records``, one a line, in which an infinity
+    is written as a literal that overflows to it, such as ``1e999``."""
+    text = "".join(json.dumps(record) + "\n" for record in records)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_text(text.replace("-Infinity", "-1E+400").replace("Infinity", "1e999"),
+                        encoding="utf-8")
+        return read(path)
+
+
+DOC = {"id": "a", "lang": "lug", "text": "abc", "source": "web"}
+EMPTY_SUITE = EvalSuite([], set())
+LOG_HEADER = {"type": "header", "version": RUN_LOG_VERSION, "suite_hash": EMPTY_SUITE.content_hash(),
+              "directions": [], "granularity": "sentence", "prompt_template": ""}
+LOG_RECORD = {"id": "u", "status": "ok", "response": "x"}
+
+
+def read_document(**keys):
+    return read_file(read_documents_jsonl, {**DOC, **keys})
+
+
+def read_run_log(*lines):
+    return read_file(lambda path: rescore_run_log(path, EMPTY_SUITE), *lines)
+
+
 def accepts(check) -> bool:
     try:
         check()
@@ -238,28 +302,43 @@ class TestKeyChecker:
         assert accepts(lambda: jsonio.check_type(value, kind, "k")) is expected
         assert accepts(lambda: jsonio.resolved({"k": value}, {"k": (kind, REQUIRED)})) is expected
 
-    # Each site that takes a number from outside, by name: the kind of number
-    # it takes, its own range, and a call that takes a value there.
+    # Each site that takes a number from outside, by name: whether it takes
+    # a value, by the oracle's rule for numbers and the site's own range, and
+    # a call that takes one there.  A reader's site reads the value from a
+    # file, where an infinity is written as a literal that overflows to it.
     NUMBER_SITES = {
-        "mixture weight": (jsonio.NUMBER, lambda v: v >= 0, lambda v: MixtureSpec({"web": v})),
-        "log-probability": (jsonio.NUMBER, lambda v: v <= 0,
+        "mixture weight": (lambda v: number(v) and v >= 0, lambda v: MixtureSpec({"web": v})),
+        "log-probability": (lambda v: number(v) and v <= 0,
                             lambda v: PairLogps([-0.5, v], [-1.0], [-0.5, -0.5], [-1.0])),
-        "vocabulary id": (int, lambda v: 0 <= v < 2 ** 32,
+        "vocabulary id": (lambda v: integer(v) and 0 <= v < 2 ** 32,
                           lambda v: VocabFileTokenizer({"say": v})),
-        "max_parallel": (int, lambda v: v >= 1,
+        "max_parallel": (lambda v: integer(v) and v >= 1,
                          lambda v: check_directions(EvalSuite([], set()), [], v)),
+        "document char_count": (lambda v: integer(v) and v in (0, 3),
+                                lambda v: read_document(char_count=v)),
+        # provenance is free-form: any value but a float that is not finite.
+        "document provenance value": (lambda v: not isinstance(v, float) or number(v),
+                                      lambda v: read_document(provenance={"p": v})),
+        "run-log record latency_ms": (lambda v: v is None or number(v),
+                                      lambda v: read_run_log(LOG_HEADER,
+                                                             {**LOG_RECORD, "latency_ms": v})),
+        "run-log header temperature": (lambda v: v is None or number(v),
+                                       lambda v: read_run_log({**LOG_HEADER, "temperature": v})),
+        "vocabulary id from a file": (lambda v: integer(v) and 0 <= v < 2 ** 32,
+                                      lambda v: read_file(VocabFileTokenizer.from_file,
+                                                          {"say": v})),
     }
 
     @settings(max_examples=examples(2))
     @given(site=st.sampled_from(sorted(NUMBER_SITES)),
-           value=st.booleans() | st.integers() | st.sampled_from([10 ** 400, -(10 ** 400)])
-           | st.floats() | st.text(max_size=3) | st.none())
+           value=st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | st.none()
+           | st.sampled_from([10 ** 400, -(10 ** 400), math.inf, -math.inf]))
     def test_number_sites_take_what_the_rule_and_their_range_take(self, site, value):
-        """Each site takes a value exactly when it is a number of the site's
-        kind, as the oracle tells it, within the site's range; it refuses
-        any other with a ValueError, never an OverflowError or TypeError."""
-        kind, in_range, take = self.NUMBER_SITES[site]
-        assert accepts(lambda: take(value)) is (_brute_check_type(value, kind) and in_range(value))
+        """Each site takes a value exactly when the oracle's rule for numbers
+        and the site's range take it; it refuses any other with a
+        ValueError, never an OverflowError or TypeError."""
+        takes, take = self.NUMBER_SITES[site]
+        assert accepts(lambda: take(value)) is takes(value)
 
     def test_defaults_and_nulls(self):
         keys = {"a": (str, REQUIRED), "b": (list, []), "c": (int, None),
@@ -365,11 +444,11 @@ class TestPostJson:
 class TestHttpMtClient:
     def test_success_after_transient_failures(self, http_server, sleeps):
         http_server.script = [Reply(500), Reply(503), Reply(body={"translation": "omwana"})]
-        client = HttpMtClient(http_server.url, backoff=0.25, timeout=0.2)
+        client = HttpMtClient(http_server.url, timeout=0.2)
         assert client.translate("child", "eng", "lug") == "omwana"
         assert len(http_server.requests) == 3
         assert http_server.requests[0]["body"] == {"text": "child", "source": "eng", "target": "lug"}
-        assert sleeps == [0.25, 0.5]
+        assert sleeps == [0.5, 1.0]
 
     def test_timeout_is_retried(self, http_server, sleeps):
         http_server.script = [Reply(body={"translation": "late"}, delay=1.0),
@@ -386,7 +465,7 @@ class TestHttpMtClient:
                            match=r"^translation failed after 3 attempts: 'translation'$"):
             client.translate("child", "eng", "lug")
         assert len(http_server.requests) == 3
-        assert len(sleeps) == 2
+        assert sleeps == [0.5, 1.0]
 
     def test_connection_refused(self, sleeps):
         client = HttpMtClient(closed_port_url(), timeout=0.2)
@@ -397,18 +476,18 @@ class TestHttpMtClient:
 
 
 class TestHttpCompletionClient:
-    def client(self, url, retries=2, **kwargs):
-        return HttpCompletionClient(url, "sunflower", timeout=0.2, retries=retries, **kwargs)
+    def client(self, url, retries=2):
+        return HttpCompletionClient(url, "sunflower", timeout=0.2, retries=retries)
 
     def test_success_after_transient_failures(self, http_server, sleeps, monkeypatch):
         monkeypatch.delenv("SAVANNA_API_TOKEN", raising=False)
         http_server.script = [Reply(429, body={}, headers={"Retry-After": "1"}), completion("hello")]
-        client = self.client(http_server.url, backoff=0.1)
+        client = self.client(http_server.url)
         messages = [{"role": "user", "content": "hi"}]
         assert client.complete(messages, temperature=0.3) == "hello"
         assert http_server.requests[0]["body"] == {"model": "sunflower", "messages": messages,
                                                    "temperature": 0.3}
-        assert len(http_server.requests) == 2 and sleeps == [0.1]
+        assert len(http_server.requests) == 2 and sleeps == [0.5]
 
     def test_timeout_is_retried(self, http_server, sleeps):
         http_server.script = [Reply(body={}, delay=1.0), completion("hello")]
@@ -424,7 +503,7 @@ class TestHttpCompletionClient:
                                                  r'HTTP Error 502: Bad Gateway: \{"error": "overloaded"\}$'):
             client.complete([{"role": "user", "content": "hi"}])
         assert len(http_server.requests) == retries + 1
-        assert len(sleeps) == retries
+        assert sleeps == [0.5, 1.0][:retries]
 
     def test_bearer_header_only_with_token(self, http_server, monkeypatch):
         monkeypatch.delenv("SAVANNA_API_TOKEN", raising=False)
