@@ -36,18 +36,20 @@ def main():
     print(f"  {len(chat.token_ids)} tokens, {sum(chat.loss_mask)} with loss")
     print(f"  masked tokens decode to: {tokenizer.decode(masked)!r}")
 
-    # packing: short docs share sequences, long docs split at token boundaries
+    # packing: short docs share sequences, long docs split at token
+    # boundaries; byte-tokenized streams are packed at 1 byte per token
     streams = [
-        ("short-a", list(range(200))),
-        ("short-b", list(range(250))),
-        ("long", list(range(1100))),
-        ("short-c", list(range(60))),
+        ("chat", chat.token_ids),
+        ("short-a", tokenizer.encode("a" * 200)),
+        ("long", tokenizer.encode("b" * 1100)),
+        ("short-b", tokenizer.encode("c" * 60)),
     ]
     sequences = pack(streams, max_len=512)
     print("\npacking (max_len=512)")
     for i, seq in enumerate(sequences):
         spans = ", ".join(f"{doc}[{end - start}]" for doc, start, end in seq.segment_spans)
-        print(f"  seq {i}: {len(seq.token_ids):>3} tokens <- {spans}")
+        print(f"  seq {i}: {len(seq.token_ids):>3} tokens, "
+              f"{seq.token_ids.itemsize} byte(s) per token <- {spans}")
     print(f"  sequences per 32768-token batch: {batch_spec(32768, 512)}")
 
 

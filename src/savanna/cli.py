@@ -211,11 +211,26 @@ def cmd_instruct(config: dict) -> typing.Callable[[Path], Outputs]:
         template = instruct.ChatTemplate.from_file(config["template"])
     else:
         template = instruct.ChatTemplate("<user>", "</user>", "<assistant>", "</assistant>")
+    # The input record the example being built, rendered and packed comes
+    # from, as "<file>: pair <n>" or "<file>: example <n>" (blank lines
+    # not counted); None while the next record is read, whose errors name
+    # their own line.
+    source = None
+
+    def numbered(records, path, noun):
+        nonlocal source
+        for number, record in enumerate(records, start=1):
+            source = f"{path}: {noun} {number}"
+            yield record
+            source = None
+
     conversational = ()
     if config["conversational"]:
-        conversational = instruct.read_instructions_jsonl(config["conversational"])
+        conversational = numbered(instruct.read_instructions_jsonl(config["conversational"]),
+                                  config["conversational"], "example")
     examples = instruct.build_instruction_dataset(
-        corpus_mod.read_pairs_jsonl(config["parallel"]), conversational,
+        numbered(corpus_mod.read_pairs_jsonl(config["parallel"]), config["parallel"], "pair"),
+        conversational,
         n_translation=config["n_translation"],
         n_conversational=config["n_conversational"],
         noisy_fraction=config["noisy_fraction"],
@@ -232,7 +247,12 @@ def cmd_instruct(config: dict) -> typing.Callable[[Path], Outputs]:
             lines.append(instruct.instruction_line(example))
             counts[example.category] += 1
             yield f"ex{i}", instruct.render_chat(example, tokenizer, template).token_ids
-    packed = instruct.pack(streams(), max_len=max_len)
+    try:
+        packed = instruct.pack(streams(), max_len=max_len)
+    except ValueError as exc:
+        if source is None:
+            raise
+        raise ValueError(f"{source}: {exc}") from None
     manifest = jsonio.dumps({
         "category_counts": counts,
         "examples": len(lines),

@@ -66,7 +66,11 @@ def validate_alternation(turns: list[Turn]) -> None:
 
 @dataclass
 class ChatExample:
-    token_ids: list[int]
+    """A rendered conversation.  ``token_ids`` is the tokenizer's encoding
+    of each piece, joined: an ``array`` of the tokenizer's typecode for the
+    tokenizers here, so a byte-level conversation takes 1 byte a token."""
+
+    token_ids: array | list[int]
     boundaries: list[tuple[int, int, int]]  # (turn index, start, end) of each assistant body
 
     def __post_init__(self) -> None:
@@ -87,15 +91,20 @@ class ChatExample:
 
 ID_LIMIT = 2 ** 32  # token ids are below this, so each fits in 4 bytes
 
+# The unsigned typecodes an id array may have, smallest first.
+ID_TYPECODES = ("B", "H", "I")
 
-@dataclass
+
+@dataclass(slots=True)  # no per-sequence __dict__ beside the ids
 class PackedSequence:
     """Token ids of one packed sequence and the documents' spans in it.
 
-    ``pack`` stores the ids as an ``array('I')``, 4 bytes each, so every
-    id must be an int in [0, 2**32).  The spans tile the sequence in
-    order: the first starts at 0, each starts where the previous one
-    ended, and the last ends at ``len(token_ids)``.
+    ``pack`` stores the ids in an ``array`` of its streams' typecode:
+    ``'B'``, 1 byte each, for the byte tokenizer; ``'B'``, ``'H'`` or
+    ``'I'`` for a vocabulary's; ``'I'``, 4 bytes each, for list streams,
+    whose every id must be an int in [0, 2**32).  The spans tile the
+    sequence in order: the first starts at 0, each starts where the
+    previous one ended, and the last ends at ``len(token_ids)``.
     """
 
     token_ids: array
@@ -116,28 +125,36 @@ class PackedSequence:
 
 
 class TokenizerPort(Protocol):
-    def encode(self, text: str) -> list[int]: ...
+    """Encodes text to token ids and back.  ``encode`` returns an ``array``
+    of one unsigned typecode (``'B'``, ``'H'`` or ``'I'``) for every text,
+    the empty one included, so that ``render_chat`` and ``pack`` join the
+    ids at C level; a list of ints also works, held as ``'I'`` by ``pack``."""
 
-    def decode(self, ids: list[int]) -> str: ...
+    def encode(self, text: str) -> array | list[int]: ...
+
+    def decode(self, ids: Iterable[int]) -> str: ...
 
 
 class ByteTokenizer:
-    """UTF-8 byte-level tokenizer; exact round trip for any text."""
+    """UTF-8 byte-level tokenizer; exact round trip for any text.  Its ids
+    are the text's bytes, in an ``array('B')``."""
 
-    def encode(self, text: str) -> list[int]:
-        return list(text.encode("utf-8"))
+    def encode(self, text: str) -> array:
+        return array("B", text.encode("utf-8"))
 
-    def decode(self, ids: list[int]) -> str:
-        # From an iterator, as bytes() would copy an array('I')'s 4-byte items.
+    def decode(self, ids: Iterable[int]) -> str:
+        # From an iterator, as bytes() would copy the 2- or 4-byte items of
+        # an array('H') or array('I') as they lie in memory.
         return bytes(iter(ids)).decode("utf-8")
 
 
 class VocabFileTokenizer:
     """Word-level tokenizer backed by an explicit ``{token: id}`` JSON file.
 
-    Every id must be an ``int`` (not a ``bool``) in [0, 2**32), which a
-    packed sequence stores in 4 bytes, used by one token only, so that ids
-    round-trip through ``decode``.
+    Every id must be an ``int`` (not a ``bool``) in [0, 2**32), used by one
+    token only, so that ids round-trip through ``decode``.  ``encode``
+    returns an ``array`` of ``typecode``: the smallest of ``'B'``, ``'H'``
+    and ``'I'`` that holds the largest id.
     """
 
     def __init__(self, vocab: dict[str, int]):
@@ -152,20 +169,20 @@ class VocabFileTokenizer:
                 raise ValueError(f"vocabulary id {i} of token {token!r} is already the id of "
                                  f"token {self._id_to_token[i]!r}")
             self._id_to_token[i] = token
+        top = max(self._id_to_token, default=0)
+        self.typecode = next(code for code in ID_TYPECODES if top < 256 ** array(code).itemsize)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "VocabFileTokenizer":
         return jsonio.read_json(path, cls)
 
-    def encode(self, text: str) -> list[int]:
-        ids = []
-        for token in text.split():
-            if token not in self._token_to_id:
-                raise ValueError(f"token not in vocabulary: {token!r}")
-            ids.append(self._token_to_id[token])
-        return ids
+    def encode(self, text: str) -> array:
+        try:
+            return array(self.typecode, [self._token_to_id[token] for token in text.split()])
+        except KeyError as exc:
+            raise ValueError(f"token not in vocabulary: {exc.args[0]!r}") from None
 
-    def decode(self, ids: list[int]) -> str:
+    def decode(self, ids: Iterable[int]) -> str:
         return " ".join(self._id_to_token[i] for i in ids)
 
 
@@ -194,9 +211,11 @@ def render_chat(example: InstructionExample, tokenizer: TokenizerPort,
     The mask is 1 exactly on assistant message bodies; user text, role
     headers and template control tokens are 0.  Each piece is tokenized in
     isolation, so decoding the masked-in positions reconstructs the
-    concatenated assistant bodies.
+    concatenated assistant bodies.  The pieces' ids are appended with
+    ``+=`` to the encoding of the empty text, so ``token_ids`` has the
+    tokenizer's array typecode and no id becomes a Python int.
     """
-    token_ids: list[int] = []
+    token_ids = tokenizer.encode("")
     boundaries: list[tuple[int, int, int]] = []
     for turn_index, turn in enumerate(example.turns):
         if turn.role == "assistant":
@@ -209,7 +228,7 @@ def render_chat(example: InstructionExample, tokenizer: TokenizerPort,
             ids = tokenizer.encode(piece)
             if mask_value == 1:
                 boundaries.append((turn_index, len(token_ids), len(token_ids) + len(ids)))
-            token_ids.extend(ids)
+            token_ids += ids
     return ChatExample(token_ids=token_ids, boundaries=boundaries)
 
 
@@ -290,7 +309,7 @@ def make_translation_instruction(pair: ParallelPair, noisy: bool = False,
 # --- Sample packing -----------------------------------------------------------
 
 
-def pack(token_streams: Iterable[tuple[str, list[int]]],
+def pack(token_streams: Iterable[tuple[str, array | list[int]]],
          max_len: int = 512) -> list[PackedSequence]:
     """First-fit sample packing into sequences of at most ``max_len`` tokens.
 
@@ -309,9 +328,15 @@ def pack(token_streams: Iterable[tuple[str, list[int]]],
     tokens.  ``token_streams`` may be any iterable and is read once.  Each
     stream's chunks are copied into their sequences as it arrives, and
     ``pack`` drops the stream before reading the next, so the streams of a
-    generator are freed one by one and each token is held once, in 4 bytes.
-    A token id that is not an int in [0, 2**32) raises ValueError naming
-    its document.
+    generator are freed one by one and each token is held once.
+
+    Sequences hold their ids in an ``array`` of the streams' typecode, and
+    each chunk is appended with ``+=``, a C-level copy, so no id becomes a
+    Python int: an ``array('B')`` stream from the byte tokenizer is packed
+    at 1 byte a token.  Any other stream, such as a list, is first copied
+    into an ``array('I')``, so a token id that is not an int in [0, 2**32)
+    raises ValueError naming its document, as does a stream whose typecode
+    differs from the streams' before it.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -320,9 +345,22 @@ def pack(token_streams: Iterable[tuple[str, list[int]]],
     size = 1
     free = [0, max_len]
     sequences: list[PackedSequence] = []
+    typecode = None  # the first stream's, which every stream must have
     for doc_id, ids in token_streams:
         if not ids:
             raise ValueError(f"document {doc_id!r} is empty after tokenization")
+        if not (isinstance(ids, array) and ids.typecode in ID_TYPECODES):
+            try:
+                ids = array("I", ids)
+            except (OverflowError, TypeError):
+                bad = next(i for i in ids if not (isinstance(i, int) and 0 <= i < ID_LIMIT))
+                raise ValueError(f"document {doc_id!r} has token id {bad!r}, "
+                                 f"not an int in [0, 2**32)") from None
+        if typecode is None:
+            typecode = ids.typecode
+        elif ids.typecode != typecode:
+            raise ValueError(f"document {doc_id!r} has ids of typecode {ids.typecode!r}, "
+                             f"not the {typecode!r} of the documents before it")
         for start in range(0, len(ids), max_len):
             n = min(max_len, len(ids) - start)
             if free[1] < n:  # every leaf is an open sequence without room
@@ -337,16 +375,11 @@ def pack(token_streams: Iterable[tuple[str, list[int]]],
                     node += 1
             slot = node - size
             if slot == len(sequences):
-                sequences.append(PackedSequence(token_ids=array("I"), segment_spans=[]))
+                sequences.append(PackedSequence(token_ids=array(typecode), segment_spans=[]))
             seq = sequences[slot]
             offset = len(seq.token_ids)
             chunk = ids if n == len(ids) else ids[start:start + n]
-            try:  # fromlist copies a list 3x faster than extend does
-                seq.token_ids.fromlist(chunk if isinstance(chunk, list) else list(chunk))
-            except (OverflowError, TypeError):
-                bad = next(i for i in ids if not (isinstance(i, int) and 0 <= i < ID_LIMIT))
-                raise ValueError(f"document {doc_id!r} has token id {bad!r}, "
-                                 f"not an int in [0, 2**32)") from None
+            seq.token_ids += chunk
             seq.segment_spans.append((doc_id, offset, offset + n))
             free[node] -= n
             # Climb while the parent's maximum changes; above the first
@@ -393,10 +426,10 @@ def write_packed_jsonl(sequences: Iterable[PackedSequence], path: str | Path,
     "attention_segments": ...}``, the same text as the JSON encoder's, but
     the two per-token lists are not encoded an int at a time.
     ``token_ids`` joins each id's text from a memo that converts each
-    distinct id once; ``pack`` stores ids as ints in [0, 2**32), never
-    bools, so ``str`` gives the encoder's text.  ``attention_segments``
-    repeats what the spans say, so its text is built from the span lengths
-    (``"k, "`` once per token of span k).
+    distinct id once; ``pack`` stores ids in an unsigned array, so each
+    reads back as an int, never a bool, and ``str`` gives the encoder's
+    text.  ``attention_segments`` repeats what the spans say, so its text
+    is built from the span lengths (``"k, "`` once per token of span k).
     """
     encode = jsonio.jsonl_encoder()
     id_text = _IdText().__getitem__

@@ -111,8 +111,10 @@ def write_pair_logps_jsonl(pairs: Iterable[PairLogps], path: str | Path) -> int:
 
 
 def read_packed_jsonl(path: str | Path) -> tuple[list[PackedSequence], int]:
-    """Packed sequences, their ids in an ``array('I')`` as ``pack`` stores
-    them, and ``max_len`` from a file ``write_packed_jsonl`` wrote.  Raises
+    """Packed sequences, their ids in an ``array('I')``, which holds any id
+    the file may have, and ``max_len`` from a file ``write_packed_jsonl``
+    wrote.  ``pack`` may have held the ids in a smaller typecode, but arrays
+    compare equal by value, so the sequences equal ``pack``'s.  Raises
     ValueError on an unknown version, on spans that do not tile their
     sequence, and on ``attention_segments`` that disagree with the spans."""
     header, *rows = jsonio.read_jsonl(path) or [{}]

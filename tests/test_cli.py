@@ -256,6 +256,22 @@ class TestInstructCommand:
         assert max_len == 128
         assert all(len(s.token_ids) <= 128 for s in packed)
 
+    def test_byte_tokenizer_packs_one_byte_per_token(self, tmp_path, monkeypatch):
+        # A list stream would be packed as 'I', 4 bytes a token.
+        packed, real_pack = [], instruct.pack
+
+        def spy(streams, max_len):
+            packed.extend(real_pack(streams, max_len))
+            return packed
+
+        monkeypatch.setattr(instruct, "pack", spy)
+        config = write_yaml(tmp_path / "c.yaml", {
+            **self.pairs_config(tmp_path, "pairs", 20, 20),
+            "conversational": str(self.conversations(tmp_path, 5))})
+        assert main(["instruct", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert len(packed) > 1 and all(seq.token_ids.itemsize == 1 for seq in packed)
+        assert read_packed_jsonl(tmp_path / "out" / "packed.jsonl")[0] == packed
+
     @staticmethod
     def conversations(tmp_path, n):
         path = tmp_path / "convo.jsonl"
@@ -366,7 +382,55 @@ class TestInstructCommand:
         out = tmp_path / "out"
         assert main(["instruct", "--config", config, "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err) == {
-            "error": "document 'ex2' is empty after tokenization", "type": "ValueError"}
+            "error": f"{conversational}: example 3: document 'ex2' is empty after tokenization",
+            "type": "ValueError"}
+        assert not out.exists()
+
+    def test_unknown_token_names_its_pair(self, tmp_path, capsys):
+        # The default template's first control string is not in the vocabulary.
+        parallel = tmp_path / "pairs.jsonl"
+        corpus.write_pairs_jsonl([ParallelPair("lug", "eng", "omwana", "agenda")], parallel)
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text('{"omwana": 1, "agenda": 2}')
+        config = write_yaml(tmp_path / "c.yaml", {
+            "parallel": str(parallel), "tokenizer_vocab": str(vocab)})
+        out = tmp_path / "out"
+        assert main(["instruct", "--config", config, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"{parallel}: pair 1: token not in vocabulary: '<user>'",
+            "type": "ValueError"}
+        assert not out.exists()
+
+    def test_unknown_token_after_rendered_pairs_names_its_pair(self, tmp_path, capsys):
+        # Every word of the template, the prompt and the first pair is in
+        # the vocabulary; the second pair's "town" is not.
+        parallel = tmp_path / "pairs.jsonl"
+        corpus.write_pairs_jsonl([ParallelPair("lug", "eng", "omwana", "child"),
+                                  ParallelPair("lug", "eng", "kibuga", "town")], parallel)
+        words = ("<user> </user> <assistant> </assistant> " + instruct.translation_prompt(
+            "lug", "eng", "omwana kibuga child")).split()
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({word: i for i, word in enumerate(dict.fromkeys(words))}))
+        config = write_yaml(tmp_path / "c.yaml", {
+            "parallel": str(parallel), "tokenizer_vocab": str(vocab), "noisy_fraction": 0})
+        out = tmp_path / "out"
+        assert main(["instruct", "--config", config, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"{parallel}: pair 2: token not in vocabulary: 'town'", "type": "ValueError"}
+        assert not out.exists()
+
+    def test_bad_input_line_names_its_own_line(self, tmp_path, capsys):
+        # A line that fails to read is named by its reader, not as the
+        # record rendered before it.
+        parallel = tmp_path / "pairs.jsonl"
+        corpus.write_pairs_jsonl([ParallelPair("lug", "eng", "gamba", "say")], parallel)
+        with open(parallel, "a", encoding="utf-8") as f:
+            f.write('{"src_lang": "lug"}\n')
+        config = write_yaml(tmp_path / "c.yaml", {"parallel": str(parallel)})
+        out = tmp_path / "out"
+        assert main(["instruct", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err.startswith(f"{parallel}:2: ") and "pair 1" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("sizes, message", [

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 import weakref
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from oracles import brute_asr_noise, brute_pack, brute_write_packed_jsonl
 from savanna import jsonio
 from savanna.corpus import ParallelPair
 from savanna.instruct import (
+    ID_TYPECODES,
     ByteTokenizer,
     ChatExample,
     ChatTemplate,
@@ -71,6 +73,7 @@ class TestRenderChat:
         ex = convo("what is rain", "water from clouds", "thanks", "you are welcome")
         tok = ByteTokenizer()
         chat = render_chat(ex, tok, TEMPLATE)
+        assert isinstance(chat.token_ids, array) and chat.token_ids.typecode == "B"
         masked = [t for t, m in zip(chat.token_ids, chat.loss_mask) if m == 1]
         assert tok.decode(masked) == "water from cloudsyou are welcome"
 
@@ -155,7 +158,7 @@ class TestTokenizers:
         path = tmp_path / "vocab.json"
         path.write_text('{"omwana": 0, "agenda": 1}')
         tok = VocabFileTokenizer.from_file(path)
-        assert tok.encode("agenda omwana") == [1, 0]
+        assert tok.encode("agenda omwana") == array("B", [1, 0])
         with pytest.raises(ValueError):
             tok.encode("unknown")
 
@@ -171,6 +174,19 @@ class TestTokenizers:
     def test_vocab_ids_must_be_distinct_non_negative_ints(self, vocab, token):
         with pytest.raises(ValueError, match=f"token '{token}'"):
             VocabFileTokenizer(vocab)
+
+    @pytest.mark.parametrize("top, typecode", [
+        (255, "B"), (256, "H"), (65535, "H"), (65536, "I"), (2 ** 32 - 1, "I")])
+    def test_vocab_ids_take_the_smallest_typecode(self, top, typecode):
+        tok = VocabFileTokenizer({"a": 0, "b": top})
+        assert tok.typecode == typecode
+        for text in ("a b b", ""):
+            ids = tok.encode(text)
+            assert ids.typecode == typecode and list(ids) == [0, top, top][:len(text.split())]
+        chat = render_chat(convo("a", "b"), tok, ChatTemplate("a", "", "", "b"))
+        assert chat.token_ids == array(typecode, [0, 0, top, top])
+        [seq] = pack([("doc", chat.token_ids)])
+        assert seq.token_ids.typecode == typecode and tok.decode(seq.token_ids) == "a a b b"
 
     def test_vocab_must_be_an_object(self):
         with pytest.raises(ValueError, match="vocabulary must be"):
@@ -386,6 +402,60 @@ class TestPacking:
         assert all(seq.token_ids.itemsize == 4 for seq in seqs)
         assert [list(seq.token_ids) for seq in seqs] == [
             list(range(300)), list(range(300)), list(range(512)), list(range(512, 1024))]
+
+    @settings(max_examples=examples(3), deadline=None)
+    @given(st.sampled_from([1, 2, 3, 7, 512]).flatmap(lambda m: st.tuples(
+        st.just(m),
+        st.lists(st.one_of(st.binary(min_size=1, max_size=2 * m),
+                           st.binary(min_size=3 * m + 1, max_size=4 * m)),
+                 max_size=30))))
+    def test_byte_streams_match_first_fit_oracle(self, case):
+        # Streams as the byte tokenizer makes them: whole, equal to
+        # max_len and split.
+        max_len, texts = case
+        seqs = pack(((f"doc{i}", array("B", text)) for i, text in enumerate(texts)), max_len)
+        assert all(seq.token_ids.itemsize == 1 for seq in seqs)
+        rows = [{"token_ids": list(s.token_ids), "segment_spans": s.segment_spans,
+                 "attention_segments": s.attention_segments} for s in seqs]
+        assert rows == brute_pack([(f"doc{i}", list(text)) for i, text in enumerate(texts)],
+                                  max_len)
+
+    @settings(deadline=None)  # max_examples from the profile
+    @given(st.permutations(ID_TYPECODES), st.booleans(), st.integers(1, 3), st.integers(1, 9))
+    def test_streams_of_two_typecodes_name_the_second(self, typecodes, as_list, n_same, length):
+        # n_same streams of one typecode, then one of another; with as_list,
+        # the 'I' streams are lists, which pack holds as 'I'.
+        first, other = typecodes[:2]
+
+        def ids(typecode):
+            if typecode == "I" and as_list:
+                return list(range(length))
+            return array(typecode, range(length))
+
+        streams = [(f"d{k}", ids(first)) for k in range(n_same)] + [("odd", ids(other))]
+        with pytest.raises(ValueError, match=f"document 'odd' has ids of typecode '{other}', "
+                                             f"not the '{first}' of the documents before it"):
+            pack(streams, max_len=4)
+
+    def test_a_million_byte_tokens_trace_under_two_bytes_each(self):
+        # The byte tokenizer's array('B') streams, packed by C-level
+        # copies into array('B') sequences.
+        rng = random.Random(3)
+
+        def streams():
+            for k in range(1640):
+                yield f"doc{k}", array("B", rng.randbytes(rng.randint(20, 1200)))
+
+        tracemalloc.start()
+        try:
+            seqs = pack(streams(), max_len=512)
+            _held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tokens = sum(len(seq.token_ids) for seq in seqs)
+        assert 950_000 < tokens < 1_050_000
+        assert all(seq.token_ids.itemsize == 1 for seq in seqs)
+        assert peak < 2 * tokens
 
     def test_a_million_tokens_trace_about_four_bytes_each(self):
         # Byte ids are cached small ints, so a list of them would cost 8
