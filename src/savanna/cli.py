@@ -133,7 +133,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     name and the defaults filled in, checked before any output is made."""
     given = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
+        with open(args.config, encoding="utf-8") as f, jsonio.naming_bad_utf8(args.config):
             try:
                 given = yaml.safe_load(f) or {}
             except yaml.YAMLError as exc:

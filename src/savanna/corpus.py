@@ -221,7 +221,7 @@ def load_bible_tsv(path: str | Path, lang: str) -> BibleEdition:
     verse key raises a ValueError naming the file and line.
     """
     verses: dict[VerseRef, str] = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8") as f, jsonio.naming_bad_utf8(path):
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -299,8 +299,7 @@ class HttpMtClient:
     def translate(self, text: str, source: str, target: str) -> str:
         payload = {"text": text, "source": source, "target": target}
         try:
-            return jsonio.post_json(self.base_url, payload, attempts=3,
-                                    backoff=0.5, timeout=self.timeout,
+            return jsonio.post_json(self.base_url, payload, attempts=3, timeout=self.timeout,
                                     reply=_reply_translation)
         except Exception as exc:  # transport or schema failure
             raise MtClientError(f"translation failed after 3 attempts: {exc}") from exc

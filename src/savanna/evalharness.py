@@ -94,7 +94,7 @@ def load_suite(path: str | Path) -> EvalSuite:
     sent_index, english, then one column per language code."""
     path = Path(path)
     delimiter = "\t" if path.suffix.lower() == ".tsv" else ","
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8", newline="") as f, jsonio.naming_bad_utf8(path):
         reader = csv.DictReader(f, delimiter=delimiter)
         if reader.fieldnames is None:
             raise ValueError(f"suite file {path} is empty; expected a header row")
@@ -159,8 +159,7 @@ class HttpCompletionClient:
         headers = {"Authorization": f"Bearer {token}"} if token else {}
         try:
             return jsonio.post_json(self.base_url, payload, attempts=self.attempts,
-                                    backoff=0.5, timeout=self.timeout, headers=headers,
-                                    reply=_reply_content)
+                                    timeout=self.timeout, headers=headers, reply=_reply_content)
         except Exception as exc:
             raise TransportError(f"request failed after {self.attempts} attempts: {exc}") from exc
 
@@ -440,12 +439,14 @@ RUN_LOG_RECORD_KEYS = {
     "status": (Literal["ok", "error"], REQUIRED)}
 
 
-def _read_run_log(run_log_path: str | Path) -> list[dict]:
-    """The header and records of a run log, as :func:`run_translation_eval`
-    writes it.  The first line must be a header of this version that names
-    no direction twice, no later line a header, and no record an earlier
-    record's unit id.  A line that breaks this or its key table raises
-    ValueError naming the file and line."""
+def _read_run_log(run_log_path: str | Path, suite: EvalSuite) -> list[dict]:
+    """The header and records of a run log of ``suite``, as
+    :func:`run_translation_eval` writes it.  The first line must be a
+    header of this version, of ``suite``'s hash and of directions that
+    :func:`check_directions` takes, no later line a header, and no record
+    an earlier record's unit id.  A line that breaks this or its key table
+    raises ValueError naming the file and line."""
+    suite_hash = suite.content_hash()
     ids: set[str] | None = None  # the records' ids, once the header is read
 
     def line(obj):
@@ -455,10 +456,9 @@ def _read_run_log(run_log_path: str | Path) -> list[dict]:
                     and obj.get("version") == RUN_LOG_VERSION):
                 raise ValueError("not a recognized run log")
             header = jsonio.resolved(obj, RUN_LOG_HEADER_KEYS)
-            directions = header["directions"]
-            for i, (src, tgt) in enumerate(directions):
-                if [src, tgt] in directions[:i]:
-                    raise ValueError(f"direction {src}-{tgt} is repeated")
+            if header["suite_hash"] != suite_hash:
+                raise ValueError("run log was produced from a different suite")
+            check_directions(suite, header["directions"])
             ids = set()
             return header
         if isinstance(obj, dict) and "type" in obj:
@@ -477,11 +477,8 @@ def _read_run_log(run_log_path: str | Path) -> list[dict]:
 
 def rescore_run_log(run_log_path: str | Path, suite: EvalSuite) -> EvalRunReport:
     """Re-score a persisted run log offline; reproduces the original report."""
-    header, *records = _read_run_log(run_log_path)
-    if header["suite_hash"] != suite.content_hash():
-        raise ValueError("run log was produced from a different suite")
+    header, *records = _read_run_log(run_log_path, suite)
     directions = [tuple(d) for d in header["directions"]]
-    check_directions(suite, directions)
     granularity = header["granularity"]
     unit_lists = [_units(suite, direction, granularity) for direction in directions]
     by_id = {r["id"]: r for r in records}

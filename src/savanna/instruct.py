@@ -67,10 +67,10 @@ def validate_alternation(turns: list[Turn]) -> None:
 @dataclass
 class ChatExample:
     """A rendered conversation.  ``token_ids`` is the tokenizer's encoding
-    of each piece, joined: an ``array`` of the tokenizer's typecode for the
-    tokenizers here, so a byte-level conversation takes 1 byte a token."""
+    of each piece, joined in an ``array`` of the tokenizer's typecode, so a
+    byte-level conversation takes 1 byte a token."""
 
-    token_ids: array | list[int]
+    token_ids: array
     boundaries: list[tuple[int, int, int]]  # (turn index, start, end) of each assistant body
 
     def __post_init__(self) -> None:
@@ -89,22 +89,15 @@ class ChatExample:
         return mask
 
 
-ID_LIMIT = 2 ** 32  # token ids are below this, so each fits in 4 bytes
-
-# The unsigned typecodes an id array may have, smallest first.
-ID_TYPECODES = ("B", "H", "I")
-
-
 @dataclass(slots=True)  # no per-sequence __dict__ beside the ids
 class PackedSequence:
     """Token ids of one packed sequence and the documents' spans in it.
 
     ``pack`` stores the ids in an ``array`` of its streams' typecode:
     ``'B'``, 1 byte each, for the byte tokenizer; ``'B'``, ``'H'`` or
-    ``'I'`` for a vocabulary's; ``'I'``, 4 bytes each, for list streams,
-    whose every id must be an int in [0, 2**32).  The spans tile the
-    sequence in order: the first starts at 0, each starts where the
-    previous one ended, and the last ends at ``len(token_ids)``.
+    ``'I'`` for a vocabulary's.  The spans tile the sequence in order: the
+    first starts at 0, each starts where the previous one ended, and the
+    last ends at ``len(token_ids)``.
     """
 
     token_ids: array
@@ -128,9 +121,9 @@ class TokenizerPort(Protocol):
     """Encodes text to token ids and back.  ``encode`` returns an ``array``
     of one unsigned typecode (``'B'``, ``'H'`` or ``'I'``) for every text,
     the empty one included, so that ``render_chat`` and ``pack`` join the
-    ids at C level; a list of ints also works, held as ``'I'`` by ``pack``."""
+    ids at C level."""
 
-    def encode(self, text: str) -> array | list[int]: ...
+    def encode(self, text: str) -> array: ...
 
     def decode(self, ids: Iterable[int]) -> str: ...
 
@@ -146,6 +139,12 @@ class ByteTokenizer:
         # From an iterator, as bytes() would copy the 2- or 4-byte items of
         # an array('H') or array('I') as they lie in memory.
         return bytes(iter(ids)).decode("utf-8")
+
+
+ID_LIMIT = 2 ** 32  # token ids are below this, so each fits in 4 bytes
+
+# The unsigned typecodes an id array may have, smallest first.
+ID_TYPECODES = ("B", "H", "I")
 
 
 class VocabFileTokenizer:
@@ -309,7 +308,7 @@ def make_translation_instruction(pair: ParallelPair, noisy: bool = False,
 # --- Sample packing -----------------------------------------------------------
 
 
-def pack(token_streams: Iterable[tuple[str, array | list[int]]],
+def pack(token_streams: Iterable[tuple[str, array]],
          max_len: int = 512) -> list[PackedSequence]:
     """First-fit sample packing into sequences of at most ``max_len`` tokens.
 
@@ -330,13 +329,12 @@ def pack(token_streams: Iterable[tuple[str, array | list[int]]],
     ``pack`` drops the stream before reading the next, so the streams of a
     generator are freed one by one and each token is held once.
 
-    Sequences hold their ids in an ``array`` of the streams' typecode, and
-    each chunk is appended with ``+=``, a C-level copy, so no id becomes a
-    Python int: an ``array('B')`` stream from the byte tokenizer is packed
-    at 1 byte a token.  Any other stream, such as a list, is first copied
-    into an ``array('I')``, so a token id that is not an int in [0, 2**32)
-    raises ValueError naming its document, as does a stream whose typecode
-    differs from the streams' before it.
+    Each stream is an ``array``, as a tokenizer's ``encode`` returns it.  A
+    sequence opens as an ``array`` of the typecode of the stream that opens
+    it, and each chunk is appended with ``+=``, a C-level copy that raises
+    TypeError for a chunk of another typecode, so no id becomes a Python
+    int: an ``array('B')`` stream from the byte tokenizer is packed at 1
+    byte a token.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -345,22 +343,9 @@ def pack(token_streams: Iterable[tuple[str, array | list[int]]],
     size = 1
     free = [0, max_len]
     sequences: list[PackedSequence] = []
-    typecode = None  # the first stream's, which every stream must have
     for doc_id, ids in token_streams:
         if not ids:
             raise ValueError(f"document {doc_id!r} is empty after tokenization")
-        if not (isinstance(ids, array) and ids.typecode in ID_TYPECODES):
-            try:
-                ids = array("I", ids)
-            except (OverflowError, TypeError):
-                bad = next(i for i in ids if not (isinstance(i, int) and 0 <= i < ID_LIMIT))
-                raise ValueError(f"document {doc_id!r} has token id {bad!r}, "
-                                 f"not an int in [0, 2**32)") from None
-        if typecode is None:
-            typecode = ids.typecode
-        elif ids.typecode != typecode:
-            raise ValueError(f"document {doc_id!r} has ids of typecode {ids.typecode!r}, "
-                             f"not the {typecode!r} of the documents before it")
         for start in range(0, len(ids), max_len):
             n = min(max_len, len(ids) - start)
             if free[1] < n:  # every leaf is an open sequence without room
@@ -375,7 +360,7 @@ def pack(token_streams: Iterable[tuple[str, array | list[int]]],
                     node += 1
             slot = node - size
             if slot == len(sequences):
-                sequences.append(PackedSequence(token_ids=array(typecode), segment_spans=[]))
+                sequences.append(PackedSequence(token_ids=array(ids.typecode), segment_spans=[]))
             seq = sequences[slot]
             offset = len(seq.token_ids)
             chunk = ids if n == len(ids) else ids[start:start + n]
@@ -426,10 +411,11 @@ def write_packed_jsonl(sequences: Iterable[PackedSequence], path: str | Path,
     "attention_segments": ...}``, the same text as the JSON encoder's, but
     the two per-token lists are not encoded an int at a time.
     ``token_ids`` joins each id's text from a memo that converts each
-    distinct id once; ``pack`` stores ids in an unsigned array, so each
-    reads back as an int, never a bool, and ``str`` gives the encoder's
-    text.  ``attention_segments`` repeats what the spans say, so its text
-    is built from the span lengths (``"k, "`` once per token of span k).
+    distinct id once; ``pack`` stores ids in an array of the tokenizer's
+    unsigned typecode, so each reads back as an int, never a bool, and
+    ``str`` gives the encoder's text.  ``attention_segments`` repeats what
+    the spans say, so its text is built from the span lengths (``"k, "``
+    once per token of span k).
     """
     encode = jsonio.jsonl_encoder()
     id_text = _IdText().__getitem__

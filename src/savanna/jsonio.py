@@ -101,22 +101,29 @@ def iter_jsonl(path: str | Path, record: Callable[[Any], Any] | None = None) -> 
     TypeError, KeyError or ValueError raises ValueError naming the file and
     line, and so does a line that is not UTF-8.  ``record`` checks the range
     of each number: a literal that overflows decodes to infinity."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            for lineno, line in enumerate(f, start=1):
-                if line.strip():
-                    try:
-                        obj = _decode(line)
-                        obj = obj if record is None else record(obj)
-                    except (TypeError, KeyError, ValueError) as exc:
-                        detail = f"no {exc} key" if isinstance(exc, KeyError) else exc
-                        raise ValueError(f"{path}:{lineno}: {detail}") from None
-                    yield obj
-        except UnicodeDecodeError:
-            _not_utf8(path)
+    with open(path, encoding="utf-8") as f, naming_bad_utf8(path):
+        for lineno, line in enumerate(f, start=1):
+            if line.strip():
+                try:
+                    obj = _decode(line)
+                    obj = obj if record is None else record(obj)
+                except (TypeError, KeyError, ValueError) as exc:
+                    detail = f"no {exc} key" if isinstance(exc, KeyError) else exc
+                    raise ValueError(f"{path}:{lineno}: {detail}") from None
+                yield obj
 
 
-def _not_utf8(path: str | Path) -> NoReturn:
+@contextlib.contextmanager
+def naming_bad_utf8(path: str | Path):
+    """A block that reads ``path`` as UTF-8, in which a UnicodeDecodeError
+    becomes :func:`not_utf8`'s ValueError naming the file and line."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        not_utf8(path)
+
+
+def not_utf8(path: str | Path) -> NoReturn:
     """Raise a ValueError naming the first line of ``path`` that is not
     UTF-8.  A reader decodes a file a block at a time, so the line is found
     by decoding it again a line at a time."""
@@ -141,10 +148,8 @@ def read_json(path: str | Path, record: Callable[[Any], Any] | None = None) -> A
     holds ``NaN`` or ``Infinity``, or is not UTF-8 names the file and line;
     one that ``record`` raises, or the decoder with no position (an int of
     too many digits), names the file."""
-    try:
+    with naming_bad_utf8(path):
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        _not_utf8(path)
     try:
         obj = _decode(text)
         return obj if record is None else record(obj)
@@ -252,13 +257,15 @@ def write_text(path: str | Path, text: str) -> None:
         f.write(text)
 
 
-def post_json(url: str, payload: Any, *, attempts: int, backoff: float,
-              timeout: float, reply: Callable[[Any], Any],
-              headers: dict | None = None) -> Any:
+BACKOFF = 0.5  # seconds slept after the first failed try of a POST
+
+
+def post_json(url: str, payload: Any, *, attempts: int, timeout: float,
+              reply: Callable[[Any], Any], headers: dict | None = None) -> Any:
     """POST ``payload`` as JSON and return ``reply(decoded response body)``.
 
     Any failure (transport, HTTP status, or a body ``reply`` cannot read) is
-    retried, up to ``attempts`` tries in all, sleeping ``backoff * 2**i``
+    retried, up to ``attempts`` tries in all, sleeping ``BACKOFF * 2**i``
     after the i-th failed try.  The last try's error is re-raised; an HTTP
     status error's text ends with the first 200 bytes of the reply body.
     """
@@ -284,4 +291,4 @@ def post_json(url: str, payload: Any, *, attempts: int, backoff: float,
                         exc.msg = f"{exc.msg}: {head.decode('utf-8', errors='replace')}"
             if attempt == attempts - 1:
                 raise
-            time.sleep(backoff * (2 ** attempt))
+            time.sleep(BACKOFF * (2 ** attempt))

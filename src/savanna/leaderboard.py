@@ -86,7 +86,7 @@ def load_score_csv(data: LeaderboardData, path: Path | resources.abc.Traversable
     """Load a per-language score table (columns: lang, language, one column
     per model) into ``data``.  Every row must have as many cells as the
     header, and every score must be a finite number."""
-    with path.open(encoding="utf-8", newline="") as f:
+    with path.open(encoding="utf-8", newline="") as f, jsonio.naming_bad_utf8(path):
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:

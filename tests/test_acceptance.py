@@ -8,6 +8,7 @@ import math
 import os
 import random
 import time
+from array import array
 
 import pytest
 
@@ -156,7 +157,7 @@ def test_criterion_5_packing_and_masking(capsys):
     for i in range(1000):
         n = rng.randint(1, 2000)
         streams.append((f"d{i}", [i * 2001 + j for j in range(n)]))
-    sequences = pack(streams, max_len=512)
+    sequences = pack([(doc_id, array("I", ids)) for doc_id, ids in streams], max_len=512)
     by_doc: dict[str, list[list[int]]] = {doc_id: [] for doc_id, _ in streams}
     for seq in sequences:
         ok &= len(seq.token_ids) <= 512

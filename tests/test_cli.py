@@ -24,11 +24,13 @@ def write_yaml(path, payload):
     return str(path)
 
 
+SUITE = synthetic_suite(languages=("aaa", "bbb"), seed=5)  # the suite of suite_csv
+
+
 @pytest.fixture()
 def suite_csv(tmp_path):
-    suite = synthetic_suite(languages=("aaa", "bbb"), seed=5)
     path = tmp_path / "suite.csv"
-    save_suite(suite, path)
+    save_suite(SUITE, path)
     return str(path)
 
 
@@ -257,7 +259,7 @@ class TestInstructCommand:
         assert all(len(s.token_ids) <= 128 for s in packed)
 
     def test_byte_tokenizer_packs_one_byte_per_token(self, tmp_path, monkeypatch):
-        # A list stream would be packed as 'I', 4 bytes a token.
+        # The byte tokenizer's array('B') streams pack into array('B') sequences.
         packed, real_pack = [], instruct.pack
 
         def spy(streams, max_len):
@@ -702,6 +704,24 @@ class TestReportCommand:
         assert_config_error(capsys, out, f"runs disagree on prompt_hash: "
                                          f"a has {hashes[0]}, b has {hashes[1]}")
 
+    def test_run_log_of_another_suite_is_named(self, tmp_path, suite_csv, capsys):
+        other = tmp_path / "other.csv"
+        save_suite(synthetic_suite(languages=("aaa", "bbb"), seed=6), other)
+        logs = []
+        for i, suite in enumerate((suite_csv, other)):
+            assert main(["eval", "--suite", str(suite), "--endpoint", "stub:echo",
+                         "--directions", "aaa-eng", "--out", str(tmp_path / f"eval{i}")]) == 0
+            logs.append(tmp_path / f"eval{i}" / "run_log.jsonl")
+        config = write_yaml(tmp_path / "c.yaml", {"use_published_reference": False, "runs": [
+            {"model": f"m{i}", "suite": suite_csv, "run_log": str(log)}
+            for i, log in enumerate(logs)]})
+        out = tmp_path / "report"
+        assert main(["report", "--config", config, "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"{logs[1]}:1: run log was produced from a different suite",
+            "type": "ValueError"}
+        assert not out.exists()
+
     def test_run_log_report(self, tmp_path, suite_csv):
         out = tmp_path / "report"
         self.report_of_run(tmp_path, suite_csv, "aaa-eng,eng-aaa", out)
@@ -1108,9 +1128,11 @@ LOGPS = {"policy_chosen": [-0.5], "policy_rejected": [-2.0],
          "ref_chosen": [-0.5], "ref_rejected": [-2.0]}
 CHAT = {"category": "creative", "turns": [{"role": "user", "text": "Wandiikira oluyimba"},
                                           {"role": "assistant", "text": "Omwana agenda"}]}
-# A header with every key rescoring reads, so that a record after it is checked.
-RUN_LOG_HEADER = {"type": "header", "version": evalharness.RUN_LOG_VERSION, "suite_hash": "",
-                  "directions": [], "granularity": "sentence", "prompt_template": ""}
+# A header of suite_csv with every key rescoring reads, so that a record
+# after it is checked.
+RUN_LOG_HEADER = {"type": "header", "version": evalharness.RUN_LOG_VERSION,
+                  "suite_hash": SUITE.content_hash(), "directions": [],
+                  "granularity": "sentence", "prompt_template": ""}
 RUN_LOG_HEADER_KEYS = ("suite_hash", "directions", "granularity", "prompt_template")
 # A header value of the wrong kind for each key, and the end of its error.
 BAD_HEADER_VALUES = {
@@ -1602,6 +1624,41 @@ def test_document_not_utf8_names_file_and_line(tmp_path, capsys):
     assert main(["corpus", "--config", path, "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": f"{docs}:2: 'utf-8' codec can't decode byte 0xff in position 38: "
+                 "invalid start byte", "type": "ValueError"}
+    assert not out.exists()
+
+
+EVAL_OF_SUITE = {"suite": "{path}", "endpoint": "stub:echo", "directions": "aaa-eng"}
+# (file name, its text with "@" for the byte 0xff, command, config naming
+# the file as {path}, or None for the config file itself)
+NOT_UTF8_INPUTS = {
+    "suite-csv": ("suite.csv", "category_id,sent_index,english,aaa\n1,0,hi,h@i\n", "eval",
+                  EVAL_OF_SUITE),
+    "suite-tsv": ("suite.tsv", "category_id\tsent_index\tenglish\taaa\n1\t0\thi\th@i\n", "eval",
+                  EVAL_OF_SUITE),
+    "bible-tsv": ("lug.tsv", "gen\t1\t1\tMu kusooka\ngen\t1\t2\tE@nsi\n", "corpus",
+                  {"inputs": [], "bible": [{"lang": "lug", "path": "{path}"},
+                                           {"lang": "eng", "path": "{path}"}]}),
+    "score-csv": ("scores.csv", "lang,language,m\naaa,A@a,12.5\n", "report",
+                  {"tables": [{"path": "{path}", "direction": "xx-eng", "metric": "chrf"}]}),
+    "config-yaml": ("c.yaml", "inputs: []\nseed: @\n", "corpus", None),
+}
+
+
+@pytest.mark.parametrize("name", NOT_UTF8_INPUTS)
+def test_input_not_utf8_names_file_and_line(tmp_path, capsys, name):
+    file_name, text, command, config = NOT_UTF8_INPUTS[name]
+    path = tmp_path / file_name
+    path.write_bytes(text.encode().replace(b"@", b"\xff"))
+    if config is not None:
+        config = write_yaml(tmp_path / "config.yaml", with_inputs(config, {"path": str(path)}))
+    out = tmp_path / "out"
+    assert main([command, "--config", config or str(path), "--out", str(out)]) == 1
+    position = text.splitlines()[1].index("@")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": f"{path}:2: 'utf-8' codec can't decode byte 0xff in position {position}: "
                  "invalid start byte", "type": "ValueError"}
     assert not out.exists()
 

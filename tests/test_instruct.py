@@ -12,7 +12,6 @@ from oracles import brute_asr_noise, brute_pack, brute_write_packed_jsonl
 from savanna import jsonio
 from savanna.corpus import ParallelPair
 from savanna.instruct import (
-    ID_TYPECODES,
     ByteTokenizer,
     ChatExample,
     ChatTemplate,
@@ -245,7 +244,7 @@ class TestTranslationInstruction:
 
 class TestPacking:
     def streams(self, lengths):
-        return [(f"doc{i}", list(range(n))) for i, n in enumerate(lengths)]
+        return [(f"doc{i}", array("I", range(n))) for i, n in enumerate(lengths)]
 
     def test_single_short_doc(self):
         seqs = pack(self.streams([10]), max_len=512)
@@ -286,7 +285,7 @@ class TestPacking:
                 by_doc[doc_id].extend(span)
                 assert seq.attention_segments[start:end] == [i] * (end - start)
         for doc_id, ids in streams:
-            assert sorted(by_doc[doc_id]) == ids
+            assert sorted(by_doc[doc_id]) == list(ids)
 
     @staticmethod
     def packed_rows(streams, max_len):
@@ -328,13 +327,13 @@ class TestPacking:
         # Whole streams shorter than max_len (doc3 backfills doc0's
         # sequence) and equal to it, and one split into chunks.
         streams = self.streams([5, 8, 20, 3])
-        before = [(doc_id, list(ids)) for doc_id, ids in streams]
+        before = [(doc_id, array("I", ids)) for doc_id, ids in streams]
         seqs = pack(streams, max_len=8)
         assert streams == before
         packed = [list(seq.token_ids) for seq in seqs]
         for _doc_id, ids in streams:
-            ids[0] = -1
-            ids.append(-2)
+            ids[0] = 99
+            ids.append(98)
         assert [list(seq.token_ids) for seq in seqs] == packed
 
     @staticmethod
@@ -361,13 +360,10 @@ class TestPacking:
             brute_pack(streams, max_len)
 
     def test_earlier_streams_are_not_kept_alive(self):
-        class Stream(list):  # a list cannot be weakly referenced; a subclass can
-            pass
-
         refs = []
 
         def make(k):
-            stream = Stream(range(4 + k % 5 * 4))  # shorter than, equal to and split by max_len
+            stream = array("I", range(4 + k % 5 * 4))  # shorter than, equal to and split by max_len
             refs.append(weakref.ref(stream))
             return f"doc{k}", stream
 
@@ -385,7 +381,7 @@ class TestPacking:
 
         def streams():
             for k in range(2000):
-                yield f"doc{k}", list(rng.randbytes(rng.randint(20, 1200)))
+                yield f"doc{k}", array("I", list(rng.randbytes(rng.randint(20, 1200))))
 
         tracemalloc.start()
         try:
@@ -398,6 +394,7 @@ class TestPacking:
         assert peak < 1.25 * held
 
     def test_ids_take_four_bytes_each(self):
+        # Sequences take the typecode of the 'I' streams.
         seqs = pack(self.streams([300, 300, 2 ** 10]), max_len=512)
         assert all(seq.token_ids.itemsize == 4 for seq in seqs)
         assert [list(seq.token_ids) for seq in seqs] == [
@@ -420,23 +417,6 @@ class TestPacking:
         assert rows == brute_pack([(f"doc{i}", list(text)) for i, text in enumerate(texts)],
                                   max_len)
 
-    @settings(deadline=None)  # max_examples from the profile
-    @given(st.permutations(ID_TYPECODES), st.booleans(), st.integers(1, 3), st.integers(1, 9))
-    def test_streams_of_two_typecodes_name_the_second(self, typecodes, as_list, n_same, length):
-        # n_same streams of one typecode, then one of another; with as_list,
-        # the 'I' streams are lists, which pack holds as 'I'.
-        first, other = typecodes[:2]
-
-        def ids(typecode):
-            if typecode == "I" and as_list:
-                return list(range(length))
-            return array(typecode, range(length))
-
-        streams = [(f"d{k}", ids(first)) for k in range(n_same)] + [("odd", ids(other))]
-        with pytest.raises(ValueError, match=f"document 'odd' has ids of typecode '{other}', "
-                                             f"not the '{first}' of the documents before it"):
-            pack(streams, max_len=4)
-
     def test_a_million_byte_tokens_trace_under_two_bytes_each(self):
         # The byte tokenizer's array('B') streams, packed by C-level
         # copies into array('B') sequences.
@@ -458,13 +438,13 @@ class TestPacking:
         assert peak < 2 * tokens
 
     def test_a_million_tokens_trace_about_four_bytes_each(self):
-        # Byte ids are cached small ints, so a list of them would cost 8
-        # bytes a token in pointers alone.
+        # As the byte test above, in 'I' streams: a list of the ids would
+        # cost 8 bytes a token in pointers alone.
         rng = random.Random(3)
 
         def streams():
             for k in range(1640):
-                yield f"doc{k}", list(rng.randbytes(rng.randint(20, 1200)))
+                yield f"doc{k}", array("I", list(rng.randbytes(rng.randint(20, 1200))))
 
         tracemalloc.start()
         try:
@@ -476,18 +456,9 @@ class TestPacking:
         assert 950_000 < tokens < 1_050_000
         assert peak < 5.5 * tokens
 
-    @pytest.mark.parametrize("bad", [2 ** 32, -1, 1.5, "7"])
-    def test_id_that_does_not_fit_names_its_document(self, bad):
-        # In a whole stream, and in a chunk split from a longer one.
-        for streams in ([("a", [1, 2]), ("b", [3, bad, 4])],
-                        [("a", [1, 2]), ("b", [3] * 9 + [bad])]):
-            with pytest.raises(ValueError, match=f"document 'b' has token id {bad!r}, "
-                                                 r"not an int in \[0, 2\*\*32\)"):
-                pack(streams, max_len=4)
-
     def test_empty_doc_rejected(self):
         with pytest.raises(ValueError):
-            pack([("empty", [])])
+            pack([("empty", array("B"))])
         # Also when it arrives after streams that are already placed.
         streams = (stream for stream in self.streams([5, 600, 0, 9]))
         with pytest.raises(ValueError, match="document 'doc2' is empty after tokenization"):
@@ -534,7 +505,7 @@ class TestPacking:
         max_len, streams = case
         directory = tmp_path_factory.mktemp("packed")
         fast, brute = directory / "fast.jsonl", directory / "brute.jsonl"
-        seqs = pack(streams, max_len)
+        seqs = pack([(doc_id, array("I", ids)) for doc_id, ids in streams], max_len)
         assert write_packed_jsonl(seqs, fast, max_len=max_len) == len(seqs)
         brute_write_packed_jsonl(brute_pack(streams, max_len), brute, max_len)
         assert fast.read_bytes() == brute.read_bytes()

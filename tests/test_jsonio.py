@@ -357,7 +357,7 @@ class TestKeyChecker:
 
 class TestPostJson:
     def post(self, url, attempts=3, **kwargs):
-        return jsonio.post_json(url, {"q": "é"}, attempts=attempts, backoff=0.0, timeout=0.2,
+        return jsonio.post_json(url, {"q": "é"}, attempts=attempts, timeout=0.2,
                                 reply=lambda body: body["a"], **kwargs)
 
     def test_sends_json_with_headers(self, http_server):
@@ -370,8 +370,8 @@ class TestPostJson:
 
     def test_rejects_non_finite_payload_before_sending(self, http_server):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            jsonio.post_json(http_server.url, {"t": math.nan}, attempts=3, backoff=0.0,
-                             timeout=0.2, reply=lambda body: body)
+            jsonio.post_json(http_server.url, {"t": math.nan}, attempts=3, timeout=0.2,
+                             reply=lambda body: body)
         assert http_server.requests == []
 
     @pytest.mark.parametrize("first", [
@@ -381,7 +381,7 @@ class TestPostJson:
     def test_retries_any_failure(self, http_server, sleeps, first):
         http_server.script = [first, Reply(body={"a": "ok"})]
         assert self.post(http_server.url) == "ok"
-        assert len(http_server.requests) == 2 and sleeps == [0.0]
+        assert len(http_server.requests) == 2 and sleeps == [0.5]
 
     @pytest.mark.parametrize("reply, error", [
         (Reply(503, body={"error": "model not loaded"}),
@@ -398,7 +398,7 @@ class TestPostJson:
         http_server.script = [reply] * 2
         with pytest.raises(Exception, match=error):
             self.post(http_server.url, attempts=2)
-        assert len(http_server.requests) == 2 and len(sleeps) == 1
+        assert len(http_server.requests) == 2 and sleeps == [0.5]
 
     def test_unreadable_error_body_leaves_the_error_text(self, monkeypatch, sleeps):
         class Unreadable(io.BytesIO):
@@ -411,7 +411,7 @@ class TestPostJson:
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
         with pytest.raises(urllib.error.HTTPError, match=r"^HTTP Error 503: Service Unavailable$") as raised:
             self.post("http://127.0.0.1:9/", attempts=2)
-        assert raised.value.fp.closed and len(sleeps) == 1
+        assert raised.value.fp.closed and sleeps == [0.5]
 
     @pytest.mark.parametrize("status", [301, 302, 303])
     def test_redirect_carries_no_headers(self, http_server, status):
