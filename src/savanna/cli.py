@@ -4,15 +4,17 @@ Each ``cmd_*`` function reads and checks every input and encodes each
 output that needs no endpoint reply, then returns the step that runs once
 the output directory is locked: endpoint requests and streamed writes.
 The step returns the run's outputs, which ``main`` writes, removing each
-other file of the command's ``OUTPUTS``.  The lock holds the run's PID, so
-a lock left by a killed run can be broken.  Every resolved key is written
-to ``resolved_config.yaml``, which ``--config`` takes back.  Secrets are
-read from environment variables only (``SAVANNA_API_TOKEN``)."""
+other file of the command's ``OUTPUTS``.  The lock is the kernel's
+(``flock``), so a run that is killed leaves its directory unlocked.  Every
+resolved key is written to ``resolved_config.yaml``, which ``--config`` takes
+back.  Secrets are read from environment variables only
+(``SAVANNA_API_TOKEN``)."""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import json
 import os
 import sys
@@ -30,56 +32,36 @@ class CliError(Exception):
     pass
 
 
-def _lock_holder(lock: Path) -> int | None:
-    """PID written in ``lock``, or None if it is empty or unparsable."""
-    try:
-        pid = int(lock.read_text(encoding="ascii"))
-    except (OSError, ValueError):
-        return None
-    return pid if pid > 0 else None
-
-
-def _is_dead(pid: int) -> bool:
-    if os.name != "posix":
-        return False  # os.kill(pid, 0) would terminate the process on Windows
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (PermissionError, OverflowError):
-        pass  # a live process of another user, or no PID this system can have
-    return False
-
-
-def _create_lock(lock: Path) -> int:
-    """Create ``lock`` exclusively.  A lock whose PID names no live process
-    was left by a killed run and is broken once.  A lock without a readable
-    PID may belong to a run that has not written it yet, so it is held."""
-    try:
-        return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        pid = _lock_holder(lock)
-    if pid is not None and _is_dead(pid):
-        lock.unlink(missing_ok=True)
-        try:
-            return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pid = _lock_holder(lock)
-    holder = f" (pid {pid})" if pid is not None else ""
-    raise CliError(f"output directory is locked by another run{holder}: {lock}")
-
-
 @contextlib.contextmanager
 def _locked_output_dir(out: Path):
+    """Hold the flock of ``out/.savanna.lock``, which the kernel releases
+    when this process ends, however it ends.  The file names the holder's
+    PID for the error of a run that finds it held, and is removed at the end."""
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".savanna.lock"
-    fd = _create_lock(lock)
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as f:
+    while True:
+        with open(lock, "a+", encoding="ascii", errors="replace") as f:
+            try:
+                fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                f.seek(0)
+                pid = f.read(20)
+                holder = f" (pid {pid})" if pid.isdecimal() else ""
+                raise CliError(f"output directory is locked by another run{holder}: "
+                               f"{lock}") from None
+            try:  # an ending run unlinks its file, maybe after this one opened it
+                if not os.path.samestat(os.fstat(f.fileno()), os.stat(lock)):
+                    continue
+            except FileNotFoundError:
+                continue
+            f.truncate(0)
             f.write(str(os.getpid()))
-        yield out
-    finally:
-        lock.unlink(missing_ok=True)
+            f.flush()
+            try:
+                yield out
+            finally:
+                lock.unlink(missing_ok=True)
+            return
 
 
 # Each command's key table (see jsonio.resolved) besides ``seed`` and ``out``.
@@ -280,11 +262,13 @@ def cmd_eval(config: dict) -> typing.Callable[[Path], Outputs]:
     suite.validate(full=config["full_suite"])
 
     if config["rescore"]:
-        report = evalharness.rescore_run_log(config["rescore"], suite)
-        # The log goes with its report, byte for byte, as what the report scores.
-        with open(config["rescore"], encoding="utf-8", newline="") as f:
-            outputs = _eval_outputs(report, f.read())
-        return lambda out: outputs
+        outputs = _eval_outputs(evalharness.rescore_run_log(config["rescore"], suite))
+
+        def copy(out: Path) -> Outputs:
+            # The log goes with its report, byte for byte, as what the report scores.
+            jsonio.copy_file(config["rescore"], out / "run_log.jsonl")
+            return outputs
+        return copy
     evalharness.check_directions(suite, directions, config["max_parallel"])
     # stub:echo replies with the reference, in process: tests, demos and
     # the offline echo pipeline use it.  Anything else is a live endpoint.
@@ -306,13 +290,13 @@ def cmd_eval(config: dict) -> typing.Callable[[Path], Outputs]:
             )
         except evalharness.ScoringError as exc:  # the run log is written, with no report
             return {"run_log.jsonl": STREAMED}, str(exc)
-        return _eval_outputs(report, STREAMED)
+        return _eval_outputs(report)
     return run
 
 
-def _eval_outputs(report: evalharness.EvalRunReport, run_log: str | None) -> Outputs:
+def _eval_outputs(report: evalharness.EvalRunReport) -> Outputs:
     """An eval run's files; an invalid run's are written, then it fails."""
-    return {"run_log.jsonl": run_log, "report.json": report.to_json()}, (
+    return {"run_log.jsonl": STREAMED, "report.json": report.to_json()}, (
         f"run invalid: {report.total_failed}/{report.total_items} items failed"
         if report.invalid else None)
 

@@ -97,10 +97,10 @@ def load_suite(path: str | Path) -> EvalSuite:
     with open(path, encoding="utf-8", newline="") as f, jsonio.naming_bad_utf8(path):
         reader = csv.DictReader(f, delimiter=delimiter)
         if reader.fieldnames is None:
-            raise ValueError(f"suite file {path} is empty; expected a header row")
+            raise ValueError(f"{path}: file is empty; expected a header row")
         missing = [c for c in _SUITE_KEY_COLUMNS if c not in reader.fieldnames]
         if missing:
-            raise ValueError(f"suite file {path} lacks columns: {', '.join(missing)}")
+            raise ValueError(f"{path}: lacks columns: {', '.join(missing)}")
         lang_cols = [c for c in reader.fieldnames if c not in _SUITE_KEY_COLUMNS]
         items = []
         for row in reader:
@@ -116,7 +116,7 @@ def load_suite(path: str | Path) -> EvalSuite:
                     translations={lang: row[lang] for lang in lang_cols if row[lang]},
                 ))
             except ValueError as exc:
-                raise ValueError(f"suite file {path}, line {reader.line_num}: {exc}") from exc
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return EvalSuite(items=items, languages=set(lang_cols))
 
 

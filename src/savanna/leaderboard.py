@@ -84,13 +84,16 @@ class LeaderboardData:
 def load_score_csv(data: LeaderboardData, path: Path | resources.abc.Traversable,
                    direction: str, metric: str) -> None:
     """Load a per-language score table (columns: lang, language, one column
-    per model) into ``data``.  Every row must have as many cells as the
-    header, and every score must be a finite number."""
+    per model) into ``data``.  The header must have the first two, every row
+    as many cells as the header, and every score must be a finite number."""
     with path.open(encoding="utf-8", newline="") as f, jsonio.naming_bad_utf8(path):
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
-            raise ValueError(f"score file {path} is empty; expected a header row")
+            raise ValueError(f"{path}: file is empty; expected a header row")
+        if len(header) < 2:
+            raise ValueError(f"{path}: lacks columns: expected lang, language, "
+                             "then one column per model")
         models = header[2:]
         for row in reader:
             try:
@@ -103,7 +106,7 @@ def load_score_csv(data: LeaderboardData, path: Path | resources.abc.Traversable
                         raise ValueError(f"score of {model} for {lang} is {value!r}, not finite")
                     data.add_score(model, direction, lang, metric, score)
             except ValueError as exc:
-                raise ValueError(f"score file {path}, line {reader.line_num}: {exc}") from exc
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def published_reference_data() -> LeaderboardData:

@@ -1,9 +1,11 @@
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +16,7 @@ import yaml
 from helpers import (Reply, StubMtClient, read_packed_jsonl, save_suite, synthetic_suite,
                      write_pair_logps_jsonl)
 
-from savanna import corpus, evalharness, instruct, jsonio, leaderboard, preference_loss
+from savanna import cli, corpus, evalharness, instruct, jsonio, leaderboard, preference_loss
 from savanna.cli import CONFIG_KEYS, OUTPUTS, _locked_output_dir, cmd_instruct, main
 from savanna.corpus import ParallelPair, make_document
 
@@ -56,12 +58,83 @@ class TestCorpusCommand:
         assert all("17" not in d.text for d in result)
         assert "bible" not in manifest and not (out / "pairs.jsonl").exists()
 
-    def test_lock_prevents_concurrent_runs(self, tmp_path):
+    # Only the kernel's lock holds: a file that no process has locked, as a
+    # run killed before it wrote its PID leaves it, or one whose PID is now
+    # this run's own, as a reused PID does, is taken.
+    @pytest.mark.parametrize("content", ["", str(os.getpid())], ids=["empty", "own-pid"])
+    def test_unlocked_lock_file_does_not_block(self, tmp_path, content):
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".savanna.lock").touch()
+        (out / ".savanna.lock").write_text(content)
         config = write_yaml(tmp_path / "c.yaml", {"inputs": []})
-        assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+        assert not (out / ".savanna.lock").exists()
+
+    def test_lock_held_by_another_open_file_blocks(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("earlier")
+        config = write_yaml(tmp_path / "c.yaml", {"inputs": []})
+        with open(out / ".savanna.lock", "w") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            holder.write("4242")
+            holder.flush()
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == (f"output directory is locked by another run (pid 4242): "
+                                f"{out / '.savanna.lock'}")
+
+    def test_lock_of_killed_run_is_free(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = ("import pathlib, sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "from savanna.cli import _locked_output_dir\n"
+                "with _locked_output_dir(pathlib.Path(sys.argv[2])):\n"
+                "    print('locked', flush=True)\n"
+                "    sys.stdin.read()\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        child = subprocess.Popen([sys.executable, "-c", code, src, str(out)],
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        try:
+            assert child.stdout.readline() == b"locked\n"
+            config = write_yaml(tmp_path / "c.yaml", {"inputs": []})
+            assert main(["corpus", "--config", config, "--out", str(out)]) == 1
+            assert f"(pid {child.pid})" in json.loads(capsys.readouterr().err)["error"]
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stdin.close()
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+        assert (out / ".savanna.lock").read_text() == str(child.pid)  # left by the kill
+        assert main(["corpus", "--config", config, "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+        assert not (out / ".savanna.lock").exists()
+
+    def test_lock_of_unlinked_file_is_taken_again(self, tmp_path, monkeypatch):
+        # Between this run's open and its flock, the run that held the file
+        # ends and unlinks it, and another run creates the path anew.
+        out = tmp_path / "out"
+        out.mkdir()
+        lock = out / ".savanna.lock"
+        flock, calls = fcntl.flock, []
+
+        def replaced_first(f, operation):
+            if not calls:
+                lock.unlink()
+                lock.touch()
+            calls.append(operation)
+            flock(f, operation)
+        monkeypatch.setattr(cli.fcntl, "flock", replaced_first)
+        with _locked_output_dir(out):
+            assert len(calls) == 2
+            with open(lock) as other, pytest.raises(BlockingIOError):
+                flock(other, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert lock.read_text() == str(os.getpid())
+        assert not lock.exists()
 
     def test_lock_holds_pid_and_is_released(self, tmp_path):
         out = tmp_path / "out"
@@ -79,17 +152,6 @@ class TestCorpusCommand:
         assert main(["corpus", "--config", config, "--out", str(out)]) == 0
         assert (out / "manifest.json").exists()
         assert not (out / ".savanna.lock").exists()
-
-    def test_lock_of_live_process_is_held(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / ".savanna.lock").write_text(str(os.getpid()))
-        config = write_yaml(tmp_path / "c.yaml", {"inputs": []})
-        assert main(["corpus", "--config", config, "--out", str(out)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert f"pid {os.getpid()}" in err["error"]
-        assert (out / ".savanna.lock").read_text() == str(os.getpid())
-        assert not (out / "manifest.json").exists()
 
     def test_non_finite_provenance_fails_before_manifest(self, tmp_path, capsys):
         # 1e999 is read as infinity, which no output file could hold, so the
@@ -507,8 +569,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize("content, expected", [
         ("", "is empty"),
         ("category_id,english,aaa\n1,hello,x\n", "lacks columns: sent_index"),
-        ("category_id,sent_index,english,aaa\n1,0,hello,x\n1,1\n", "line 3: missing cells for columns: english, aaa"),
-        ("category_id,sent_index,english,aaa\n1,zero,hello,x\n", "line 2: invalid literal"),
+        ("category_id,sent_index,english,aaa\n1,0,hello,x\n1,1\n", ":3: missing cells for columns: english, aaa"),
+        ("category_id,sent_index,english,aaa\n1,zero,hello,x\n", ":2: invalid literal"),
     ], ids=["empty", "missing-column", "short-row", "non-integer"])
     def test_malformed_suite_fails_cleanly(self, tmp_path, capsys, content, expected):
         path = tmp_path / "suite.csv"
@@ -1211,6 +1273,8 @@ def inputs(tmp_path, suite_csv):
     paths["adir"] = tmp_path / "adir"
     paths["adir"].mkdir()
     paths["bleu"].write_text("lang,language,m\naaa,Aaa,12.5\n")
+    paths["one_column"] = tmp_path / "one_column.csv"
+    paths["one_column"].write_text("lang\naaa\n")
     for cell in NON_FINITE_CELLS:
         paths[cell] = tmp_path / f"{cell}.csv"
         paths[cell].write_text(f"lang,language,m\naaa,Aaa,{cell}\n")
@@ -1304,12 +1368,15 @@ BAD_INPUTS = {
                                "missing.jsonl"),
     "report-malformed-run-log": ("report", {"runs": [{**RUN, "run_log": "{bad_log}"}]},
                                  "not a recognized run log"),
+    "report-table-header-of-one-cell": ("report", {"tables": [
+        {"path": "{one_column}", "direction": "xx-eng", "metric": "chrf"}]},
+        "one_column.csv: lacks columns: expected lang, language, then one column per model"),
     "report-table-without-chrf": ("report", {"tables": [
         {"path": "{bleu}", "direction": "eng-xx", "metric": "bleu"}]},
         "model 'm' has eng-xx scores for aaa but no chrf"),
     **{f"report-{cell}-score": ("report", {"tables": [
         {"path": f"{{{cell}}}", "direction": "xx-eng", "metric": "chrf"}]},
-        f"{cell}.csv, line 2: score of m for aaa is '{cell}', not finite")
+        f"{cell}.csv:2: score of m for aaa is '{cell}', not finite")
        for cell in NON_FINITE_CELLS},
     "report-unknown-winner": ("report", {"winner_models": ["gpt-4o", "nobody"]},
                               "winner_models[1] is 'nobody', a model with no scores"),

@@ -158,13 +158,13 @@ class TestBoardOps:
     def test_load_score_csv_rejects_bad_row(self, tmp_path, row):
         path = tmp_path / "scores.csv"
         path.write_text(f"lang,language,m1,m2\nach,Acholi,0.5,0.6\n{row}\n")
-        with pytest.raises(ValueError, match=r"scores\.csv, line 3"):
+        with pytest.raises(ValueError, match=r"scores\.csv:3: "):
             load_score_csv(LeaderboardData(), path, XX_TO_ENG, "chrf")
 
     def test_load_score_csv_rejects_empty_file(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("")
-        with pytest.raises(ValueError, match=r"scores\.csv is empty"):
+        with pytest.raises(ValueError, match=r"scores\.csv: file is empty"):
             load_score_csv(LeaderboardData(), path, XX_TO_ENG, "chrf")
 
 
