@@ -2,12 +2,14 @@
 
 Each ``cmd_*`` function reads and checks every input and encodes each
 output that needs no endpoint reply, then returns the step that runs once
-the output directory is locked: endpoint requests and streamed writes.
-The step returns the run's outputs, which ``main`` writes, removing each
-other file of the command's ``OUTPUTS``.  The lock is the kernel's
-(``flock``), so a run that is killed leaves its directory unlocked.  Every
-resolved key is written to ``resolved_config.yaml``, which ``--config`` takes
-back.  Secrets are read from environment variables only
+the output directory is locked: endpoint requests and the writes, all
+into ``.savanna-staging/``.  ``main`` renames each staged file into place
+and removes each other file of the command's ``OUTPUTS``, so a run that
+fails or is interrupted before then leaves the earlier run's files as they
+were.  The lock is the kernel's (``flock``), so a killed run leaves its
+directory unlocked, and the next run removes what it staged.  Every
+resolved key is written to ``resolved_config.yaml``, which ``--config``
+takes back.  Secrets are read from environment variables only
 (``SAVANNA_API_TOKEN``)."""
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import contextlib
 import fcntl
 import json
 import os
+import shutil
 import sys
 import typing
 from pathlib import Path
@@ -96,9 +99,9 @@ ENTRY_KEYS = {
 }
 
 
-# Each command's output files besides resolved_config.yaml.  Its run returns
-# the text of each file it produces by name, STREAMED for one a streaming
-# writer has already written, and the error to report once they are written.
+# Each command's output files besides resolved_config.yaml.  Its run writes
+# each file it produces into the staging directory it is given, and returns
+# the error to report once they are in place, or None.
 OUTPUTS = {
     "corpus": ("documents.jsonl", "pairs.jsonl", "manifest.json"),
     "instruct": ("instructions.jsonl", "packed.jsonl", "manifest.json"),
@@ -106,8 +109,6 @@ OUTPUTS = {
     "report": leaderboard.REPORT_FILES,
     "loss": ("loss_audit.json",),
 }
-STREAMED = None
-Outputs = tuple[dict[str, str | None], str | None]
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -131,7 +132,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raise CliError(str(exc)) from None
 
 
-def cmd_corpus(config: dict) -> typing.Callable[[Path], Outputs]:
+def cmd_corpus(config: dict) -> typing.Callable[[Path], str | None]:
     bible, bt = config["bible"], config["backtranslate"]
     if bible is not None and bible[0]["lang"] == bible[1]["lang"]:
         raise CliError(f"bible editions must be in two languages, not lang "
@@ -155,7 +156,7 @@ def cmd_corpus(config: dict) -> typing.Callable[[Path], Outputs]:
         buckets |= {("synthetic_bt", target) for target in bt["targets"]}
     spec.bucket_weights(buckets)  # all zero fails here, before the output directory is made
 
-    def run(out: Path) -> Outputs:
+    def run(out: Path) -> None:
         errors = []
         if bt:
             for target in bt["targets"]:
@@ -166,9 +167,7 @@ def cmd_corpus(config: dict) -> typing.Callable[[Path], Outputs]:
             deduped, spec, config["seed"], sample_size=config["sample_size"])
 
         corpus_mod.write_documents_jsonl(sampled, out / "documents.jsonl")
-        files = {"documents.jsonl": STREAMED}
         if bible is not None:
-            files["pairs.jsonl"] = STREAMED
             corpus_mod.write_pairs_jsonl(aligned.pairs, out / "pairs.jsonl")
             manifest["bible"] = {"pairs": len(aligned.pairs), "only_in_src": len(aligned.only_in_a),
                                  "only_in_tgt": len(aligned.only_in_b)}
@@ -177,12 +176,11 @@ def cmd_corpus(config: dict) -> typing.Callable[[Path], Outputs]:
         manifest["reduction_ratio"] = (manifest["chars_out"] / chars_in) if chars_in else 0.0
         manifest["cleaning"] = clean_stats
         manifest["backtranslation_errors"] = errors
-        files["manifest.json"] = jsonio.dumps(manifest)
-        return files, None
+        (out / "manifest.json").write_text(jsonio.dumps(manifest), encoding="utf-8")
     return run
 
 
-def cmd_instruct(config: dict) -> typing.Callable[[Path], Outputs]:
+def cmd_instruct(config: dict) -> typing.Callable[[Path], str | None]:
     max_len = config["max_len"]
     sequences_per_batch = instruct.batch_spec(config["tokens_per_batch"], max_len)
     if config["tokenizer_vocab"]:
@@ -242,15 +240,14 @@ def cmd_instruct(config: dict) -> typing.Callable[[Path], Outputs]:
         "sequences_per_batch": sequences_per_batch,
     })
 
-    def run(out: Path) -> Outputs:
+    def run(out: Path) -> None:
         jsonio.write_jsonl_lines(out / "instructions.jsonl", lines)
         instruct.write_packed_jsonl(packed, out / "packed.jsonl", max_len=max_len)
-        return {"instructions.jsonl": STREAMED, "packed.jsonl": STREAMED,
-                "manifest.json": manifest}, None
+        (out / "manifest.json").write_text(manifest, encoding="utf-8")
     return run
 
 
-def cmd_eval(config: dict) -> typing.Callable[[Path], Outputs]:
+def cmd_eval(config: dict) -> typing.Callable[[Path], str | None]:
     if not config["rescore"]:
         for key in ("endpoint", "directions"):
             if config[key] is None:
@@ -262,12 +259,13 @@ def cmd_eval(config: dict) -> typing.Callable[[Path], Outputs]:
     suite.validate(full=config["full_suite"])
 
     if config["rescore"]:
-        outputs = _eval_outputs(evalharness.rescore_run_log(config["rescore"], suite))
+        rescored = evalharness.rescore_run_log(config["rescore"], suite)
+        text = rescored.to_json()
 
-        def copy(out: Path) -> Outputs:
+        def copy(out: Path) -> str | None:
             # The log goes with its report, byte for byte, as what the report scores.
-            jsonio.copy_file(config["rescore"], out / "run_log.jsonl")
-            return outputs
+            shutil.copyfile(config["rescore"], out / "run_log.jsonl")
+            return _write_report(out, rescored, text)
         return copy
     evalharness.check_directions(suite, directions, config["max_parallel"])
     # stub:echo replies with the reference, in process: tests, demos and
@@ -279,7 +277,7 @@ def cmd_eval(config: dict) -> typing.Callable[[Path], Outputs]:
             config["endpoint"], config["model"], timeout=config["timeout"],
             retries=config["retries"])
 
-    def run(out: Path) -> Outputs:
+    def run(out: Path) -> str | None:
         try:
             report = evalharness.run_translation_eval(
                 suite, client, directions,
@@ -289,27 +287,29 @@ def cmd_eval(config: dict) -> typing.Callable[[Path], Outputs]:
                 temperature=config["temperature"],
             )
         except evalharness.ScoringError as exc:  # the run log is written, with no report
-            return {"run_log.jsonl": STREAMED}, str(exc)
-        return _eval_outputs(report)
+            return str(exc)
+        return _write_report(out, report, report.to_json())
     return run
 
 
-def _eval_outputs(report: evalharness.EvalRunReport) -> Outputs:
-    """An eval run's files; an invalid run's are written, then it fails."""
-    return {"run_log.jsonl": STREAMED, "report.json": report.to_json()}, (
-        f"run invalid: {report.total_failed}/{report.total_items} items failed"
-        if report.invalid else None)
+def _write_report(out: Path, report: evalharness.EvalRunReport, text: str) -> str | None:
+    """Write ``text``, the encoded ``report``, as report.json; return an invalid run's error."""
+    (out / "report.json").write_text(text, encoding="utf-8")
+    return (f"run invalid: {report.total_failed}/{report.total_items} items failed"
+            if report.invalid else None)
 
 
-def cmd_report(config: dict) -> typing.Callable[[Path], Outputs]:
+def cmd_report(config: dict) -> typing.Callable[[Path], str | None]:
     data = (leaderboard.published_reference_data() if config["use_published_reference"]
             else leaderboard.LeaderboardData())
     for table in config["tables"]:
         leaderboard.load_score_csv(data, Path(table["path"]),
                                    table["direction"], table["metric"])
     first = {}  # each setting the runs must share: (model of the first run, its value)
-    for entry in config["runs"]:
+    for i, entry in enumerate(config["runs"]):
         model = entry["model"]
+        if model in data.scores:  # its run's scores would merge into the earlier ones
+            raise CliError(f"runs[{i}].model {model!r} already has scores")
         scored = evalharness.rescore_run_log(entry["run_log"],
                                              evalharness.load_suite(entry["suite"]))
         if scored.invalid:
@@ -323,10 +323,14 @@ def cmd_report(config: dict) -> typing.Callable[[Path], Outputs]:
         leaderboard.add_run_report(data, model, scored)
 
     report = leaderboard.make_leaderboard(data, config["winner_models"])
-    return lambda out: (report, None)
+
+    def run(out: Path) -> None:
+        for name, text in report.items():
+            (out / name).write_text(text, encoding="utf-8")
+    return run
 
 
-def cmd_loss(config: dict) -> typing.Callable[[Path], Outputs]:
+def cmd_loss(config: dict) -> typing.Callable[[Path], str | None]:
     params = preference_loss.LossParams(
         beta=config["beta"],
         alpha_rpo=config["alpha_rpo"],
@@ -340,11 +344,11 @@ def cmd_loss(config: dict) -> typing.Callable[[Path], Outputs]:
         raise ValueError(f"{config['pairs']}: {exc}") from None
     text = jsonio.dumps(audit)
 
-    def run(out: Path) -> Outputs:
+    def run(out: Path) -> None:
         print(f"pairs: {len(audit['pairs'])}  "
               f"mean dpo: {audit['mean_dpo_loss']:.6f}  "
               f"mean irpo: {audit['mean_irpo_loss']:.6f}")
-        return {"loss_audit.json": text}, None
+        (out / "loss_audit.json").write_text(text, encoding="utf-8")
     return run
 
 
@@ -399,13 +403,22 @@ def main(argv: list[str] | None = None) -> int:
         run = COMMANDS[args.command][0](config)
         out = Path(config["out"])
         with _locked_output_dir(out):
-            jsonio.write_text(out / "resolved_config.yaml", yaml.safe_dump(config, sort_keys=True))
-            files, error = run(out)
-            for name in OUTPUTS[args.command]:  # none is left from an earlier run
-                if name not in files:
-                    (out / name).unlink(missing_ok=True)
-                elif files[name] is not STREAMED:
-                    jsonio.write_text(out / name, files[name])
+            stage = out / ".savanna-staging"
+            # Left by a killed run: the lock proves that no live run uses it.
+            with contextlib.suppress(FileNotFoundError):
+                shutil.rmtree(stage)
+            stage.mkdir()
+            try:
+                (stage / "resolved_config.yaml").write_text(
+                    yaml.safe_dump(config, sort_keys=True), encoding="utf-8")
+                error = run(stage)
+                for name in ("resolved_config.yaml", *OUTPUTS[args.command]):
+                    if (stage / name).exists():
+                        os.replace(stage / name, out / name)
+                    else:  # none is left from an earlier run
+                        (out / name).unlink(missing_ok=True)
+            finally:
+                shutil.rmtree(stage, ignore_errors=True)
         if error:
             raise CliError(error)
         return 0

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import re
-import shutil
 import time
 import typing
 from pathlib import Path
@@ -60,12 +59,12 @@ def write_jsonl_lines(path: str | Path, lines: Iterable[str], header: str | None
 
 
 @contextlib.contextmanager
-def _replacing(path: str | Path, binary: bool = False):
-    """A file open for writing (UTF-8 text, or bytes if ``binary``) beside
-    ``path``, moved onto it on success, deleted on failure."""
+def _replacing(path: str | Path):
+    """A UTF-8 text file open for writing beside ``path``, moved onto it on
+    success, deleted on failure."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as f:
+        with open(tmp, "w", encoding="utf-8") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -251,19 +250,6 @@ def resolved(given, keys: dict, where: str = "", entries: dict | None = None) ->
 def dumps(obj: Any) -> str:
     """Canonical JSON text of ``obj``; raises ValueError on NaN or infinity."""
     return json.dumps(obj, indent=1, sort_keys=True, ensure_ascii=False, allow_nan=False)
-
-
-def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, replacing the file only once it is complete."""
-    with _replacing(path) as f:
-        f.write(text)
-
-
-def copy_file(source: str | Path, path: str | Path) -> None:
-    """Copy ``source`` to ``path`` byte for byte, a chunk at a time,
-    replacing ``path`` only once the copy is complete."""
-    with open(source, "rb") as src, _replacing(path, binary=True) as f:
-        shutil.copyfileobj(src, f)
 
 
 BACKOFF = 0.5  # seconds slept after the first failed try of a POST

@@ -692,6 +692,9 @@ class TestEvalCommand:
         assert not (out / ".savanna.lock").exists()
 
 
+RUN = {"model": "m", "suite": "{suite}", "run_log": "{run_log}"}
+
+
 class TestReportCommand:
     def test_published_reference_report(self, tmp_path):
         out = tmp_path / "out"
@@ -783,6 +786,30 @@ class TestReportCommand:
             "error": f"{logs[1]}:1: run log was produced from a different suite",
             "type": "ValueError"}
         assert not out.exists()
+
+    # A run named for a model that has scores, published, from a table or
+    # from an earlier run, would overwrite that model's scores where they
+    # meet and mix the two below them.
+    @pytest.mark.parametrize("config, message", [
+        ({"use_published_reference": True, "runs": [{**RUN, "model": "gpt-4o"}]},
+         "runs[0].model 'gpt-4o' already has scores"),
+        ({"tables": [{"path": "{table}", "direction": "xx-eng", "metric": "chrf"}],
+          "runs": [RUN]}, "runs[0].model 'm' already has scores"),
+        ({"use_published_reference": False, "runs": [RUN, RUN]},
+         "runs[1].model 'm' already has scores"),
+    ], ids=["published", "table", "earlier-run"])
+    def test_run_of_model_with_scores_refused(self, tmp_path, capsys, config, message):
+        suite, eval_out, table = tmp_path / "lug.csv", tmp_path / "eval", tmp_path / "table.csv"
+        save_suite(synthetic_suite(languages=("lug",)), suite)
+        assert main(["eval", "--suite", str(suite), "--endpoint", "stub:echo",
+                     "--directions", "lug-eng", "--out", str(eval_out)]) == 0
+        table.write_text("lang,language,m\nlug,Luganda,0.5\n")
+        config = write_yaml(tmp_path / "c.yaml", with_inputs(config, {
+            "suite": suite, "run_log": eval_out / "run_log.jsonl", "table": table}))
+        capsys.readouterr()
+        out = tmp_path / "report"
+        assert main(["report", "--config", config, "--out", str(out)]) == 1
+        assert_config_error(capsys, out, message)
 
     def test_run_log_report(self, tmp_path, suite_csv):
         out = tmp_path / "report"
@@ -1316,7 +1343,6 @@ def with_inputs(value, inputs):
 
 
 EVAL = {"suite": "{suite}", "endpoint": "stub:echo", "directions": "aaa-eng"}
-RUN = {"model": "m", "suite": "{suite}", "run_log": "{run_log}"}
 # (command, config, part of the error): each input fails the run before the
 # output directory is made.
 BAD_INPUTS = {
@@ -1637,6 +1663,60 @@ def test_rerun_leaves_only_this_runs_files(tmp_path, rerun_inputs, command, firs
     assert sorted(p.name for p in out.iterdir()) == sorted([*second_files, "resolved_config.yaml"])
     assert main([command, "--config", second, "--out", str(fresh)]) == 0
     assert outputs(out) == outputs(fresh) != earlier
+
+
+@pytest.mark.parametrize("command, first, first_files, second, second_files",
+                         OVERWRITES.values(), ids=OVERWRITES)
+def test_interrupted_rerun_leaves_earlier_run(tmp_path, rerun_inputs, monkeypatch, command,
+                                              first, first_files, second, second_files):
+    """A rerun interrupted once its step has written every file leaves the
+    earlier run's files as they were, and nothing of its own."""
+    first, second = (write_yaml(tmp_path / f"{name}.yaml", with_inputs(config, rerun_inputs))
+                     for name, config in zip(("first", "second"), (first, second)))
+    out = tmp_path / "out"
+    assert main([command, "--config", first, "--out", str(out)]) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    make, help_text = cli.COMMANDS[command]
+
+    def interrupted(config):
+        run = make(config)
+
+        def step(stage):
+            run(stage)
+            raise KeyboardInterrupt
+        return step
+    monkeypatch.setitem(cli.COMMANDS, command, (interrupted, help_text))
+    with pytest.raises(KeyboardInterrupt):
+        main([command, "--config", second, "--out", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == sorted(earlier)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
+def test_run_killed_mid_write_is_cleared_by_the_next(tmp_path, inputs):
+    """A run killed while it streams documents.jsonl leaves its temporary
+    file behind; the next run into the directory leaves no trace of it."""
+    code = ("import os, signal, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from savanna import cli, jsonio\n"
+            "write = jsonio.write_jsonl_lines\n"
+            "def killed_after_one(path, lines, header=None):\n"
+            "    def first():\n"
+            "        yield next(iter(lines))\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return write(path, first(), header)\n"
+            "jsonio.write_jsonl_lines = killed_after_one\n"
+            "cli.main(sys.argv[2:])\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    config = write_yaml(tmp_path / "c.yaml", {"inputs": [inputs["docs"]]})
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    child = subprocess.run([sys.executable, "-c", code, src, "corpus", "--config", config,
+                            "--out", str(out)], timeout=60)
+    assert child.returncode == -signal.SIGKILL
+    assert list(out.glob("**/documents.jsonl.*.tmp"))  # left by the kill
+    assert main(["corpus", "--config", config, "--out", str(out)]) == 0
+    assert main(["corpus", "--config", config, "--out", str(fresh)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    assert outputs(out) == outputs(fresh)
 
 
 def test_sample_size_checked_before_backtranslation(tmp_path, capsys, inputs, monkeypatch):

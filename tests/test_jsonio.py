@@ -72,13 +72,11 @@ class TestFiles:
         with pytest.raises(ValueError, match="not JSON compliant"):
             jsonio.write_jsonl(tmp_path / "bad.jsonl", [], header={"score": bad})
 
-    def test_write_json_is_strict(self, tmp_path):
-        # A JSON document is written as main writes one: its canonical text.
-        jsonio.write_text(tmp_path / "ok.json", jsonio.dumps({"b": 1, "a": "é"}))
-        assert (tmp_path / "ok.json").read_text(encoding="utf-8") == '{\n "a": "é",\n "b": 1\n}'
+    def test_write_json_is_strict(self):
+        # A JSON document is written as its canonical text, which refuses infinity.
+        assert jsonio.dumps({"b": 1, "a": "é"}) == '{\n "a": "é",\n "b": 1\n}'
         with pytest.raises(ValueError, match="not JSON compliant"):
-            jsonio.write_text(tmp_path / "bad.json", jsonio.dumps({"cer": math.inf}))
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.json"]
+            jsonio.dumps({"cer": math.inf})
 
     def test_failed_write_leaves_target_as_it_was(self, tmp_path):
         path = tmp_path / "x.jsonl"
