@@ -130,10 +130,6 @@ class MixtureSpec:
         return weights
 
 
-def _paragraphs(text: str) -> list[str]:
-    return [p for p in _PARAGRAPH_SPLIT.split(text) if p.strip()]
-
-
 def _content_key(text: str) -> str:
     return " ".join(text.split())
 
@@ -160,17 +156,24 @@ def dedup(docs: Iterable[CorpusDocument]) -> Iterator[CorpusDocument]:
     paragraph seen before (in any earlier document, or earlier in the same
     document) is removed.  Output preserves first-seen order and is
     deterministic; dedup(dedup(S)) == dedup(S).
+
+    Normalized text is whitespace-collapsed text.  Each paragraph's is
+    taken once, and the document's is the space-join of its non-blank
+    paragraphs' texts, which equals its own collapsed text because the
+    separators between paragraphs are whitespace.
     """
     seen_docs: set[str] = set()
     seen_paragraphs: set[str] = set()
     for doc in docs:
-        doc_key = _hash_text(_content_key(doc.text))
+        paragraphs = [(para, key) for para in _PARAGRAPH_SPLIT.split(doc.text)
+                      if (key := _content_key(para))]
+        doc_key = _hash_text(" ".join(key for _para, key in paragraphs))
         if doc_key in seen_docs:
             continue
         seen_docs.add(doc_key)
         kept: list[str] = []
-        for para in _paragraphs(doc.text):
-            para_key = _hash_text(_content_key(para))
+        for para, key in paragraphs:
+            para_key = _hash_text(key)
             if para_key in seen_paragraphs:
                 continue
             seen_paragraphs.add(para_key)

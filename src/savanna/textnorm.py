@@ -31,6 +31,10 @@ _CONTROL_OR_PUNCTUATION_CATEGORIES = _CONTROL_CATEGORIES | {"Pc", "Pd", "Ps", "P
 
 _PAGE_NUMBER_RE = re.compile(r"^\s*(page\s+)?\d{1,4}\s*$", re.IGNORECASE)
 _DIGITS_RE = re.compile(r"\d+")
+# The only keys of the lines that ``_PAGE_NUMBER_RE`` matches: each
+# character its letters match casefolds to ``p``, ``a``, ``g`` or ``e``, and
+# its ``\s`` is ``str.isspace``.
+_PAGE_NUMBER_KEYS = frozenset({"0", "page 0"})
 
 # Recurring-line artifact detection (running titles, page headers).
 _RECUR_MIN_COUNT = 3
@@ -87,10 +91,8 @@ def normalize(text: str, profile: NormProfile) -> str:
 
 def _count_controls(line: str) -> int:
     """Number of characters of ``line`` that ``normalize`` deletes as
-    controls: Cc/Cf, whitespace controls aside.  A printable line has none;
-    otherwise each distinct character is classified once."""
-    if line.isprintable():
-        return 0
+    controls: Cc/Cf, whitespace controls aside.  Each distinct character
+    is classified once."""
     return sum(line.count(ch) for ch in set(line)
                if ch not in _WHITESPACE_CONTROLS and unicodedata.category(ch) in _CONTROL_CATEGORIES)
 
@@ -139,12 +141,19 @@ class _Family:
         return 2.0 * self._lcs(key) / (la + lb) >= _RECUR_SIMILARITY
 
 
-def _artifact_line_indices(lines: list[str]) -> set[int]:
+def _artifact_line_indices(lines: list[str], collapsed: list[str]) -> set[int]:
     """Indices of artifact lines: bare page numbers (``_PAGE_NUMBER_RE``)
     and recurring lines, which are running heads and footers.
+    ``collapsed[i]`` is ``lines[i]`` with its whitespace runs collapsed to
+    single spaces and its ends stripped.
 
-    A line's key is its whitespace-collapsed, casefolded text with each run
-    of decimal digits replaced by ``0``; lines with blank keys are ignored.
+    A line's key is its collapsed, casefolded text with each run of
+    decimal digits replaced by ``0``; lines with blank keys are ignored.
+    The keys are folded in one ``casefold`` and one substitution over the
+    ``"\\n"``-join of the collapsed lines, which hold no newline, and each
+    ``"\\n"``-split piece is one line's key: casefolding is per character
+    and no digit run crosses a newline.  Only a line whose key is in
+    ``_PAGE_NUMBER_KEYS`` is tried against the page-number pattern.
 
     * Exact: every line whose key occurs at least 3 times is recurring.
     * Fuzzy, at page edges: a line holding a form feed starts a new page,
@@ -161,12 +170,12 @@ def _artifact_line_indices(lines: list[str]) -> set[int]:
     Cost: linear.  A live family's latest member is one of the edges of
     the last three pages, so an edge line meets at most five families.
     """
-    keys = [_DIGITS_RE.sub("0", " ".join(line.split()).casefold()) for line in lines]
+    keys = _DIGITS_RE.sub("0", "\n".join(collapsed).casefold()).split("\n")
     counts = Counter(keys)
     artifacts = {idx for idx, key in enumerate(keys) if key and counts[key] >= _RECUR_MIN_COUNT}
     pages: list[list[int]] = [[]]  # the non-blank lines of each page
     for idx, line in enumerate(lines):
-        page_number = _PAGE_NUMBER_RE.match(line)
+        page_number = keys[idx] in _PAGE_NUMBER_KEYS and _PAGE_NUMBER_RE.match(line)
         if page_number or "\x0c" in line:
             pages.append([])
         if page_number:
@@ -198,22 +207,32 @@ def clean_document(raw: str) -> tuple[str, CleanReport]:
     normalize the rest with the corpus profile.  Line/paragraph structure
     is preserved: each surviving line is normalized individually and
     blank-line runs are collapsed to single paragraph breaks.
+
+    Each line's whitespace is collapsed once, for its key and for its
+    output.  A kept printable line becomes the NFC of its collapsed text,
+    which is exactly what ``normalize`` returns: it holds no Cc/Cf
+    character and no whitespace but U+0020, which no canonical
+    composition involves.  Every other kept line goes through
+    ``normalize`` and ``_count_controls``.
     """
     report = CleanReport()
     if not raw:
         return "", report
 
     lines = raw.split("\n")
-    artifacts = _artifact_line_indices(lines)
+    collapsed = [" ".join(line.split()) for line in lines]
+    artifacts = _artifact_line_indices(lines, collapsed)
     profile = corpus_profile()
 
     kept: list[str] = []
     for idx, line in enumerate(lines):
         if idx in artifacts:
             report.artifacts_removed += 1
-            continue
-        report.control_removed += _count_controls(line)
-        kept.append(normalize(line, profile))
+        elif line.isprintable():
+            kept.append(unicodedata.normalize("NFC", collapsed[idx]))
+        else:
+            report.control_removed += _count_controls(line)
+            kept.append(normalize(line, profile))
 
     # Blank-line runs become single paragraph breaks; leading and trailing
     # blanks go.

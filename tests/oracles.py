@@ -8,8 +8,9 @@ steps separately, repeated to a fixed point, each recurring-line page
 edge scans every family ever made, first-fit packing scans every open
 sequence for each chunk, the packed file is written by the JSON encoder,
 one int at a time, ASR noise classifies each character as it
-reaches it, a key table's kinds are tested one element at a time, and a
-mixture sample is allocated in plain float arithmetic.
+reaches it, a key table's kinds are tested one element at a time, a
+mixture sample is allocated in plain float arithmetic, and deduplication
+splits paragraphs one character at a time and keeps whole texts as keys.
 """
 
 from __future__ import annotations
@@ -259,6 +260,58 @@ def brute_clean_document(raw: str) -> tuple[str, dict]:
         else:
             blank = True
     return "\n\n".join(paragraphs), report
+
+
+def _collapse(text: str) -> str:
+    return " ".join(text.split())
+
+
+def _brute_paragraphs(text: str) -> list[str]:
+    """The pieces of ``text`` between paragraph breaks.  A break is a run
+    of whitespace holding two or more newlines, from its first newline to
+    its last; what the run holds before and after them stays with the
+    pieces either side."""
+    pieces = []
+    start = 0
+    i = 0
+    while i < len(text):
+        if not text[i].isspace():
+            i += 1
+            continue
+        end = i
+        while end < len(text) and text[end].isspace():
+            end += 1
+        newlines = [k for k in range(i, end) if text[k] == "\n"]
+        if len(newlines) >= 2:
+            pieces.append(text[start:newlines[0]])
+            start = newlines[-1] + 1
+        i = end
+    pieces.append(text[start:])
+    return pieces
+
+
+def brute_dedup(texts: list[str]) -> list[tuple[int, str]]:
+    """Exact deduplication of documents, then of paragraphs, with the
+    whitespace-collapsed texts as keys, unhashed.  Returns the index of
+    each document kept, with its text: its paragraphs not seen before,
+    blank ones aside, joined by blank lines."""
+    seen_docs = []
+    seen_paragraphs = []
+    out = []
+    for index, text in enumerate(texts):
+        if _collapse(text) in seen_docs:
+            continue
+        seen_docs.append(_collapse(text))
+        kept = []
+        for para in _brute_paragraphs(text):
+            key = _collapse(para)
+            if key == "" or key in seen_paragraphs:
+                continue
+            seen_paragraphs.append(key)
+            kept.append(para)
+        if kept:
+            out.append((index, "\n\n".join(kept)))
+    return out
 
 
 def brute_pack(token_streams, max_len):

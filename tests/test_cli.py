@@ -1,5 +1,6 @@
 import dataclasses
 import fcntl
+import gc
 import hashlib
 import json
 import os
@@ -389,6 +390,7 @@ class TestInstructCommand:
         peaks = {}
         for n_pairs in (200, 2000):
             config = self.pairs_config(tmp_path, f"pairs{n_pairs}", n_pairs, 200)
+            gc.collect()  # earlier tests' garbage is not freed inside the measured window
             tracemalloc.start()
             try:
                 run = cmd_instruct(config)
@@ -879,6 +881,7 @@ class TestLossCommand:
         for n in (200, 2000):
             path = tmp_path / f"pairs{n}.jsonl"
             path.write_text(line * n, encoding="utf-8")
+            gc.collect()  # earlier tests' garbage is not freed inside the measured window
             tracemalloc.start()
             try:
                 assert main(["loss", "--pairs", str(path), "--out", str(tmp_path / f"o{n}")]) == 0

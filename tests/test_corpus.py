@@ -6,9 +6,9 @@ import sys
 
 import pytest
 from helpers import StubMtClient, examples
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import float_allocate
+from oracles import brute_dedup, float_allocate
 
 from savanna.corpus import (
     _allocate,
@@ -78,6 +78,33 @@ class TestDedup:
         out = list(dedup(docs))
         assert sum(d.char_count for d in out) <= sum(d.char_count for d in docs)
         assert len(out) <= len(docs)
+
+
+# Paragraphs that are equal, or equal up to whitespace, or whose join is
+# another's text, and whitespace-only ones; joined by blank-line
+# separators, or by a space or newline that is no paragraph break.
+_PARAGRAPH_POOL = ["omwana agenda", "omwana  agenda ", "mu kibuga", "\tmu\u00a0kibuga",
+                   "omwana agenda mu kibuga", "omwana agenda\nmu kibuga", "ekinene", "   ", "\t"]
+_JOINS = ["\n\n", "\n \n", "\n\t\n\n", "\n", " "]
+
+
+@st.composite
+def pooled_document(draw):
+    paragraphs = draw(st.lists(st.sampled_from(_PARAGRAPH_POOL), min_size=1, max_size=5))
+    text = paragraphs[0]
+    for para in paragraphs[1:]:
+        text += draw(st.sampled_from(_JOINS)) + para
+    return doc(text, lang=draw(st.sampled_from(["lug", "ach"])))
+
+
+@settings(max_examples=examples(3))
+@given(st.lists(pooled_document(), max_size=8))
+@example([doc("omwana agenda\n\nmu kibuga"), doc("omwana agenda mu kibuga")])
+@example([doc("   "), doc("\t\n \n  "), doc("ekinene\n\t\n\n   \n\nekinene")])
+@example([doc(" omwana agenda \n\n mu kibuga"), doc("mu kibuga\n \nomwana  agenda")])
+def test_dedup_matches_oracle(docs):
+    expected = [(docs[index].id, text, len(text)) for index, text in brute_dedup([d.text for d in docs])]
+    assert [(d.id, d.text, d.char_count) for d in dedup(docs)] == expected
 
 
 class TestDocumentModel:

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import examples
-from oracles import _brute_artifact_line_indices, brute_clean_document, brute_lcs, brute_normalize
+from oracles import (_brute_artifact_line_indices, _line_key, brute_clean_document, brute_lcs,
+                     brute_normalize)
 
+from savanna import textnorm
 from savanna.textnorm import (
+    _PAGE_NUMBER_KEYS,
+    _PAGE_NUMBER_RE,
     CleanReport,
     _count_controls,
     _Family,
@@ -66,6 +70,34 @@ def test_every_bmp_code_point_matches_oracle(profile):
             if normalize(text, profile) != brute_normalize(text, profile):
                 mismatches.append(text)
     assert mismatches == []
+
+
+def test_printable_line_normalizes_to_nfc_of_its_collapsed_text():
+    # clean_document's shortcut for a printable line: no Cc/Cf character to
+    # delete, and spaces, the only whitespace, touch no composition.
+    mismatches = []
+    for cp in range(0x10000):
+        ch = chr(cp)
+        for line in (ch, f"  A{ch}\u0301  b{ch}\u0327 ", f"{ch} \u0301"):
+            if line.isprintable() and normalize(line, corpus_profile()) != unicodedata.normalize(
+                    "NFC", " ".join(line.split())):
+                mismatches.append(line)
+    assert mismatches == []
+
+
+def test_page_number_lines_have_page_number_keys():
+    # Each BMP code point in each slot of "page 12": every line the pattern
+    # matches has one of the keys that _artifact_line_indices tries it on.
+    matched, wrong = set(), []
+    for cp in range(0x10000):
+        for slot in range(len("page 12")):
+            line = "page 12"[:slot] + chr(cp) + "page 12"[slot + 1:]
+            if _PAGE_NUMBER_RE.match(line):
+                matched.add(line)
+                if _line_key(line) not in _PAGE_NUMBER_KEYS:
+                    wrong.append(line)
+    assert wrong == []
+    assert {"Page 12", "pAge 12", "page\u00a012", "page\u300012", "page \u06632"} <= matched
 
 
 def test_count_controls_matches_category_on_every_code_point():
@@ -208,26 +240,6 @@ class TestCleanDocument:
         assert text == "para one\n\npara two"
 
 
-document_line = st.one_of(
-    st.just(""),
-    st.just("   "),
-    st.just("\t\x00"),
-    st.integers(0, 9999).map(str),
-    st.integers(0, 9999).map(lambda n: f"  Page {n} "),
-    st.sampled_from(["RUNNING TITLE - CHAPTER 1", "RUNNING TITLE - CHAPTER 2"]),
-    adversarial_text,
-)
-
-
-@settings(max_examples=examples(3))
-@given(st.lists(document_line, max_size=25).map("\n".join))
-def test_clean_document_matches_oracle(raw):
-    text, report = clean_document(raw)
-    expected_text, expected_report = brute_clean_document(raw)
-    assert text == expected_text
-    assert dataclasses.asdict(report) == expected_report
-
-
 # Lines that stress the recurring-line key and matcher.  Casefolding (ß
 # and SS, U+0130) and whitespace variants fold to one key; lines that
 # differ only in their digits, ASCII or not, share one too.  Long lines
@@ -239,6 +251,12 @@ RECURRING_LINES = [
     "ab" * 100, "ab" * 100 + "c", _LONG_LINE, _LONG_LINE.upper(), "", "  ",
     "row 12 345", "ROW 7 0", "row \u0663\u0664 \u0967",
 ]
+
+
+def _artifacts(lines: list[str]) -> set[int]:
+    """``_artifact_line_indices`` given the collapsed lines, as
+    ``clean_document`` gives them."""
+    return _artifact_line_indices(lines, [" ".join(line.split()) for line in lines])
 
 
 def _edited(base: str, edits: list[tuple[int, str]]) -> str:
@@ -269,6 +287,33 @@ page_line = st.one_of(
 )
 
 
+document_line = st.one_of(
+    st.just(""),
+    st.just("   "),
+    st.just("\t\x00"),
+    st.integers(0, 9999).map(str),
+    st.integers(0, 9999).map(lambda n: f"  Page {n} "),
+    st.sampled_from(["RUNNING TITLE - CHAPTER 1", "RUNNING TITLE - CHAPTER 2"]),
+    adversarial_text,
+    page_line,
+)
+
+
+@settings(max_examples=examples(3), deadline=None)
+@given(st.lists(document_line, max_size=25).map("\n".join))
+# Printable lines, which take the NFC shortcut, beside unprintable ones: a
+# Cc control, NEL and the line separator (whitespace to str.split), an en
+# quad and a no-break space (Zs), and NFD lines whose marks compose.
+@example("a\x1cb\nEkya\u0301lo  kya\u0302ffe\n\x85\nhead\n\u2028x\nhead\ne\u0301 \u0301\nhead")
+@example("Page\u00a07\nPage 7\n\u2000Page 8\n  o\u0303  \u0327c\n\x0cPage\u00a09\u2000")
+@example("LUGANDA 1\n\x0cLUGANDA\u00a02\nbody\n\x0cLUGANDA 3\x1c\nA\u030a\u0301\n\x0cLUGANDA\u20004")
+def test_clean_document_matches_oracle(raw):
+    text, report = clean_document(raw)
+    expected_text, expected_report = brute_clean_document(raw)
+    assert text == expected_text
+    assert dataclasses.asdict(report) == expected_report
+
+
 @settings(max_examples=examples(3), deadline=None)
 @given(st.lists(page_line, max_size=40))
 @example(["ab" * 100] * 3)
@@ -276,7 +321,7 @@ page_line = st.one_of(
 @example(["straße der einheit", "STRASSE DER EINHEIT", "Strasse  der einheit\t"])
 @example(["head one", "body", "1", "head onf", "body two", "2", "x", "\x0chead ome"])
 def test_recurring_lines_match_oracle(lines):
-    assert _artifact_line_indices(lines) == _brute_artifact_line_indices(lines)
+    assert _artifacts(lines) == _brute_artifact_line_indices(lines)
 
 
 # Casefolded text the LCS sees: combining marks, Ugandan-orthography
@@ -334,7 +379,7 @@ def test_noisy_running_heads_are_dropped():
         heads[2 * page] = heads[2 * page][:position] + ch + heads[2 * page][position + 1:]
     lines = _book(9 * 38, heads)
     page_numbers = {idx for idx, line in enumerate(lines) if idx % 38 == 37}
-    assert _artifact_line_indices(lines) == _heads(lines) | page_numbers
+    assert _artifacts(lines) == _heads(lines) | page_numbers
     text, report = clean_document("\n".join(lines))
     assert "CHAPTER" not in text and "LUCANDA" not in text
     assert report.artifacts_removed == 18
@@ -360,8 +405,40 @@ def test_book_costs_a_few_lcs_runs_per_page_edge(monkeypatch, n_lines):
     lcs = _Family._lcs
     monkeypatch.setattr(_Family, "_lcs", lambda family, key: calls.append(key) or lcs(family, key))
     lines = _book(n_lines)
-    found = _artifact_line_indices(lines)
+    found = _artifacts(lines)
     pages = len(_heads(lines))
     page_numbers = {idx for idx, line in enumerate(lines) if idx % 38 == 37}
     assert found == _heads(lines) | page_numbers
     assert len(calls) <= 5 * 2 * pages  # an edge meets at most five live families
+
+
+class _Counting:
+    """A compiled pattern whose ``sub`` and ``match`` calls are counted."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = []
+
+    def sub(self, *args):
+        self.calls.append("sub")
+        return self.pattern.sub(*args)
+
+    def match(self, line):
+        self.calls.append(line)
+        return self.pattern.match(line)
+
+
+def test_printable_book_folds_its_keys_once_and_skips_normalize(monkeypatch):
+    digits, page_numbers = _Counting(textnorm._DIGITS_RE), _Counting(textnorm._PAGE_NUMBER_RE)
+    normalized = []
+    monkeypatch.setattr(textnorm, "_DIGITS_RE", digits)
+    monkeypatch.setattr(textnorm, "_PAGE_NUMBER_RE", page_numbers)
+    monkeypatch.setattr(textnorm, "normalize", lambda line, profile: normalized.append(line))
+    lines = [line.lstrip("\x0c") for line in _book(1000)]
+    assert all(line.isprintable() for line in lines)
+    text, report = clean_document("\n".join(lines))
+    assert normalized == []
+    assert digits.calls == ["sub"]  # one substitution for the whole document
+    # Only the page-number lines, one a page, are tried against the pattern.
+    assert page_numbers.calls == [line for idx, line in enumerate(lines) if idx % 38 == 37]
+    assert (text, dataclasses.asdict(report)) == brute_clean_document("\n".join(lines))
